@@ -12,8 +12,6 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -260,20 +258,8 @@ class ExperimentReport:
         return csv_path, json_path
 
 
-def _sub_seed(seed: int, trial: int) -> tuple[int, int]:
-    return (seed, trial)
-
-
-def _map_trials(fn, indices):
-    threads = int(os.environ.get("MIXCARA_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, indices))
-    return [fn(i) for i in indices]
-
-
 def _gaussian_bound_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int) -> TrialRow:
-    sub = _sub_seed(config.seed, trial)
+    sub = (config.seed, trial)
     rng = np.random.default_rng(sub)
     residual_tol = config.tolerance("residual_rel", 1e-8)
     k_limit = (basis.max_degree + 2) // 2
@@ -312,7 +298,7 @@ def _gaussian_bound_trial(config: ExperimentConfig, basis: MonomialBasis, trial:
 
 
 def _lognormal_bound_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int) -> TrialRow:
-    sub = _sub_seed(config.seed, trial)
+    sub = (config.seed, trial)
     rng = np.random.default_rng(sub)
     residual_tol = config.tolerance("residual_rel", 1e-8)
     k_limit = math.ceil(basis.m / 2)
@@ -351,7 +337,7 @@ def _lognormal_bound_trial(config: ExperimentConfig, basis: MonomialBasis, trial
 
 
 def _gap_homotopy_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int) -> TrialRow:
-    sub = _sub_seed(config.seed, trial)
+    sub = (config.seed, trial)
     rng = np.random.default_rng(sub)
     residual_tol = config.tolerance("residual_rel", 1e-8)
     sigma = config.range_scalar("shared_sigma", 0.05)
@@ -411,7 +397,7 @@ def _na_table_trial(config: ExperimentConfig, _basis, d: int) -> TrialRow:
 
 
 def _reduction_trial(config: ExperimentConfig, _basis, trial: int) -> TrialRow:
-    sub = _sub_seed(config.seed, trial)
+    sub = (config.seed, trial)
     rng = np.random.default_rng(sub)
     preservation = config.tolerance("preservation_abs", 1e-10)
     m = int(rng.integers(1, 9))
@@ -456,7 +442,7 @@ def _reduction_trial(config: ExperimentConfig, _basis, trial: int) -> TrialRow:
 
 
 def _prescribe_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int) -> TrialRow:
-    sub = _sub_seed(config.seed, trial)
+    sub = (config.seed, trial)
     rng = np.random.default_rng(sub)
     residual_tol = config.tolerance("residual_rel", 1e-8)
     mixture = sample_random_mixture(
@@ -536,7 +522,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         except MixcaraError as exc:
             return TrialRow(
                 trial=i,
-                sub_seed=str(_sub_seed(config.seed, i)),
+                sub_seed=str((config.seed, i)),
                 engine=config.experiment,
                 k_used=-1,
                 residual=math.inf,
@@ -545,8 +531,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 detail=f"engine error: {exc}",
             )
 
-    rows = _map_trials(one, indices)
-    rows.sort(key=lambda r: r.trial)
+    rows = [one(i) for i in indices]
     report = ExperimentReport(
         experiment=config.experiment,
         bound=_BOUND_STATEMENTS[config.experiment],

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import MonomialBasis, eval_jacobian, eval_point
-from .errors import UnsupportedBasisError
-from .moments import SmoothedBasis, gaussian_smoothed_basis, lognormal_moment
+from .moments import component_moments
 
 __all__ = [
     "RankReport",
@@ -90,55 +89,26 @@ def atomic_jacobian(basis: MonomialBasis, weights, points) -> np.ndarray:
     return out
 
 
-def mixture_jacobian(
-    basis: MonomialBasis,
-    kind: str,
-    weights,
-    means,
-    sigmas,
-    smoothed: SmoothedBasis | None = None,
-) -> np.ndarray:
+def mixture_jacobian(basis: MonomialBasis, kind: str, weights, means, sigmas) -> np.ndarray:
     """Jacobian of the k-component mixture moment map, m by k*(n+2).
 
     Column blocks per component: the component moment vector, the weighted
     derivatives in each location coordinate, then the weighted derivative in
-    the scale.  Gaussian derivatives come from the exact smoothed polynomials;
-    log-normal derivatives from the closed form.
+    the scale.  Values and derivatives of both kinds come from the moment
+    kernel ``component_moments`` (the recurrence for Gaussians, the closed
+    form for log-normals).
     """
     w = np.atleast_1d(np.asarray(weights, dtype=float))
-    mu = np.asarray(means, dtype=float)
-    if mu.ndim == 1:
-        mu = mu.reshape(-1, 1)
     sg = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    k = w.shape[0]
-    if k < 1:
+    if w.shape[0] < 1:
         raise ValueError("need at least one component")
     if np.any(sg <= 0):
         raise ValueError("sigmas must be positive")
-    n = basis.n
-    if kind == "gaussian" and smoothed is None:
-        smoothed = gaussian_smoothed_basis(basis)
-    out = np.zeros((basis.m, k * (n + 2)))
-    for i in range(k):
-        base = i * (n + 2)
-        if kind == "gaussian":
-            out[:, base] = smoothed.eval_components(mu[i], sg[i])
-            for j in range(n):
-                out[:, base + 1 + j] = w[i] * smoothed.eval_mean_derivative(j, mu[i], sg[i])
-            out[:, base + n + 1] = w[i] * smoothed.eval_sigma_derivative(mu[i], sg[i])
-        elif kind == "lognormal":
-            if basis.n != 1:
-                raise UnsupportedBasisError("log-normal mixtures are univariate")
-            xi = float(mu[i, 0])
-            degs = basis.univariate_degrees()
-            vals = np.array([lognormal_moment(d, xi, sg[i]) for d in degs])
-            dd = np.array(degs, dtype=float)
-            out[:, base] = vals
-            out[:, base + 1] = w[i] * dd / xi * vals
-            out[:, base + 2] = w[i] * dd * dd * sg[i] * vals
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-    return out
+    B, dmean, dsigma = component_moments(basis, kind, means, sg, derivatives=True)
+    blocks = np.concatenate(
+        [B[:, None, :], w[:, None, None] * dmean, (w[:, None] * dsigma)[:, None, :]], axis=1
+    )
+    return blocks.reshape(-1, basis.m).T
 
 
 def numeric_rank(matrix, rel_tol: float = 1e-9, *, k: int | None = None) -> RankReport:
@@ -273,13 +243,12 @@ def min_full_rank_components(
         mean_range = (0.5, 2.0) if kind == "lognormal" else (-1.0, 1.0)
     n1, n2 = basis.n, 1
     lower = math.ceil(basis.m / (n1 + n2))
-    smoothed = gaussian_smoothed_basis(basis) if kind == "gaussian" else None
 
     def sample(k: int, trial: int) -> np.ndarray:
         rng = np.random.default_rng((seed, k, trial))
         w = rng.uniform(*weight_range, size=k)
         mu = rng.uniform(*mean_range, size=(k, basis.n))
         sg = rng.uniform(*sigma_range, size=k)
-        return mixture_jacobian(basis, kind, w, mu, sg, smoothed)
+        return mixture_jacobian(basis, kind, w, mu, sg)
 
     return _search(sample, max_k, trials, rel_tol, lower, note=_DENOMINATOR_NOTE)

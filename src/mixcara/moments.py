@@ -1,21 +1,29 @@
 """Forward moment maps for Dirac measures and Gaussian/log-normal mixtures.
 
-The Gaussian case is handled through exact polynomial tables: integrating a
-monomial ``x^i`` against a Gaussian centred at ``x`` with scale ``sigma``
-gives a polynomial in ``(x, sigma)`` with integer coefficients.  Those
-polynomials satisfy the recurrence
+Every mixture moment, and every derivative of one, is evaluated by
+``component_moments``.  Integrating a monomial ``x^i`` against a Gaussian
+centred at ``x`` with scale ``sigma`` gives the polynomial
 
     p_0 = 1,   p_1 = x,   p_i = x * p_{i-1} + (i - 1) * sigma**2 * p_{i-2},
 
-and factor across coordinates for isotropic scales, so all tables are built
-once per basis and evaluated as needed.  Log-normal moments come from the
-closed form ``xi**i * exp(i**2 * sigma**2 / 2)``, computed in log space so
-overflow is reported instead of returning ``inf``.
+which the kernel runs numerically for all components at once, one
+coordinate at a time, and multiplies across coordinates (isotropic scales
+factor).  Its derivatives follow from the same table through the
+heat-equation identities ``d/dx_j b_a = a_j b_{a-e_j}`` and
+``d/dsigma b_a = sigma * sum_j a_j (a_j - 1) b_{a-2e_j}``.  Log-normal
+moments come from the closed form ``xi**i * exp(i**2 * sigma**2 / 2)``,
+computed in log space.  Both kinds report overflow instead of returning
+``inf``.
+
+``gaussian_smoothed_basis`` builds the same polynomials as exact integer
+coefficient tables; those tables are an output in their own right and are
+not used for evaluation.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -31,6 +39,7 @@ __all__ = [
     "dirac_moments",
     "mixture_moments",
     "component_moment_vector",
+    "component_moments",
     "transfer_matrix_gaussian",
 ]
 
@@ -103,7 +112,8 @@ class SmoothedBasis:
     ``polynomials[i]`` is the table for the i-th basis exponent: a map from
     ``(beta, sigma_power)`` to an integer coefficient, with leading term
     ``x^alpha`` (coefficient 1) and only even sigma powers.  Setting
-    ``sigma = 0`` recovers the plain monomial.
+    ``sigma = 0`` recovers the plain monomial.  The tables are an output;
+    numeric evaluation goes through ``component_moments``.
     """
 
     basis: MonomialBasis
@@ -111,61 +121,7 @@ class SmoothedBasis:
 
     def eval_components(self, xi, sigma: float) -> np.ndarray:
         """Vector of smoothed monomials at location ``xi`` and scale ``sigma``."""
-        pt = np.atleast_1d(np.asarray(xi, dtype=float))
-        if pt.shape != (self.basis.n,):
-            raise ValueError(f"location has shape {pt.shape}, expected ({self.basis.n},)")
-        out = np.empty(self.basis.m)
-        for i, poly in enumerate(self.polynomials):
-            out[i] = _poly_eval(poly, pt, sigma)
-        return out
-
-    def eval_mean_derivative(self, j: int, xi, sigma: float) -> np.ndarray:
-        pt = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.empty(self.basis.m)
-        for i, poly in enumerate(self.polynomials):
-            out[i] = _poly_eval(_poly_dx(poly, j), pt, sigma)
-        return out
-
-    def eval_sigma_derivative(self, xi, sigma: float) -> np.ndarray:
-        pt = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.empty(self.basis.m)
-        for i, poly in enumerate(self.polynomials):
-            out[i] = _poly_eval(_poly_dsigma(poly), pt, sigma)
-        return out
-
-
-def _poly_eval(poly: SmoothedPoly, pt: np.ndarray, sigma: float) -> float:
-    total = 0.0
-    for (beta, sp), coef in poly.items():
-        term = float(coef)
-        for x, b in zip(pt, beta):
-            if b:
-                term *= x**b
-        if sp:
-            term *= sigma**sp
-        total += term
-    return total
-
-
-def _poly_dx(poly: SmoothedPoly, j: int) -> SmoothedPoly:
-    out: SmoothedPoly = {}
-    for (beta, sp), coef in poly.items():
-        if beta[j] == 0:
-            continue
-        lowered = tuple(b - 1 if idx == j else b for idx, b in enumerate(beta))
-        key = (lowered, sp)
-        out[key] = out.get(key, 0) + coef * beta[j]
-    return out
-
-
-def _poly_dsigma(poly: SmoothedPoly) -> SmoothedPoly:
-    out: SmoothedPoly = {}
-    for (beta, sp), coef in poly.items():
-        if sp == 0:
-            continue
-        key = (beta, sp - 1)
-        out[key] = out.get(key, 0) + coef * sp
-    return out
+        return component_moment_vector(self.basis, "gaussian", xi, sigma)
 
 
 def gaussian_smoothed_basis(basis: MonomialBasis) -> SmoothedBasis:
@@ -220,62 +176,113 @@ def dirac_moments(basis: MonomialBasis, mu: AtomicMeasure) -> MomentVector:
     return MomentVector(values=values, basis=basis, kind_tag="dirac")
 
 
-def component_moment_vector(
-    basis: MonomialBasis,
-    kind: str,
-    xi,
-    sigma: float,
-    smoothed: SmoothedBasis | None = None,
-) -> np.ndarray:
-    """Moment vector of a single unit-mass component of the given kind."""
-    if kind == "gaussian":
-        if smoothed is None:
-            smoothed = gaussian_smoothed_basis(basis)
-        return smoothed.eval_components(xi, sigma)
-    if kind == "lognormal":
-        if basis.n != 1:
-            raise UnsupportedBasisError("log-normal moments are univariate")
-        loc = float(np.atleast_1d(xi)[0])
-        return np.array(
-            [lognormal_moment(d, loc, sigma) for d in basis.univariate_degrees()]
+def component_moments(basis: MonomialBasis, kind: str, means, sigmas, derivatives: bool = False):
+    """Moment vectors of k unit-mass components at once, one row each.
+
+    ``means`` has shape (k, n) (or (k,) when n == 1) and ``sigmas`` shape
+    (k,); Gaussian scales may be 0, which gives Dirac moments.  Returns B of
+    shape (k, m), or with ``derivatives`` the triple ``(B, dB/dmean,
+    dB/dsigma)`` with shapes (k, n, m) and (k, m).
+    """
+    x = np.asarray(means, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    s = np.asarray(sigmas, dtype=float)
+    if x.shape != (s.shape[0], basis.n):
+        raise ValueError(
+            f"means have shape {x.shape} and sigmas {s.shape}; expected (k, {basis.n}) and (k,)"
         )
-    raise ValueError(f"unknown kind {kind!r}")
+    E = basis.exponent_array
+    if kind == "gaussian":
+        out = _gaussian_components(E, x, s, derivatives)
+    elif kind == "lognormal":
+        out = _lognormal_components(E, x, s, derivatives)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    if not all(np.isfinite(a).all() for a in out):
+        raise MomentOverflowError(
+            f"{kind} moments up to degree {basis.max_degree} exceed the float range"
+        )
+    return out if derivatives else out[0]
 
 
-def mixture_moments(
-    basis: MonomialBasis,
-    mu: MixtureMeasure,
-    smoothed: SmoothedBasis | None = None,
-) -> MomentVector:
+def _gaussian_components(E: np.ndarray, x: np.ndarray, s: np.ndarray, derivatives: bool):
+    k, n = x.shape
+    top = int(E.max())
+    # P[j, e] holds p_e at coordinate j of every component
+    P = np.empty((n, top + 1, k))
+    xt = x.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.arange(-1.0, top)[:, None] * (s * s)  # c[e] = (e - 1) sigma^2
+        P[:, 0] = 1.0
+        if top:
+            P[:, 1] = xt
+        for e in range(2, top + 1):
+            P[:, e] = xt * P[:, e - 1] + c[e] * P[:, e - 2]
+        factors = [P[j].take(E[:, j], axis=0) for j in range(n)]  # each (m, k)
+        B = reduce(np.multiply, factors)
+        if not derivatives:
+            return (B.T,)
+        dmean = np.empty((k, n, E.shape[0]))
+        dsigma = 0.0
+        for j in range(n):
+            a = E[:, j, None]
+            rest = reduce(np.multiply, factors[:j] + factors[j + 1 :], 1.0)
+            dmean[:, j] = (a * P[j].take(np.maximum(a[:, 0] - 1, 0), axis=0) * rest).T
+            dsigma = dsigma + a * (a - 1) * P[j].take(np.maximum(a[:, 0] - 2, 0), axis=0) * rest
+        return B.T, dmean, s[:, None] * dsigma.T
+
+
+def _lognormal_components(E: np.ndarray, x: np.ndarray, s: np.ndarray, derivatives: bool):
+    if E.shape[1] != 1:
+        raise UnsupportedBasisError("log-normal moments are univariate")
+    if not (np.all(x > 0) and np.all(s > 0)):
+        raise ValueError("log-normal components need xi > 0 and sigma > 0")
+    e = E[:, 0].astype(float)
+    sg = s[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = np.exp(e * np.log(x) + 0.5 * e * e * sg * sg)
+        if not derivatives:
+            return (B,)
+        return B, (e / x * B)[:, None, :], e * e * sg * B
+
+
+def component_moment_vector(basis: MonomialBasis, kind: str, xi, sigma: float) -> np.ndarray:
+    """Moment vector of a single unit-mass component of the given kind."""
+    return component_moments(basis, kind, np.reshape(xi, (1, -1)), [sigma])[0]
+
+
+def mixture_moments(basis: MonomialBasis, mu: MixtureMeasure) -> MomentVector:
     """Moment vector of a finite mixture."""
     if mu.kind == "lognormal" and basis.n != 1:
         raise UnsupportedBasisError("log-normal mixtures need a univariate basis")
-    if mu.k and mu.n != basis.n:
+    if not mu.k:
+        return MomentVector(values=np.zeros(basis.m), basis=basis, kind_tag=mu.kind)
+    if mu.n != basis.n:
         raise ValueError(f"mixture has dimension {mu.n}, basis expects {basis.n}")
-    if mu.kind == "gaussian" and smoothed is None:
-        smoothed = gaussian_smoothed_basis(basis)
-    values = np.zeros(basis.m)
-    for c, xi, s in mu.components():
-        values += c * component_moment_vector(basis, mu.kind, xi, s, smoothed)
+    values = mu.weights @ component_moments(basis, mu.kind, mu.means, mu.sigmas)
     return MomentVector(values=values, basis=basis, kind_tag=mu.kind)
+
+
+def _double_factorial(j: int) -> int:
+    return math.prod(range(j, 0, -2))
 
 
 def transfer_matrix_gaussian(basis: MonomialBasis, sigma: float) -> np.ndarray:
     """Matrix sending full-degree Dirac moments to shared-scale Gaussian moments.
 
     Row ``i`` holds the coefficients of the smoothed polynomial for the i-th
-    basis exponent in the monomial basis ``{1, x, ..., x^max_degree}``.  For a
-    gap-free univariate basis the matrix is square, unit lower-triangular and
-    therefore invertible for every ``sigma``.
+    basis exponent ``a`` in the monomial basis ``{1, x, ..., x^max_degree}``:
+    ``C(a, j) (a-j-1)!! sigma^(a-j)`` in column ``j`` when ``a - j`` is even.
+    For a gap-free univariate basis the matrix is square, unit
+    lower-triangular and therefore invertible for every ``sigma``.
     """
     if basis.n != 1:
         raise UnsupportedBasisError("the transfer matrix is defined for univariate bases")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    smoothed = gaussian_smoothed_basis(basis)
-    cols = basis.max_degree + 1
-    M = np.zeros((basis.m, cols))
-    for i, poly in enumerate(smoothed.polynomials):
-        for (beta, sp), coef in poly.items():
-            M[i, beta[0]] += coef * sigma**sp
+    M = np.zeros((basis.m, basis.max_degree + 1))
+    for row, a in enumerate(basis.univariate_degrees()):
+        for j in range(a % 2, a + 1, 2):
+            M[row, j] = math.comb(a, j) * _double_factorial(a - j - 1) * sigma ** (a - j)
     return M

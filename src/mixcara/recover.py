@@ -38,12 +38,12 @@ from .errors import (
     NonrealAtomsError,
     UnsupportedBasisError,
 )
-from .jacobian import atomic_jacobian, numeric_rank
+from .jacobian import numeric_rank
 from .measures import AtomicMeasure, MixtureMeasure
 from .moments import (
     MomentVector,
+    component_moments,
     dirac_moments,
-    gaussian_smoothed_basis,
     mixture_moments,
     transfer_matrix_gaussian,
 )
@@ -390,41 +390,20 @@ def homotopy_gap_recovery(
     target = s.values
     scale = 1.0 + float(np.max(np.abs(target)))
     box = 1.5 * _data_scale(s)
-    smoothed = gaussian_smoothed_basis(basis)
 
-    def dirac_residual(theta: np.ndarray) -> np.ndarray:
+    def moment_residual(theta: np.ndarray, sigma: float) -> np.ndarray:
         w, pts = _split_theta(theta, k, n)
-        total = np.zeros(m)
-        for i in range(k):
-            total += w[i] * smoothed.eval_components(pts[i], 0.0)
-        return total - target
+        return w @ component_moments(basis, "gaussian", pts, np.full(k, sigma)) - target
 
-    def dirac_jac(theta: np.ndarray) -> np.ndarray:
+    def moment_jac(theta: np.ndarray, sigma: float) -> np.ndarray:
         w, pts = _split_theta(theta, k, n)
-        return atomic_jacobian(basis, np.maximum(w, 1e-300), pts)
+        B, dmean, _ = component_moments(basis, "gaussian", pts, np.full(k, sigma), True)
+        return np.concatenate([B[:, None, :], w[:, None, None] * dmean], axis=1).reshape(-1, m).T
 
     lower = np.array(([0.0] + [-np.inf] * n) * k)
     upper = np.full(k * (n + 1), np.inf)
 
     iterations = 0
-
-    def smoothed_residual(theta: np.ndarray, sigma: float) -> np.ndarray:
-        w, pts = _split_theta(theta, k, n)
-        total = np.zeros(m)
-        for i in range(k):
-            total += w[i] * smoothed.eval_components(pts[i], sigma)
-        return total - target
-
-    def smoothed_jac(theta: np.ndarray, sigma: float) -> np.ndarray:
-        w, pts = _split_theta(theta, k, n)
-        out = np.zeros((m, k * (n + 1)))
-        for i in range(k):
-            out[:, i * (n + 1)] = smoothed.eval_components(pts[i], sigma)
-            for j in range(n):
-                out[:, i * (n + 1) + 1 + j] = w[i] * smoothed.eval_mean_derivative(
-                    j, pts[i], sigma
-                )
-        return out
 
     def corrector(theta: np.ndarray, sigma: float, tol: float | None = None,
                   max_iter: int = 40):
@@ -435,11 +414,11 @@ def homotopy_gap_recovery(
         goal = newton_rel_tol * scale if tol is None else tol
         nonlocal iterations
         for _ in range(max_iter):
-            r = smoothed_residual(th, sigma)
+            r = moment_residual(th, sigma)
             iterations += 1
             if np.max(np.abs(r)) <= goal:
                 return th, True
-            J = smoothed_jac(th, sigma)
+            J = moment_jac(th, sigma)
             step, *_ = np.linalg.lstsq(J, -r, rcond=None)
             if not np.all(np.isfinite(step)):
                 return th, False
@@ -447,13 +426,13 @@ def homotopy_gap_recovery(
             damp = 1.0
             while damp > 1e-6:
                 cand = th + damp * step
-                if np.max(np.abs(smoothed_residual(cand, sigma))) < base:
+                if np.max(np.abs(moment_residual(cand, sigma))) < base:
                     th = cand
                     break
                 damp *= 0.5
             else:
                 return th, False
-        return th, np.max(np.abs(smoothed_residual(th, sigma))) <= goal
+        return th, np.max(np.abs(moment_residual(th, sigma))) <= goal
 
     # stage 1: multistart search for a Dirac representation, polished to
     # machine precision so coalescing atoms show up in the rank check
@@ -464,9 +443,10 @@ def homotopy_gap_recovery(
         w0 = np.full(k, max(target[0], scale * 1e-3) / k)
         theta0 = _interleaved_theta(w0, pts0)
         res = scipy.optimize.least_squares(
-            dirac_residual,
+            moment_residual,
             theta0,
-            jac=dirac_jac,
+            jac=moment_jac,
+            args=(0.0,),
             bounds=(lower, upper),
             method="trf",
             xtol=1e-15,
@@ -486,8 +466,7 @@ def homotopy_gap_recovery(
         saw_residual_fit = True
         # stage 2: the continuation argument needs a regular starting point;
         # nearly coalesced atoms leave a singular value of order sqrt(residual)
-        J = atomic_jacobian(basis, np.maximum(w, 1e-300), pts)
-        if numeric_rank(J, rel_tol=start_rank_tol).full_rank:
+        if numeric_rank(moment_jac(polished, 0.0), rel_tol=start_rank_tol).full_rank:
             solution = polished
             break
     if solution is None:
@@ -544,7 +523,7 @@ def homotopy_gap_recovery(
         means=pts[keep],
         sigmas=np.full(int(np.sum(keep)), sigma_out),
     )
-    residual = _relative_residual(mixture_moments(basis, model, smoothed).values, target)
+    residual = _relative_residual(mixture_moments(basis, model).values, target)
     return RecoveryReport(
         success=residual <= rel_tol,
         model=model,
@@ -573,8 +552,10 @@ def lm_fit(
     """Generic method-of-moments fit by multistart Levenberg-Marquardt.
 
     Weights and scales (and log-normal locations) are optimized in log space
-    so positivity needs no constraints.  The best start by moment residual
-    wins; success is residual at or below ``rel_tol``.
+    so positivity needs no constraints; the Jacobian is the analytic one of
+    the moment kernel, taken through the log parameters by the chain rule.
+    The best start by moment residual wins; success is residual at or below
+    ``rel_tol``.
     """
     if kind not in ("gaussian", "lognormal"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -593,22 +574,37 @@ def lm_fit(
     rng = np.random.default_rng(seed)
     target = s.values
     scale = 1.0 + float(np.max(np.abs(target)))
-    smoothed = gaussian_smoothed_basis(basis) if kind == "gaussian" else None
     box = 1.5 * _data_scale(s)
+    # parameters optimized in log space; Gaussian locations are taken as they are
+    logged = np.ones(n_params, dtype=bool)
+    if kind == "gaussian":
+        logged[k : k + k * n] = False
 
     def unpack(theta: np.ndarray):
-        gammas = theta[:k]
-        locs = theta[k : k + k * n].reshape(k, n)
-        taus = theta[k + k * n :]
-        weights = np.exp(gammas)
-        means = np.exp(locs) if kind == "lognormal" else locs
-        sigmas = np.exp(taus if free_sigma_per_component else np.repeat(taus, k))
-        return weights, means, sigmas
+        with np.errstate(over="ignore"):
+            params = np.where(logged, np.exp(theta), theta)
+        if not (np.all(np.isfinite(params)) and np.all(params[logged] > 0)):
+            raise ValueError("parameters left the finite positive range")
+        weights = params[:k]
+        means = params[k : k + k * n].reshape(k, n)
+        sigmas = params[k + k * n :]
+        if not free_sigma_per_component:
+            sigmas = np.repeat(sigmas, k)
+        return weights, means, sigmas, params
 
     def residual(theta: np.ndarray) -> np.ndarray:
-        weights, means, sigmas = unpack(theta)
-        model = MixtureMeasure(kind=kind, weights=weights, means=means, sigmas=sigmas)
-        return mixture_moments(basis, model, smoothed).values - target
+        weights, means, sigmas, _ = unpack(theta)
+        return weights @ component_moments(basis, kind, means, sigmas) - target
+
+    def jac(theta: np.ndarray) -> np.ndarray:
+        weights, means, sigmas, params = unpack(theta)
+        B, dmean, dsigma = component_moments(basis, kind, means, sigmas, derivatives=True)
+        dsigma = weights[:, None] * dsigma
+        if not free_sigma_per_component:
+            dsigma = dsigma.sum(axis=0, keepdims=True)
+        J = np.concatenate([B, (weights[:, None, None] * dmean).reshape(k * n, m), dsigma]).T
+        # chain rule through the log parameters: d exp(t) / dt = exp(t)
+        return J * np.where(logged, params, 1.0)
 
     best = None
     iterations = 0
@@ -624,8 +620,8 @@ def lm_fit(
         method = "lm" if m >= theta0.size else "trf"
         try:
             res = scipy.optimize.least_squares(
-                residual, theta0, method=method, xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                max_nfev=2000,
+                residual, theta0, jac=jac, method=method, xtol=1e-15, ftol=1e-15,
+                gtol=1e-15, max_nfev=2000,
             )
         except (ValueError, OverflowError):
             continue
@@ -641,7 +637,7 @@ def lm_fit(
             iterations=iterations, failure_reason="all starts failed to evaluate",
         )
     r, theta = best
-    weights, means, sigmas = unpack(theta)
+    weights, means, sigmas, _ = unpack(theta)
     model = MixtureMeasure(kind=kind, weights=weights, means=means, sigmas=sigmas)
     return RecoveryReport(
         success=r <= rel_tol,

@@ -13,7 +13,7 @@ import numpy as np
 from .basis import MonomialBasis, eval_point
 from .errors import ReductionError
 from .measures import AtomicMeasure, MixtureMeasure
-from .moments import component_moment_vector, gaussian_smoothed_basis
+from .moments import component_moments
 
 __all__ = ["reduce_atoms", "reduce_mixture_components"]
 
@@ -57,7 +57,8 @@ def _step_weights(V: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     ratios = weights[positive] / lam[positive]
     t = float(np.min(ratios))
     new_weights = weights - t * lam
-    keep = new_weights > _DROP_TOL
+    # relative to the weight scale, so a measure of tiny total mass keeps its atoms
+    keep = new_weights > _DROP_TOL * float(np.max(weights))
     if keep.all():
         # force out the argmin if rounding left it marginally positive
         drop = np.where(positive)[0][np.argmin(ratios)]
@@ -95,13 +96,7 @@ def reduce_mixture_components(
         raise ValueError(f"mixture kind {mu.kind!r} does not match {kind!r}")
     if mu.k <= basis.m:
         return mu
-    smoothed = gaussian_smoothed_basis(basis) if kind == "gaussian" else None
-    columns = np.column_stack(
-        [
-            component_moment_vector(basis, kind, xi, s, smoothed)
-            for _, xi, s in mu.components()
-        ]
-    )
+    columns = component_moments(basis, kind, mu.means, mu.sigmas).T
     w, idx = _reduce_columns(columns, mu.weights, basis.m)
     return MixtureMeasure(
         kind=kind, weights=w, means=mu.means[idx], sigmas=mu.sigmas[idx]

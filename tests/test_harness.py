@@ -141,10 +141,3 @@ def test_written_files_byte_identical_across_runs(tmp_path):
             )
         )
     assert texts[0] == texts[1]
-
-
-def test_threads_env_does_not_change_output(monkeypatch):
-    base = run_experiment(small_config("reduction-stress", trials=6, seed=2))
-    monkeypatch.setenv("MIXCARA_THREADS", "4")
-    threaded = run_experiment(small_config("reduction-stress", trials=6, seed=2))
-    assert base.to_json_text() == threaded.to_json_text()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mixcara.errors import MomentOverflowError, UnsupportedBasisError
 from mixcara.measures import AtomicMeasure, MixtureMeasure
 from mixcara.moments import (
     MomentVector,
+    component_moments,
     dirac_moments,
     gaussian_smoothed_basis,
     lognormal_moment,
@@ -299,3 +301,92 @@ def test_moment_vector_validation_and_json():
     assert again.basis == basis
     np.testing.assert_array_equal(again.values, s.values)
     assert again.kind_tag == "dirac"
+
+
+def _eval_table(poly: dict, x, sigma: float) -> float:
+    """Oracle: evaluate an exact smoothed-polynomial table term by term."""
+    return sum(
+        coef * math.prod(xj**b for xj, b in zip(x, beta)) * sigma**sp
+        for (beta, sp), coef in poly.items()
+    )
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [GAP, MonomialBasis.full_degree(9), MonomialBasis.full_degree(4, n=2)],
+    ids=["gap", "d9", "n2-d4"],
+)
+def test_component_moments_match_exact_tables(basis):
+    rng = np.random.default_rng(5)
+    means = rng.uniform(-1.5, 1.5, (4, basis.n))
+    sigmas = np.array([0.0, 0.1, 0.6, 1.3])
+    got = component_moments(basis, "gaussian", means, sigmas)
+    assert got.shape == (4, basis.m)
+    tables = gaussian_smoothed_basis(basis).polynomials
+    expected = [[_eval_table(poly, x, s) for poly in tables] for x, s in zip(means, sigmas)]
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_component_moments_lognormal_matches_scalar_form():
+    basis = MonomialBasis.full_degree(6)
+    means, sigmas = np.array([[0.4], [1.0], [2.5]]), np.array([0.1, 0.5, 0.8])
+    got = component_moments(basis, "lognormal", means, sigmas)
+    expected = [[lognormal_moment(i, x[0], s) for i in range(7)] for x, s in zip(means, sigmas)]
+    np.testing.assert_allclose(got, expected, rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "kind, basis, mean_range",
+    [
+        ("gaussian", GAP, (-1.5, 1.5)),
+        ("gaussian", MonomialBasis.full_degree(4, n=2), (-1.5, 1.5)),
+        ("lognormal", MonomialBasis.full_degree(5), (0.5, 2.0)),
+    ],
+    ids=["gaussian-gap", "gaussian-n2-d4", "lognormal-d5"],
+)
+def test_component_moments_derivatives_match_central_differences(kind, basis, mean_range):
+    rng = np.random.default_rng(17)
+    k, h = 3, 1e-6
+    means = rng.uniform(*mean_range, (k, basis.n))
+    sigmas = rng.uniform(0.2, 0.8, k)
+    B, dmean, dsigma = component_moments(basis, kind, means, sigmas, derivatives=True)
+    np.testing.assert_array_equal(B, component_moments(basis, kind, means, sigmas))
+    assert dmean.shape == (k, basis.n, basis.m) and dsigma.shape == (k, basis.m)
+    for j in range(basis.n):
+        step = np.zeros_like(means)
+        step[:, j] = h
+        fd = (
+            component_moments(basis, kind, means + step, sigmas)
+            - component_moments(basis, kind, means - step, sigmas)
+        ) / (2 * h)
+        np.testing.assert_allclose(dmean[:, j], fd, rtol=1e-6, atol=1e-6)
+    fd = (
+        component_moments(basis, kind, means, sigmas + h)
+        - component_moments(basis, kind, means, sigmas - h)
+    ) / (2 * h)
+    np.testing.assert_allclose(dsigma, fd, rtol=1e-6, atol=1e-6)
+
+
+def test_transfer_matrix_closed_form():
+    basis = MonomialBasis.full_degree(11)
+    sigma = 0.8
+    M = transfer_matrix_gaussian(basis, sigma)
+    for i in range(12):
+        for j in range(12):
+            expected = (
+                math.comb(i, j) * double_factorial(i - j - 1) * sigma ** (i - j)
+                if j <= i and (i - j) % 2 == 0
+                else 0.0
+            )
+            assert M[i, j] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("kind, mean", [("gaussian", 0.5), ("lognormal", 1.5)])
+def test_component_moments_overflow_raises_without_warning(kind, mean):
+    basis = MonomialBasis.full_degree(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MomentOverflowError):
+            component_moments(basis, kind, [[mean]], [1e200])
+        with pytest.raises(MomentOverflowError):
+            component_moments(basis, kind, [[mean]], [1e200], derivatives=True)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mixcara.basis import MonomialBasis
 from mixcara.errors import InfeasibleMomentsError, MixcaraError, UnsupportedBasisError
@@ -267,6 +268,35 @@ def test_lm_fit_two_gaussians_free_sigma_roundtrip():
     np.testing.assert_allclose(report.model.means[perm], truth.means, rtol=1e-5)
     np.testing.assert_allclose(report.model.weights[perm], truth.weights, rtol=1e-5)
     np.testing.assert_allclose(report.model.sigmas[perm], truth.sigmas, rtol=1e-5)
+
+
+@pytest.mark.parametrize(
+    "kind, free, means",
+    [
+        ("gaussian", True, [[-0.8], [0.9]]),
+        ("gaussian", False, [[-0.8], [0.9]]),
+        ("lognormal", True, [[0.8], [1.6]]),
+    ],
+    ids=["gaussian-free", "gaussian-shared", "lognormal-free"],
+)
+def test_lm_fit_analytic_jacobian_matches_central_differences(monkeypatch, kind, free, means):
+    basis = MonomialBasis.full_degree(5)
+    truth = MixtureMeasure(kind=kind, weights=[0.7, 1.3], means=means, sigmas=[0.3, 0.4])
+    calls = []
+    real = scipy.optimize.least_squares
+
+    def spy(fun, x0, jac, **kwargs):
+        calls.append((fun, jac, x0))
+        return real(fun, x0, jac=jac, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    lm_fit(basis, kind, mixture_moments(basis, truth), k=2,
+           free_sigma_per_component=free, n_starts=1)
+    fun, jac, theta = calls[0]
+    h = 1e-6
+    fd = np.column_stack([(fun(theta + h * e) - fun(theta - h * e)) / (2 * h)
+                          for e in np.eye(theta.size)])
+    np.testing.assert_allclose(jac(theta), fd, rtol=1e-6, atol=1e-6)
 
 
 def test_lm_fit_single_gaussian_exact():

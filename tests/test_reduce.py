@@ -41,9 +41,8 @@ def test_atoms_randomized_reduction():
         m = int(rng.integers(1, 9))
         basis = MonomialBasis.full_degree(m - 1)
         k = int(rng.integers(m + 1, 51))
-        mu = AtomicMeasure(
-            weights=rng.uniform(0.1, 1.5, k), points=rng.uniform(-1, 1, (k, 1))
-        )
+        weights, points = rng.uniform(0.1, 1.5, k), rng.uniform(-1, 1, (k, 1))
+        mu = AtomicMeasure(weights=weights, points=points)
         before = dirac_moments(basis, mu).values
         reduced = reduce_atoms(basis, mu)
         after = dirac_moments(basis, reduced).values
@@ -51,6 +50,13 @@ def test_atoms_randomized_reduction():
         assert reduced.k < k
         assert np.all(reduced.weights > 0)
         assert np.max(np.abs(after - before)) <= 1e-10 * (1 + np.max(np.abs(before)))
+        # the same atoms at a tiny total mass must not all be dropped
+        tiny = AtomicMeasure(weights=1e-15 * weights, points=points)
+        before = dirac_moments(basis, tiny).values
+        reduced = reduce_atoms(basis, tiny)
+        after = dirac_moments(basis, reduced).values
+        assert 1 <= reduced.k <= m
+        assert np.max(np.abs(after - before)) <= 1e-10 * np.max(np.abs(before))
 
 
 def test_single_component_mixture_unchanged():
