@@ -62,10 +62,7 @@ def hankel_classify(s: MomentVector, rel_tol: float = 1e-10) -> ConeClassificati
     d = basis.max_degree
     r = d // 2
     vals = s.values
-    H = np.empty((r + 1, r + 1))
-    for i in range(r + 1):
-        for j in range(r + 1):
-            H[i, j] = vals[i + j]
+    H = vals[np.add.outer(np.arange(r + 1), np.arange(r + 1))]
     eigs = np.linalg.eigvalsh(H)
     margin = float(eigs[0])
     tol = rel_tol * (1.0 + float(np.max(np.abs(vals))))

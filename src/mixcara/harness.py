@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .jacobian import min_full_rank_atoms
 from .measures import AtomicMeasure, sample_random_mixture
 from .moments import dirac_moments, mixture_moments
 from .recover import (
+    RecoveryReport,
     homotopy_gap_recovery,
     recover_shared_sigma_gaussian,
     recover_shared_sigma_lognormal,
@@ -33,52 +35,6 @@ from .reduce import reduce_atoms, reduce_mixture_components
 __all__ = ["ExperimentConfig", "ExperimentReport", "TrialRow", "run_experiment", "EXPERIMENTS"]
 
 SCHEMA_VERSION = 1
-
-EXPERIMENTS = (
-    "univariate-gaussian-bound",
-    "lognormal-bound",
-    "gap-homotopy",
-    "na-table",
-    "reduction-stress",
-    "prescribe-check",
-)
-
-# a.e.-type claims tolerate a small failure fraction; universal claims do not
-_DEFAULT_THRESHOLDS = {
-    "univariate-gaussian-bound": 0.95,
-    "lognormal-bound": 0.95,
-    "gap-homotopy": 0.9,
-    "na-table": 1.0,
-    "reduction-stress": 1.0,
-    "prescribe-check": 1.0,
-}
-
-_BOUND_STATEMENTS = {
-    "univariate-gaussian-bound": (
-        "moment vectors of shared-scale Gaussian mixtures over {1,...,x^5} admit a "
-        "shared-scale Gaussian representation with k <= ceil((d+1)/2) = 3 components"
-    ),
-    "lognormal-bound": (
-        "moment vectors of log-normal mixtures over {1,...,x^5} (m = 6 moments) admit a "
-        "log-normal representation with k <= ceil(m/2) = 3 components"
-    ),
-    "gap-homotopy": (
-        "almost every moment vector over {1, x^2, x^3, x^5, x^6} from a shared-scale "
-        "Gaussian mixture admits a shared-scale Gaussian representation with k <= 3"
-    ),
-    "na-table": (
-        "for {1,...,x^d} the smallest atom count with full-rank moment-map Jacobian "
-        "equals ceil((d+1)/2), and never drops below ceil(m/(n+1))"
-    ),
-    "reduction-stress": (
-        "null-vector stepping reduces any representing measure to at most m components "
-        "while preserving every moment"
-    ),
-    "prescribe-check": (
-        "every interior moment vector has a mixture representation containing an "
-        "arbitrarily prescribed component with positive mass"
-    ),
-}
 
 _CSV_COLUMNS = ("trial", "sub_seed", "engine", "k_used", "residual", "success", "truth", "detail")
 
@@ -149,7 +105,7 @@ class ExperimentConfig:
     def threshold(self) -> float:
         if self.success_threshold is not None:
             return self.success_threshold
-        return _DEFAULT_THRESHOLDS[self.experiment]
+        return _EXPERIMENTS[self.experiment].threshold
 
     def tolerance(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))
@@ -258,23 +214,29 @@ class ExperimentReport:
         return csv_path, json_path
 
 
-def _gaussian_bound_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int) -> TrialRow:
+def _bound_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int) -> TrialRow:
+    spec = _EXPERIMENTS[config.experiment]
     sub = (config.seed, trial)
     rng = np.random.default_rng(sub)
     residual_tol = config.tolerance("residual_rel", 1e-8)
-    k_limit = (basis.max_degree + 2) // 2
+    k_limit = spec.k_limit(basis)
+    if isinstance(spec.sigma, tuple):
+        sigma_range = config.range_pair("sigma", spec.sigma)
+    else:  # one fixed scale shared by every trial
+        sigma = config.range_scalar("shared_sigma", spec.sigma)
+        sigma_range = (sigma, sigma)
     mixture = sample_random_mixture(
-        "gaussian",
+        spec.kind,
         k=3,
         rng=rng,
         weight_range=config.range_pair("weight", (0.5, 2.0)),
-        mean_range=config.range_pair("mean", (-2.0, 2.0)),
-        sigma_range=config.range_pair("sigma", (0.05, 0.3)),
-        min_separation=config.range_scalar("separation", 0.5),
+        mean_range=config.range_pair("mean", spec.mean),
+        sigma_range=sigma_range,
+        min_separation=config.range_scalar("separation", spec.separation),
         shared_sigma=True,
     )
     s = mixture_moments(basis, mixture)
-    report = recover_shared_sigma_gaussian(s, rel_tol=residual_tol)
+    report = spec.engine(basis, s, sub, residual_tol)
     success = report.success and report.k_used <= k_limit
     detail = ""
     if report.success and report.k_used > k_limit:
@@ -288,85 +250,7 @@ def _gaussian_bound_trial(config: ExperimentConfig, basis: MonomialBasis, trial:
         k_used=report.k_used,
         residual=report.residual,
         success=success,
-        truth=f"k=3;sigma={mixture.sigmas[0]!r}",
-        detail=detail,
-        models={
-            "truth": mixture.to_json(),
-            "recovered": None if report.model is None else report.model.to_json(),
-        },
-    )
-
-
-def _lognormal_bound_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int) -> TrialRow:
-    sub = (config.seed, trial)
-    rng = np.random.default_rng(sub)
-    residual_tol = config.tolerance("residual_rel", 1e-8)
-    k_limit = math.ceil(basis.m / 2)
-    mixture = sample_random_mixture(
-        "lognormal",
-        k=3,
-        rng=rng,
-        weight_range=config.range_pair("weight", (0.5, 2.0)),
-        mean_range=config.range_pair("mean", (0.7, 2.5)),
-        sigma_range=config.range_pair("sigma", (0.1, 0.35)),
-        min_separation=config.range_scalar("separation", 0.35),
-        shared_sigma=True,
-    )
-    s = mixture_moments(basis, mixture)
-    report = recover_shared_sigma_lognormal(s, rel_tol=residual_tol)
-    success = report.success and report.k_used <= k_limit
-    detail = ""
-    if report.success and report.k_used > k_limit:
-        detail = f"count-violation: k={report.k_used} above {k_limit}"
-    elif not report.success:
-        detail = report.failure_reason or ""
-    return TrialRow(
-        trial=trial,
-        sub_seed=str(sub),
-        engine=report.engine,
-        k_used=report.k_used,
-        residual=report.residual,
-        success=success,
-        truth=f"k=3;sigma={mixture.sigmas[0]!r}",
-        detail=detail,
-        models={
-            "truth": mixture.to_json(),
-            "recovered": None if report.model is None else report.model.to_json(),
-        },
-    )
-
-
-def _gap_homotopy_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int) -> TrialRow:
-    sub = (config.seed, trial)
-    rng = np.random.default_rng(sub)
-    residual_tol = config.tolerance("residual_rel", 1e-8)
-    sigma = config.range_scalar("shared_sigma", 0.05)
-    mixture = sample_random_mixture(
-        "gaussian",
-        k=3,
-        rng=rng,
-        weight_range=config.range_pair("weight", (0.5, 2.0)),
-        mean_range=config.range_pair("mean", (-2.0, 2.0)),
-        sigma_range=(sigma, sigma),
-        min_separation=config.range_scalar("separation", 0.5),
-        shared_sigma=True,
-    )
-    s = mixture_moments(basis, mixture)
-    report = homotopy_gap_recovery(basis, s, k=3, seed=sub, rel_tol=residual_tol)
-    success = report.success and report.k_used <= 3
-    detail = ""
-    if report.success and report.k_used > 3:
-        detail = f"count-violation: k={report.k_used} above 3"
-    elif not report.success:
-        detail = report.failure_reason or ""
-    return TrialRow(
-        trial=trial,
-        sub_seed=str(sub),
-        engine=report.engine,
-        k_used=report.k_used,
-        residual=report.residual,
-        success=success,
-        truth=f"k=3;sigma={sigma!r}",
+        truth=f"k=3;sigma={float(mixture.sigmas[0])!r}",
         detail=detail,
         models={
             "truth": mixture.to_json(),
@@ -492,33 +376,116 @@ def _prescribe_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int)
     )
 
 
+@dataclass(frozen=True)
+class _Experiment:
+    """Everything one experiment fixes: the bound it checks, the verdict
+    threshold, the default basis, the trial function and, when not
+    ``range(trials)``, the trial indices.  Bound trials also fix the sampled
+    kind and default ranges (``sigma`` a pair, or a scalar read as the
+    ``shared_sigma`` range), the engine call and the count limit."""
+
+    bound: str
+    threshold: float
+    trial: Callable[..., TrialRow]
+    basis: MonomialBasis | None = None
+    indices: tuple[int, ...] | None = None
+    kind: str | None = None
+    mean: tuple[float, float] | None = None
+    sigma: tuple[float, float] | float | None = None
+    separation: float | None = None
+    engine: Callable[..., RecoveryReport] | None = None
+    k_limit: Callable[[MonomialBasis], int] | None = None
+
+
+# a.e.-type claims tolerate a small failure fraction; universal claims do not
+_EXPERIMENTS = {
+    "univariate-gaussian-bound": _Experiment(
+        bound=(
+            "moment vectors of shared-scale Gaussian mixtures over {1,...,x^5} admit a "
+            "shared-scale Gaussian representation with k <= ceil((d+1)/2) = 3 components"
+        ),
+        threshold=0.95,
+        trial=_bound_trial,
+        basis=MonomialBasis.full_degree(5),
+        kind="gaussian",
+        mean=(-2.0, 2.0),
+        sigma=(0.05, 0.3),
+        separation=0.5,
+        engine=lambda basis, s, seed, tol: recover_shared_sigma_gaussian(s, rel_tol=tol),
+        k_limit=lambda basis: (basis.max_degree + 2) // 2,
+    ),
+    "lognormal-bound": _Experiment(
+        bound=(
+            "moment vectors of log-normal mixtures over {1,...,x^5} (m = 6 moments) admit a "
+            "log-normal representation with k <= ceil(m/2) = 3 components"
+        ),
+        threshold=0.95,
+        trial=_bound_trial,
+        basis=MonomialBasis.full_degree(5),
+        kind="lognormal",
+        mean=(0.7, 2.5),
+        sigma=(0.1, 0.35),
+        separation=0.35,
+        engine=lambda basis, s, seed, tol: recover_shared_sigma_lognormal(s, rel_tol=tol),
+        k_limit=lambda basis: math.ceil(basis.m / 2),
+    ),
+    "gap-homotopy": _Experiment(
+        bound=(
+            "almost every moment vector over {1, x^2, x^3, x^5, x^6} from a shared-scale "
+            "Gaussian mixture admits a shared-scale Gaussian representation with k <= 3"
+        ),
+        threshold=0.9,
+        trial=_bound_trial,
+        basis=MonomialBasis.univariate([0, 2, 3, 5, 6]),
+        kind="gaussian",
+        mean=(-2.0, 2.0),
+        sigma=0.05,
+        separation=0.5,
+        engine=lambda basis, s, seed, tol: homotopy_gap_recovery(
+            basis, s, k=3, seed=seed, rel_tol=tol
+        ),
+        k_limit=lambda basis: 3,
+    ),
+    "na-table": _Experiment(
+        bound=(
+            "for {1,...,x^d} the smallest atom count with full-rank moment-map Jacobian "
+            "equals ceil((d+1)/2), and never drops below ceil(m/(n+1))"
+        ),
+        threshold=1.0,
+        trial=_na_table_trial,
+        indices=tuple(range(1, 10)),
+    ),
+    "reduction-stress": _Experiment(
+        bound=(
+            "null-vector stepping reduces any representing measure to at most m components "
+            "while preserving every moment"
+        ),
+        threshold=1.0,
+        trial=_reduction_trial,
+    ),
+    "prescribe-check": _Experiment(
+        bound=(
+            "every interior moment vector has a mixture representation containing an "
+            "arbitrarily prescribed component with positive mass"
+        ),
+        threshold=1.0,
+        trial=_prescribe_trial,
+        basis=MonomialBasis.full_degree(5),
+    ),
+}
+
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all trials of the configured experiment; write reports if asked."""
-    if config.experiment == "na-table":
-        basis = None
-        indices = list(range(1, 10))
-        runner = _na_table_trial
-    else:
-        default_basis = {
-            "univariate-gaussian-bound": MonomialBasis.full_degree(5),
-            "lognormal-bound": MonomialBasis.full_degree(5),
-            "gap-homotopy": MonomialBasis.univariate([0, 2, 3, 5, 6]),
-            "reduction-stress": None,
-            "prescribe-check": MonomialBasis.full_degree(5),
-        }[config.experiment]
-        basis = config.basis if config.basis is not None else default_basis
-        indices = list(range(config.trials))
-        runner = {
-            "univariate-gaussian-bound": _gaussian_bound_trial,
-            "lognormal-bound": _lognormal_bound_trial,
-            "gap-homotopy": _gap_homotopy_trial,
-            "reduction-stress": _reduction_trial,
-            "prescribe-check": _prescribe_trial,
-        }[config.experiment]
+    spec = _EXPERIMENTS[config.experiment]
+    basis = config.basis if config.basis is not None else spec.basis
+    indices = spec.indices if spec.indices is not None else range(config.trials)
 
     def one(i: int) -> TrialRow:
         try:
-            return runner(config, basis, i)
+            return spec.trial(config, basis, i)
         except MixcaraError as exc:
             return TrialRow(
                 trial=i,
@@ -534,7 +501,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     rows = [one(i) for i in indices]
     report = ExperimentReport(
         experiment=config.experiment,
-        bound=_BOUND_STATEMENTS[config.experiment],
+        bound=spec.bound,
         config=config,
         rows=rows,
         threshold=config.threshold,

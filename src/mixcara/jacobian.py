@@ -1,10 +1,10 @@
 """Jacobians of the moment maps, numeric ranks, and rank-threshold estimates.
 
 The k-atom Dirac moment map has one weight and n position coordinates per
-atom; its Jacobian is assembled atom by atom as ``[s(x_i), c_i * ds(x_i)]``.
-The mixture map adds a scale coordinate per component.  The smallest k at
-which these Jacobians reach full row rank is estimated by sampling random
-parameters and thresholding singular values.
+atom; its Jacobian has the column blocks ``[s(x_i), c_i * ds(x_i)]``, taken
+from the moment kernel at scale 0.  The mixture map adds a scale coordinate
+per component.  The smallest k at which these Jacobians reach full row rank
+is estimated by sampling random parameters and thresholding singular values.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import MonomialBasis, eval_jacobian, eval_point
+from .basis import MonomialBasis
 from .moments import component_moments
 
 __all__ = [
@@ -81,12 +81,9 @@ def atomic_jacobian(basis: MonomialBasis, weights, points) -> np.ndarray:
         raise ValueError("weights must be positive")
     if p.shape != (k, basis.n):
         raise ValueError(f"points have shape {p.shape}, expected ({k}, {basis.n})")
-    n = basis.n
-    out = np.zeros((basis.m, k * (n + 1)))
-    for i in range(k):
-        out[:, i * (n + 1)] = eval_point(basis, p[i])
-        out[:, i * (n + 1) + 1 : (i + 1) * (n + 1)] = w[i] * eval_jacobian(basis, p[i])
-    return out
+    B, dmean, _ = component_moments(basis, "gaussian", p, np.zeros(k), derivatives=True)
+    blocks = np.concatenate([B[:, None, :], w[:, None, None] * dmean], axis=1)
+    return blocks.reshape(-1, basis.m).T
 
 
 def mixture_jacobian(basis: MonomialBasis, kind: str, weights, means, sigmas) -> np.ndarray:

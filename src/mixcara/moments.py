@@ -1,8 +1,9 @@
 """Forward moment maps for Dirac measures and Gaussian/log-normal mixtures.
 
 Every mixture moment, and every derivative of one, is evaluated by
-``component_moments``.  Integrating a monomial ``x^i`` against a Gaussian
-centred at ``x`` with scale ``sigma`` gives the polynomial
+``component_moments``; Dirac moments are its Gaussian case at scale 0.
+Integrating a monomial ``x^i`` against a Gaussian centred at ``x`` with
+scale ``sigma`` gives the polynomial
 
     p_0 = 1,   p_1 = x,   p_i = x * p_{i-1} + (i - 1) * sigma**2 * p_{i-2},
 
@@ -23,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .basis import MonomialBasis, eval_point
+from .basis import MonomialBasis
 from .errors import MomentOverflowError, UnsupportedBasisError
 from .measures import AtomicMeasure, MixtureMeasure
 
@@ -168,11 +169,11 @@ def lognormal_moment(i: int, xi: float, sigma: float) -> float:
 
 def dirac_moments(basis: MonomialBasis, mu: AtomicMeasure) -> MomentVector:
     """Moment vector of a finitely atomic measure; empty measures give zero."""
-    if mu.k and mu.n != basis.n:
+    if not mu.k:
+        return MomentVector(values=np.zeros(basis.m), basis=basis, kind_tag="dirac")
+    if mu.n != basis.n:
         raise ValueError(f"measure has dimension {mu.n}, basis expects {basis.n}")
-    values = np.zeros(basis.m)
-    for c, x in zip(mu.weights, mu.points):
-        values += c * eval_point(basis, x)
+    values = mu.weights @ component_moments(basis, "gaussian", mu.points, np.zeros(mu.k))
     return MomentVector(values=values, basis=basis, kind_tag="dirac")
 
 
@@ -268,6 +269,23 @@ def _double_factorial(j: int) -> int:
     return math.prod(range(j, 0, -2))
 
 
+@lru_cache(maxsize=64)
+def _transfer_tables(basis: MonomialBasis) -> tuple[np.ndarray, np.ndarray, int]:
+    """Coefficients ``C(a, j) (a-j-1)!!`` and sigma powers ``a - j`` of the
+    transfer matrix (coefficient 0 and power 0 where ``a - j`` is odd or
+    negative), with the largest power used."""
+    degrees = basis.univariate_degrees()
+    coef = np.zeros((basis.m, basis.max_degree + 1))
+    power = np.zeros(coef.shape, dtype=np.intp)
+    for row, a in enumerate(degrees):
+        for j in range(a % 2, a + 1, 2):
+            coef[row, j] = math.comb(a, j) * _double_factorial(a - j - 1)
+            power[row, j] = a - j
+    coef.setflags(write=False)
+    power.setflags(write=False)
+    return coef, power, int(power.max())
+
+
 def transfer_matrix_gaussian(basis: MonomialBasis, sigma: float) -> np.ndarray:
     """Matrix sending full-degree Dirac moments to shared-scale Gaussian moments.
 
@@ -281,8 +299,6 @@ def transfer_matrix_gaussian(basis: MonomialBasis, sigma: float) -> np.ndarray:
         raise UnsupportedBasisError("the transfer matrix is defined for univariate bases")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    M = np.zeros((basis.m, basis.max_degree + 1))
-    for row, a in enumerate(basis.univariate_degrees()):
-        for j in range(a % 2, a + 1, 2):
-            M[row, j] = math.comb(a, j) * _double_factorial(a - j - 1) * sigma ** (a - j)
-    return M
+    coef, power, top = _transfer_tables(basis)
+    # scalar pow per power, not an array pow: numpy's differs in the last bit
+    return coef * np.array([sigma**p for p in range(top + 1)])[power]

@@ -9,7 +9,8 @@ Five routes from a moment vector back to a measure:
   enough scales always succeed for interior vectors.
 * ``recover_shared_sigma_lognormal`` -- descale each moment by the
   closed-form factor, Prony the resulting ordinary moments, keep only
-  positive atoms.
+  positive atoms.  Both shared-scale engines run one descent loop and
+  differ only in this pull-back to ordinary moments.
 * ``homotopy_gap_recovery`` -- for bases with exponent gaps: find a Dirac
   representation by multistart least squares, check the Jacobian has full
   rank, then continue the solution in the scale from 0 upward.
@@ -108,7 +109,7 @@ def _relative_residual(achieved: np.ndarray, target: np.ndarray) -> float:
 
 
 def _hankel_slice(u: np.ndarray, k: int) -> np.ndarray:
-    return np.array([[u[i + j] for j in range(k + 1)] for i in range(k)])
+    return u[np.add.outer(np.arange(k), np.arange(k + 1))]
 
 
 def _prony_consecutive(u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,53 +183,45 @@ def _descending_k_attempt(u: np.ndarray, k_target: int):
     return _prony_consecutive(u, 0)
 
 
-def recover_shared_sigma_gaussian(
-    s: MomentVector,
-    sigma_schedule=None,
-    *,
-    k: int | None = None,
-    rel_tol: float = 1e-8,
-) -> RecoveryReport:
-    """Recover a Gaussian mixture whose components share one scale.
+_EXHAUSTED_REASON = {
+    "gaussian": "schedule exhausted without a feasible recovery",
+    "lognormal": "schedule exhausted without positive atoms and matching moments",
+}
 
-    For each scale in the descending schedule the moment vector is pulled
-    back through the unit-triangular transfer matrix; a successful Prony
-    recovery of the pulled-back vector gives the mixture directly.  Interior
-    vectors succeed once the scale is small enough.
+
+def _shared_scale_descent(
+    s: MomentVector, kind: str, k_cap: int, k: int | None, pull_back, sigma_schedule, rel_tol: float
+) -> RecoveryReport:
+    """Descend the scale schedule until a pulled-back vector Prony-recovers.
+
+    ``pull_back(sigma)`` maps the moment vector to ordinary moments of the
+    atom locations at that scale; the first scale whose recovered mixture
+    matches ``s`` to ``rel_tol`` wins.
     """
     basis = s.basis
-    if not basis.is_full_degree():
-        raise UnsupportedBasisError("shared-scale recovery needs the basis {1, x, ..., x^d}")
-    d = basis.max_degree
-    engine = "shared-sigma-gaussian"
+    engine = f"shared-sigma-{kind}"
     if not np.any(s.values):
         return RecoveryReport(
-            success=True,
-            model=MixtureMeasure.empty("gaussian"),
-            residual=0.0,
-            engine=engine,
+            success=True, model=MixtureMeasure.empty(kind), residual=0.0, engine=engine
         )
-    # largest atom count the moment span supports: 2k - 1 <= d
-    k_cap = (d + 1) // 2
     k_target = min(k, k_cap) if k is not None else k_cap
     schedule = list(sigma_schedule) if sigma_schedule is not None else default_sigma_schedule()
+    d1 = basis.exponents[0][0]
     best_residual = math.inf
     for step, sigma in enumerate(schedule, start=1):
-        M = transfer_matrix_gaussian(basis, sigma)
-        u = scipy.linalg.solve_triangular(M, s.values, lower=True, unit_diagonal=True)
         try:
-            atoms, w = _descending_k_attempt(u, k_target)
+            atoms, w = _descending_k_attempt(pull_back(sigma), k_target)
         except (NonrealAtomsError, InfeasibleWeightsError, ConditioningError):
             continue
-        model = (
-            MixtureMeasure(
-                kind="gaussian",
-                weights=w,
-                means=atoms.reshape(-1, 1),
-                sigmas=np.full(len(w), sigma),
-            )
-            if len(w)
-            else MixtureMeasure.empty("gaussian")
+        if kind == "lognormal" and np.any(atoms <= 0):
+            continue  # atoms must land in (0, inf); try a smaller scale
+        # pulled-back moments start at degree d1, so their weights carry atoms**d1
+        weights = w / atoms**d1 if d1 else w
+        model = MixtureMeasure(
+            kind=kind,
+            weights=weights,
+            means=atoms.reshape(-1, 1),
+            sigmas=np.full(len(weights), sigma),
         )
         residual = _relative_residual(mixture_moments(basis, model).values, s.values)
         best_residual = min(best_residual, residual)
@@ -248,8 +241,35 @@ def recover_shared_sigma_gaussian(
         residual=best_residual,
         engine=engine,
         sigma_steps=len(schedule),
-        failure_reason="schedule exhausted without a feasible recovery",
+        failure_reason=_EXHAUSTED_REASON[kind],
     )
+
+
+def recover_shared_sigma_gaussian(
+    s: MomentVector,
+    sigma_schedule=None,
+    *,
+    k: int | None = None,
+    rel_tol: float = 1e-8,
+) -> RecoveryReport:
+    """Recover a Gaussian mixture whose components share one scale.
+
+    For each scale in the descending schedule the moment vector is pulled
+    back through the unit-triangular transfer matrix; a successful Prony
+    recovery of the pulled-back vector gives the mixture directly.  Interior
+    vectors succeed once the scale is small enough.
+    """
+    basis = s.basis
+    if not basis.is_full_degree():
+        raise UnsupportedBasisError("shared-scale recovery needs the basis {1, x, ..., x^d}")
+
+    def pull_back(sigma: float) -> np.ndarray:
+        M = transfer_matrix_gaussian(basis, sigma)
+        return scipy.linalg.solve_triangular(M, s.values, lower=True, unit_diagonal=True)
+
+    # largest atom count the moment span supports: 2k - 1 <= d
+    k_cap = (basis.max_degree + 1) // 2
+    return _shared_scale_descent(s, "gaussian", k_cap, k, pull_back, sigma_schedule, rel_tol)
 
 
 def recover_shared_sigma_lognormal(
@@ -271,62 +291,19 @@ def recover_shared_sigma_lognormal(
         raise UnsupportedBasisError("log-normal recovery is univariate")
     degs = basis.univariate_degrees()
     m = len(degs)
-    d1 = degs[0]
-    if degs != tuple(range(d1, d1 + m)):
+    if degs != tuple(range(degs[0], degs[0] + m)):
         raise UnsupportedBasisError("log-normal recovery needs consecutive exponents")
-    engine = "shared-sigma-lognormal"
-    if not np.any(s.values):
-        return RecoveryReport(
-            success=True, model=MixtureMeasure.empty("lognormal"), residual=0.0, engine=engine
-        )
-    if np.any(s.values <= 0):
+    # the zero vector is the empty mixture; any other needs positive moments
+    if np.any(s.values) and np.any(s.values <= 0):
         raise InfeasibleMomentsError(
             "moments of a measure on the positive axis must be strictly positive"
         )
-    k_cap = m // 2
-    k_target = min(k, k_cap) if k is not None else k_cap
-    schedule = list(sigma_schedule) if sigma_schedule is not None else default_sigma_schedule()
     dd = np.array(degs, dtype=float)
-    best_residual = math.inf
-    for step, sigma in enumerate(schedule, start=1):
-        u = s.values * np.exp(-0.5 * dd * dd * sigma * sigma)
-        try:
-            atoms, w_lifted = _descending_k_attempt(u, k_target)
-        except (NonrealAtomsError, InfeasibleWeightsError, ConditioningError):
-            continue
-        if np.any(atoms <= 0):
-            continue  # atoms must land in (0, inf); try a smaller scale
-        weights = w_lifted / atoms**d1 if d1 else w_lifted
-        model = (
-            MixtureMeasure(
-                kind="lognormal",
-                weights=weights,
-                means=atoms.reshape(-1, 1),
-                sigmas=np.full(len(weights), sigma),
-            )
-            if len(weights)
-            else MixtureMeasure.empty("lognormal")
-        )
-        residual = _relative_residual(mixture_moments(basis, model).values, s.values)
-        best_residual = min(best_residual, residual)
-        if residual <= rel_tol:
-            return RecoveryReport(
-                success=True,
-                model=model,
-                residual=residual,
-                engine=engine,
-                sigma_used=sigma,
-                k_used=model.k,
-                sigma_steps=step,
-            )
-    return RecoveryReport(
-        success=False,
-        model=None,
-        residual=best_residual,
-        engine=engine,
-        sigma_steps=len(schedule),
-        failure_reason="schedule exhausted without positive atoms and matching moments",
-    )
+
+    def pull_back(sigma: float) -> np.ndarray:
+        return s.values * np.exp(-0.5 * dd * dd * sigma * sigma)
+
+    return _shared_scale_descent(s, "lognormal", m // 2, k, pull_back, sigma_schedule, rel_tol)
 
 
 def _data_scale(s: MomentVector) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import MonomialBasis, eval_point
+from .basis import MonomialBasis
 from .errors import ReductionError
 from .measures import AtomicMeasure, MixtureMeasure
 from .moments import component_moments
@@ -83,7 +83,7 @@ def reduce_atoms(basis: MonomialBasis, mu: AtomicMeasure) -> AtomicMeasure:
     """Shrink an atomic measure to at most m atoms with the same moments."""
     if mu.k <= basis.m:
         return mu
-    columns = np.column_stack([eval_point(basis, x) for x in mu.points])
+    columns = component_moments(basis, "gaussian", mu.points, np.zeros(mu.k)).T
     w, idx = _reduce_columns(columns, mu.weights, basis.m)
     return AtomicMeasure(weights=w, points=mu.points[idx])
 

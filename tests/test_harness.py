@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -141,3 +142,12 @@ def test_written_files_byte_identical_across_runs(tmp_path):
             )
         )
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize(
+    "experiment", ["univariate-gaussian-bound", "lognormal-bound", "gap-homotopy"]
+)
+def test_bound_truth_strings_are_plain_floats(experiment):
+    report = run_experiment(small_config(experiment, trials=2))
+    for row in report.rows:
+        assert re.fullmatch(r"k=3;sigma=[0-9.e+-]+", row.truth), row.truth

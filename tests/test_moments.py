@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from mixcara.basis import MonomialBasis
+from mixcara.basis import MonomialBasis, eval_jacobian, eval_point
 from mixcara.errors import MomentOverflowError, UnsupportedBasisError
 from mixcara.measures import AtomicMeasure, MixtureMeasure
 from mixcara.moments import (
@@ -367,6 +367,20 @@ def test_component_moments_derivatives_match_central_differences(kind, basis, me
     np.testing.assert_allclose(dsigma, fd, rtol=1e-6, atol=1e-6)
 
 
+@pytest.mark.parametrize("basis", [GAP, MonomialBasis.full_degree(4, n=2)], ids=["gap", "n2-d4"])
+def test_kernel_at_sigma_zero_matches_pointwise_evaluation(basis):
+    # repeated products in the kernel against pow in eval_point: a few ulps apart
+    rng = np.random.default_rng(3)
+    points = np.vstack([np.zeros(basis.n), rng.uniform(-2.0, 2.0, size=(6, basis.n))])
+    B, dmean, dsigma = component_moments(
+        basis, "gaussian", points, np.zeros(len(points)), derivatives=True
+    )
+    for i, x in enumerate(points):
+        np.testing.assert_allclose(B[i], eval_point(basis, x), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(dmean[i].T, eval_jacobian(basis, x), rtol=1e-14, atol=0)
+    assert not dsigma.any()
+
+
 def test_transfer_matrix_closed_form():
     basis = MonomialBasis.full_degree(11)
     sigma = 0.8
@@ -378,7 +392,7 @@ def test_transfer_matrix_closed_form():
                 if j <= i and (i - j) % 2 == 0
                 else 0.0
             )
-            assert M[i, j] == pytest.approx(expected, rel=1e-14, abs=0.0)
+            assert M[i, j] == expected
 
 
 @pytest.mark.parametrize("kind, mean", [("gaussian", 0.5), ("lognormal", 1.5)])
