@@ -19,7 +19,9 @@ Five routes from a moment vector back to a measure:
   fallback when nothing structural applies.
 
 Success is always judged by the moment residual, never by parameter
-closeness: distinct parameter sets can represent the same moments.
+closeness: distinct parameter sets can represent the same moments.  On the
+basis {1, x, ..., x^d}, ``lm_fit`` first refuses vectors that the Hankel test
+certifies as outside the moment cone.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .basis import MonomialBasis
+from .conegeo import EXTERIOR, hankel_classify
 from .errors import (
     ConditioningError,
     InfeasibleMomentsError,
@@ -106,6 +109,26 @@ def default_sigma_schedule(start: float = 1.0, ratio: float = 0.5, steps: int = 
 def _relative_residual(achieved: np.ndarray, target: np.ndarray) -> float:
     scale = 1.0 + float(np.max(np.abs(target))) if target.size else 1.0
     return float(np.max(np.abs(achieved - target))) / scale if target.size else 0.0
+
+
+def _exterior_refusal(s: MomentVector, engine: str) -> RecoveryReport | None:
+    """A failed report when the Hankel test certifies ``s`` outside the cone.
+
+    No mixture has moments outside the cone, so such vectors are refused
+    before any solver work.  Only the basis {1, x, ..., x^d} has the test;
+    other bases and interior or boundary vectors get ``None``.
+    """
+    if not s.basis.is_full_degree():
+        return None
+    cone = hankel_classify(s)
+    if cone.status != EXTERIOR:
+        return None
+    return RecoveryReport(
+        success=False, model=None, residual=math.inf, engine=engine,
+        failure_reason=(
+            f"exterior: Hankel margin {cone.margin:.3e} below -{cone.tolerance:.3e}"
+        ),
+    )
 
 
 def _hankel_slice(u: np.ndarray, k: int) -> np.ndarray:
@@ -540,6 +563,10 @@ def lm_fit(
         raise UnsupportedBasisError("log-normal fits are univariate")
     if s.basis != basis:
         raise ValueError("moment vector basis does not match")
+    engine = "lm"
+    refusal = _exterior_refusal(s, engine)
+    if refusal is not None:
+        return refusal
     m, n = basis.m, basis.n
     n_params = k * (1 + n) + (k if free_sigma_per_component else 1)
     if n_params > m:
@@ -547,7 +574,6 @@ def lm_fit(
             f"{n_params} parameters against {m} moments; the fit is underdetermined",
             stacklevel=2,
         )
-    engine = "lm"
     rng = np.random.default_rng(seed)
     target = s.values
     scale = 1.0 + float(np.max(np.abs(target)))

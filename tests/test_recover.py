@@ -5,6 +5,7 @@ import pytest
 import scipy.optimize
 
 from mixcara.basis import MonomialBasis
+from mixcara.conegeo import hankel_classify
 from mixcara.errors import InfeasibleMomentsError, MixcaraError, UnsupportedBasisError
 from mixcara.measures import AtomicMeasure, MixtureMeasure, sample_random_mixture
 from mixcara.moments import MomentVector, dirac_moments, mixture_moments
@@ -331,6 +332,40 @@ def test_lm_fit_underdetermined_warns():
     s = mv([1, 0, 1], basis)
     with pytest.warns(UserWarning):
         lm_fit(basis, "gaussian", s, k=2, seed=0, n_starts=2)
+
+
+# ------------------------------------------------ exterior refusal
+
+
+def _exterior_ray(basis):
+    return mv(1.7 * np.array([1.0, 0.0, -1.0, 0.0, 1.0, 0.0]), basis)
+
+
+def _exterior_lognormal(basis):
+    # positive moments, but s_2 < s_1^2 / s_0 breaks the leading Hankel minor
+    mix = MixtureMeasure(kind="lognormal", weights=[0.8, 1.2], means=[[0.9], [2.1]],
+                         sigmas=[0.2, 0.2])
+    values = mixture_moments(basis, mix).values.copy()
+    values[2] = 0.7 * values[1] ** 2 / values[0]
+    return mv(values, basis)
+
+
+@pytest.mark.parametrize("vector", [_exterior_ray, _exterior_lognormal], ids=["ray", "lognormal"])
+@pytest.mark.parametrize("kind", ["gaussian", "lognormal"])
+def test_lm_fit_refuses_exterior_before_any_start(monkeypatch, vector, kind):
+    basis = MonomialBasis.full_degree(5)
+    s = vector(basis)
+    assert hankel_classify(s).status == "exterior"
+
+    def no_start(*args, **kwargs):
+        raise AssertionError("least_squares ran on an exterior vector")
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", no_start)
+    report = lm_fit(basis, kind, s, k=2, seed=0)
+    assert not report.success
+    assert report.failure_reason.startswith("exterior:")
+    assert report.residual == math.inf
+    assert report.model is None
 
 
 def test_match_components_assignment():

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixcara.basis import MonomialBasis
 from mixcara.measures import AtomicMeasure, MixtureMeasure, sample_random_mixture
@@ -111,3 +115,134 @@ def test_kind_mismatch_rejected():
     mix = MixtureMeasure(kind="gaussian", weights=[1.0], means=[[0.0]], sigmas=[1.0])
     with pytest.raises(ValueError):
         reduce_mixture_components(basis, "lognormal", mix)
+
+
+# ------------------------------------------------- windowed sweep invariants
+
+
+def _rows(mu) -> np.ndarray:
+    if isinstance(mu, AtomicMeasure):
+        return mu.points
+    return np.hstack([mu.means, mu.sigmas.reshape(-1, 1)])
+
+
+def _moments(basis, mu) -> np.ndarray:
+    if isinstance(mu, AtomicMeasure):
+        return dirac_moments(basis, mu).values
+    return mixture_moments(basis, mu).values
+
+
+def _reduce(basis, mu):
+    if isinstance(mu, AtomicMeasure):
+        return reduce_atoms(basis, mu)
+    return reduce_mixture_components(basis, mu.kind, mu)
+
+
+def assert_reduction_invariants(basis, mu, reduced):
+    """Input-order subset, positive weights, at most m components, no drift."""
+    rows_in, rows_out = _rows(mu), _rows(reduced)
+    # greedy subsequence match: every output row is an input row, in input order
+    pos = 0
+    for row in rows_out:
+        while pos < len(rows_in) and not np.array_equal(rows_in[pos], row):
+            pos += 1
+        assert pos < len(rows_in), "output is not an input-ordered subset"
+        pos += 1
+    assert np.all(reduced.weights > 0)
+    assert reduced.k <= basis.m
+    before, after = _moments(basis, mu), _moments(basis, reduced)
+    assert np.max(np.abs(after - before)) <= 1e-10 * (1 + np.max(np.abs(before)))
+
+
+def test_one_svd_per_window(monkeypatch):
+    basis = MonomialBasis.full_degree(14)
+    k, m = 200, basis.m
+    rng = np.random.default_rng(4)
+    mu = AtomicMeasure(weights=rng.uniform(0.1, 1.5, k), points=rng.uniform(-1, 1, (k, 1)))
+    calls = []
+    real = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    reduced = reduce_atoms(basis, mu)
+    monkeypatch.undo()
+    assert len(calls) <= math.ceil((k - m) / m) + 3
+    assert all(cols <= 2 * m for _, cols in calls)
+    assert_reduction_invariants(basis, mu, reduced)
+
+
+def _duplicated_atoms():
+    rng = np.random.default_rng(5)
+    points = np.repeat(rng.uniform(-1, 1, (6, 1)), 7, axis=0)
+    return MonomialBasis.full_degree(7), AtomicMeasure(
+        weights=rng.uniform(0.1, 1.5, 42), points=points
+    )
+
+
+def _symmetric_pairs():
+    # pairs +-x with equal weights against odd monomials: every null direction
+    # of a window of whole pairs is even, so each step zeroes a pair at once
+    x = np.linspace(0.1, 1.0, 10)
+    points = np.column_stack([x, -x]).reshape(-1, 1)
+    return MonomialBasis.univariate([1, 3, 5]), AtomicMeasure(weights=np.ones(20), points=points)
+
+
+def _single_moment():
+    rng = np.random.default_rng(6)
+    return MonomialBasis.full_degree(0), AtomicMeasure(
+        weights=rng.uniform(0.1, 1.5, 9), points=rng.uniform(-1, 1, (9, 1))
+    )
+
+
+def _one_extra_component():
+    rng = np.random.default_rng(7)
+    mix = sample_random_mixture("gaussian", 7, rng=rng, mean_range=(-1.0, 1.0))
+    return MonomialBasis.full_degree(5), mix
+
+
+def _many_atoms_few_moments():
+    rng = np.random.default_rng(8)
+    return MonomialBasis.full_degree(3), AtomicMeasure(
+        weights=rng.uniform(0.1, 1.5, 2000), points=rng.uniform(-1, 1, (2000, 1))
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_duplicated_atoms, _symmetric_pairs, _single_moment, _one_extra_component,
+     _many_atoms_few_moments],
+    ids=["duplicates", "symmetric-ties", "m1", "k-m-plus-1", "k2000-m4"],
+)
+def test_reduction_edge_cases(case):
+    basis, mu = case()
+    assert_reduction_invariants(basis, mu, _reduce(basis, mu))
+
+
+@st.composite
+def reducible_measures(draw):
+    kind = draw(st.sampled_from(["dirac", "gaussian", "lognormal"]))
+    n = 1 if kind == "lognormal" else draw(st.integers(1, 2))
+    d = draw(st.integers(0, 9 if n == 1 else 4))
+    basis = MonomialBasis.full_degree(d, n=n)
+    m = basis.m
+    k = draw(st.integers(m + 1, 5 * m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # weights spread over nine decades
+    weights = 10.0 ** rng.uniform(-6, 3, k)
+    if kind == "dirac":
+        return basis, AtomicMeasure(weights=weights, points=rng.uniform(-1, 1, (k, n)))
+    if kind == "lognormal":
+        means, sigmas = rng.uniform(0.5, 2.0, (k, 1)), rng.uniform(0.1, 0.5, k)
+    else:
+        means, sigmas = rng.uniform(-1, 1, (k, n)), rng.uniform(0.1, 0.8, k)
+    return basis, MixtureMeasure(kind=kind, weights=weights, means=means, sigmas=sigmas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reducible_measures())
+def test_reduction_properties(case):
+    basis, mu = case
+    assert_reduction_invariants(basis, mu, _reduce(basis, mu))
