@@ -46,7 +46,6 @@ from .measures import (
     MixtureMeasure,
     merge_close_atoms,
     model_from_json,
-    sample_random_atoms,
     sample_random_mixture,
 )
 from .moments import (

@@ -9,12 +9,12 @@ resolved exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .basis import MonomialBasis
 from .errors import (
+    InfeasibleMomentsError,
     NotRepresentableError,
     PrescriptionError,
     UnboundedStripError,
@@ -37,6 +37,15 @@ INTERIOR = "interior"
 BOUNDARY = "boundary"
 EXTERIOR = "exterior"
 
+# eigenvalue tolerance of the Hankel test, relative to 1 + max|s|
+_HANKEL_REL_TOL = 1e-10
+# strip_mass: bisection width, and the cap on the mass (relative to
+# (1 + max|s|) / max|v|) beyond which a direction counts as unbounded
+_STRIP_ABS_TOL = 1e-10
+_STRIP_CAP_FACTOR = 1e6
+# prescribed component: smallest mass tried, relative to the total mass
+_MIN_EPS_FACTOR = 1e-12
+
 
 @dataclass(frozen=True)
 class ConeClassification:
@@ -48,11 +57,11 @@ class ConeClassification:
         return {"status": self.status, "margin": self.margin, "tolerance": self.tolerance}
 
 
-def hankel_classify(s: MomentVector, rel_tol: float = 1e-10) -> ConeClassification:
+def hankel_classify(s: MomentVector) -> ConeClassification:
     """Classify a moment vector against the cone via Hankel eigenvalues.
 
     margin >= tol everywhere -> interior proxy; any eigenvalue < -tol ->
-    exterior; otherwise boundary.  The tolerance scales with the vector.
+    exterior; otherwise boundary.  The tolerance is ``1e-10 * (1 + max|s|)``.
     """
     basis = s.basis
     if not basis.is_full_degree():
@@ -65,7 +74,7 @@ def hankel_classify(s: MomentVector, rel_tol: float = 1e-10) -> ConeClassificati
     H = vals[np.add.outer(np.arange(r + 1), np.arange(r + 1))]
     eigs = np.linalg.eigvalsh(H)
     margin = float(eigs[0])
-    tol = rel_tol * (1.0 + float(np.max(np.abs(vals))))
+    tol = _HANKEL_REL_TOL * (1.0 + float(np.max(np.abs(vals))))
     if margin >= tol:
         status = INTERIOR
     elif margin < -tol:
@@ -75,38 +84,30 @@ def hankel_classify(s: MomentVector, rel_tol: float = 1e-10) -> ConeClassificati
     return ConeClassification(status=status, margin=margin, tolerance=tol)
 
 
-def strip_mass(
-    s: MomentVector,
-    v: MomentVector,
-    oracle: Callable[[MomentVector], ConeClassification] | None = None,
-    *,
-    abs_tol: float = 1e-10,
-    cap_factor: float = 1e6,
-) -> tuple[float, MomentVector]:
+def strip_mass(s: MomentVector, v: MomentVector) -> tuple[float, MomentVector]:
     """Largest mass c such that s - c*v stays in the cone, by bisection.
 
-    Returns the supremal mass and the stripped vector, which sits on the
-    feasible side of the boundary (boundary or interior within tolerance).
-    Directions that never leave the cone up to the scaled cap raise.
+    Returns the supremal mass, to within 1e-10, and the stripped vector,
+    which sits on the feasible side of the boundary (boundary or interior
+    within tolerance).  Directions still feasible past the cap
+    ``1e6 * (1 + max|s|) / max|v|`` raise.
     """
-    if oracle is None:
-        oracle = hankel_classify
     if s.basis != v.basis:
         raise ValueError("moment vectors must share a basis")
-    if oracle(s).status == EXTERIOR:
+    if hankel_classify(s).status == EXTERIOR:
         raise NotRepresentableError("cannot strip mass from a vector outside the cone")
 
     sv, vv = s.values, v.values
     vnorm = float(np.max(np.abs(vv)))
     if vnorm == 0:
         raise ValueError("direction vector is zero")
-    cap = cap_factor * (1.0 + float(np.max(np.abs(sv)))) / vnorm
+    cap = _STRIP_CAP_FACTOR * (1.0 + float(np.max(np.abs(sv)))) / vnorm
 
     def feasible(c: float) -> bool:
-        return oracle(s.with_values(sv - c * vv)).status != EXTERIOR
+        return hankel_classify(s.with_values(sv - c * vv)).status != EXTERIOR
 
     lo = 0.0
-    hi = max(abs_tol, (1.0 + float(np.max(np.abs(sv)))) / vnorm * 1e-3)
+    hi = max(_STRIP_ABS_TOL, (1.0 + float(np.max(np.abs(sv)))) / vnorm * 1e-3)
     while feasible(hi):
         lo = hi
         hi *= 2.0
@@ -114,7 +115,7 @@ def strip_mass(
             raise UnboundedStripError(
                 f"direction still feasible at mass {lo:.3e} (cap {cap:.3e})"
             )
-    while hi - lo > abs_tol:
+    while hi - lo > _STRIP_ABS_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid
@@ -129,29 +130,28 @@ def represent_with_prescribed_component(
     s: MomentVector,
     x0,
     sigma0: float,
-    engine: Callable[[MomentVector], "object"] | None = None,
     *,
     rel_tol: float = 1e-8,
-    min_eps_factor: float = 1e-12,
 ) -> MixtureMeasure:
     """Mixture representation of s containing the component (eps, x0, sigma0).
 
     Interior vectors keep a slack in every direction, so some positive mass
     of the prescribed component can be split off and the remainder recovered
-    by the supplied engine.  The mass starts at half the total and halves
-    until the remainder is recoverable.
+    by the shared-scale engine of ``kind``.  The mass starts at half the
+    total and halves, down to ``1e-12`` of the total, until the remainder is
+    recoverable; a remainder the engine refuses outright (a log-normal
+    remainder with a nonpositive moment) counts as not recoverable.
     """
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
-    if engine is None:
-        from . import recover as _recover
+    from . import recover as _recover
 
-        if kind == "gaussian":
-            engine = _recover.recover_shared_sigma_gaussian
-        elif kind == "lognormal":
-            engine = _recover.recover_shared_sigma_lognormal
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
+    if kind == "gaussian":
+        engine = _recover.recover_shared_sigma_gaussian
+    elif kind == "lognormal":
+        engine = _recover.recover_shared_sigma_lognormal
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
 
     if basis.is_full_degree():
         if hankel_classify(s).status != INTERIOR:
@@ -171,9 +171,14 @@ def represent_with_prescribed_component(
     eps = mass / 2.0
     scale = 1.0 + float(np.max(np.abs(s.values)))
     last_reason = "no attempt made"
-    while eps >= min_eps_factor * mass:
+    while eps >= _MIN_EPS_FACTOR * mass:
         remainder = s.with_values(s.values - eps * t0)
-        report = engine(remainder)
+        try:
+            report = engine(remainder)
+        except InfeasibleMomentsError as exc:
+            last_reason = f"remainder refused: {exc}"
+            eps /= 2.0
+            continue
         if report.success and isinstance(report.model, MixtureMeasure):
             combined = report.model.with_component(eps, x0, sigma0)
             achieved = mixture_moments(basis, combined)

@@ -35,6 +35,14 @@ _DENOMINATOR_NOTE = (
     "and assume neither denominator."
 )
 
+# rank searches: singular-value cutoff and the uniform sampling ranges of
+# weights, atom positions (each coordinate), locations and scales
+_SEARCH_REL_TOL = 1e-9
+_WEIGHT_RANGE = (0.5, 2.0)
+_POINT_RANGE = (-1.0, 1.0)
+_MEAN_RANGE = {"gaussian": (-1.0, 1.0), "lognormal": (0.5, 2.0)}
+_SIGMA_RANGE = (0.1, 1.0)
+
 
 @dataclass(frozen=True)
 class RankReport:
@@ -50,11 +58,9 @@ class RankReport:
     numeric_rank: int
     tolerance: float
     full_rank: bool
-    k: int | None = None
 
     def to_json(self) -> dict:
         return {
-            "k": self.k,
             "rows": self.rows,
             "cols": self.cols,
             "singular_values": list(self.singular_values),
@@ -108,7 +114,7 @@ def mixture_jacobian(basis: MonomialBasis, kind: str, weights, means, sigmas) ->
     return blocks.reshape(-1, basis.m).T
 
 
-def numeric_rank(matrix, rel_tol: float = 1e-9, *, k: int | None = None) -> RankReport:
+def numeric_rank(matrix, rel_tol: float = 1e-9) -> RankReport:
     """Rank by counting singular values above ``rel_tol`` times the largest."""
     if not 0 < rel_tol < 1:
         raise ValueError("rel_tol must lie in (0, 1)")
@@ -125,7 +131,6 @@ def numeric_rank(matrix, rel_tol: float = 1e-9, *, k: int | None = None) -> Rank
         numeric_rank=rank,
         tolerance=rel_tol,
         full_rank=rank == A.shape[0],
-        k=k,
     )
 
 
@@ -164,13 +169,13 @@ class RankSearchResult:
         }
 
 
-def _search(sample_matrix, max_k: int, trials: int, rel_tol: float, lower_bound: int,
+def _search(sample_matrix, max_k: int, trials: int, lower_bound: int,
             note: str | None) -> RankSearchResult:
     freqs: dict[int, float] = {}
     for k in range(1, max_k + 1):
         hits = 0
         for t in range(trials):
-            if numeric_rank(sample_matrix(k, t), rel_tol).full_rank:
+            if numeric_rank(sample_matrix(k, t), _SEARCH_REL_TOL).full_rank:
                 hits += 1
         freqs[k] = hits / trials
     value = next((k for k in range(1, max_k + 1) if freqs[k] > 0), None)
@@ -188,26 +193,22 @@ def _search(sample_matrix, max_k: int, trials: int, rel_tol: float, lower_bound:
         trials=trials,
         max_k=max_k,
         lower_bound=lower_bound,
-        tolerance=rel_tol,
+        tolerance=_SEARCH_REL_TOL,
         warning=warning,
         note=note,
     )
 
 
 def min_full_rank_atoms(
-    basis: MonomialBasis,
-    max_k: int,
-    trials: int = 50,
-    seed: int = 0,
-    rel_tol: float = 1e-9,
-    weight_range: tuple[float, float] = (0.5, 2.0),
-    point_range: tuple[float, float] = (-1.0, 1.0),
+    basis: MonomialBasis, max_k: int, trials: int = 50, seed: int = 0
 ) -> RankSearchResult:
     """Smallest atom count whose Dirac-map Jacobian reaches full rank.
 
-    Generic parameters attain the generic rank almost everywhere, so the
-    per-k frequency is expected to sit at 0 or 1; anything in between is
-    flagged as a conditioning warning.
+    Weights are drawn from [0.5, 2] and position coordinates from [-1, 1];
+    rank counts singular values above 1e-9 times the largest.  Generic
+    parameters attain the generic rank almost everywhere, so the per-k
+    frequency is expected to sit at 0 or 1; anything in between is flagged
+    as a conditioning warning.
     """
     lower = math.ceil(basis.m / (basis.n + 1))
     if max_k < lower:
@@ -215,37 +216,32 @@ def min_full_rank_atoms(
 
     def sample(k: int, trial: int) -> np.ndarray:
         rng = np.random.default_rng((seed, k, trial))
-        w = rng.uniform(*weight_range, size=k)
-        p = rng.uniform(*point_range, size=(k, basis.n))
+        w = rng.uniform(*_WEIGHT_RANGE, size=k)
+        p = rng.uniform(*_POINT_RANGE, size=(k, basis.n))
         return atomic_jacobian(basis, w, p)
 
-    return _search(sample, max_k, trials, rel_tol, lower, note=None)
+    return _search(sample, max_k, trials, lower, note=None)
 
 
 def min_full_rank_components(
-    basis: MonomialBasis,
-    kind: str,
-    max_k: int,
-    trials: int = 50,
-    seed: int = 0,
-    rel_tol: float = 1e-9,
-    weight_range: tuple[float, float] = (0.5, 2.0),
-    mean_range: tuple[float, float] | None = None,
-    sigma_range: tuple[float, float] = (0.1, 1.0),
+    basis: MonomialBasis, kind: str, max_k: int, trials: int = 50, seed: int = 0
 ) -> RankSearchResult:
-    """Smallest mixture component count whose Jacobian reaches full rank."""
-    if kind not in ("gaussian", "lognormal"):
+    """Smallest mixture component count whose Jacobian reaches full rank.
+
+    Weights are drawn from [0.5, 2], location coordinates from [-1, 1]
+    (log-normal: [0.5, 2]) and scales from [0.1, 1]; the rank cutoff is the
+    one of ``min_full_rank_atoms``.
+    """
+    if kind not in _MEAN_RANGE:
         raise ValueError(f"unknown kind {kind!r}")
-    if mean_range is None:
-        mean_range = (0.5, 2.0) if kind == "lognormal" else (-1.0, 1.0)
     n1, n2 = basis.n, 1
     lower = math.ceil(basis.m / (n1 + n2))
 
     def sample(k: int, trial: int) -> np.ndarray:
         rng = np.random.default_rng((seed, k, trial))
-        w = rng.uniform(*weight_range, size=k)
-        mu = rng.uniform(*mean_range, size=(k, basis.n))
-        sg = rng.uniform(*sigma_range, size=k)
+        w = rng.uniform(*_WEIGHT_RANGE, size=k)
+        mu = rng.uniform(*_MEAN_RANGE[kind], size=(k, basis.n))
+        sg = rng.uniform(*_SIGMA_RANGE, size=k)
         return mixture_jacobian(basis, kind, w, mu, sg)
 
-    return _search(sample, max_k, trials, rel_tol, lower, note=_DENOMINATOR_NOTE)
+    return _search(sample, max_k, trials, lower, note=_DENOMINATOR_NOTE)

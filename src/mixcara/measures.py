@@ -19,11 +19,13 @@ __all__ = [
     "MixtureMeasure",
     "merge_close_atoms",
     "sample_random_mixture",
-    "sample_random_atoms",
     "model_from_json",
 ]
 
 KINDS = ("gaussian", "lognormal")
+# sample_random_mixture: location draws allowed before giving up on a
+# separation constraint
+_MAX_PLACEMENT_TRIES = 1000
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -246,13 +248,12 @@ def sample_random_mixture(
     sigma_range: tuple[float, float] = (0.1, 1.0),
     min_separation: float = 0.0,
     shared_sigma: bool = False,
-    max_tries: int = 1000,
 ) -> MixtureMeasure:
     """Draw a random mixture, deterministic for a given rng state.
 
     Components are sorted by location so that equal seeds give identical
     output regardless of draw order.  A ``min_separation`` on the locations
-    is enforced by rejection with a bounded retry budget.
+    is enforced by rejection, giving up after 1000 location draws.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
@@ -275,10 +276,10 @@ def sample_random_mixture(
         if _separated(candidate, means, min_separation):
             means.append(candidate)
         tries += 1
-        if tries > max_tries:
+        if tries > _MAX_PLACEMENT_TRIES:
             raise GenerationError(
                 f"could not place {k} locations with separation {min_separation} "
-                f"in {mean_range} after {max_tries} tries"
+                f"in {mean_range} after {_MAX_PLACEMENT_TRIES} tries"
             )
     weights = rng.uniform(weight_range[0], weight_range[1], size=k)
     if shared_sigma:
@@ -294,21 +295,3 @@ def sample_random_mixture(
         sigmas=sigmas[order],
     )
 
-
-def sample_random_atoms(
-    k: int,
-    n: int = 1,
-    *,
-    rng,
-    weight_range: tuple[float, float] = (0.5, 2.0),
-    point_range: tuple[float, float] = (-1.0, 1.0),
-) -> AtomicMeasure:
-    """Random atomic measure; plumbing for rank sampling and stress tests."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    if k == 0:
-        return AtomicMeasure.empty(n)
-    return AtomicMeasure(
-        weights=rng.uniform(weight_range[0], weight_range[1], size=k),
-        points=rng.uniform(point_range[0], point_range[1], size=(k, n)),
-    )

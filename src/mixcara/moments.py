@@ -85,25 +85,16 @@ class MomentVector:
         )
 
 
-def _univariate_tables(max_exp: int) -> list[dict[tuple[int, int], int]]:
-    """Integer tables of the smoothed monomials in one variable.
+def _double_factorial(j: int) -> int:
+    return math.prod(range(j, 0, -2))
 
-    Entry ``i`` maps (x_power, sigma_power) to the coefficient in the
-    polynomial for exponent ``i``; only even sigma powers occur.
-    """
-    tables: list[dict[tuple[int, int], int]] = [{(0, 0): 1}]
-    if max_exp >= 1:
-        tables.append({(1, 0): 1})
-    for i in range(2, max_exp + 1):
-        table: dict[tuple[int, int], int] = {}
-        for (xp, sp), c in tables[i - 1].items():
-            key = (xp + 1, sp)
-            table[key] = table.get(key, 0) + c
-        for (xp, sp), c in tables[i - 2].items():
-            key = (xp, sp + 2)
-            table[key] = table.get(key, 0) + (i - 1) * c
-        tables.append(table)
-    return tables
+
+def _smoothed_terms(a: int) -> tuple[tuple[int, int], ...]:
+    """Terms ``(j, C(a, j) (a-j-1)!!)`` of the smoothed monomial ``x^a``: the
+    coefficient of ``x^j sigma^(a-j)``, for ``a - j`` even and nonnegative."""
+    return tuple(
+        (j, math.comb(a, j) * _double_factorial(a - j - 1)) for j in range(a % 2, a + 1, 2)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,21 +120,19 @@ def gaussian_smoothed_basis(basis: MonomialBasis) -> SmoothedBasis:
     """Build the exact smoothed-polynomial tables for every basis exponent.
 
     Multivariate exponents factor coordinate-wise because the scale is
-    isotropic, so each table is a product of univariate tables.
+    isotropic, so each table is a product of the univariate closed forms
+    ``C(a, j) (a-j-1)!!`` that also fill the transfer matrix.
     """
-    max_exp = int(basis.exponent_array.max()) if basis.m else 0
-    tables = _univariate_tables(max_exp)
     polys = []
     for alpha in basis.exponents:
-        acc: SmoothedPoly = {((), 0): 1}
-        for a_j in alpha:
-            nxt: SmoothedPoly = {}
-            for (beta, sp), c in acc.items():
-                for (xp, sp2), c2 in tables[a_j].items():
-                    key = (beta + (xp,), sp + sp2)
-                    nxt[key] = nxt.get(key, 0) + c * c2
-            acc = nxt
-        polys.append(acc)
+        poly: SmoothedPoly = {((), 0): 1}
+        for a in alpha:
+            poly = {
+                (beta + (j,), sp + a - j): c * cj
+                for (beta, sp), c in poly.items()
+                for j, cj in _smoothed_terms(a)
+            }
+        polys.append(poly)
     return SmoothedBasis(basis=basis, polynomials=tuple(polys))
 
 
@@ -265,10 +254,6 @@ def mixture_moments(basis: MonomialBasis, mu: MixtureMeasure) -> MomentVector:
     return MomentVector(values=values, basis=basis, kind_tag=mu.kind)
 
 
-def _double_factorial(j: int) -> int:
-    return math.prod(range(j, 0, -2))
-
-
 @lru_cache(maxsize=64)
 def _transfer_tables(basis: MonomialBasis) -> tuple[np.ndarray, np.ndarray, int]:
     """Coefficients ``C(a, j) (a-j-1)!!`` and sigma powers ``a - j`` of the
@@ -278,8 +263,8 @@ def _transfer_tables(basis: MonomialBasis) -> tuple[np.ndarray, np.ndarray, int]
     coef = np.zeros((basis.m, basis.max_degree + 1))
     power = np.zeros(coef.shape, dtype=np.intp)
     for row, a in enumerate(degrees):
-        for j in range(a % 2, a + 1, 2):
-            coef[row, j] = math.comb(a, j) * _double_factorial(a - j - 1)
+        for j, c in _smoothed_terms(a):
+            coef[row, j] = c
             power[row, j] = a - j
     coef.setflags(write=False)
     power.setflags(write=False)

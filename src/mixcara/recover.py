@@ -66,6 +66,22 @@ __all__ = [
 _IMAG_TOL = 1e-8
 _WEIGHT_TOL = 1e-10
 _RANK_TOL = 1e-10
+# default scale schedule of the shared-scale engines: 1, 1/2, 1/4, ...
+_SCHEDULE_START = 1.0
+_SCHEDULE_RATIO = 0.5
+_SCHEDULE_STEPS = 40
+# homotopy: starts, continuation target and floor, smallest scale step,
+# corrector goal relative to the vector, corrector iteration cap, and the
+# singular-value cutoff of the Dirac start's rank check
+_HOMOTOPY_STARTS = 32
+_SIGMA_TARGET = 0.1
+_SIGMA_MIN = 1e-4
+_MIN_STEP = 1e-8
+_NEWTON_REL_TOL = 1e-9
+_CORRECTOR_ITERS = 40
+_START_RANK_TOL = 1e-4
+# lm_fit: scales of each start are drawn uniformly from this interval
+_LM_SIGMA_STARTS = (0.1, 1.0)
 
 
 @dataclass
@@ -101,9 +117,9 @@ class RecoveryReport:
         }
 
 
-def default_sigma_schedule(start: float = 1.0, ratio: float = 0.5, steps: int = 40):
-    """Geometrically descending scale schedule."""
-    return [start * ratio**j for j in range(steps)]
+def default_sigma_schedule():
+    """Geometrically descending scale schedule: 40 halvings from 1."""
+    return [_SCHEDULE_START * _SCHEDULE_RATIO**j for j in range(_SCHEDULE_STEPS)]
 
 
 def _relative_residual(achieved: np.ndarray, target: np.ndarray) -> float:
@@ -135,20 +151,25 @@ def _hankel_slice(u: np.ndarray, k: int) -> np.ndarray:
     return u[np.add.outer(np.arange(k), np.arange(k + 1))]
 
 
-def _prony_consecutive(u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and weights of a k-atom measure matching consecutive moments.
+def _prony(u: np.ndarray, k_target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and weights of a measure with at most ``k_target`` atoms
+    matching consecutive moments.
 
-    The polynomial with the atoms as roots has coefficients in the null
-    space of the k-by-(k+1) Hankel slice; weights come from the Vandermonde
-    least-squares solve over all supplied moments.  Raises the typed errors
-    on non-real roots, negative weights, or untrustworthy conditioning.
+    One SVD per tried count k of the k-by-(k+1) Hankel slice: a
+    rank-deficient slice means fewer atoms suffice, so the count is lowered
+    until the slice has full rank.  At that count the last right singular
+    vector holds the coefficients of the polynomial with the atoms as roots,
+    and weights come from the Vandermonde least-squares solve over all
+    supplied moments.  Raises the typed errors on non-real roots, negative
+    weights, or untrustworthy conditioning; infeasibility at the full-rank
+    count means the whole vector is infeasible.
     """
-    if k == 0:
+    for k in range(k_target, 0, -1):
+        _, sv, vt = np.linalg.svd(_hankel_slice(u, k))
+        if sv[-1] > _RANK_TOL * sv[0]:
+            break
+    else:
         return np.zeros(0), np.zeros(0)
-    if 2 * k > len(u):
-        raise ValueError(f"need at least {2 * k} consecutive moments for {k} atoms")
-    H = _hankel_slice(u, k)
-    _, sv, vt = np.linalg.svd(H)
     coeffs = vt[-1]  # p_0 + p_1 x + ... + p_k x^k
     lead = coeffs[-1]
     if abs(lead) <= 1e-12 * np.linalg.norm(coeffs):
@@ -171,14 +192,15 @@ def _prony_consecutive(u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def prony_dirac(s: MomentVector, k: int, rel_tol: float = 1e-8) -> AtomicMeasure:
-    """Recover a k-atom measure from a full-degree univariate moment vector."""
+    """Recover a measure with at most k atoms from a full-degree univariate
+    moment vector; a rank-deficient Hankel slice lowers the atom count."""
     basis = s.basis
     if not basis.is_full_degree():
         raise UnsupportedBasisError("Prony recovery needs the basis {1, x, ..., x^d}")
     d = basis.max_degree
     if k < 0 or 2 * k - 1 > d:
         raise ValueError(f"k={k} needs moments up to degree {2 * k - 1}, only {d} available")
-    atoms, w = _prony_consecutive(s.values, k)
+    atoms, w = _prony(s.values, k)
     measure = (
         AtomicMeasure(weights=w, points=atoms.reshape(-1, 1))
         if len(w)
@@ -188,22 +210,6 @@ def prony_dirac(s: MomentVector, k: int, rel_tol: float = 1e-8) -> AtomicMeasure
     if residual > rel_tol:
         raise ConditioningError(f"reconstruction residual {residual:.3e} above {rel_tol:.1e}")
     return measure
-
-
-def _descending_k_attempt(u: np.ndarray, k_target: int):
-    """Try Prony at the largest feasible atom count, honouring rank deficiency.
-
-    A rank-deficient Hankel slice means fewer atoms suffice, so the count is
-    lowered until the slice has full rank; infeasibility at that count means
-    the whole vector is infeasible at this scale.
-    """
-    for k in range(k_target, 0, -1):
-        H = _hankel_slice(u, k)
-        sv = np.linalg.svd(H, compute_uv=False)
-        if sv[0] == 0 or sv[min(k, len(sv)) - 1] <= _RANK_TOL * sv[0]:
-            continue  # deficient: fewer atoms suffice
-        return _prony_consecutive(u, k)
-    return _prony_consecutive(u, 0)
 
 
 _EXHAUSTED_REASON = {
@@ -233,7 +239,7 @@ def _shared_scale_descent(
     best_residual = math.inf
     for step, sigma in enumerate(schedule, start=1):
         try:
-            atoms, w = _descending_k_attempt(pull_back(sigma), k_target)
+            atoms, w = _prony(pull_back(sigma), k_target)
         except (NonrealAtomsError, InfeasibleWeightsError, ConditioningError):
             continue
         if kind == "lognormal" and np.any(atoms <= 0):
@@ -342,12 +348,7 @@ def _data_scale(s: MomentVector) -> float:
 
 
 def _interleaved_theta(weights: np.ndarray, points: np.ndarray) -> np.ndarray:
-    k, n = points.shape
-    theta = np.empty(k * (n + 1))
-    for i in range(k):
-        theta[i * (n + 1)] = weights[i]
-        theta[i * (n + 1) + 1 : (i + 1) * (n + 1)] = points[i]
-    return theta
+    return np.column_stack((weights, points)).ravel()
 
 
 def _split_theta(theta: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -361,13 +362,7 @@ def homotopy_gap_recovery(
     k: int,
     *,
     seed: int = 0,
-    n_starts: int = 32,
-    sigma_target: float = 0.1,
-    sigma_min: float = 1e-4,
-    min_step: float = 1e-8,
-    newton_rel_tol: float = 1e-9,
     rel_tol: float = 1e-8,
-    start_rank_tol: float = 1e-4,
 ) -> RecoveryReport:
     """Gaussian recovery over a basis with exponent gaps, by scale continuation.
 
@@ -375,8 +370,9 @@ def homotopy_gap_recovery(
     least squares.  Stage 2 requires its Jacobian to have full row rank; the
     set of vectors whose representations are all singular has measure zero
     and is reported, not repaired.  Stage 3 tracks the solution of the
-    smoothed moment equations as the shared scale grows from 0 toward the
-    target, halving the scale step whenever the corrector fails.
+    smoothed moment equations as the shared scale grows from 0 toward 0.1,
+    halving the scale step whenever the corrector fails; a continuation that
+    stalls below 1e-4 is reported as a failure.
     """
     if basis.n != 1:
         raise UnsupportedBasisError("gap recovery is implemented for univariate bases")
@@ -405,40 +401,42 @@ def homotopy_gap_recovery(
 
     iterations = 0
 
-    def corrector(theta: np.ndarray, sigma: float, tol: float | None = None,
-                  max_iter: int = 40):
+    def corrector(theta: np.ndarray, sigma: float, tol: float | None = None):
         """Damped Gauss-Newton with minimum-norm steps; the moment system is
         underdetermined by one, so the min-norm least-squares step follows
-        the solution manifold instead of zig-zagging across it."""
+        the solution manifold instead of zig-zagging across it.  Each
+        residual is evaluated once: an accepted candidate's residual is the
+        next iteration's."""
         th = theta.copy()
-        goal = newton_rel_tol * scale if tol is None else tol
+        goal = _NEWTON_REL_TOL * scale if tol is None else tol
         nonlocal iterations
-        for _ in range(max_iter):
-            r = moment_residual(th, sigma)
+        r = moment_residual(th, sigma)
+        for _ in range(_CORRECTOR_ITERS):
             iterations += 1
-            if np.max(np.abs(r)) <= goal:
+            base = np.max(np.abs(r))
+            if base <= goal:
                 return th, True
             J = moment_jac(th, sigma)
             step, *_ = np.linalg.lstsq(J, -r, rcond=None)
             if not np.all(np.isfinite(step)):
                 return th, False
-            base = np.max(np.abs(r))
             damp = 1.0
             while damp > 1e-6:
                 cand = th + damp * step
-                if np.max(np.abs(moment_residual(cand, sigma))) < base:
-                    th = cand
+                r_cand = moment_residual(cand, sigma)
+                if np.max(np.abs(r_cand)) < base:
+                    th, r = cand, r_cand
                     break
                 damp *= 0.5
             else:
                 return th, False
-        return th, np.max(np.abs(moment_residual(th, sigma))) <= goal
+        return th, np.max(np.abs(r)) <= goal
 
     # stage 1: multistart search for a Dirac representation, polished to
     # machine precision so coalescing atoms show up in the rank check
     solution = None
     saw_residual_fit = False
-    for _ in range(n_starts):
+    for _ in range(_HOMOTOPY_STARTS):
         pts0 = rng.uniform(-box, box, size=(k, n))
         w0 = np.full(k, max(target[0], scale * 1e-3) / k)
         theta0 = _interleaved_theta(w0, pts0)
@@ -455,7 +453,7 @@ def homotopy_gap_recovery(
             max_nfev=400,
         )
         iterations += res.nfev
-        if np.max(np.abs(res.fun)) > newton_rel_tol * scale:
+        if np.max(np.abs(res.fun)) > _NEWTON_REL_TOL * scale:
             continue
         polished, _ = corrector(res.x, 0.0, tol=1e-12 * scale)
         w, pts = _split_theta(polished, k, n)
@@ -466,7 +464,7 @@ def homotopy_gap_recovery(
         saw_residual_fit = True
         # stage 2: the continuation argument needs a regular starting point;
         # nearly coalesced atoms leave a singular value of order sqrt(residual)
-        if numeric_rank(moment_jac(polished, 0.0), rel_tol=start_rank_tol).full_rank:
+        if numeric_rank(moment_jac(polished, 0.0), rel_tol=_START_RANK_TOL).full_rank:
             solution = polished
             break
     if solution is None:
@@ -487,11 +485,11 @@ def homotopy_gap_recovery(
     # stage 3: predictor-corrector continuation in the shared scale
     sigma_cur = 0.0
     theta = solution
-    step_size = sigma_target / 10.0
+    step_size = _SIGMA_TARGET / 10.0
     sigma_steps = 0
     corrector_calls = 0
-    while sigma_cur < sigma_target and step_size >= min_step and corrector_calls < 200:
-        sigma_try = min(sigma_cur + step_size, sigma_target)
+    while sigma_cur < _SIGMA_TARGET and step_size >= _MIN_STEP and corrector_calls < 200:
+        sigma_try = min(sigma_cur + step_size, _SIGMA_TARGET)
         candidate, converged = corrector(theta, sigma_try)
         corrector_calls += 1
         w_cand, _ = _split_theta(candidate, k, n)
@@ -499,14 +497,14 @@ def homotopy_gap_recovery(
             theta = candidate
             sigma_cur = sigma_try
             sigma_steps += 1
-            step_size = min(step_size * 1.6, sigma_target - sigma_cur + min_step)
+            step_size = min(step_size * 1.6, _SIGMA_TARGET - sigma_cur + _MIN_STEP)
         else:
             step_size *= 0.5
 
     w, pts = _split_theta(theta, k, n)
     keep = w > 1e-12 * max(1.0, float(np.sum(w)))
     sigma_out = max(sigma_cur, 0.0)
-    if sigma_cur < sigma_min:
+    if sigma_cur < _SIGMA_MIN:
         return RecoveryReport(
             success=False,
             model=None,
@@ -515,7 +513,7 @@ def homotopy_gap_recovery(
             sigma_used=sigma_out,
             iterations=iterations,
             sigma_steps=sigma_steps,
-            failure_reason=f"continuation stalled at sigma={sigma_cur:.3e} below {sigma_min:.1e}",
+            failure_reason=f"continuation stalled at sigma={sigma_cur:.3e} below {_SIGMA_MIN:.1e}",
         )
     model = MixtureMeasure(
         kind="gaussian",
@@ -547,7 +545,6 @@ def lm_fit(
     seed: int = 0,
     n_starts: int = 16,
     rel_tol: float = 1e-8,
-    sigma_start_range: tuple[float, float] = (0.1, 1.0),
 ) -> RecoveryReport:
     """Generic method-of-moments fit by multistart Levenberg-Marquardt.
 
@@ -618,7 +615,7 @@ def lm_fit(
         else:
             loc0 = rng.uniform(-box, box, size=(k, n))
         tau_n = k if free_sigma_per_component else 1
-        tau0 = np.log(rng.uniform(*sigma_start_range, size=tau_n))
+        tau0 = np.log(rng.uniform(*_LM_SIGMA_STARTS, size=tau_n))
         theta0 = np.concatenate([g0, loc0.ravel(), tau0])
         method = "lm" if m >= theta0.size else "trf"
         try:

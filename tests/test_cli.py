@@ -5,7 +5,7 @@ import pytest
 
 from mixcara.basis import MonomialBasis
 from mixcara.cli import main
-from mixcara.measures import MixtureMeasure
+from mixcara.measures import MixtureMeasure, sample_random_mixture
 from mixcara.moments import MomentVector, mixture_moments
 
 
@@ -122,6 +122,22 @@ def test_prescribe_command(workspace, capsys):
         c["xi"][0] == pytest.approx(5.0) and c["sigma"] == pytest.approx(0.3)
         for c in data["components"]
     )
+
+
+def test_prescribe_lognormal_command(tmp_path, capsys):
+    basis = MonomialBasis.full_degree(5)
+    mixture = sample_random_mixture("lognormal", 2, rng=3, mean_range=(0.7, 2.0),
+                                    sigma_range=(0.1, 0.3), shared_sigma=True)
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps(mixture_moments(basis, mixture).to_json()))
+    rc = main([
+        "prescribe", "--moments", str(path), "--x0", "1.0", "--sigma0", "0.2",
+        "--kind", "lognormal",
+    ])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["kind"] == "lognormal"
+    assert any(c["xi"] == [1.0] and c["sigma"] == 0.2 for c in data["components"])
 
 
 def test_verify_bounds_command(tmp_path, capsys):

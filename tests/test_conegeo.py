@@ -129,6 +129,24 @@ def test_prescribe_component_on_gaussian_moments():
     assert np.max(np.abs(achieved - s.values)) / scale <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "basis",
+    [MonomialBasis.full_degree(5), MonomialBasis.univariate(range(1, 7))],
+    ids=["full-degree", "no-constant"],
+)
+def test_prescribe_lognormal_component(basis):
+    # large first masses leave remainders with negative moments, which the
+    # log-normal engine refuses; the mass must keep halving past them
+    mix = sample_random_mixture("lognormal", 2, rng=3, mean_range=(0.7, 2.0),
+                                sigma_range=(0.1, 0.3), shared_sigma=True)
+    s = mixture_moments(basis, mix)
+    combined = represent_with_prescribed_component(basis, "lognormal", s, 1.0, 0.2)
+    assert combined.kind == "lognormal"
+    assert any(c > 0 and xi[0] == 1.0 and sg == 0.2 for c, xi, sg in combined.components())
+    achieved = mixture_moments(basis, combined).values
+    assert np.max(np.abs(achieved - s.values)) / (1 + np.max(np.abs(s.values))) <= 1e-8
+
+
 def test_prescribe_existing_component_succeeds():
     basis = MonomialBasis.full_degree(5)
     mix = sample_random_mixture("gaussian", 2, rng=4, min_separation=0.8)

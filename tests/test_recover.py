@@ -69,6 +69,16 @@ def test_prony_exterior_vector_fails():
         prony_dirac(s, 2)
 
 
+def test_prony_lowers_count_on_rank_deficient_slice():
+    # two atoms asked for as three: the 3-by-4 Hankel slice has rank 2
+    basis = MonomialBasis.full_degree(5)
+    mu = AtomicMeasure(weights=[1.0, 2.0], points=[[0.3], [-0.7]])
+    rec = prony_dirac(dirac_moments(basis, mu), 3)
+    assert rec.k == 2
+    np.testing.assert_allclose(rec.points.ravel(), [-0.7, 0.3], atol=1e-12)
+    np.testing.assert_allclose(rec.weights, [2.0, 1.0], atol=1e-12)
+
+
 def test_prony_roundtrip_many_seeds():
     basis = MonomialBasis.full_degree(5)
     for seed in range(30):
