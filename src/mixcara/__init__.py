@@ -6,7 +6,7 @@ the smallest usable component count, moment-cone membership, and several
 recovery engines that produce mixtures meeting the component-count bounds.
 """
 
-from .basis import MonomialBasis, eval_jacobian, eval_point
+from .basis import MonomialBasis
 from .conegeo import (
     BOUNDARY,
     EXTERIOR,
@@ -44,17 +44,14 @@ from .jacobian import (
 from .measures import (
     AtomicMeasure,
     MixtureMeasure,
-    merge_close_atoms,
     model_from_json,
     sample_random_mixture,
 )
 from .moments import (
     MomentVector,
     SmoothedBasis,
-    component_moment_vector,
     dirac_moments,
     gaussian_smoothed_basis,
-    lognormal_moment,
     mixture_moments,
     transfer_matrix_gaussian,
 )
@@ -63,7 +60,6 @@ from .recover import (
     default_sigma_schedule,
     homotopy_gap_recovery,
     lm_fit,
-    match_components,
     prony_dirac,
     recover_shared_sigma_gaussian,
     recover_shared_sigma_lognormal,

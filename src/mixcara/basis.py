@@ -1,8 +1,10 @@
-"""Finite monomial function systems and their pointwise evaluation.
+"""Finite monomial function systems.
 
 A basis is an ordered set of distinct monomials ``x^alpha`` in ``n`` variables,
 canonically sorted by (total degree, lexicographic) order.  Exponent gaps are
-allowed, e.g. ``{1, x^2, x^3, x^5, x^6}``.
+allowed, e.g. ``{1, x^2, x^3, x^5, x^6}``.  Monomials are evaluated, with
+their derivatives, by ``moments.component_moments``: a point is a Gaussian
+component of scale 0.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["MonomialBasis", "eval_point", "eval_jacobian"]
+__all__ = ["MonomialBasis"]
 
 
 @dataclass(frozen=True)
@@ -57,9 +59,6 @@ class MonomialBasis:
     def exponent_array(self) -> np.ndarray:
         return self._exp_array  # type: ignore[attr-defined]
 
-    def is_univariate(self) -> bool:
-        return self.n == 1
-
     def univariate_degrees(self) -> tuple[int, ...]:
         if self.n != 1:
             raise ValueError("univariate_degrees requires n == 1")
@@ -99,32 +98,3 @@ class MonomialBasis:
     @classmethod
     def from_json(cls, data: dict) -> "MonomialBasis":
         return cls(n=int(data["n"]), exponents=tuple(tuple(a) for a in data["exponents"]))
-
-
-def _as_point(x, n: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1 or arr.shape[0] != n:
-        raise ValueError(f"point has shape {np.shape(x)}, expected ({n},)")
-    return arr
-
-
-def eval_point(basis: MonomialBasis, x) -> np.ndarray:
-    """Evaluate every basis monomial at ``x``, returning a length-m vector."""
-    pt = _as_point(x, basis.n)
-    # 0.0 ** 0 == 1.0 under numpy, which is the convention we rely on
-    return np.prod(pt[None, :] ** basis.exponent_array, axis=1)
-
-
-def eval_jacobian(basis: MonomialBasis, x) -> np.ndarray:
-    """Partial derivatives of the basis monomials at ``x`` as an m-by-n matrix."""
-    pt = _as_point(x, basis.n)
-    exps = basis.exponent_array
-    m, n = exps.shape
-    powers = pt[None, :] ** exps
-    jac = np.zeros((m, n))
-    for j in range(n):
-        lowered = exps[:, j] - 1
-        dj = np.where(exps[:, j] > 0, pt[j] ** np.maximum(lowered, 0), 0.0)
-        others = np.prod(np.delete(powers, j, axis=1), axis=1) if n > 1 else np.ones(m)
-        jac[:, j] = exps[:, j] * dj * others
-    return jac

@@ -113,6 +113,8 @@ def _cmd_recover(args) -> int:
         else:
             report = recover_shared_sigma_gaussian(s, k=args.k)
     elif args.engine == "homotopy":
+        if args.kind != "gaussian":
+            raise MixcaraError("the homotopy engine recovers Gaussian mixtures only")
         if args.k is None:
             raise MixcaraError("the homotopy engine needs --k")
         report = homotopy_gap_recovery(s.basis, s, k=args.k, seed=args.seed)

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedBasisError,
 )
 from .measures import MixtureMeasure
-from .moments import MomentVector, component_moment_vector, mixture_moments
+from .moments import MomentVector, _relative_residual, component_moments, mixture_moments
 
 __all__ = [
     "INTERIOR",
@@ -166,10 +166,9 @@ def represent_with_prescribed_component(
                 f"no interior certificate for the gap basis: {probe.failure_reason}"
             )
 
-    t0 = component_moment_vector(basis, kind, x0, sigma0)
+    t0 = component_moments(basis, kind, np.reshape(x0, (1, -1)), [sigma0])[0]
     mass = float(s.values[0]) if basis.exponents[0] == (0,) * basis.n else 1.0
     eps = mass / 2.0
-    scale = 1.0 + float(np.max(np.abs(s.values)))
     last_reason = "no attempt made"
     while eps >= _MIN_EPS_FACTOR * mass:
         remainder = s.with_values(s.values - eps * t0)
@@ -181,8 +180,7 @@ def represent_with_prescribed_component(
             continue
         if report.success and isinstance(report.model, MixtureMeasure):
             combined = report.model.with_component(eps, x0, sigma0)
-            achieved = mixture_moments(basis, combined)
-            residual = float(np.max(np.abs(achieved.values - s.values))) / scale
+            residual = _relative_residual(mixture_moments(basis, combined).values, s.values)
             if residual <= rel_tol:
                 return combined
             last_reason = f"combined residual {residual:.3e} above {rel_tol:.1e}"

@@ -23,7 +23,7 @@ from .conegeo import represent_with_prescribed_component
 from .errors import ConfigError, MixcaraError
 from .jacobian import min_full_rank_atoms
 from .measures import AtomicMeasure, sample_random_mixture
-from .moments import dirac_moments, mixture_moments
+from .moments import _relative_residual, dirac_moments, mixture_moments
 from .recover import (
     RecoveryReport,
     homotopy_gap_recovery,
@@ -86,7 +86,6 @@ class ExperimentConfig:
     experiment: str
     trials: int = 100
     seed: int = 0
-    kind: str | None = None
     basis: MonomialBasis | None = None
     tolerances: dict = field(default_factory=dict)
     ranges: dict = field(default_factory=dict)
@@ -123,7 +122,6 @@ class ExperimentConfig:
             "experiment": self.experiment,
             "trials": self.trials,
             "seed": self.seed,
-            "kind": self.kind,
             "basis": None if self.basis is None else self.basis.to_json(),
             "tolerances": dict(self.tolerances),
             "ranges": {k: list(v) if isinstance(v, (tuple, list)) else v for k, v in self.ranges.items()},
@@ -142,7 +140,6 @@ class ExperimentConfig:
             experiment=data["experiment"],
             trials=int(data.get("trials", 100)),
             seed=int(data.get("seed", 0)),
-            kind=data.get("kind"),
             basis=None if basis is None else MonomialBasis.from_json(basis),
             tolerances=dict(data.get("tolerances", {})),
             ranges={k: tuple(v) if isinstance(v, list) else v for k, v in data.get("ranges", {}).items()},
@@ -356,8 +353,7 @@ def _prescribe_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int)
             truth=f"x0={x0!r};sigma0={sigma0!r}",
             detail=str(exc),
         )
-    achieved = mixture_moments(basis, combined).values
-    residual = float(np.max(np.abs(achieved - s.values))) / (1.0 + float(np.max(np.abs(s.values))))
+    residual = _relative_residual(mixture_moments(basis, combined).values, s.values)
     contains = any(
         abs(xi[0] - x0) < 1e-12 and abs(sg - sigma0) < 1e-12 and c > 0
         for c, xi, sg in combined.components()

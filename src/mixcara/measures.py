@@ -7,7 +7,6 @@ Log-normal mixtures are univariate with strictly positive locations.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ from .errors import GenerationError
 __all__ = [
     "AtomicMeasure",
     "MixtureMeasure",
-    "merge_close_atoms",
     "sample_random_mixture",
     "model_from_json",
 ]
@@ -149,22 +147,14 @@ class MixtureMeasure:
     def empty(cls, kind: str = "gaussian", n: int = 1) -> "MixtureMeasure":
         return cls(kind=kind, weights=np.zeros(0), means=np.zeros((0, n)), sigmas=np.zeros(0))
 
-    @classmethod
-    def from_components(cls, kind: str, components) -> "MixtureMeasure":
-        comps = list(components)
-        if not comps:
-            return cls.empty(kind)
-        return cls(
-            kind=kind,
-            weights=np.array([c for c, _, _ in comps]),
-            means=np.array([np.atleast_1d(xi) for _, xi, _ in comps]),
-            sigmas=np.array([s for _, _, s in comps]),
-        )
-
     def with_component(self, c: float, xi, sigma: float) -> "MixtureMeasure":
         """New mixture with one extra component prepended."""
-        comps = [(c, np.atleast_1d(xi), sigma)] + [(w, x, s) for w, x, s in self.components()]
-        return MixtureMeasure.from_components(self.kind, comps)
+        return MixtureMeasure(
+            kind=self.kind,
+            weights=np.concatenate(([c], self.weights)),
+            means=np.vstack((np.atleast_1d(xi), self.means)),
+            sigmas=np.concatenate(([sigma], self.sigmas)),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -196,41 +186,6 @@ def model_from_json(data: dict):
     if kind in KINDS:
         return MixtureMeasure.from_json(data)
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def merge_close_atoms(mu: AtomicMeasure, tol: float) -> AtomicMeasure:
-    """Merge atoms within distance ``tol``; merged position is the weight average.
-
-    Total mass is preserved exactly (weights are summed, never rescaled).
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    if mu.k <= 1:
-        return mu
-    parent = list(range(mu.k))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(mu.k):
-        for j in range(i + 1, mu.k):
-            if np.linalg.norm(mu.points[i] - mu.points[j]) <= tol:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(mu.k):
-        groups.setdefault(find(i), []).append(i)
-
-    weights, points = [], []
-    for idx in sorted(groups.values(), key=lambda g: g[0]):
-        w = math.fsum(float(mu.weights[i]) for i in idx)
-        pos = sum(float(mu.weights[i]) * mu.points[i] for i in idx) / w
-        weights.append(w)
-        points.append(pos)
-    return AtomicMeasure(weights=np.array(weights), points=np.array(points))
 
 
 def _separated(candidate: np.ndarray, chosen: list[np.ndarray], min_sep: float) -> bool:

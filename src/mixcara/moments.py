@@ -1,7 +1,8 @@
 """Forward moment maps for Dirac measures and Gaussian/log-normal mixtures.
 
-Every mixture moment, and every derivative of one, is evaluated by
-``component_moments``; Dirac moments are its Gaussian case at scale 0.
+Every moment, and every derivative of one, is evaluated by
+``component_moments``, the one public evaluator: Dirac moments, and the
+plain monomials with their gradients, are its Gaussian case at scale 0.
 Integrating a monomial ``x^i`` against a Gaussian centred at ``x`` with
 scale ``sigma`` gives the polynomial
 
@@ -18,7 +19,8 @@ computed in log space.  Both kinds report overflow instead of returning
 
 ``gaussian_smoothed_basis`` builds the same polynomials as exact integer
 coefficient tables; those tables are an output in their own right and are
-not used for evaluation.
+not used for evaluation (``SmoothedBasis.eval_components`` returns one row
+of the kernel).
 """
 from __future__ import annotations
 
@@ -36,10 +38,8 @@ __all__ = [
     "MomentVector",
     "SmoothedBasis",
     "gaussian_smoothed_basis",
-    "lognormal_moment",
     "dirac_moments",
     "mixture_moments",
-    "component_moment_vector",
     "component_moments",
     "transfer_matrix_gaussian",
 ]
@@ -47,8 +47,6 @@ __all__ = [
 # A smoothed polynomial is stored as {(beta, sigma_power): integer coefficient}
 # where beta is the monomial multi-index in the location variables.
 SmoothedPoly = dict[tuple[tuple[int, ...], int], int]
-
-_MAX_EXP_ARG = math.log(np.finfo(float).max)  # ~709.78
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +111,7 @@ class SmoothedBasis:
 
     def eval_components(self, xi, sigma: float) -> np.ndarray:
         """Vector of smoothed monomials at location ``xi`` and scale ``sigma``."""
-        return component_moment_vector(self.basis, "gaussian", xi, sigma)
+        return component_moments(self.basis, "gaussian", np.reshape(xi, (1, -1)), [sigma])[0]
 
 
 def gaussian_smoothed_basis(basis: MonomialBasis) -> SmoothedBasis:
@@ -134,26 +132,6 @@ def gaussian_smoothed_basis(basis: MonomialBasis) -> SmoothedBasis:
             }
         polys.append(poly)
     return SmoothedBasis(basis=basis, polynomials=tuple(polys))
-
-
-def lognormal_moment(i: int, xi: float, sigma: float) -> float:
-    """Raw moment of order ``i`` of a log-normal component.
-
-    Evaluated in log space; exponents in the tens of thousands overflow the
-    float range and raise instead of silently returning ``inf``.
-    """
-    if i < 0 or int(i) != i:
-        raise ValueError(f"moment order must be a nonnegative integer, got {i!r}")
-    if xi <= 0 or sigma <= 0:
-        raise ValueError(f"need xi > 0 and sigma > 0, got xi={xi}, sigma={sigma}")
-    if i == 0:
-        return 1.0
-    log_value = i * math.log(xi) + 0.5 * i * i * sigma * sigma
-    if log_value > _MAX_EXP_ARG:
-        raise MomentOverflowError(
-            f"moment of order {i} at xi={xi}, sigma={sigma} exceeds the float range"
-        )
-    return math.exp(log_value)
 
 
 def dirac_moments(basis: MonomialBasis, mu: AtomicMeasure) -> MomentVector:
@@ -237,11 +215,6 @@ def _lognormal_components(E: np.ndarray, x: np.ndarray, s: np.ndarray, derivativ
         return B, (e / x * B)[:, None, :], e * e * sg * B
 
 
-def component_moment_vector(basis: MonomialBasis, kind: str, xi, sigma: float) -> np.ndarray:
-    """Moment vector of a single unit-mass component of the given kind."""
-    return component_moments(basis, kind, np.reshape(xi, (1, -1)), [sigma])[0]
-
-
 def mixture_moments(basis: MonomialBasis, mu: MixtureMeasure) -> MomentVector:
     """Moment vector of a finite mixture."""
     if mu.kind == "lognormal" and basis.n != 1:
@@ -252,6 +225,13 @@ def mixture_moments(basis: MonomialBasis, mu: MixtureMeasure) -> MomentVector:
         raise ValueError(f"mixture has dimension {mu.n}, basis expects {basis.n}")
     values = mu.weights @ component_moments(basis, mu.kind, mu.means, mu.sigmas)
     return MomentVector(values=values, basis=basis, kind_tag=mu.kind)
+
+
+def _relative_residual(achieved: np.ndarray, target: np.ndarray) -> float:
+    """``max|achieved - target| / (1 + max|target|)``, the residual every
+    engine and check judges success by."""
+    scale = 1.0 + float(np.max(np.abs(target))) if target.size else 1.0
+    return float(np.max(np.abs(achieved - target))) / scale if target.size else 0.0
 
 
 @lru_cache(maxsize=64)

@@ -46,6 +46,7 @@ from .jacobian import numeric_rank
 from .measures import AtomicMeasure, MixtureMeasure
 from .moments import (
     MomentVector,
+    _relative_residual,
     component_moments,
     dirac_moments,
     mixture_moments,
@@ -59,7 +60,6 @@ __all__ = [
     "recover_shared_sigma_lognormal",
     "homotopy_gap_recovery",
     "lm_fit",
-    "match_components",
     "default_sigma_schedule",
 ]
 
@@ -120,11 +120,6 @@ class RecoveryReport:
 def default_sigma_schedule():
     """Geometrically descending scale schedule: 40 halvings from 1."""
     return [_SCHEDULE_START * _SCHEDULE_RATIO**j for j in range(_SCHEDULE_STEPS)]
-
-
-def _relative_residual(achieved: np.ndarray, target: np.ndarray) -> float:
-    scale = 1.0 + float(np.max(np.abs(target))) if target.size else 1.0
-    return float(np.max(np.abs(achieved - target))) / scale if target.size else 0.0
 
 
 def _exterior_refusal(s: MomentVector, engine: str) -> RecoveryReport | None:
@@ -648,23 +643,3 @@ def lm_fit(
         iterations=iterations,
         failure_reason=None if r <= rel_tol else "best start stalled above tolerance",
     )
-
-
-def match_components(reference_means: np.ndarray, found_means: np.ndarray,
-                     reference_weights=None, found_weights=None) -> np.ndarray:
-    """Permutation aligning found components to reference ones.
-
-    Minimal-cost assignment on location distance, with weight distance as a
-    tie-breaking contribution.  Returns indices into the found components.
-    """
-    ref = np.atleast_2d(np.asarray(reference_means, dtype=float))
-    got = np.atleast_2d(np.asarray(found_means, dtype=float))
-    if ref.shape[0] != got.shape[0]:
-        raise ValueError("component counts differ; nothing to match")
-    cost = np.linalg.norm(ref[:, None, :] - got[None, :, :], axis=2)
-    if reference_weights is not None and found_weights is not None:
-        rw = np.asarray(reference_weights, dtype=float)
-        fw = np.asarray(found_weights, dtype=float)
-        cost = cost + 1e-3 * np.abs(rw[:, None] - fw[None, :])
-    _, cols = scipy.optimize.linear_sum_assignment(cost)
-    return cols

@@ -9,16 +9,16 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from mixcara.basis import MonomialBasis, eval_point
+from mixcara.basis import MonomialBasis
 from mixcara.conegeo import strip_mass
 from mixcara.harness import ExperimentConfig, run_experiment
 from mixcara.jacobian import min_full_rank_atoms
 from mixcara.measures import AtomicMeasure
 from mixcara.moments import (
     MomentVector,
+    component_moments,
     dirac_moments,
     gaussian_smoothed_basis,
-    lognormal_moment,
 )
 
 GAP = MonomialBasis.univariate([0, 2, 3, 5, 6])
@@ -106,7 +106,8 @@ def test_criterion_3_lognormal_against_quadrature():
         reference, _ = scipy.integrate.quad(
             integrand, -np.inf, np.inf, epsabs=0, epsrel=1e-10
         )
-        got = lognormal_moment(i, xi, sigma)
+        basis = MonomialBasis.univariate([i])
+        got = component_moments(basis, "lognormal", [[xi]], [sigma])[0, 0]
         worst = max(worst, abs(got - reference) / abs(reference))
     _verdict(
         3,
@@ -227,7 +228,9 @@ def test_criterion_10_strip_mass_recovery():
             x0 = rng.uniform(-1.5, 1.5)
             while min(abs(x0 - pts[0]), abs(x0 - pts[1])) < 0.2:
                 x0 = rng.uniform(-1.5, 1.5)
-            direction = eval_point(basis, x0)
+            direction = dirac_moments(
+                basis, AtomicMeasure(weights=[1.0], points=[[x0]])
+            ).values
         else:
             direction = np.zeros(basis.m)
             direction[-1] = 1.0  # mass escaping through the top-degree direction

@@ -1,11 +1,11 @@
 """The public parameter lists of the engines, cone tests, rank searches and
 samplers hold only the settings some caller sets; fixed tuning values are
-module constants."""
+module constants.  Functions and fields that no path reads stay deleted."""
 import dataclasses
 import inspect
 
 import mixcara
-from mixcara import measures
+from mixcara import basis, measures, moments, recover
 
 EXPECTED_PARAMETERS = {
     mixcara.homotopy_gap_recovery: ["basis", "s", "k", "seed", "rel_tol"],
@@ -33,5 +33,26 @@ def test_public_parameter_lists():
         assert list(inspect.signature(fn).parameters) == expected, fn.__name__
     assert "k" not in {f.name for f in dataclasses.fields(mixcara.RankReport)}
     assert "k" not in mixcara.numeric_rank([[1.0]]).to_json()
-    assert not hasattr(mixcara, "sample_random_atoms")
-    assert not hasattr(measures, "sample_random_atoms")
+
+
+# every moment goes through moments.component_moments
+DELETED = {
+    measures: ["sample_random_atoms", "merge_close_atoms"],
+    basis: ["eval_point", "eval_jacobian", "_as_point"],
+    moments: ["lognormal_moment", "component_moment_vector", "_MAX_EXP_ARG"],
+    recover: ["match_components"],
+}
+
+
+def test_unread_names_stay_deleted():
+    for module, names in DELETED.items():
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert not hasattr(mixcara, name), name
+    assert not hasattr(mixcara.MonomialBasis, "is_univariate")
+    assert not hasattr(mixcara.MixtureMeasure, "from_components")
+    # each experiment's kind comes from its own table row
+    assert "kind" not in {f.name for f in dataclasses.fields(mixcara.ExperimentConfig)}
+    assert "kind" not in mixcara.ExperimentConfig(experiment="na-table").to_json()
+    # perfbench/selftest.py:85 wraps and restores this method
+    assert callable(mixcara.SmoothedBasis.eval_components)

@@ -1,44 +1,58 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from mixcara.basis import MonomialBasis, eval_jacobian, eval_point
+from mixcara.basis import MonomialBasis
+from mixcara.moments import component_moments
 
 GAP = MonomialBasis.univariate([0, 2, 3, 5, 6])
 
 
+def monomials_at(basis, x):
+    """The basis monomials at the point x: the moment kernel at scale 0."""
+    return component_moments(basis, "gaussian", np.reshape(x, (1, -1)), [0.0])[0]
+
+
+def gradients_at(basis, x):
+    """Partial derivatives of the basis monomials at x, as an m-by-n matrix."""
+    _, dmean, _ = component_moments(
+        basis, "gaussian", np.reshape(x, (1, -1)), [0.0], derivatives=True
+    )
+    return dmean[0].T
+
+
 def test_eval_zero_point_constant_convention():
     basis = MonomialBasis.full_degree(2)
-    np.testing.assert_array_equal(eval_point(basis, 0.0), [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(monomials_at(basis, 0.0), [1.0, 0.0, 0.0])
 
 
 def test_eval_all_powers_of_one():
-    np.testing.assert_array_equal(eval_point(GAP, 1.0), np.ones(5))
+    np.testing.assert_array_equal(monomials_at(GAP, 1.0), np.ones(5))
 
 
 def test_eval_gap_basis_at_two():
-    # oracle: direct exponentiation, independent of the vectorized path
+    # oracle: direct exponentiation, independent of the recurrence
     expected = [2.0 ** e for e in (0, 2, 3, 5, 6)]
-    np.testing.assert_allclose(eval_point(GAP, 2.0), expected, rtol=0, atol=0)
+    np.testing.assert_allclose(monomials_at(GAP, 2.0), expected, rtol=0, atol=0)
 
 
 def test_jacobian_quadratic_column():
     basis = MonomialBasis.full_degree(2)
-    np.testing.assert_array_equal(eval_jacobian(basis, 3.0).ravel(), [0.0, 1.0, 6.0])
+    np.testing.assert_array_equal(gradients_at(basis, 3.0).ravel(), [0.0, 1.0, 6.0])
 
 
 def test_jacobian_gap_basis_matches_finite_differences():
     h = 1e-6
-    fd = (eval_point(GAP, 1.0 + h) - eval_point(GAP, 1.0 - h)) / (2 * h)
-    np.testing.assert_allclose(eval_jacobian(GAP, 1.0).ravel(), fd, rtol=1e-6)
-    np.testing.assert_array_equal(eval_jacobian(GAP, 1.0).ravel(), [0, 2, 3, 5, 6])
+    fd = (monomials_at(GAP, 1.0 + h) - monomials_at(GAP, 1.0 - h)) / (2 * h)
+    np.testing.assert_allclose(gradients_at(GAP, 1.0).ravel(), fd, rtol=1e-6)
+    np.testing.assert_array_equal(gradients_at(GAP, 1.0).ravel(), [0, 2, 3, 5, 6])
 
 
 def test_jacobian_two_variables_degree_one():
     basis = MonomialBasis.full_degree(1, n=2)
     assert basis.exponents == ((0, 0), (1, 0), (0, 1))
-    rows = eval_jacobian(basis, [1.0, 1.0])
+    rows = gradients_at(basis, [1.0, 1.0])
     np.testing.assert_array_equal(rows, [[0, 0], [1, 0], [0, 1]])
 
 
@@ -49,12 +63,12 @@ def test_jacobian_matches_central_differences_randomly(n, d):
     h = 1e-6
     for _ in range(1000 // (n * 2)):
         x = rng.uniform(-2, 2, size=n)
-        jac = eval_jacobian(basis, x)
+        jac = gradients_at(basis, x)
         for j in range(n):
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
-            fd = (eval_point(basis, xp) - eval_point(basis, xm)) / (2 * h)
+            fd = (monomials_at(basis, xp) - monomials_at(basis, xm)) / (2 * h)
             np.testing.assert_allclose(jac[:, j], fd, rtol=1e-6, atol=1e-6)
 
 
@@ -77,9 +91,9 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         MonomialBasis(n=2, exponents=((0,), (1,)))
     with pytest.raises(ValueError):
-        eval_point(GAP, [1.0, 2.0])
+        monomials_at(GAP, [1.0, 2.0])
     with pytest.raises(ValueError):
-        eval_jacobian(GAP, [1.0, 2.0])
+        gradients_at(GAP, [1.0, 2.0])
 
 
 def test_empty_basis_rejected():

@@ -76,6 +76,15 @@ def test_recover_homotopy_command(workspace, capsys, tmp_path):
     rc = main(["recover", "--moments", str(path), "--engine", "homotopy", "--k", "3"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["success"] is True
+    # the engine fits Gaussians only; a log-normal request must not come back
+    # as a Gaussian model
+    rc = main([
+        "recover", "--moments", str(path), "--engine", "homotopy", "--kind", "lognormal",
+        "--k", "3",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "Gaussian mixtures only" in captured.err
 
 
 def test_recover_failure_exits_two(workspace, capsys, tmp_path):

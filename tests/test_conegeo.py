@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixcara.basis import MonomialBasis, eval_point
+from mixcara.basis import MonomialBasis
 from mixcara.conegeo import (
     BOUNDARY,
     EXTERIOR,
@@ -23,6 +23,11 @@ B2 = MonomialBasis.full_degree(2)
 
 def mv(values, basis=B2):
     return MomentVector(values=np.asarray(values, dtype=float), basis=basis)
+
+
+def unit_atom(x: float) -> MomentVector:
+    """Strip direction: the moments of a unit atom at x."""
+    return dirac_moments(B2, AtomicMeasure(weights=[1.0], points=[[x]]))
 
 
 def test_classify_interior_boundary_exterior():
@@ -70,7 +75,7 @@ def test_few_atoms_sit_on_the_boundary(d):
 def test_strip_two_atom_construction():
     mu = AtomicMeasure(weights=[1.0, 2.0], points=[[0.0], [1.0]])
     s = dirac_moments(B2, mu)
-    v = mv(eval_point(B2, 1.0))
+    v = unit_atom(1.0)
     c, stripped = strip_mass(s, v)
     assert c == pytest.approx(2.0, abs=1e-6)
     np.testing.assert_allclose(stripped.values, [1, 0, 0], atol=1e-6)
@@ -78,7 +83,7 @@ def test_strip_two_atom_construction():
 
 def test_strip_boundary_gives_zero():
     s = mv([1, 0, 0])  # boundary: a single atom at the origin
-    v = mv(eval_point(B2, 1.0))
+    v = unit_atom(1.0)
     c, stripped = strip_mass(s, v)
     assert c == pytest.approx(0.0, abs=1e-9)
     np.testing.assert_allclose(stripped.values, s.values, atol=1e-9)
@@ -87,7 +92,7 @@ def test_strip_boundary_gives_zero():
 def test_strip_single_ray():
     mu = AtomicMeasure(weights=[3.0], points=[[2.0]])
     s = dirac_moments(B2, mu)
-    v = mv(eval_point(B2, 2.0))
+    v = unit_atom(2.0)
     c, stripped = strip_mass(s, v)
     assert c == pytest.approx(3.0, abs=1e-6)
     np.testing.assert_allclose(stripped.values, 0.0, atol=1e-5)
@@ -96,7 +101,7 @@ def test_strip_single_ray():
 def test_strip_bisection_brackets_the_boundary():
     mu = AtomicMeasure(weights=[1.0, 2.0], points=[[0.0], [1.0]])
     s = dirac_moments(B2, mu)
-    v = mv(eval_point(B2, 1.0))
+    v = unit_atom(1.0)
     c, _ = strip_mass(s, v)
     assert hankel_classify(s.with_values(s.values - (c - 1e-6) * v.values)).status != EXTERIOR
     assert hankel_classify(s.with_values(s.values - (c + 1e-6) * v.values)).status == EXTERIOR

@@ -8,51 +8,10 @@ from mixcara.errors import GenerationError
 from mixcara.measures import (
     AtomicMeasure,
     MixtureMeasure,
-    merge_close_atoms,
     model_from_json,
     sample_random_mixture,
 )
 from mixcara.moments import dirac_moments
-
-
-def test_merge_exact_duplicates():
-    mu = AtomicMeasure(weights=[1.0, 1.0], points=[[2.0], [2.0]])
-    merged = merge_close_atoms(mu, 0.0)
-    assert merged.k == 1
-    np.testing.assert_array_equal(merged.weights, [2.0])
-    np.testing.assert_array_equal(merged.points, [[2.0]])
-
-
-def test_merge_separated_unchanged():
-    mu = AtomicMeasure(weights=[1.0, 1.0], points=[[0.0], [1.0]])
-    merged = merge_close_atoms(mu, 0.5)
-    assert merged.k == 2
-
-
-def test_merge_weighted_mean_by_hand():
-    mu = AtomicMeasure(weights=[1.0, 3.0], points=[[0.0], [0.001]])
-    merged = merge_close_atoms(mu, 0.01)
-    assert merged.k == 1
-    np.testing.assert_allclose(merged.weights, [4.0])
-    np.testing.assert_allclose(merged.points, [[0.00075]])
-
-
-def test_merge_preserves_mass_and_low_moments():
-    rng = np.random.default_rng(5)
-    basis = MonomialBasis.full_degree(4)
-    for tol in (1e-6, 1e-4, 1e-2):
-        mu = AtomicMeasure(
-            weights=rng.uniform(0.2, 1.0, size=12),
-            points=rng.uniform(-1, 1, size=(12, 1)),
-        )
-        merged = merge_close_atoms(mu, tol)
-        # weights are summed, never rescaled; only float re-association remains
-        assert merged.total_mass == pytest.approx(mu.total_mass, rel=1e-15)
-        drift = np.max(
-            np.abs(dirac_moments(basis, merged).values - dirac_moments(basis, mu).values)
-        )
-        # each atom moves at most tol, and |d(x^e)/dx| <= e on [-1, 1]
-        assert drift <= mu.total_mass * basis.max_degree * tol + 1e-15
 
 
 def test_sample_empty():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from mixcara.basis import MonomialBasis, eval_jacobian, eval_point
+from mixcara.basis import MonomialBasis
 from mixcara.errors import MomentOverflowError, UnsupportedBasisError
 from mixcara.measures import AtomicMeasure, MixtureMeasure
 from mixcara.moments import (
@@ -13,7 +13,6 @@ from mixcara.moments import (
     component_moments,
     dirac_moments,
     gaussian_smoothed_basis,
-    lognormal_moment,
     mixture_moments,
     transfer_matrix_gaussian,
 )
@@ -101,10 +100,15 @@ def test_central_moments_exact_integer_identity():
             assert acc == {}
 
 
+def lognormal_at(orders, xi: float, sigma: float) -> np.ndarray:
+    """Log-normal moments of the given orders from the kernel."""
+    return component_moments(MonomialBasis.univariate(orders), "lognormal", [[xi]], [sigma])[0]
+
+
 def test_lognormal_moment_values():
-    assert lognormal_moment(0, 3.0, 0.7) == 1.0
-    assert lognormal_moment(1, 1.0, 1.0) == pytest.approx(math.exp(0.5), rel=1e-12)
-    assert lognormal_moment(2, 2.0, 0.5) == pytest.approx(4 * math.exp(0.5), rel=1e-12)
+    assert lognormal_at([0], 3.0, 0.7)[0] == 1.0
+    assert lognormal_at([1], 1.0, 1.0)[0] == pytest.approx(math.exp(0.5), rel=1e-12)
+    assert lognormal_at([2], 2.0, 0.5)[0] == pytest.approx(4 * math.exp(0.5), rel=1e-12)
 
 
 def lognormal_quadrature(i: int, xi: float, sigma: float) -> float:
@@ -120,23 +124,28 @@ def lognormal_quadrature(i: int, xi: float, sigma: float) -> float:
 
 
 def test_lognormal_moment_matches_quadrature():
-    assert lognormal_moment(2, 2.0, 0.5) == pytest.approx(
+    assert lognormal_at([2], 2.0, 0.5)[0] == pytest.approx(
         lognormal_quadrature(2, 2.0, 0.5), rel=1e-8
     )
 
 
 def test_lognormal_moment_domain_errors():
     with pytest.raises(ValueError):
-        lognormal_moment(1, -1.0, 0.5)
+        lognormal_at([1], -1.0, 0.5)
     with pytest.raises(ValueError):
-        lognormal_moment(1, 1.0, 0.0)
+        lognormal_at([1], 0.0, 0.5)
     with pytest.raises(ValueError):
-        lognormal_moment(-1, 1.0, 0.5)
+        lognormal_at([1], 1.0, 0.0)
+    with pytest.raises(ValueError):
+        lognormal_at([1], 1.0, -0.5)
 
 
 def test_lognormal_moment_overflow_reported():
+    # at xi = 1.5, sigma = 1 the log moment i log(1.5) + i^2 / 2 first passes
+    # log(float max) ~ 709.78 at order 38
+    assert np.isfinite(lognormal_at([37], 1.5, 1.0)[0])
     with pytest.raises(MomentOverflowError):
-        lognormal_moment(25376, 1.5, 1.0)
+        lognormal_at([38], 1.5, 1.0)
 
 
 def test_dirac_moments_examples():
@@ -331,8 +340,12 @@ def test_component_moments_lognormal_matches_scalar_form():
     basis = MonomialBasis.full_degree(6)
     means, sigmas = np.array([[0.4], [1.0], [2.5]]), np.array([0.1, 0.5, 0.8])
     got = component_moments(basis, "lognormal", means, sigmas)
-    expected = [[lognormal_moment(i, x[0], s) for i in range(7)] for x, s in zip(means, sigmas)]
+    expected = [
+        [x[0] ** i * math.exp(i * i * s * s / 2) for i in range(7)] for x, s in zip(means, sigmas)
+    ]
     np.testing.assert_allclose(got, expected, rtol=1e-13)
+    quadrature = [lognormal_quadrature(i, 1.0, 0.5) for i in range(7)]
+    np.testing.assert_allclose(got[1], quadrature, rtol=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -369,15 +382,21 @@ def test_component_moments_derivatives_match_central_differences(kind, basis, me
 
 @pytest.mark.parametrize("basis", [GAP, MonomialBasis.full_degree(4, n=2)], ids=["gap", "n2-d4"])
 def test_kernel_at_sigma_zero_matches_pointwise_evaluation(basis):
-    # repeated products in the kernel against pow in eval_point: a few ulps apart
+    # oracle: numpy pow on each monomial, against the kernel's repeated
+    # products; the two are a few ulps apart
+    E = basis.exponent_array
     rng = np.random.default_rng(3)
     points = np.vstack([np.zeros(basis.n), rng.uniform(-2.0, 2.0, size=(6, basis.n))])
     B, dmean, dsigma = component_moments(
         basis, "gaussian", points, np.zeros(len(points)), derivatives=True
     )
     for i, x in enumerate(points):
-        np.testing.assert_allclose(B[i], eval_point(basis, x), rtol=1e-14, atol=0)
-        np.testing.assert_allclose(dmean[i].T, eval_jacobian(basis, x), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(B[i], np.prod(x ** E, axis=1), rtol=1e-14, atol=0)
+        for j in range(basis.n):
+            # d/dx_j x^a = a_j x^(a - e_j); the clip only touches rows with a_j = 0
+            lowered = np.maximum(E - np.eye(basis.n, dtype=int)[j], 0)
+            expected = E[:, j] * np.prod(x ** lowered, axis=1)
+            np.testing.assert_allclose(dmean[i, j], expected, rtol=1e-14, atol=0)
     assert not dsigma.any()
 
 
