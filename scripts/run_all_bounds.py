@@ -4,8 +4,9 @@
 Usage:
     python scripts/run_all_bounds.py [--out out/] [--seed 7] [--fast]
 
-``--fast`` trims the trial counts for a quick smoke run.  Exit status is the
-worst exit status across experiments (0 = all bounds held, 2 = violation).
+Each experiment runs its own full trial count; ``--fast`` trims the counts
+for a quick smoke run.  Exit status is the worst exit status across
+experiments (0 = all bounds held, 2 = violation).
 """
 import argparse
 import sys
@@ -14,16 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mixcara.harness import ExperimentConfig, run_experiment
-
-FULL_TRIALS = {
-    "univariate-gaussian-bound": 100,
-    "lognormal-bound": 100,
-    "gap-homotopy": 50,
-    "na-table": 30,
-    "reduction-stress": 500,
-    "prescribe-check": 20,
-}
+from mixcara.harness import EXPERIMENTS, ExperimentConfig, run_experiment
 
 FAST_TRIALS = {
     "univariate-gaussian-bound": 10,
@@ -42,12 +34,14 @@ def main() -> int:
     parser.add_argument("--fast", action="store_true")
     args = parser.parse_args()
 
-    trials = FAST_TRIALS if args.fast else FULL_TRIALS
     worst = 0
     print(f"{'experiment':32s} {'result':10s} {'rate':>8s} {'time':>8s}")
-    for experiment, n in trials.items():
+    for experiment in EXPERIMENTS:
         config = ExperimentConfig(
-            experiment=experiment, trials=n, seed=args.seed, out_dir=args.out
+            experiment=experiment,
+            trials=FAST_TRIALS[experiment] if args.fast else None,
+            seed=args.seed,
+            out_dir=args.out,
         )
         start = time.perf_counter()
         report = run_experiment(config)

@@ -8,6 +8,7 @@ component of scale 0.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,19 +78,7 @@ class MonomialBasis:
         """All monomials of total degree at most ``d`` in ``n`` variables."""
         if d < 0:
             raise ValueError("degree must be >= 0")
-        if n == 1:
-            return cls.univariate(range(d + 1))
-        exps: list[tuple[int, ...]] = []
-
-        def rec(prefix: tuple[int, ...], remaining: int, budget: int) -> None:
-            if remaining == 1:
-                for e in range(budget + 1):
-                    exps.append(prefix + (e,))
-                return
-            for e in range(budget + 1):
-                rec(prefix + (e,), remaining - 1, budget - e)
-
-        rec((), n, d)
+        exps = (a for a in itertools.product(range(d + 1), repeat=n) if sum(a) <= d)
         return cls(n=n, exponents=tuple(exps))
 
     def to_json(self) -> dict:

@@ -142,6 +142,8 @@ def represent_with_prescribed_component(
     recoverable; a remainder the engine refuses outright (a log-normal
     remainder with a nonpositive moment) counts as not recoverable.
     """
+    if s.basis != basis:
+        raise ValueError("moment vector basis does not match")
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
     from . import recover as _recover

@@ -12,7 +12,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -52,28 +53,10 @@ class TrialRow:
     models: dict = field(default_factory=dict)
 
     def csv_values(self) -> list[str]:
-        return [
-            str(self.trial),
-            self.sub_seed,
-            self.engine,
-            str(self.k_used),
-            repr(self.residual),
-            str(self.success),
-            self.truth,
-            self.detail,
-        ]
+        return [str(getattr(self, name)) for name in _CSV_COLUMNS]
 
     def to_json(self) -> dict:
-        data = {
-            "trial": self.trial,
-            "sub_seed": self.sub_seed,
-            "engine": self.engine,
-            "k_used": self.k_used,
-            "residual": self.residual,
-            "success": self.success,
-            "truth": self.truth,
-            "detail": self.detail,
-        }
+        data = {name: getattr(self, name) for name in _CSV_COLUMNS}
         if self.models:
             data["models"] = self.models
         return data
@@ -81,10 +64,16 @@ class TrialRow:
 
 @dataclass
 class ExperimentConfig:
-    """Dataclass mirror of the JSON experiment configuration."""
+    """Dataclass mirror of the JSON experiment configuration.
+
+    ``trials`` defaults to the experiment's full-run count.  ``ranges`` and
+    ``tolerances`` may set only keys the experiment reads, each with the shape
+    of its default (a pair of numbers or one number); unset keys take the
+    experiment's default.
+    """
 
     experiment: str
-    trials: int = 100
+    trials: int | None = None
     seed: int = 0
     basis: MonomialBasis | None = None
     tolerances: dict = field(default_factory=dict)
@@ -95,10 +84,35 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}")
+        spec = _EXPERIMENTS[self.experiment]
+        if self.trials is None:
+            self.trials = spec.trials
         if not isinstance(self.trials, int) or self.trials < 1:
             raise ConfigError("trials must be a positive integer")
-        if self.success_threshold is not None and not 0 <= self.success_threshold <= 1:
+        if self.success_threshold is not None and not (
+            _is_number(self.success_threshold) and 0 <= self.success_threshold <= 1
+        ):
             raise ConfigError("success_threshold must lie in [0, 1]")
+        if self.basis is not None and spec.basis is None:
+            raise ConfigError(f"{self.experiment} builds its own bases and reads no basis")
+        for section in ("ranges", "tolerances"):
+            given, defaults = getattr(self, section), getattr(spec, section)
+            if not isinstance(given, dict):
+                raise ConfigError(f"{section} must be an object")
+            for name, value in given.items():
+                if name not in defaults:
+                    raise ConfigError(
+                        f"{self.experiment} reads no {section} key {name!r}; "
+                        f"it reads {sorted(defaults)}"
+                    )
+                if isinstance(defaults[name], tuple):
+                    shape = "a pair of numbers"
+                    ok = isinstance(value, (tuple, list)) and len(value) == 2
+                    ok = ok and all(map(_is_number, value))
+                else:
+                    shape, ok = "a number", _is_number(value)
+                if not ok:
+                    raise ConfigError(f"{section}.{name} must be {shape}, got {value!r}")
 
     @property
     def threshold(self) -> float:
@@ -106,15 +120,14 @@ class ExperimentConfig:
             return self.success_threshold
         return _EXPERIMENTS[self.experiment].threshold
 
-    def tolerance(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
-
-    def range_pair(self, name: str, default: tuple[float, float]) -> tuple[float, float]:
-        lo, hi = self.ranges.get(name, default)
-        return float(lo), float(hi)
-
-    def range_scalar(self, name: str, default: float) -> float:
-        return float(self.ranges.get(name, default))
+    def _value(self, section: str, name: str) -> float | tuple[float, float]:
+        """``ranges`` or ``tolerances`` entry ``name``: the config's value if
+        set, else the experiment's default; a pair as a float tuple."""
+        default = getattr(_EXPERIMENTS[self.experiment], section)[name]
+        value = getattr(self, section).get(name, default)
+        if isinstance(value, (tuple, list)):
+            return float(value[0]), float(value[1])
+        return float(value)
 
     def to_json(self) -> dict:
         return {
@@ -132,20 +145,29 @@ class ExperimentConfig:
     def from_json(cls, data: dict) -> "ExperimentConfig":
         if "experiment" not in data:
             raise ConfigError("config needs an 'experiment' field")
+        known = {f.name for f in fields(cls)} | {"schema_version"}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ConfigError(f"unknown config fields {unknown}; known fields are {sorted(known)}")
         version = data.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported config schema version {version!r}")
         basis = data.get("basis")
+        trials = data.get("trials")
         return cls(
             experiment=data["experiment"],
-            trials=int(data.get("trials", 100)),
+            trials=None if trials is None else int(trials),
             seed=int(data.get("seed", 0)),
             basis=None if basis is None else MonomialBasis.from_json(basis),
-            tolerances=dict(data.get("tolerances", {})),
-            ranges={k: tuple(v) if isinstance(v, list) else v for k, v in data.get("ranges", {}).items()},
+            tolerances=data.get("tolerances", {}),
+            ranges=data.get("ranges", {}),
             success_threshold=data.get("success_threshold"),
             out_dir=data.get("out_dir"),
         )
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -215,21 +237,21 @@ def _bound_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int) -> 
     spec = _EXPERIMENTS[config.experiment]
     sub = (config.seed, trial)
     rng = np.random.default_rng(sub)
-    residual_tol = config.tolerance("residual_rel", 1e-8)
+    residual_tol = config._value("tolerances", "residual_rel")
     k_limit = spec.k_limit(basis)
-    if isinstance(spec.sigma, tuple):
-        sigma_range = config.range_pair("sigma", spec.sigma)
-    else:  # one fixed scale shared by every trial
-        sigma = config.range_scalar("shared_sigma", spec.sigma)
+    if "shared_sigma" in spec.ranges:  # one fixed scale shared by every trial
+        sigma = config._value("ranges", "shared_sigma")
         sigma_range = (sigma, sigma)
+    else:
+        sigma_range = config._value("ranges", "sigma")
     mixture = sample_random_mixture(
         spec.kind,
         k=3,
         rng=rng,
-        weight_range=config.range_pair("weight", (0.5, 2.0)),
-        mean_range=config.range_pair("mean", spec.mean),
+        weight_range=config._value("ranges", "weight"),
+        mean_range=config._value("ranges", "mean"),
         sigma_range=sigma_range,
-        min_separation=config.range_scalar("separation", spec.separation),
+        min_separation=config._value("ranges", "separation"),
         shared_sigma=True,
     )
     s = mixture_moments(basis, mixture)
@@ -280,7 +302,9 @@ def _na_table_trial(config: ExperimentConfig, _basis, d: int) -> TrialRow:
 def _reduction_trial(config: ExperimentConfig, _basis, trial: int) -> TrialRow:
     sub = (config.seed, trial)
     rng = np.random.default_rng(sub)
-    preservation = config.tolerance("preservation_abs", 1e-10)
+    preservation = config._value("tolerances", "preservation_abs")
+    weight_range = config._value("ranges", "weight")
+    mean_range = config._value("ranges", "mean")
     m = int(rng.integers(1, 9))
     basis = MonomialBasis.full_degree(m - 1)
     k_in = int(rng.integers(m + 1, 51))
@@ -290,9 +314,9 @@ def _reduction_trial(config: ExperimentConfig, _basis, trial: int) -> TrialRow:
             "gaussian",
             k=k_in,
             rng=rng,
-            weight_range=config.range_pair("weight", (0.1, 1.5)),
-            mean_range=config.range_pair("mean", (-1.0, 1.0)),
-            sigma_range=config.range_pair("sigma", (0.1, 0.8)),
+            weight_range=weight_range,
+            mean_range=mean_range,
+            sigma_range=config._value("ranges", "sigma"),
         )
         before = mixture_moments(basis, mixture).values
         reduced = reduce_mixture_components(basis, "gaussian", mixture)
@@ -300,8 +324,8 @@ def _reduction_trial(config: ExperimentConfig, _basis, trial: int) -> TrialRow:
         k_out = reduced.k
     else:
         atoms = AtomicMeasure(
-            weights=rng.uniform(0.1, 1.5, size=k_in),
-            points=rng.uniform(-1.0, 1.0, size=(k_in, 1)),
+            weights=rng.uniform(*weight_range, size=k_in),
+            points=rng.uniform(*mean_range, size=(k_in, 1)),
         )
         before = dirac_moments(basis, atoms).values
         reduced_atoms = reduce_atoms(basis, atoms)
@@ -325,18 +349,18 @@ def _reduction_trial(config: ExperimentConfig, _basis, trial: int) -> TrialRow:
 def _prescribe_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int) -> TrialRow:
     sub = (config.seed, trial)
     rng = np.random.default_rng(sub)
-    residual_tol = config.tolerance("residual_rel", 1e-8)
+    residual_tol = config._value("tolerances", "residual_rel")
     mixture = sample_random_mixture(
         "gaussian",
         k=2,
         rng=rng,
-        weight_range=config.range_pair("weight", (0.5, 2.0)),
-        mean_range=config.range_pair("mean", (-1.5, 1.5)),
-        sigma_range=config.range_pair("sigma", (0.1, 0.4)),
-        min_separation=config.range_scalar("separation", 0.5),
+        weight_range=config._value("ranges", "weight"),
+        mean_range=config._value("ranges", "mean"),
+        sigma_range=config._value("ranges", "sigma"),
+        min_separation=config._value("ranges", "separation"),
     )
-    x0 = rng.uniform(*config.range_pair("x0", (-3.0, 3.0)))
-    sigma0 = rng.uniform(*config.range_pair("sigma0", (0.1, 0.6)))
+    x0 = rng.uniform(*config._value("ranges", "x0"))
+    sigma0 = rng.uniform(*config._value("ranges", "sigma0"))
     s = mixture_moments(basis, mixture)
     try:
         combined = represent_with_prescribed_component(
@@ -375,20 +399,21 @@ def _prescribe_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int)
 @dataclass(frozen=True)
 class _Experiment:
     """Everything one experiment fixes: the bound it checks, the verdict
-    threshold, the default basis, the trial function and, when not
-    ``range(trials)``, the trial indices.  Bound trials also fix the sampled
-    kind and default ranges (``sigma`` a pair, or a scalar read as the
-    ``shared_sigma`` range), the engine call and the count limit."""
+    threshold, the trial function, the full-run trial count, every range and
+    tolerance key the trial reads with its default, the default basis and,
+    when not ``range(trials)``, the trial indices.  Bound trials also fix the
+    sampled kind, the engine call and the count limit; a ``shared_sigma``
+    range in place of ``sigma`` gives every trial that one scale."""
 
     bound: str
     threshold: float
     trial: Callable[..., TrialRow]
+    trials: int
+    ranges: dict = field(default_factory=dict)
+    tolerances: dict = field(default_factory=dict)
     basis: MonomialBasis | None = None
     indices: tuple[int, ...] | None = None
     kind: str | None = None
-    mean: tuple[float, float] | None = None
-    sigma: tuple[float, float] | float | None = None
-    separation: float | None = None
     engine: Callable[..., RecoveryReport] | None = None
     k_limit: Callable[[MonomialBasis], int] | None = None
 
@@ -402,11 +427,11 @@ _EXPERIMENTS = {
         ),
         threshold=0.95,
         trial=_bound_trial,
+        trials=100,
+        ranges={"weight": (0.5, 2.0), "mean": (-2.0, 2.0), "sigma": (0.05, 0.3), "separation": 0.5},
+        tolerances={"residual_rel": 1e-8},
         basis=MonomialBasis.full_degree(5),
         kind="gaussian",
-        mean=(-2.0, 2.0),
-        sigma=(0.05, 0.3),
-        separation=0.5,
         engine=lambda basis, s, seed, tol: recover_shared_sigma_gaussian(s, rel_tol=tol),
         k_limit=lambda basis: (basis.max_degree + 2) // 2,
     ),
@@ -417,11 +442,11 @@ _EXPERIMENTS = {
         ),
         threshold=0.95,
         trial=_bound_trial,
+        trials=100,
+        ranges={"weight": (0.5, 2.0), "mean": (0.7, 2.5), "sigma": (0.1, 0.35), "separation": 0.35},
+        tolerances={"residual_rel": 1e-8},
         basis=MonomialBasis.full_degree(5),
         kind="lognormal",
-        mean=(0.7, 2.5),
-        sigma=(0.1, 0.35),
-        separation=0.35,
         engine=lambda basis, s, seed, tol: recover_shared_sigma_lognormal(s, rel_tol=tol),
         k_limit=lambda basis: math.ceil(basis.m / 2),
     ),
@@ -432,11 +457,11 @@ _EXPERIMENTS = {
         ),
         threshold=0.9,
         trial=_bound_trial,
+        trials=50,
+        ranges={"weight": (0.5, 2.0), "mean": (-2.0, 2.0), "shared_sigma": 0.05, "separation": 0.5},
+        tolerances={"residual_rel": 1e-8},
         basis=MonomialBasis.univariate([0, 2, 3, 5, 6]),
         kind="gaussian",
-        mean=(-2.0, 2.0),
-        sigma=0.05,
-        separation=0.5,
         engine=lambda basis, s, seed, tol: homotopy_gap_recovery(
             basis, s, k=3, seed=seed, rel_tol=tol
         ),
@@ -449,6 +474,7 @@ _EXPERIMENTS = {
         ),
         threshold=1.0,
         trial=_na_table_trial,
+        trials=30,  # rank samples per degree; the rows are the degrees
         indices=tuple(range(1, 10)),
     ),
     "reduction-stress": _Experiment(
@@ -458,6 +484,9 @@ _EXPERIMENTS = {
         ),
         threshold=1.0,
         trial=_reduction_trial,
+        trials=500,
+        ranges={"weight": (0.1, 1.5), "mean": (-1.0, 1.0), "sigma": (0.1, 0.8)},
+        tolerances={"preservation_abs": 1e-10},
     ),
     "prescribe-check": _Experiment(
         bound=(
@@ -466,6 +495,16 @@ _EXPERIMENTS = {
         ),
         threshold=1.0,
         trial=_prescribe_trial,
+        trials=20,
+        ranges={
+            "weight": (0.5, 2.0),
+            "mean": (-1.5, 1.5),
+            "sigma": (0.1, 0.4),
+            "separation": 0.5,
+            "x0": (-3.0, 3.0),
+            "sigma0": (0.1, 0.6),
+        },
+        tolerances={"residual_rel": 1e-8},
         basis=MonomialBasis.full_degree(5),
     ),
 }

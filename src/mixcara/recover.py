@@ -587,19 +587,24 @@ def lm_fit(
             sigmas = np.repeat(sigmas, k)
         return weights, means, sigmas, params
 
+    # huge weights times large moments overflow to inf; least_squares
+    # rejects the non-finite residual or step itself
     def residual(theta: np.ndarray) -> np.ndarray:
         weights, means, sigmas, _ = unpack(theta)
-        return weights @ component_moments(basis, kind, means, sigmas) - target
+        B = component_moments(basis, kind, means, sigmas)
+        with np.errstate(over="ignore"):
+            return weights @ B - target
 
     def jac(theta: np.ndarray) -> np.ndarray:
         weights, means, sigmas, params = unpack(theta)
         B, dmean, dsigma = component_moments(basis, kind, means, sigmas, derivatives=True)
-        dsigma = weights[:, None] * dsigma
-        if not free_sigma_per_component:
-            dsigma = dsigma.sum(axis=0, keepdims=True)
-        J = np.concatenate([B, (weights[:, None, None] * dmean).reshape(k * n, m), dsigma]).T
-        # chain rule through the log parameters: d exp(t) / dt = exp(t)
-        return J * np.where(logged, params, 1.0)
+        with np.errstate(over="ignore"):
+            dsigma = weights[:, None] * dsigma
+            if not free_sigma_per_component:
+                dsigma = dsigma.sum(axis=0, keepdims=True)
+            J = np.concatenate([B, (weights[:, None, None] * dmean).reshape(k * n, m), dsigma]).T
+            # chain rule through the log parameters: d exp(t) / dt = exp(t)
+            return J * np.where(logged, params, 1.0)
 
     best = None
     iterations = 0

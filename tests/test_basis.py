@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -117,3 +119,7 @@ def test_full_degree_helpers():
     assert not GAP.is_full_degree()
     b2 = MonomialBasis.full_degree(2, n=2)
     assert b2.m == 6
+    for n in (1, 2, 3):
+        for d in range(6):
+            basis = MonomialBasis.full_degree(d, n=n)
+            assert basis.m == math.comb(d + n, n) and basis.max_degree == d

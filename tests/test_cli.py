@@ -55,13 +55,30 @@ def test_classify_command(workspace, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "interior"
 
 
-def test_recover_command(workspace, capsys):
-    rc = main(["recover", "--moments", str(workspace["moments"]), "--engine", "shared-sigma"])
-    assert rc == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["success"] is True
-    assert data["model"]["kind"] == "gaussian"
-    assert len(data["model"]["components"]) <= 3
+def test_recover_command(workspace, capsys, tmp_path):
+    lognormal = sample_random_mixture("lognormal", 2, rng=3, mean_range=(0.7, 2.0),
+                                      sigma_range=(0.1, 0.3), shared_sigma=True)
+    lognormal_path = tmp_path / "lognormal_moments.json"
+    lognormal_path.write_text(
+        json.dumps(mixture_moments(MonomialBasis.full_degree(5), lognormal).to_json())
+    )
+    for path, extra, kind in (
+        (workspace["moments"], ["--engine", "shared-sigma"], "gaussian"),
+        (lognormal_path, ["--engine", "shared-sigma", "--kind", "lognormal"], "lognormal"),
+        (workspace["moments"], ["--engine", "lm", "--k", "2"], "gaussian"),
+        (workspace["moments"], ["--engine", "lm", "--k", "2", "--shared-sigma"], "gaussian"),
+    ):
+        rc = main(["recover", "--moments", str(path), *extra])
+        assert rc == 0, extra
+        data = json.loads(capsys.readouterr().out)
+        assert data["success"] is True
+        assert data["model"]["kind"] == kind
+        assert len(data["model"]["components"]) <= 3
+    # the lm engine fits a fixed count and has no default for it
+    rc = main(["recover", "--moments", str(workspace["moments"]), "--engine", "lm"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "needs --k" in captured.err
 
 
 def test_recover_homotopy_command(workspace, capsys, tmp_path):
@@ -108,6 +125,15 @@ def test_reduce_command(workspace, capsys, tmp_path):
     data = json.loads(capsys.readouterr().out)
     assert data["preservation"]["components_after"] <= 3
     assert data["preservation"]["max_abs_moment_drift"] <= 1e-10
+    mixture = sample_random_mixture("gaussian", 8, rng=5, sigma_range=(0.1, 0.5))
+    model_path.write_text(json.dumps(mixture.to_json()))
+    rc = main(["reduce", "--basis", str(basis_path), "--model", str(model_path)])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["model"]["kind"] == "gaussian"
+    assert data["preservation"]["components_before"] == 8
+    assert data["preservation"]["components_after"] <= 3
+    assert data["preservation"]["max_abs_moment_drift"] <= 1e-10
 
 
 def test_rank_command(workspace, capsys):
@@ -119,6 +145,13 @@ def test_rank_command(workspace, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["value"] == 2
     assert "frequencies" in data
+    # atoms carry no scale: ceil((d+1)/2) = 3 over {1, ..., x^5}
+    rc = main([
+        "rank", "--basis", str(workspace["basis"]), "--kind", "dirac",
+        "--max-k", "4", "--trials", "10", "--seed", "7",
+    ])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 3
 
 
 def test_prescribe_command(workspace, capsys):
@@ -174,8 +207,18 @@ def test_verify_bounds_flag_overrides(tmp_path, capsys):
 
 def test_bad_config_exits_one(tmp_path, capsys):
     cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps({"experiment": "unknown"}))
-    assert main(["verify-bounds", "--config", str(cfg_path)]) == 1
+    for config in (
+        {"experiment": "unknown"},
+        {"experiment": "na-table", "trails": 3},
+        {"experiment": "na-table", "kind": "gaussian"},
+        {"experiment": "gap-homotopy", "ranges": {"sigma": [0.05, 0.1]}},
+        {"experiment": "na-table", "tolerances": {"residual_rel": 1e-9}},
+        {"experiment": "prescribe-check", "ranges": {"mean": "abc"}},
+    ):
+        cfg_path.write_text(json.dumps(config))
+        assert main(["verify-bounds", "--config", str(cfg_path)]) == 1, config
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), config
 
 
 def test_missing_file_exits_one(tmp_path):

@@ -174,3 +174,10 @@ def test_prescribe_sigma_validation():
     basis = MonomialBasis.full_degree(2)
     with pytest.raises(ValueError):
         represent_with_prescribed_component(basis, "gaussian", mv([1, 0, 1]), 1.0, -0.5)
+
+
+def test_prescribe_rejects_mismatched_basis():
+    mix = sample_random_mixture("gaussian", 2, rng=0, sigma_range=(0.1, 0.3))
+    s = mixture_moments(MonomialBasis.full_degree(4), mix)
+    with pytest.raises(ValueError, match="basis does not match"):
+        represent_with_prescribed_component(MonomialBasis.full_degree(5), "gaussian", s, 1.0, 0.5)

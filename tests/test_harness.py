@@ -38,10 +38,47 @@ def test_config_json_roundtrip():
         }
     )
     assert cfg.trials == 7
-    assert cfg.range_pair("sigma", (0, 1)) == (0.1, 0.2)
-    assert cfg.tolerance("residual_rel", 1e-8) == 1e-9
+    assert cfg._value("ranges", "sigma") == (0.1, 0.2)
+    assert cfg._value("tolerances", "residual_rel") == 1e-9
     again = ExperimentConfig.from_json(cfg.to_json())
     assert again.to_json() == cfg.to_json()
+
+
+def test_unset_settings_take_the_experiment_defaults():
+    cfg = ExperimentConfig.from_json({"experiment": "gap-homotopy"})
+    assert cfg.trials == 50
+    assert cfg._value("ranges", "shared_sigma") == 0.05
+    assert cfg._value("ranges", "mean") == (-2.0, 2.0)
+    assert cfg._value("tolerances", "residual_rel") == 1e-8
+    assert cfg.to_json()["ranges"] == {} and cfg.to_json()["tolerances"] == {}
+    full = {"univariate-gaussian-bound": 100, "lognormal-bound": 100, "gap-homotopy": 50,
+            "na-table": 30, "reduction-stress": 500, "prescribe-check": 20}
+    assert {e: ExperimentConfig(experiment=e).trials for e in EXPERIMENTS} == full
+
+
+# each names a field, key or shape the experiment does not read
+BAD_CONFIGS = [
+    {"experiment": "na-table", "trails": 3},
+    {"experiment": "lognormal-bound", "kind": "lognormal"},
+    {"experiment": "univariate-gaussian-bound", "mean": "abc"},
+    {"experiment": "gap-homotopy", "ranges": {"sigma": [0.05, 0.1]}},
+    {"experiment": "univariate-gaussian-bound", "ranges": {"shared_sigma": 0.05}},
+    {"experiment": "na-table", "tolerances": {"residual_rel": 1e-9}},
+    {"experiment": "univariate-gaussian-bound", "ranges": {"mean": "abc"}},
+    {"experiment": "univariate-gaussian-bound", "ranges": {"mean": [1, 2, 3]}},
+    {"experiment": "univariate-gaussian-bound", "ranges": {"separation": [0.1, 0.2]}},
+    {"experiment": "prescribe-check", "ranges": {"x0": [True, 1]}},
+    {"experiment": "reduction-stress", "tolerances": {"preservation_abs": None}},
+    {"experiment": "reduction-stress", "ranges": [["mean", [0, 1]]]},
+    {"experiment": "na-table", "success_threshold": "high"},
+    {"experiment": "reduction-stress", "basis": {"n": 1, "exponents": [[0], [1]]}},
+]
+
+
+@pytest.mark.parametrize("data", BAD_CONFIGS)
+def test_config_rejects_unread_fields_keys_and_shapes(data):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_json(data)
 
 
 def test_default_thresholds():

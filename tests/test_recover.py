@@ -328,6 +328,16 @@ def test_lm_fit_exterior_fails():
     assert report.residual > 1e-3
 
 
+def test_lm_fit_survives_overflowing_start():
+    # one start of this seed drives weights @ moments past the float range;
+    # the suite turns the overflow RuntimeWarning into an error
+    basis = MonomialBasis.full_degree(6)
+    s = mv([2.1890459869185483, 1.9896829905398783, 2.5378074772479717, 3.3516856549139837,
+            4.846750269365384, 7.2610793022435365, 11.460644819518814], basis)
+    report = lm_fit(basis, "gaussian", s, k=2, seed=1620675823)
+    assert report.success
+
+
 def test_lm_fit_lognormal():
     basis = MonomialBasis.full_degree(3)
     truth = MixtureMeasure(kind="lognormal", weights=[1.0], means=[[1.8]], sigmas=[0.4])
