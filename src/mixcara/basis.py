@@ -86,4 +86,9 @@ class MonomialBasis:
 
     @classmethod
     def from_json(cls, data: dict) -> "MonomialBasis":
-        return cls(n=int(data["n"]), exponents=tuple(tuple(a) for a in data["exponents"]))
+        try:
+            return cls(n=int(data["n"]), exponents=tuple(tuple(a) for a in data["exponents"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                f"a basis is an object with 'n' and a list of exponent lists, got {data!r}"
+            ) from exc

@@ -7,6 +7,7 @@ mixture recovery, and the bound-verification experiment harness.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -132,14 +133,11 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_verify_bounds(args) -> int:
-    data = _load_json(args.config)
-    if args.trials is not None:
-        data["trials"] = args.trials
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.out is not None:
-        data["out_dir"] = args.out
-    config = ExperimentConfig.from_json(data)
+    config = ExperimentConfig.from_json(_load_json(args.config))
+    overrides = {"trials": args.trials, "seed": args.seed, "out_dir": args.out}
+    config = dataclasses.replace(
+        config, **{name: value for name, value in overrides.items() if value is not None}
+    )
     report = run_experiment(config)
     summary = {
         "experiment": report.experiment,

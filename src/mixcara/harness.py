@@ -13,6 +13,7 @@ import io
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -87,8 +88,12 @@ class ExperimentConfig:
         spec = _EXPERIMENTS[self.experiment]
         if self.trials is None:
             self.trials = spec.trials
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ConfigError("trials must be a positive integer")
+        if not _is_integer(self.trials) or self.trials < 1:
+            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
+        if not _is_integer(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ConfigError(f"out_dir must be a path, got {self.out_dir!r}")
         if self.success_threshold is not None and not (
             _is_number(self.success_threshold) and 0 <= self.success_threshold <= 1
         ):
@@ -143,6 +148,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config is a JSON object, got {type(data).__name__}")
         if "experiment" not in data:
             raise ConfigError("config needs an 'experiment' field")
         known = {f.name for f in fields(cls)} | {"schema_version"}
@@ -153,12 +160,16 @@ class ExperimentConfig:
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported config schema version {version!r}")
         basis = data.get("basis")
-        trials = data.get("trials")
+        if basis is not None:
+            try:
+                basis = MonomialBasis.from_json(basis)
+            except ValueError as exc:
+                raise ConfigError(f"basis: {exc}") from exc
         return cls(
             experiment=data["experiment"],
-            trials=None if trials is None else int(trials),
-            seed=int(data.get("seed", 0)),
-            basis=None if basis is None else MonomialBasis.from_json(basis),
+            trials=data.get("trials"),
+            seed=data.get("seed", 0),
+            basis=basis,
             tolerances=data.get("tolerances", {}),
             ranges=data.get("ranges", {}),
             success_threshold=data.get("success_threshold"),
@@ -168,6 +179,10 @@ class ExperimentConfig:
 
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass

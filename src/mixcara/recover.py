@@ -12,8 +12,9 @@ Five routes from a moment vector back to a measure:
   positive atoms.  Both shared-scale engines run one descent loop and
   differ only in this pull-back to ordinary moments.
 * ``homotopy_gap_recovery`` -- for bases with exponent gaps: find a Dirac
-  representation by multistart least squares, check the Jacobian has full
-  rank, then continue the solution in the scale from 0 upward.
+  representation by running the damped Gauss-Newton corrector at scale 0
+  from random starts, check the Jacobian has full rank, then continue the
+  solution in the scale from 0 upward with the same corrector.
 * ``lm_fit`` -- generic moment matching by Levenberg-Marquardt with
   log-parameterized positive parameters; the classical method-of-moments
   fallback when nothing structural applies.
@@ -71,14 +72,18 @@ _SCHEDULE_START = 1.0
 _SCHEDULE_RATIO = 0.5
 _SCHEDULE_STEPS = 40
 # homotopy: starts, continuation target and floor, smallest scale step,
-# corrector goal relative to the vector, corrector iteration cap, and the
-# singular-value cutoff of the Dirac start's rank check
+# corrector goal relative to the vector, corrector iteration caps along the
+# continuation and from a random Dirac start, the Dirac start's goal and
+# weight floor relative to the vector, and the singular-value cutoff of its
+# rank check
 _HOMOTOPY_STARTS = 32
 _SIGMA_TARGET = 0.1
 _SIGMA_MIN = 1e-4
 _MIN_STEP = 1e-8
 _NEWTON_REL_TOL = 1e-9
 _CORRECTOR_ITERS = 40
+_START_ITERS = 15
+_START_REL_TOL = 1e-12
 _START_RANK_TOL = 1e-4
 # lm_fit: scales of each start are drawn uniformly from this interval
 _LM_SIGMA_STARTS = (0.1, 1.0)
@@ -361,13 +366,17 @@ def homotopy_gap_recovery(
 ) -> RecoveryReport:
     """Gaussian recovery over a basis with exponent gaps, by scale continuation.
 
-    Stage 1 finds a k-atom Dirac representation of s by multistart bounded
-    least squares.  Stage 2 requires its Jacobian to have full row rank; the
+    Stage 1 finds a k-atom Dirac representation of s: from each random start
+    the damped minimum-norm Gauss-Newton corrector runs at scale 0 for at
+    most 15 iterations, and a start that does not converge or ends with a
+    negative weight gives way to the next.  Stage 2 requires every weight to
+    exceed the corrector goal and the Jacobian to have full row rank; the
     set of vectors whose representations are all singular has measure zero
     and is reported, not repaired.  Stage 3 tracks the solution of the
-    smoothed moment equations as the shared scale grows from 0 toward 0.1,
-    halving the scale step whenever the corrector fails; a continuation that
-    stalls below 1e-4 is reported as a failure.
+    smoothed moment equations with the same corrector as the shared scale
+    grows from 0 toward 0.1, halving the scale step whenever the corrector
+    fails; a continuation that stalls below 1e-4 is reported as a failure.
+    ``iterations`` counts the corrector iterations of stages 1 and 3.
     """
     if basis.n != 1:
         raise UnsupportedBasisError("gap recovery is implemented for univariate bases")
@@ -391,22 +400,18 @@ def homotopy_gap_recovery(
         B, dmean, _ = component_moments(basis, "gaussian", pts, np.full(k, sigma), True)
         return np.concatenate([B[:, None, :], w[:, None, None] * dmean], axis=1).reshape(-1, m).T
 
-    lower = np.array(([0.0] + [-np.inf] * n) * k)
-    upper = np.full(k * (n + 1), np.inf)
-
     iterations = 0
 
-    def corrector(theta: np.ndarray, sigma: float, tol: float | None = None):
+    def corrector(theta: np.ndarray, sigma: float, goal: float, max_iters: int):
         """Damped Gauss-Newton with minimum-norm steps; the moment system is
         underdetermined by one, so the min-norm least-squares step follows
         the solution manifold instead of zig-zagging across it.  Each
         residual is evaluated once: an accepted candidate's residual is the
         next iteration's."""
         th = theta.copy()
-        goal = _NEWTON_REL_TOL * scale if tol is None else tol
         nonlocal iterations
         r = moment_residual(th, sigma)
-        for _ in range(_CORRECTOR_ITERS):
+        for _ in range(max_iters):
             iterations += 1
             base = np.max(np.abs(r))
             if base <= goal:
@@ -427,44 +432,35 @@ def homotopy_gap_recovery(
                 return th, False
         return th, np.max(np.abs(r)) <= goal
 
-    # stage 1: multistart search for a Dirac representation, polished to
-    # machine precision so coalescing atoms show up in the rank check
+    # stage 1: multistart search for a Dirac representation by the corrector
+    # at sigma = 0, converged to machine precision so coalescing atoms show
+    # up in the rank check
     solution = None
     saw_residual_fit = False
+    floor, goal = _START_REL_TOL * scale, _NEWTON_REL_TOL * scale
     for _ in range(_HOMOTOPY_STARTS):
         pts0 = rng.uniform(-box, box, size=(k, n))
         w0 = np.full(k, max(target[0], scale * 1e-3) / k)
         theta0 = _interleaved_theta(w0, pts0)
-        res = scipy.optimize.least_squares(
-            moment_residual,
-            theta0,
-            jac=moment_jac,
-            args=(0.0,),
-            bounds=(lower, upper),
-            method="trf",
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-            max_nfev=400,
-        )
-        iterations += res.nfev
-        if np.max(np.abs(res.fun)) > _NEWTON_REL_TOL * scale:
+        found, converged = corrector(theta0, 0.0, floor, _START_ITERS)
+        w, _ = _split_theta(found, k, n)
+        if not converged or np.any(w < -floor):
             continue
-        polished, _ = corrector(res.x, 0.0, tol=1e-12 * scale)
-        w, pts = _split_theta(polished, k, n)
-        if np.any(w < -1e-12 * scale):
-            continue
-        w = np.maximum(w, 0.0)
-        polished = _interleaved_theta(w, pts)
         saw_residual_fit = True
-        # stage 2: the continuation argument needs a regular starting point;
-        # nearly coalesced atoms leave a singular value of order sqrt(residual)
-        if numeric_rank(moment_jac(polished, 0.0), rel_tol=_START_RANK_TOL).full_rank:
-            solution = polished
+        # stage 2: the continuation argument needs a regular starting point.
+        # An atom with weight within the corrector goal is one the corrector
+        # cannot tell from no atom: its position columns are zero, yet its
+        # s(x) column still adds rank.  Nearly coalesced atoms leave a
+        # singular value of order sqrt(residual)
+        if np.any(w <= goal):
+            continue
+        if numeric_rank(moment_jac(found, 0.0), rel_tol=_START_RANK_TOL).full_rank:
+            solution = found
             break
     if solution is None:
         reason = (
-            "singular-start: every Dirac representation found has a rank-deficient Jacobian"
+            "singular-start: every Dirac representation found has a zero weight "
+            "or a rank-deficient Jacobian"
             if saw_residual_fit
             else "no-dirac-representation: all starts stalled"
         )
@@ -485,7 +481,7 @@ def homotopy_gap_recovery(
     corrector_calls = 0
     while sigma_cur < _SIGMA_TARGET and step_size >= _MIN_STEP and corrector_calls < 200:
         sigma_try = min(sigma_cur + step_size, _SIGMA_TARGET)
-        candidate, converged = corrector(theta, sigma_try)
+        candidate, converged = corrector(theta, sigma_try, goal, _CORRECTOR_ITERS)
         corrector_calls += 1
         w_cand, _ = _split_theta(candidate, k, n)
         if converged and np.all(w_cand >= 0):

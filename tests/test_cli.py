@@ -214,6 +214,9 @@ def test_bad_config_exits_one(tmp_path, capsys):
         {"experiment": "gap-homotopy", "ranges": {"sigma": [0.05, 0.1]}},
         {"experiment": "na-table", "tolerances": {"residual_rel": 1e-9}},
         {"experiment": "prescribe-check", "ranges": {"mean": "abc"}},
+        {"experiment": "gap-homotopy", "basis": {"n": 1}},
+        {"experiment": "na-table", "seed": None},
+        [{"experiment": "na-table"}],
     ):
         cfg_path.write_text(json.dumps(config))
         assert main(["verify-bounds", "--config", str(cfg_path)]) == 1, config

@@ -72,6 +72,10 @@ BAD_CONFIGS = [
     {"experiment": "reduction-stress", "ranges": [["mean", [0, 1]]]},
     {"experiment": "na-table", "success_threshold": "high"},
     {"experiment": "reduction-stress", "basis": {"n": 1, "exponents": [[0], [1]]}},
+    {"experiment": "gap-homotopy", "basis": {"n": 1}},
+    {"experiment": "na-table", "seed": None},
+    [{"experiment": "na-table"}],
+    {"experiment": "na-table", "out_dir": 5},
 ]
 
 

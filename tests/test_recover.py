@@ -227,13 +227,17 @@ def test_shared_sigma_lognormal_nonconsecutive_rejected():
 # ----------------------------------------------------------- homotopy
 
 
-def test_homotopy_gap_roundtrip():
+def gap_roundtrip_moments():
     rng = np.random.default_rng(40)
     mix = sample_random_mixture(
         "gaussian", 3, rng=rng, sigma_range=(0.05, 0.05), min_separation=0.5,
         shared_sigma=True,
     )
-    s = mixture_moments(GAP, mix)
+    return mixture_moments(GAP, mix)
+
+
+def test_homotopy_gap_roundtrip():
+    s = gap_roundtrip_moments()
     report = homotopy_gap_recovery(GAP, s, k=3, seed=40)
     assert report.success
     assert report.k_used <= 3
@@ -257,6 +261,26 @@ def test_homotopy_singular_start_reported():
     report = homotopy_gap_recovery(basis, s, k=2, seed=1)
     assert not report.success
     assert "singular-start" in (report.failure_reason or "")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_homotopy_zero_weight_start_is_singular(seed):
+    # one atom at 0.3: a two-atom fit either coalesces or gives an atom weight 0,
+    # whose s(x) Jacobian column still adds rank
+    basis = MonomialBasis.full_degree(2)
+    report = homotopy_gap_recovery(basis, mv([1.0, 0.3, 0.09], basis), k=2, seed=seed)
+    assert not report.success
+    assert "singular-start" in (report.failure_reason or "")
+
+
+def test_homotopy_never_calls_scipy(monkeypatch):
+    def fail(*args, **kwargs):
+        pytest.fail("the homotopy engine called scipy.optimize.least_squares")
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", fail)
+    assert homotopy_gap_recovery(GAP, gap_roundtrip_moments(), k=3, seed=40).success
+    basis = MonomialBasis.full_degree(1)
+    assert homotopy_gap_recovery(basis, mv([1.0, 0.5], basis), k=1, seed=0).success
 
 
 def test_homotopy_parameter_count_validated():
