@@ -30,7 +30,7 @@ class MonomialBasis:
     exponents: tuple[tuple[int, ...], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"variable count must be a positive integer, got {self.n!r}")
         exps = [tuple(int(e) for e in alpha) for alpha in self.exponents]
         if not exps:
@@ -86,9 +86,14 @@ class MonomialBasis:
 
     @classmethod
     def from_json(cls, data: dict) -> "MonomialBasis":
+        """Parse a basis literal; ``n`` and every exponent must be JSON
+        integers, so ``1.7`` or ``true`` is an error rather than truncated."""
         try:
-            return cls(n=int(data["n"]), exponents=tuple(tuple(a) for a in data["exponents"]))
+            n, exponents = data["n"], tuple(tuple(a) for a in data["exponents"])
         except (KeyError, TypeError) as exc:
             raise ValueError(
                 f"a basis is an object with 'n' and a list of exponent lists, got {data!r}"
             ) from exc
+        if any(isinstance(e, bool) or not isinstance(e, int) for a in exponents for e in a):
+            raise ValueError(f"basis exponents must be integers, got {data['exponents']!r}")
+        return cls(n=n, exponents=exponents)

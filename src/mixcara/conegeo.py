@@ -139,8 +139,11 @@ def represent_with_prescribed_component(
     of the prescribed component can be split off and the remainder recovered
     by the shared-scale engine of ``kind``.  The mass starts at half the
     total and halves, down to ``1e-12`` of the total, until the remainder is
-    recoverable; a remainder the engine refuses outright (a log-normal
-    remainder with a nonpositive moment) counts as not recoverable.
+    recoverable.  On the basis {1, x, ..., x^d} a remainder that the Hankel
+    test certifies as outside the cone is skipped without an engine call: no
+    mixture has its moments.  A remainder the engine refuses outright (a
+    log-normal remainder with a nonpositive moment) counts as not
+    recoverable.
     """
     if s.basis != basis:
         raise ValueError("moment vector basis does not match")
@@ -155,7 +158,8 @@ def represent_with_prescribed_component(
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    if basis.is_full_degree():
+    full_degree = basis.is_full_degree()
+    if full_degree:
         if hankel_classify(s).status != INTERIOR:
             raise NotRepresentableError(
                 "prescribing a component needs a strictly interior moment vector"
@@ -170,25 +174,26 @@ def represent_with_prescribed_component(
 
     t0 = component_moments(basis, kind, np.reshape(x0, (1, -1)), [sigma0])[0]
     mass = float(s.values[0]) if basis.exponents[0] == (0,) * basis.n else 1.0
-    eps = mass / 2.0
+    eps = mass
     last_reason = "no attempt made"
-    while eps >= _MIN_EPS_FACTOR * mass:
+    while (eps := eps / 2.0) >= _MIN_EPS_FACTOR * mass:
         remainder = s.with_values(s.values - eps * t0)
+        if full_degree and hankel_classify(remainder).status == EXTERIOR:
+            last_reason = "remainder outside the moment cone"
+            continue
         try:
             report = engine(remainder)
         except InfeasibleMomentsError as exc:
             last_reason = f"remainder refused: {exc}"
-            eps /= 2.0
             continue
-        if report.success and isinstance(report.model, MixtureMeasure):
-            combined = report.model.with_component(eps, x0, sigma0)
-            residual = _relative_residual(mixture_moments(basis, combined).values, s.values)
-            if residual <= rel_tol:
-                return combined
-            last_reason = f"combined residual {residual:.3e} above {rel_tol:.1e}"
-        else:
+        if not (report.success and isinstance(report.model, MixtureMeasure)):
             last_reason = report.failure_reason or "engine failure"
-        eps /= 2.0
+            continue
+        combined = report.model.with_component(eps, x0, sigma0)
+        residual = _relative_residual(mixture_moments(basis, combined).values, s.values)
+        if residual <= rel_tol:
+            return combined
+        last_reason = f"combined residual {residual:.3e} above {rel_tol:.1e}"
     raise PrescriptionError(
         f"no recoverable remainder down to eps={eps:.3e}: {last_reason}"
     )

@@ -69,8 +69,8 @@ class ExperimentConfig:
 
     ``trials`` defaults to the experiment's full-run count.  ``ranges`` and
     ``tolerances`` may set only keys the experiment reads, each with the shape
-    of its default (a pair of numbers or one number); unset keys take the
-    experiment's default.
+    of its default (a pair of numbers or one number; a tolerance is finite
+    and above 0); unset keys take the experiment's default.
     """
 
     experiment: str
@@ -116,6 +116,9 @@ class ExperimentConfig:
                     ok = ok and all(map(_is_number, value))
                 else:
                     shape, ok = "a number", _is_number(value)
+                if section == "tolerances":
+                    shape = "a finite number above 0"
+                    ok = ok and math.isfinite(value) and value > 0
                 if not ok:
                     raise ConfigError(f"{section}.{name} must be {shape}, got {value!r}")
 

@@ -32,7 +32,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class AtomicMeasure:
     """Positive combination of Dirac points: weights ``c_i > 0`` at ``x_i``."""
 
@@ -91,7 +91,7 @@ class AtomicMeasure:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MixtureMeasure:
     """Finite mixture of Gaussian or log-normal components with scalar scales."""
 

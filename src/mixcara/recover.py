@@ -89,7 +89,7 @@ _START_RANK_TOL = 1e-4
 _LM_SIGMA_STARTS = (0.1, 1.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class RecoveryReport:
     """Outcome of a recovery attempt.
 
@@ -212,6 +212,7 @@ def prony_dirac(s: MomentVector, k: int, rel_tol: float = 1e-8) -> AtomicMeasure
     return measure
 
 
+_SHARED_SCALE_ENGINE = {"gaussian": "shared-sigma-gaussian", "lognormal": "shared-sigma-lognormal"}
 _EXHAUSTED_REASON = {
     "gaussian": "schedule exhausted without a feasible recovery",
     "lognormal": "schedule exhausted without positive atoms and matching moments",
@@ -228,7 +229,7 @@ def _shared_scale_descent(
     matches ``s`` to ``rel_tol`` wins.
     """
     basis = s.basis
-    engine = f"shared-sigma-{kind}"
+    engine = _SHARED_SCALE_ENGINE[kind]
     if not np.any(s.values):
         return RecoveryReport(
             success=True, model=MixtureMeasure.empty(kind), residual=0.0, engine=engine

@@ -217,6 +217,14 @@ def test_bad_config_exits_one(tmp_path, capsys):
         {"experiment": "gap-homotopy", "basis": {"n": 1}},
         {"experiment": "na-table", "seed": None},
         [{"experiment": "na-table"}],
+        {"experiment": "gap-homotopy", "basis": {"n": 1.7, "exponents": [[0], [2], [3]]}},
+        {"experiment": "gap-homotopy", "basis": {"n": True, "exponents": [[0], [2], [3]]}},
+        {"experiment": "gap-homotopy", "tolerances": {"residual_rel": -1}},
+        {"experiment": "gap-homotopy", "tolerances": {"residual_rel": 0}},
+        {"experiment": "gap-homotopy", "tolerances": {"residual_rel": 1e999}},
+        {"experiment": "reduction-stress", "tolerances": {"preservation_abs": -1}},
+        {"experiment": "reduction-stress", "tolerances": {"preservation_abs": 0}},
+        {"experiment": "reduction-stress", "tolerances": {"preservation_abs": 1e999}},
     ):
         cfg_path.write_text(json.dumps(config))
         assert main(["verify-bounds", "--config", str(cfg_path)]) == 1, config

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mixcara import recover
 from mixcara.basis import MonomialBasis
 from mixcara.conegeo import (
     BOUNDARY,
@@ -181,3 +182,50 @@ def test_prescribe_rejects_mismatched_basis():
     s = mixture_moments(MonomialBasis.full_degree(4), mix)
     with pytest.raises(ValueError, match="basis does not match"):
         represent_with_prescribed_component(MonomialBasis.full_degree(5), "gaussian", s, 1.0, 0.5)
+
+
+def engine_spy(monkeypatch) -> list:
+    """Route both shared-scale engines through a spy; each call appends its
+    input's Hankel status (None off the basis {1, x, ..., x^d})."""
+    statuses = []
+    for name in ("recover_shared_sigma_gaussian", "recover_shared_sigma_lognormal"):
+        def spy(s, *args, _engine=getattr(recover, name), **kwargs):
+            statuses.append(hankel_classify(s).status if s.basis.is_full_degree() else None)
+            return _engine(s, *args, **kwargs)
+
+        monkeypatch.setattr(recover, name, spy)
+    return statuses
+
+
+def far_component_case(kind):
+    """d = 5 moments with a prescribed component away from the truth: most
+    halved masses leave a remainder outside the cone."""
+    basis = MonomialBasis.full_degree(5)
+    if kind == "gaussian":
+        mix = sample_random_mixture("gaussian", 2, rng=0, mean_range=(-1.5, 1.5),
+                                    sigma_range=(0.1, 0.4), min_separation=0.5)
+        return basis, mixture_moments(basis, mix), 3.0, 0.3
+    mix = sample_random_mixture("lognormal", 2, rng=3, mean_range=(0.7, 2.0),
+                                sigma_range=(0.1, 0.3), shared_sigma=True)
+    return basis, mixture_moments(basis, mix), 1.0, 0.2
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lognormal"])
+def test_prescribe_never_feeds_the_engine_an_exterior_remainder(monkeypatch, kind):
+    basis, s, x0, sigma0 = far_component_case(kind)
+    statuses = engine_spy(monkeypatch)
+    combined = represent_with_prescribed_component(basis, kind, s, x0, sigma0)
+    assert statuses and EXTERIOR not in statuses
+    assert any(c > 0 and xi[0] == x0 and sg == sigma0 for c, xi, sg in combined.components())
+    achieved = mixture_moments(basis, combined).values
+    assert np.max(np.abs(achieved - s.values)) / (1 + np.max(np.abs(s.values))) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lognormal"])
+def test_prescribe_far_component_calls_engine_at_most_twice(monkeypatch, kind):
+    # running the engine on every exterior remainder takes 10 calls for the
+    # Gaussian case and 5 for the log-normal one
+    basis, s, x0, sigma0 = far_component_case(kind)
+    statuses = engine_spy(monkeypatch)
+    represent_with_prescribed_component(basis, kind, s, x0, sigma0)
+    assert len(statuses) <= 2

@@ -76,6 +76,16 @@ BAD_CONFIGS = [
     {"experiment": "na-table", "seed": None},
     [{"experiment": "na-table"}],
     {"experiment": "na-table", "out_dir": 5},
+    {"experiment": "gap-homotopy", "basis": {"n": 1.7, "exponents": [[0], [2], [3]]}},
+    {"experiment": "gap-homotopy", "basis": {"n": True, "exponents": [[0], [2], [3]]}},
+    {"experiment": "gap-homotopy", "basis": {"n": 1, "exponents": [[0], [2.5], [3]]}},
+    {"experiment": "gap-homotopy", "basis": {"n": 1, "exponents": [[0], [True], [3]]}},
+    {"experiment": "gap-homotopy", "tolerances": {"residual_rel": -1}},
+    {"experiment": "gap-homotopy", "tolerances": {"residual_rel": 0}},
+    {"experiment": "gap-homotopy", "tolerances": {"residual_rel": 1e999}},
+    {"experiment": "reduction-stress", "tolerances": {"preservation_abs": -1}},
+    {"experiment": "reduction-stress", "tolerances": {"preservation_abs": 0}},
+    {"experiment": "reduction-stress", "tolerances": {"preservation_abs": 1e999}},
 ]
 
 
