@@ -9,6 +9,7 @@ component of scale 0.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,12 @@ class MonomialBasis:
     def __post_init__(self) -> None:
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"variable count must be a positive integer, got {self.n!r}")
-        exps = [tuple(int(e) for e in alpha) for alpha in self.exponents]
+        exps = [tuple(alpha) for alpha in self.exponents]
+        if any(isinstance(e, bool) or not isinstance(e, numbers.Integral)
+               for alpha in exps for e in alpha):
+            raise ValueError(f"exponents must be integers, got {self.exponents!r}")
+        # numpy integers are stored as int, so to_json stays plain JSON
+        exps = [tuple(int(e) for e in alpha) for alpha in exps]
         if not exps:
             raise ValueError("basis needs at least one exponent")
         for alpha in exps:
@@ -71,7 +77,7 @@ class MonomialBasis:
 
     @classmethod
     def univariate(cls, degrees) -> "MonomialBasis":
-        return cls(n=1, exponents=tuple((int(d),) for d in degrees))
+        return cls(n=1, exponents=tuple((d,) for d in degrees))
 
     @classmethod
     def full_degree(cls, d: int, n: int = 1) -> "MonomialBasis":
@@ -94,6 +100,4 @@ class MonomialBasis:
             raise ValueError(
                 f"a basis is an object with 'n' and a list of exponent lists, got {data!r}"
             ) from exc
-        if any(isinstance(e, bool) or not isinstance(e, int) for a in exponents for e in a):
-            raise ValueError(f"basis exponents must be integers, got {data['exponents']!r}")
         return cls(n=n, exponents=exponents)

@@ -5,6 +5,9 @@ atom; its Jacobian has the column blocks ``[s(x_i), c_i * ds(x_i)]``, taken
 from the moment kernel at scale 0.  The mixture map adds a scale coordinate
 per component.  The smallest k at which these Jacobians reach full row rank
 is estimated by sampling random parameters and thresholding singular values.
+A search draws every trial of one count from that trial's own generator,
+assembles all of the count's Jacobians with one kernel call into a stack
+and takes their singular values with one batched SVD.
 """
 from __future__ import annotations
 
@@ -70,6 +73,23 @@ class RankReport:
         }
 
 
+def _jacobian_stack(basis: MonomialBasis, kind: str, trials: int, weights: np.ndarray,
+                    means, sigmas: np.ndarray | None = None) -> np.ndarray:
+    """Jacobians of ``trials`` parameter sets at once, shape (trials, m, cols).
+
+    The arrays hold the components of all trials in order, trial-major:
+    ``weights`` and ``sigmas`` have trials*k entries and ``means`` is what
+    ``component_moments`` takes for trials*k rows.  ``sigmas=None`` means
+    atoms, scale 0 and no scale column, so cols is k*(n+1), else k*(n+2).
+    """
+    scales = np.zeros(weights.shape[0]) if sigmas is None else sigmas
+    B, dmean, dsigma = component_moments(basis, kind, means, scales, derivatives=True)
+    blocks = [B[:, None, :], weights[:, None, None] * dmean]
+    if sigmas is not None:
+        blocks.append((weights[:, None] * dsigma)[:, None, :])
+    return np.concatenate(blocks, axis=1).reshape(trials, -1, basis.m).transpose(0, 2, 1)
+
+
 def atomic_jacobian(basis: MonomialBasis, weights, points) -> np.ndarray:
     """Jacobian of the k-atom Dirac moment map, m rows by k*(n+1) columns.
 
@@ -87,9 +107,7 @@ def atomic_jacobian(basis: MonomialBasis, weights, points) -> np.ndarray:
         raise ValueError("weights must be positive")
     if p.shape != (k, basis.n):
         raise ValueError(f"points have shape {p.shape}, expected ({k}, {basis.n})")
-    B, dmean, _ = component_moments(basis, "gaussian", p, np.zeros(k), derivatives=True)
-    blocks = np.concatenate([B[:, None, :], w[:, None, None] * dmean], axis=1)
-    return blocks.reshape(-1, basis.m).T
+    return _jacobian_stack(basis, "gaussian", 1, w, p)[0]
 
 
 def mixture_jacobian(basis: MonomialBasis, kind: str, weights, means, sigmas) -> np.ndarray:
@@ -107,11 +125,17 @@ def mixture_jacobian(basis: MonomialBasis, kind: str, weights, means, sigmas) ->
         raise ValueError("need at least one component")
     if np.any(sg <= 0):
         raise ValueError("sigmas must be positive")
-    B, dmean, dsigma = component_moments(basis, kind, means, sg, derivatives=True)
-    blocks = np.concatenate(
-        [B[:, None, :], w[:, None, None] * dmean, (w[:, None] * dsigma)[:, None, :]], axis=1
-    )
-    return blocks.reshape(-1, basis.m).T
+    return _jacobian_stack(basis, kind, 1, w, means, sg)[0]
+
+
+def _ranks(sv: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Numeric rank of each row of descending singular values ``sv``.
+
+    Counts the values above ``rel_tol`` times the row's largest; a row whose
+    largest value is not positive has rank 0.
+    """
+    top = sv[..., :1]
+    return ((sv > rel_tol * top) & (top > 0)).sum(axis=-1)
 
 
 def numeric_rank(matrix, rel_tol: float = 1e-9) -> RankReport:
@@ -122,12 +146,11 @@ def numeric_rank(matrix, rel_tol: float = 1e-9) -> RankReport:
     if A.ndim != 2 or A.size == 0:
         raise ValueError("matrix must be nonempty and two-dimensional")
     sv = np.linalg.svd(A, compute_uv=False)
-    cutoff = rel_tol * sv[0] if sv[0] > 0 else 0.0
-    rank = int(np.sum(sv > cutoff)) if sv[0] > 0 else 0
+    rank = int(_ranks(sv, rel_tol))
     return RankReport(
         rows=A.shape[0],
         cols=A.shape[1],
-        singular_values=tuple(float(s) for s in sv),
+        singular_values=tuple(sv.tolist()),
         numeric_rank=rank,
         tolerance=rel_tol,
         full_rank=rank == A.shape[0],
@@ -169,15 +192,34 @@ class RankSearchResult:
         }
 
 
-def _search(sample_matrix, max_k: int, trials: int, lower_bound: int,
-            note: str | None) -> RankSearchResult:
+def _search(basis: MonomialBasis, kind: str | None, max_k: int, trials: int, seed: int,
+            lower_bound: int, note: str | None) -> RankSearchResult:
+    """Full-rank frequency of each count k = 1..max_k, then the smallest hit.
+
+    ``kind`` None samples atoms, otherwise components of that kind.  Trial t
+    of count k draws weights, locations and (components) scales, in that
+    order, from ``np.random.default_rng((seed, k, t))``.  Each count makes
+    one ``component_moments`` call on the stacked draws of all its trials
+    and one batched SVD of their Jacobians.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials}")
+    location_range = _POINT_RANGE if kind is None else _MEAN_RANGE[kind]
     freqs: dict[int, float] = {}
     for k in range(1, max_k + 1):
-        hits = 0
+        w = np.empty((trials, k))
+        x = np.empty((trials, k, basis.n))
+        sg = None if kind is None else np.empty((trials, k))
         for t in range(trials):
-            if numeric_rank(sample_matrix(k, t), _SEARCH_REL_TOL).full_rank:
-                hits += 1
-        freqs[k] = hits / trials
+            rng = np.random.default_rng((seed, k, t))
+            w[t] = rng.uniform(*_WEIGHT_RANGE, size=k)
+            x[t] = rng.uniform(*location_range, size=(k, basis.n))
+            if sg is not None:
+                sg[t] = rng.uniform(*_SIGMA_RANGE, size=k)
+        J = _jacobian_stack(basis, kind or "gaussian", trials, w.reshape(-1),
+                            x.reshape(-1, basis.n), None if sg is None else sg.reshape(-1))
+        ranks = _ranks(np.linalg.svd(J, compute_uv=False), _SEARCH_REL_TOL)
+        freqs[k] = int(np.count_nonzero(ranks == basis.m)) / trials
     value = next((k for k in range(1, max_k + 1) if freqs[k] > 0), None)
     warning = None
     if value is None:
@@ -213,14 +255,7 @@ def min_full_rank_atoms(
     lower = math.ceil(basis.m / (basis.n + 1))
     if max_k < lower:
         raise ValueError(f"max_k={max_k} is below the lower bound {lower}")
-
-    def sample(k: int, trial: int) -> np.ndarray:
-        rng = np.random.default_rng((seed, k, trial))
-        w = rng.uniform(*_WEIGHT_RANGE, size=k)
-        p = rng.uniform(*_POINT_RANGE, size=(k, basis.n))
-        return atomic_jacobian(basis, w, p)
-
-    return _search(sample, max_k, trials, lower, note=None)
+    return _search(basis, None, max_k, trials, seed, lower, note=None)
 
 
 def min_full_rank_components(
@@ -236,12 +271,4 @@ def min_full_rank_components(
         raise ValueError(f"unknown kind {kind!r}")
     n1, n2 = basis.n, 1
     lower = math.ceil(basis.m / (n1 + n2))
-
-    def sample(k: int, trial: int) -> np.ndarray:
-        rng = np.random.default_rng((seed, k, trial))
-        w = rng.uniform(*_WEIGHT_RANGE, size=k)
-        mu = rng.uniform(*_MEAN_RANGE[kind], size=(k, basis.n))
-        sg = rng.uniform(*_SIGMA_RANGE, size=k)
-        return mixture_jacobian(basis, kind, w, mu, sg)
-
-    return _search(sample, max_k, trials, lower, note=_DENOMINATOR_NOTE)
+    return _search(basis, kind, max_k, trials, seed, lower, note=_DENOMINATOR_NOTE)

@@ -89,6 +89,20 @@ def test_negative_exponent_rejected():
         MonomialBasis(n=1, exponents=((0,), (-1,)))
 
 
+@pytest.mark.parametrize("bad", [1.5, True, np.float64(2.0)])
+def test_non_integer_exponent_rejected(bad):
+    with pytest.raises(ValueError, match="integers"):
+        MonomialBasis(n=1, exponents=((0,), (bad,)))
+    with pytest.raises(ValueError, match="integers"):
+        MonomialBasis.univariate([0, bad])
+
+
+def test_numpy_integer_exponents_accepted():
+    basis = MonomialBasis(n=1, exponents=tuple((e,) for e in np.arange(4)))
+    assert basis == MonomialBasis.full_degree(3)
+    assert all(type(e) is int for alpha in basis.exponents for e in alpha)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         MonomialBasis(n=2, exponents=((0,), (1,)))

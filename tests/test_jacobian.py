@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mixcara import jacobian
 from mixcara.basis import MonomialBasis
 from mixcara.jacobian import (
     atomic_jacobian,
@@ -217,3 +218,86 @@ def test_rank_search_result_json():
     data = result.to_json()
     assert data["value"] == 2
     assert set(data["frequencies"]) == {"1", "2", "3"}
+
+
+def _loop_search(basis, kind, max_k, trials, seed):
+    """Per-trial oracle: one public Jacobian and one ``numeric_rank`` per draw,
+    with the search's ranges, draw order and per-(seed, k, trial) generators."""
+    freqs = {}
+    for k in range(1, max_k + 1):
+        hits = 0
+        for t in range(trials):
+            rng = np.random.default_rng((seed, k, t))
+            w = rng.uniform(0.5, 2.0, size=k)
+            if kind == "dirac":
+                J = atomic_jacobian(basis, w, rng.uniform(-1.0, 1.0, size=(k, basis.n)))
+            else:
+                low, high = (-1.0, 1.0) if kind == "gaussian" else (0.5, 2.0)
+                mu = rng.uniform(low, high, size=(k, basis.n))
+                J = mixture_jacobian(basis, kind, w, mu, rng.uniform(0.1, 1.0, size=k))
+            hits += numeric_rank(J, 1e-9).full_rank
+        freqs[k] = hits / trials
+    return freqs
+
+
+@pytest.mark.parametrize(
+    "kind,basis",
+    [
+        ("dirac", MonomialBasis.full_degree(6)),
+        ("dirac", MonomialBasis.full_degree(3, n=2)),
+        ("gaussian", MonomialBasis.full_degree(7)),
+        ("gaussian", MonomialBasis.full_degree(3, n=2)),
+        ("lognormal", MonomialBasis.full_degree(6)),
+        ("dirac", GAP),
+        ("gaussian", GAP),
+        ("lognormal", GAP),
+    ],
+    ids=lambda v: v if isinstance(v, str) else f"n{v.n}-m{v.m}",
+)
+@pytest.mark.parametrize("trials", [1, 7])
+def test_search_matches_per_trial_loop(kind, basis, trials):
+    """The batched search reports exactly what one SVD per draw reports."""
+    max_k = math.ceil(basis.m / (basis.n + 1)) + 2
+    for seed in range(3):
+        if kind == "dirac":
+            result = min_full_rank_atoms(basis, max_k=max_k, trials=trials, seed=seed)
+        else:
+            result = min_full_rank_components(basis, kind, max_k=max_k, trials=trials, seed=seed)
+        freqs = _loop_search(basis, kind, max_k, trials, seed)
+        value = next((k for k in range(1, max_k + 1) if freqs[k] > 0), None)
+        expected = dict(result.to_json(), value=value,
+                        frequencies={str(k): f for k, f in freqs.items()})
+        assert result.to_json() == expected
+
+
+def test_search_takes_one_svd_per_count(monkeypatch):
+    """One batched SVD and one kernel call per count; the per-draw loop made
+    max_k * trials of each."""
+    calls = {"svd": 0, "kernel": 0}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+    monkeypatch.setattr(jacobian, "component_moments", spy("kernel", jacobian.component_moments))
+    atoms = min_full_rank_atoms(MonomialBasis.full_degree(5), max_k=5, trials=6, seed=1)
+    assert atoms.value == 3
+    assert calls == {"svd": 5, "kernel": 5}
+    calls.update(svd=0, kernel=0)
+    comps = min_full_rank_components(
+        MonomialBasis.full_degree(2, n=2), "gaussian", max_k=4, trials=6, seed=1
+    )
+    assert comps.value == 2
+    assert calls == {"svd": 4, "kernel": 4}
+
+
+def test_search_rejects_nonpositive_trials():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            min_full_rank_atoms(MonomialBasis.full_degree(3), max_k=3, trials=trials)
+        with pytest.raises(ValueError, match="trials"):
+            min_full_rank_components(MonomialBasis.full_degree(3), "gaussian", max_k=3,
+                                     trials=trials)
