@@ -90,23 +90,29 @@ def _jacobian_stack(basis: MonomialBasis, kind: str, trials: int, weights: np.nd
     return np.concatenate(blocks, axis=1).reshape(trials, -1, basis.m).transpose(0, 2, 1)
 
 
-def atomic_jacobian(basis: MonomialBasis, weights, points) -> np.ndarray:
-    """Jacobian of the k-atom Dirac moment map, m rows by k*(n+1) columns.
-
-    Column blocks per atom: the moment vector of the atom, then the weighted
-    partial derivatives with respect to each position coordinate.
-    """
+def _checked_components(basis: MonomialBasis, weights, points, what: str):
+    """Weights and (k, n) locations of k >= 1 positively weighted components."""
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     p = np.asarray(points, dtype=float)
     if p.ndim == 1:
         p = p.reshape(-1, 1)
     k = w.shape[0]
     if k < 1:
-        raise ValueError("need at least one atom")
+        raise ValueError(f"need at least one {what}")
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
     if p.shape != (k, basis.n):
         raise ValueError(f"points have shape {p.shape}, expected ({k}, {basis.n})")
+    return w, p
+
+
+def atomic_jacobian(basis: MonomialBasis, weights, points) -> np.ndarray:
+    """Jacobian of the k-atom Dirac moment map, m rows by k*(n+1) columns.
+
+    Column blocks per atom: the moment vector of the atom, then the weighted
+    partial derivatives with respect to each position coordinate.
+    """
+    w, p = _checked_components(basis, weights, points, "atom")
     return _jacobian_stack(basis, "gaussian", 1, w, p)[0]
 
 
@@ -119,13 +125,11 @@ def mixture_jacobian(basis: MonomialBasis, kind: str, weights, means, sigmas) ->
     kernel ``component_moments`` (the recurrence for Gaussians, the closed
     form for log-normals).
     """
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    w, p = _checked_components(basis, weights, means, "component")
     sg = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    if w.shape[0] < 1:
-        raise ValueError("need at least one component")
     if np.any(sg <= 0):
         raise ValueError("sigmas must be positive")
-    return _jacobian_stack(basis, kind, 1, w, means, sg)[0]
+    return _jacobian_stack(basis, kind, 1, w, p, sg)[0]
 
 
 def _ranks(sv: np.ndarray, rel_tol: float) -> np.ndarray:

@@ -189,7 +189,9 @@ def model_from_json(data: dict):
 
 
 def _separated(candidate: np.ndarray, chosen: list[np.ndarray], min_sep: float) -> bool:
-    return all(np.linalg.norm(candidate - c) >= min_sep for c in chosen)
+    if min_sep <= 0 or not chosen:
+        return True
+    return bool(np.min(np.linalg.norm(np.asarray(chosen) - candidate, axis=1)) >= min_sep)
 
 
 def sample_random_mixture(

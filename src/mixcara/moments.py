@@ -10,7 +10,10 @@ scale ``sigma`` gives the polynomial
 
 which the kernel runs numerically for all components at once, one
 coordinate at a time, and multiplies across coordinates (isotropic scales
-factor).  Its derivatives follow from the same table through the
+factor).  What it needs of a basis (the largest exponent, the ``e - 1``
+factors and the table rows each value and derivative reads) is built once
+per basis and cached, so a call on two or three components costs little
+more than the recurrence.  Its derivatives follow from the same table through the
 heat-equation identities ``d/dx_j b_a = a_j b_{a-e_j}`` and
 ``d/dsigma b_a = sigma * sum_j a_j (a_j - 1) b_{a-2e_j}``.  Log-normal
 moments come from the closed form ``xi**i * exp(i**2 * sigma**2 / 2)``,
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,53 +164,91 @@ def component_moments(basis: MonomialBasis, kind: str, means, sigmas, derivative
         raise ValueError(
             f"means have shape {x.shape} and sigmas {s.shape}; expected (k, {basis.n}) and (k,)"
         )
-    E = basis.exponent_array
+    plan = _kernel_plan(basis)
     if kind == "gaussian":
-        out = _gaussian_components(E, x, s, derivatives)
+        out = _gaussian_components(plan, x, s, derivatives)
     elif kind == "lognormal":
-        out = _lognormal_components(E, x, s, derivatives)
+        out = _lognormal_components(plan, x, s, derivatives)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    if not all(np.isfinite(a).all() for a in out):
+    # count_nonzero costs a fraction of ``.all()`` on arrays this small
+    finite = np.count_nonzero(np.isfinite(out[0])) == out[0].size
+    if derivatives:
+        finite = (finite and np.count_nonzero(np.isfinite(out[1])) == out[1].size
+                  and np.count_nonzero(np.isfinite(out[2])) == out[2].size)
+    if not finite:
         raise MomentOverflowError(
             f"{kind} moments up to degree {basis.max_degree} exceed the float range"
         )
     return out if derivatives else out[0]
 
 
-def _gaussian_components(E: np.ndarray, x: np.ndarray, s: np.ndarray, derivatives: bool):
-    k, n = x.shape
+class _KernelPlan(NamedTuple):
+    """The per-basis constants of the moment kernel."""
+
+    exponents: np.ndarray  # (m, n) float
+    top: int  # largest exponent in any coordinate
+    lower: np.ndarray  # (top + 1, 1, 1): e - 1, the sigma**2 factor of p_{e-2} in p_e
+    # per coordinate j, with a = exponents[:, j]: the rows of p_a, p_{max(a-1, 0)}
+    # and p_{max(a-2, 0)} at coordinate j in the flattened table, and the
+    # columns a and a (a - 1)
+    coords: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+@lru_cache(maxsize=64)
+def _kernel_plan(basis: MonomialBasis) -> _KernelPlan:
+    E = basis.exponent_array
+    n = basis.n
     top = int(E.max())
-    # P[j, e] holds p_e at coordinate j of every component
-    P = np.empty((n, top + 1, k))
+    coords = tuple(
+        (a * n + j, np.maximum(a - 1, 0) * n + j, np.maximum(a - 2, 0) * n + j,
+         a[:, None].astype(float), (a * (a - 1))[:, None].astype(float))
+        for j, a in enumerate(E.T)
+    )
+    plan = _KernelPlan(E.astype(float), top, np.arange(-1.0, top)[:, None, None], coords)
+    for array in (plan.exponents, plan.lower, *(a for c in coords for a in c)):
+        array.setflags(write=False)
+    return plan
+
+
+def _gaussian_components(plan: _KernelPlan, x: np.ndarray, s: np.ndarray, derivatives: bool):
+    k, n = x.shape
+    top = plan.top
+    # P[e, j] holds p_e at coordinate j of every component; row e * n + j of table
+    table = np.empty(((top + 1) * n, k))
+    P = table.reshape(top + 1, n, k)
     xt = x.T
     with np.errstate(over="ignore", invalid="ignore"):
-        c = np.arange(-1.0, top)[:, None] * (s * s)  # c[e] = (e - 1) sigma^2
-        P[:, 0] = 1.0
+        c = plan.lower * (s * s)  # c[e] = (e - 1) sigma^2
+        P[0] = 1.0
         if top:
-            P[:, 1] = xt
+            P[1] = xt
         for e in range(2, top + 1):
-            P[:, e] = xt * P[:, e - 1] + c[e] * P[:, e - 2]
-        factors = [P[j].take(E[:, j], axis=0) for j in range(n)]  # each (m, k)
+            row = np.multiply(xt, P[e - 1], P[e])
+            row += c[e] * P[e - 2]
+        factors = [table.take(coord[0], axis=0) for coord in plan.coords]  # each (m, k)
         B = reduce(np.multiply, factors)
         if not derivatives:
             return (B.T,)
-        dmean = np.empty((k, n, E.shape[0]))
+        dmean = np.empty((k, n, B.shape[0]))
         dsigma = 0.0
-        for j in range(n):
-            a = E[:, j, None]
-            rest = reduce(np.multiply, factors[:j] + factors[j + 1 :], 1.0)
-            dmean[:, j] = (a * P[j].take(np.maximum(a[:, 0] - 1, 0), axis=0) * rest).T
-            dsigma = dsigma + a * (a - 1) * P[j].take(np.maximum(a[:, 0] - 2, 0), axis=0) * rest
+        for j, (_, below1, below2, a, aa1) in enumerate(plan.coords):
+            dm = np.multiply(a, table.take(below1, axis=0), out=dmean[:, j].T)
+            ds = aa1 * table.take(below2, axis=0)
+            if n > 1:  # times the other coordinates' factors
+                rest = reduce(np.multiply, factors[:j] + factors[j + 1 :])
+                dm *= rest
+                ds *= rest
+            dsigma = dsigma + ds
         return B.T, dmean, s[:, None] * dsigma.T
 
 
-def _lognormal_components(E: np.ndarray, x: np.ndarray, s: np.ndarray, derivatives: bool):
-    if E.shape[1] != 1:
+def _lognormal_components(plan: _KernelPlan, x: np.ndarray, s: np.ndarray, derivatives: bool):
+    if plan.exponents.shape[1] != 1:
         raise UnsupportedBasisError("log-normal moments are univariate")
     if not (np.all(x > 0) and np.all(s > 0)):
         raise ValueError("log-normal components need xi > 0 and sigma > 0")
-    e = E[:, 0].astype(float)
+    e = plan.exponents[:, 0]
     sg = s[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         B = np.exp(e * np.log(x) + 0.5 * e * e * sg * sg)

@@ -14,10 +14,12 @@ Five routes from a moment vector back to a measure:
 * ``homotopy_gap_recovery`` -- for bases with exponent gaps: find a Dirac
   representation by running the damped Gauss-Newton corrector at scale 0
   from random starts, check the Jacobian has full rank, then continue the
-  solution in the scale from 0 upward with the same corrector.
+  solution in the scale from 0 upward with the same corrector.  A rejected
+  full step has all its damped steps evaluated in one kernel call.
 * ``lm_fit`` -- generic moment matching by Levenberg-Marquardt with
   log-parameterized positive parameters; the classical method-of-moments
-  fallback when nothing structural applies.
+  fallback when nothing structural applies.  The residual and Jacobian at
+  one parameter point share one kernel call.
 
 Success is always judged by the moment residual, never by parameter
 closeness: distinct parameter sets can represent the same moments.  On the
@@ -40,6 +42,7 @@ from .errors import (
     ConditioningError,
     InfeasibleMomentsError,
     InfeasibleWeightsError,
+    MomentOverflowError,
     NonrealAtomsError,
     UnsupportedBasisError,
 )
@@ -85,6 +88,9 @@ _CORRECTOR_ITERS = 40
 _START_ITERS = 15
 _START_REL_TOL = 1e-12
 _START_RANK_TOL = 1e-4
+# step lengths the corrector falls back to when a full step does not lower
+# the residual: 19 halvings, the last 2**-19 just above 1e-6
+_DAMPING = 0.5 ** np.arange(1, 20)
 # lm_fit: scales of each start are drawn uniformly from this interval
 _LM_SIGMA_STARTS = (0.1, 1.0)
 
@@ -377,6 +383,10 @@ def homotopy_gap_recovery(
     smoothed moment equations with the same corrector as the shared scale
     grows from 0 toward 0.1, halving the scale step whenever the corrector
     fails; a continuation that stalls below 1e-4 is reported as a failure.
+    Each corrector iteration tries the full minimum-norm step first; when
+    it does not lower the residual, the 19 damped steps ``2**-j`` times it
+    are evaluated in one kernel call and the first that lowers the residual
+    is taken, which is the step a halving line search would take.
     ``iterations`` counts the corrector iterations of stages 1 and 3.
     """
     if basis.n != 1:
@@ -414,24 +424,29 @@ def homotopy_gap_recovery(
         r = moment_residual(th, sigma)
         for _ in range(max_iters):
             iterations += 1
-            base = np.max(np.abs(r))
+            base = np.abs(r).max()
             if base <= goal:
                 return th, True
             J = moment_jac(th, sigma)
             step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 return th, False
-            damp = 1.0
-            while damp > 1e-6:
-                cand = th + damp * step
-                r_cand = moment_residual(cand, sigma)
-                if np.max(np.abs(r_cand)) < base:
-                    th, r = cand, r_cand
-                    break
-                damp *= 0.5
-            else:
-                return th, False
-        return th, np.max(np.abs(r)) <= goal
+            cand = th + step
+            r_cand = moment_residual(cand, sigma)
+            if not np.abs(r_cand).max() < base:
+                # the full step is rejected: evaluate every damped step in
+                # one kernel call and take the first that lowers the residual
+                cands = th + _DAMPING[:, None] * step
+                w, pts = _split_theta(cands, len(_DAMPING) * k, n)
+                B = component_moments(basis, "gaussian", pts, np.full(w.shape[0], sigma))
+                for cand, w_j, B_j in zip(cands, w.reshape(-1, k), B.reshape(-1, k, m)):
+                    r_cand = w_j @ B_j - target
+                    if np.abs(r_cand).max() < base:
+                        break
+                else:
+                    return th, False
+            th, r = cand, r_cand
+        return th, np.abs(r).max() <= goal
 
     # stage 1: multistart search for a Dirac representation by the corrector
     # at sigma = 0, converged to machine precision so coalescing atoms show
@@ -575,7 +590,7 @@ def lm_fit(
     def unpack(theta: np.ndarray):
         with np.errstate(over="ignore"):
             params = np.where(logged, np.exp(theta), theta)
-        if not (np.all(np.isfinite(params)) and np.all(params[logged] > 0)):
+        if not (np.isfinite(params).all() and (params[logged] > 0).all()):
             raise ValueError("parameters left the finite positive range")
         weights = params[:k]
         means = params[k : k + k * n].reshape(k, n)
@@ -584,17 +599,33 @@ def lm_fit(
             sigmas = np.repeat(sigmas, k)
         return weights, means, sigmas, params
 
+    # MINPACK asks for the Jacobian at the point whose residual it has just
+    # evaluated, so one kernel call with derivatives serves both
+    last = None
+
+    def evaluate(theta: np.ndarray):
+        nonlocal last
+        key = theta.tobytes()
+        if last is None or last[0] != key:
+            weights, means, sigmas, params = unpack(theta)
+            try:
+                out = component_moments(basis, kind, means, sigmas, derivatives=True)
+            except MomentOverflowError:
+                out = None  # a derivative can overflow where the values do not
+            last = key, weights, means, sigmas, params, out
+        return last[1:]
+
     # huge weights times large moments overflow to inf; least_squares
     # rejects the non-finite residual or step itself
     def residual(theta: np.ndarray) -> np.ndarray:
-        weights, means, sigmas, _ = unpack(theta)
-        B = component_moments(basis, kind, means, sigmas)
+        weights, means, sigmas, _, out = evaluate(theta)
+        B = out[0] if out else component_moments(basis, kind, means, sigmas)
         with np.errstate(over="ignore"):
             return weights @ B - target
 
     def jac(theta: np.ndarray) -> np.ndarray:
-        weights, means, sigmas, params = unpack(theta)
-        B, dmean, dsigma = component_moments(basis, kind, means, sigmas, derivatives=True)
+        weights, means, sigmas, params, out = evaluate(theta)
+        B, dmean, dsigma = out or component_moments(basis, kind, means, sigmas, derivatives=True)
         with np.errstate(over="ignore"):
             dsigma = weights[:, None] * dsigma
             if not free_sigma_per_component:

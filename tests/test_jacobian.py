@@ -96,6 +96,18 @@ def test_mixture_jacobian_lognormal_sigma_column():
     np.testing.assert_allclose(J[:, 2], [0, math.exp(0.5)])
 
 
+@pytest.mark.parametrize("kind, means", [("gaussian", [[-0.5], [0.5]]),
+                                         ("lognormal", [[0.5], [1.5]])])
+def test_mixture_jacobian_weight_errors_match_atomic(kind, means):
+    basis = MonomialBasis.full_degree(3)
+    for weights, match in (([1.0], r"points have shape \(2, 1\), expected \(1, 1\)"),
+                           ([-1.0, 2.0], "weights must be positive")):
+        with pytest.raises(ValueError, match=match):
+            atomic_jacobian(basis, weights, means)
+        with pytest.raises(ValueError, match=match):
+            mixture_jacobian(basis, kind, weights, means, [0.3, 0.4])
+
+
 def test_mixture_jacobian_constant_basis():
     basis = MonomialBasis.univariate([0])
     for kind in ("gaussian", "lognormal"):

@@ -8,6 +8,7 @@ from mixcara.errors import GenerationError
 from mixcara.measures import (
     AtomicMeasure,
     MixtureMeasure,
+    _separated,
     model_from_json,
     sample_random_mixture,
 )
@@ -39,6 +40,20 @@ def test_sample_separation_enforced():
 def test_sample_infeasible_separation():
     with pytest.raises(GenerationError):
         sample_random_mixture("gaussian", 10, rng=0, mean_range=(0, 1), min_separation=0.5)
+
+
+@settings(max_examples=200)
+@given(
+    st.floats(-5.0, 5.0),
+    st.lists(st.floats(-5.0, 5.0), max_size=12),
+    st.floats(-1.0, 3.0),
+)
+def test_separation_check_matches_pairwise_distances(candidate, chosen, min_sep):
+    # univariate locations, as every experiment draws them: the vectorized
+    # distances are the pairwise ones bit for bit, so the draws do not move
+    pairwise = all(np.linalg.norm(np.array([candidate]) - np.array([c])) >= min_sep
+                   for c in chosen)
+    assert _separated(np.array([candidate]), [np.array([c]) for c in chosen], min_sep) == pairwise
 
 
 def test_sample_shared_sigma():

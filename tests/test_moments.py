@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixcara.basis import MonomialBasis
 from mixcara.errors import MomentOverflowError, UnsupportedBasisError
@@ -423,3 +425,65 @@ def test_component_moments_overflow_raises_without_warning(kind, mean):
             component_moments(basis, kind, [[mean]], [1e200])
         with pytest.raises(MomentOverflowError):
             component_moments(basis, kind, [[mean]], [1e200], derivatives=True)
+
+
+def _plain_recurrence(exponents, x, s):
+    """Values and derivatives of one Gaussian component, one monomial at a
+    time, in the kernel's order of operations."""
+    top = max(max(alpha) for alpha in exponents)
+    tables = []
+    for xj in x:
+        p = [1.0, xj][: top + 1]
+        for e in range(2, top + 1):
+            p.append(xj * p[e - 1] + (e - 1) * (s * s) * p[e - 2])
+        tables.append(p)
+    values, dmean, dsigma = [], [[] for _ in x], []
+    for alpha in exponents:
+        factors = [table[a] for table, a in zip(tables, alpha)]
+        value = factors[0]
+        for f in factors[1:]:
+            value = value * f
+        values.append(value)
+        acc = 0.0
+        for j, (table, a) in enumerate(zip(tables, alpha)):
+            dm = a * table[max(a - 1, 0)]
+            ds = a * (a - 1) * table[max(a - 2, 0)]
+            others = factors[:j] + factors[j + 1 :]
+            if others:
+                rest = others[0]
+                for f in others[1:]:
+                    rest = rest * f
+                dm, ds = dm * rest, ds * rest
+            dmean[j].append(dm)
+            acc = acc + ds
+        dsigma.append(s * acc)
+    return values, dmean, dsigma
+
+
+@st.composite
+def _kernel_inputs(draw):
+    n = draw(st.sampled_from([1, 2]))
+    d = draw(st.integers(0, 9 if n == 1 else 4))
+    full = MonomialBasis.full_degree(d, n).exponents
+    exps = full if draw(st.booleans()) else draw(
+        st.lists(st.sampled_from(full), min_size=1, max_size=len(full), unique=True))
+    k = draw(st.integers(1, 60))
+    coordinate = st.floats(-3.0, 3.0, allow_nan=False)
+    means = draw(st.lists(st.lists(coordinate, min_size=n, max_size=n), min_size=k, max_size=k))
+    scale = st.one_of(st.just(0.0), st.floats(0.0, 2.0, allow_nan=False))
+    sigmas = draw(st.lists(scale, min_size=k, max_size=k))
+    return MonomialBasis(n=n, exponents=tuple(exps)), means, sigmas
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_inputs())
+def test_component_moments_bit_identical_to_plain_recurrence(inputs):
+    basis, means, sigmas = inputs
+    B, dmean, dsigma = component_moments(basis, "gaussian", means, sigmas, derivatives=True)
+    np.testing.assert_array_equal(
+        component_moments(basis, "gaussian", means, sigmas).view(np.int64), B.view(np.int64))
+    for i, (x, s) in enumerate(zip(means, sigmas)):
+        values, dm, ds = _plain_recurrence(basis.exponents, x, s)
+        np.testing.assert_array_equal(B[i].view(np.int64), np.array(values).view(np.int64))
+        np.testing.assert_array_equal(dmean[i].view(np.int64), np.array(dm).view(np.int64))
+        np.testing.assert_array_equal(dsigma[i].view(np.int64), np.array(ds).view(np.int64))

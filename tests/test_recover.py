@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from mixcara import recover
 from mixcara.basis import MonomialBasis
 from mixcara.conegeo import hankel_classify
-from mixcara.errors import InfeasibleMomentsError, MixcaraError, UnsupportedBasisError
+from mixcara.errors import (
+    InfeasibleMomentsError,
+    MixcaraError,
+    MomentOverflowError,
+    UnsupportedBasisError,
+)
 from mixcara.measures import AtomicMeasure, MixtureMeasure, sample_random_mixture
 from mixcara.moments import MomentVector, dirac_moments, mixture_moments
 from mixcara.recover import (
@@ -23,6 +29,20 @@ GAP = MonomialBasis.univariate([0, 2, 3, 5, 6])
 
 def mv(values, basis):
     return MomentVector(values=np.asarray(values, dtype=float), basis=basis)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Every moment-kernel call the engines make, as (means, derivatives)."""
+    calls = []
+    real = recover.component_moments
+
+    def spy(basis, kind, means, sigmas, derivatives=False):
+        calls.append((np.array(means, dtype=float), derivatives))
+        return real(basis, kind, means, sigmas, derivatives)
+
+    monkeypatch.setattr(recover, "component_moments", spy)
+    return calls
 
 
 # ---------------------------------------------------------------- prony
@@ -283,6 +303,35 @@ def test_homotopy_never_calls_scipy(monkeypatch):
     assert homotopy_gap_recovery(basis, mv([1.0, 0.5], basis), k=1, seed=0).success
 
 
+def test_homotopy_kernel_call_count(kernel_calls):
+    # one call per residual and Jacobian, and one for all damped steps of a
+    # rejected full step; halving the step call by call took 108 here
+    report = homotopy_gap_recovery(GAP, gap_roundtrip_moments(), k=3, seed=40)
+    assert report.success
+    assert len(kernel_calls) <= 80
+
+
+def test_homotopy_rejected_full_step_makes_one_batched_call(kernel_calls):
+    k = 3
+    homotopy_gap_recovery(GAP, gap_roundtrip_moments(), k=k, seed=40)
+    batched = [i for i, (means, _) in enumerate(kernel_calls) if len(means) != k]
+    assert batched  # this run backtracks
+    for i in batched:
+        means, derivatives = kernel_calls[i]
+        assert len(means) == 19 * k and not derivatives
+        # right after the rejected full step, which follows the Jacobian
+        (full, full_der), (at, at_der) = kernel_calls[i - 1], kernel_calls[i - 2]
+        assert len(full) == k and not full_der
+        assert len(at) == k and at_der
+        # the candidates th + 2**-j * step, j = 1..19, of that full step
+        damped = means.reshape(19, k)
+        expected = at[:, 0] + 0.5 ** np.arange(1, 20)[:, None] * (full[:, 0] - at[:, 0])
+        np.testing.assert_allclose(damped, expected, rtol=1e-12, atol=1e-12)
+        # the next call evaluates a new point, never another damped step
+        if i + 1 < len(kernel_calls):
+            assert len(kernel_calls[i + 1][0]) == k
+
+
 def test_homotopy_parameter_count_validated():
     with pytest.raises(ValueError):
         homotopy_gap_recovery(GAP, mv(np.ones(5), GAP), k=2)
@@ -332,6 +381,66 @@ def test_lm_fit_analytic_jacobian_matches_central_differences(monkeypatch, kind,
     fd = np.column_stack([(fun(theta + h * e) - fun(theta - h * e)) / (2 * h)
                           for e in np.eye(theta.size)])
     np.testing.assert_allclose(jac(theta), fd, rtol=1e-6, atol=1e-6)
+
+
+def test_lm_fit_kernel_call_count(kernel_calls):
+    # one kernel call per parameter point; separate residual and Jacobian
+    # calls took 82 here
+    basis = MonomialBasis.full_degree(6)
+    truth = MixtureMeasure(kind="gaussian", weights=[0.7, 1.3], means=[[-0.8], [0.9]],
+                           sigmas=[0.3, 0.45])
+    report = lm_fit(basis, "gaussian", mixture_moments(basis, truth), k=2, seed=1)
+    assert report.success
+    assert len(kernel_calls) <= 65
+
+
+def test_lm_fit_jacobian_reuses_the_residual_kernel_call(monkeypatch, kernel_calls):
+    basis = MonomialBasis.full_degree(6)
+    truth = MixtureMeasure(kind="gaussian", weights=[0.7, 1.3], means=[[-0.8], [0.9]],
+                           sigmas=[0.3, 0.45])
+    captured = []
+
+    def capture(fun, x0, jac, **kwargs):
+        captured.append((fun, jac, x0))
+        raise ValueError("captured")
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", capture)
+    lm_fit(basis, "gaussian", mixture_moments(basis, truth), k=2, n_starts=1)
+    fun, jac, theta = captured[0]
+    kernel_calls.clear()
+    r = fun(theta)
+    assert len(kernel_calls) == 1
+    J = jac(theta)
+    assert len(kernel_calls) == 1  # the residual's evaluation serves the Jacobian
+    np.testing.assert_array_equal(fun(theta), r)
+    assert len(kernel_calls) == 1
+    moved = theta + 1e-3
+    J_moved = jac(moved)
+    assert len(kernel_calls) == 2 and kernel_calls[-1][1]
+    assert J.shape == J_moved.shape and not np.array_equal(J, J_moved)
+    fun(moved)
+    assert len(kernel_calls) == 2
+
+
+def test_lm_fit_residual_stands_where_only_a_derivative_overflows(monkeypatch):
+    # at scale 6.27 the x^6 log-normal moment is finite but its scale
+    # derivative is not: the residual is finite and the Jacobian raises
+    basis = MonomialBasis.full_degree(6)
+    s = mixture_moments(basis, MixtureMeasure(kind="lognormal", weights=[1.0], means=[[1.2]],
+                                              sigmas=[0.3]))
+    captured = []
+
+    def capture(fun, x0, jac, **kwargs):
+        captured.append((fun, jac))
+        raise ValueError("captured")
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", capture)
+    lm_fit(basis, "lognormal", s, k=1, n_starts=1)
+    fun, jac = captured[0]
+    theta = np.array([0.0, 0.0, math.log(6.27)])
+    assert np.all(np.isfinite(fun(theta)))
+    with pytest.raises(MomentOverflowError):
+        jac(theta)
 
 
 def test_lm_fit_single_gaussian_exact():
