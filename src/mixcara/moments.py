@@ -309,3 +309,17 @@ def transfer_matrix_gaussian(basis: MonomialBasis, sigma: float) -> np.ndarray:
     coef, power, top = _transfer_tables(basis)
     # scalar pow per power, not an array pow: numpy's differs in the last bit
     return coef * np.array([sigma**p for p in range(top + 1)])[power]
+
+
+def _inverse_transfer_matrix(basis: MonomialBasis, sigma: float) -> np.ndarray:
+    """The inverse of ``transfer_matrix_gaussian(basis, sigma)`` in closed form,
+    for the basis {1, x, ..., x^d}.
+
+    Smoothing twice adds the variances, ``M(s) M(t) = M(sqrt(s^2 + t^2))``,
+    and every entry is a polynomial in sigma^2, so ``M(sigma)^-1 = M(i
+    sigma)``: the same matrix with the sign ``(-1)^((a-j)/2)`` on the entry of
+    sigma power ``a - j``.
+    """
+    _, power, _ = _transfer_tables(basis)
+    M = transfer_matrix_gaussian(basis, sigma)
+    return np.where(power % 4 == 2, -M, M)

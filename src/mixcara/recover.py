@@ -5,21 +5,27 @@ Five routes from a moment vector back to a measure:
 * ``prony_dirac`` -- atoms as roots of the polynomial in the Hankel null
   space, weights from a Vandermonde solve.
 * ``recover_shared_sigma_gaussian`` -- descend a scale schedule, deconvolve
-  through the triangular transfer matrix, and Prony the result.  Small
-  enough scales always succeed for interior vectors.
+  through the closed-form inverse of the triangular transfer matrix, and
+  Prony the result.  Small enough scales always succeed for interior
+  vectors.
 * ``recover_shared_sigma_lognormal`` -- descale each moment by the
   closed-form factor, Prony the resulting ordinary moments, keep only
   positive atoms.  Both shared-scale engines run one descent loop and
   differ only in this pull-back to ordinary moments.
 * ``homotopy_gap_recovery`` -- for bases with exponent gaps: find a Dirac
-  representation by running the damped Gauss-Newton corrector at scale 0
+  representation by running the damped least-squares solver at scale 0
   from random starts, check the Jacobian has full rank, then continue the
-  solution in the scale from 0 upward with the same corrector.  A rejected
-  full step has all its damped steps evaluated in one kernel call.
-* ``lm_fit`` -- generic moment matching by Levenberg-Marquardt with
+  solution in the scale from 0 upward with the same solver as corrector.
+* ``lm_fit`` -- generic moment matching by the same solver with
   log-parameterized positive parameters; the classical method-of-moments
-  fallback when nothing structural applies.  The residual and Jacobian at
-  one parameter point share one kernel call.
+  fallback when nothing structural applies.
+
+Both nonlinear engines run ``_damped_least_squares``, a Levenberg descent
+that factors the Jacobian once per iteration by SVD and tries the
+minimum-norm Gauss-Newton step first.  An engine hands it two maps: a point
+to its residual and Jacobian (one kernel call with derivatives), and a stack
+of points to their residuals (one values-only kernel call), which evaluates
+every damped step of a rejected iteration at once.
 
 Success is always judged by the moment residual, never by parameter
 closeness: distinct parameter sets can represent the same moments.  On the
@@ -33,8 +39,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .basis import MonomialBasis
 from .conegeo import EXTERIOR, hankel_classify
@@ -42,7 +46,6 @@ from .errors import (
     ConditioningError,
     InfeasibleMomentsError,
     InfeasibleWeightsError,
-    MomentOverflowError,
     NonrealAtomsError,
     UnsupportedBasisError,
 )
@@ -50,11 +53,11 @@ from .jacobian import numeric_rank
 from .measures import AtomicMeasure, MixtureMeasure
 from .moments import (
     MomentVector,
+    _inverse_transfer_matrix,
     _relative_residual,
     component_moments,
     dirac_moments,
     mixture_moments,
-    transfer_matrix_gaussian,
 )
 
 __all__ = [
@@ -75,7 +78,7 @@ _SCHEDULE_START = 1.0
 _SCHEDULE_RATIO = 0.5
 _SCHEDULE_STEPS = 40
 # homotopy: starts, continuation target and floor, smallest scale step,
-# corrector goal relative to the vector, corrector iteration caps along the
+# corrector goal relative to the vector, the solver's iteration cap along the
 # continuation and from a random Dirac start, the Dirac start's goal and
 # weight floor relative to the vector, and the singular-value cutoff of its
 # rank check
@@ -84,15 +87,27 @@ _SIGMA_TARGET = 0.1
 _SIGMA_MIN = 1e-4
 _MIN_STEP = 1e-8
 _NEWTON_REL_TOL = 1e-9
-_CORRECTOR_ITERS = 40
-_START_ITERS = 15
+_CORRECTOR_ITERS = 15
 _START_REL_TOL = 1e-12
 _START_RANK_TOL = 1e-4
-# step lengths the corrector falls back to when a full step does not lower
-# the residual: 19 halvings, the last 2**-19 just above 1e-6
-_DAMPING = 0.5 ** np.arange(1, 20)
-# lm_fit: scales of each start are drawn uniformly from this interval
+# damped least squares: the Levenberg dampings tried in one batch after a
+# rejected step, 38 values 2x apart from 1e-12 times the largest squared
+# singular value (or 2x the rejected damping); the share of the predicted
+# residual drop above which an accepted step divides the damping by 8; and
+# the relative pseudo-inverse cutoff of the undamped step
+_LADDER_START = 1e-12
+_LADDER_RATIO = 2.0
+_LADDER = _LADDER_RATIO ** np.arange(38)
+_GAIN_DROP = 0.75
+_DAMPING_DROP = 1.0 / 8.0
+_SVD_CUTOFF = np.finfo(float).eps
+# a step that lowers the squared residual by less than this share ends the
+# descent: it has reached a plateau short of the goal
+_MIN_PROGRESS = 1e-8
+# lm_fit: scales of each start are drawn uniformly from this interval, and
+# the iteration cap of each start
 _LM_SIGMA_STARTS = (0.1, 1.0)
+_LM_ITERS = 2000
 
 
 @dataclass(slots=True)
@@ -102,6 +117,9 @@ class RecoveryReport:
     ``residual`` is ``max|moments(model) - s| / (1 + max|s|)``.  ``success``
     implies the residual is at or below the engine tolerance and all model
     weights (and scales, and log-normal locations) are strictly positive.
+    ``iterations`` counts the iterations of the damped least-squares solver
+    in the two nonlinear engines, summed over all starts and corrector calls;
+    it is 0 for the shared-scale engines.
     """
 
     success: bool
@@ -234,6 +252,8 @@ def _shared_scale_descent(
     atom locations at that scale; the first scale whose recovered mixture
     matches ``s`` to ``rel_tol`` wins.
     """
+    if k is not None and k < 1:
+        raise ValueError(f"k={k}: a recovery needs at least one component")
     basis = s.basis
     engine = _SHARED_SCALE_ENGINE[kind]
     if not np.any(s.values):
@@ -300,8 +320,7 @@ def recover_shared_sigma_gaussian(
         raise UnsupportedBasisError("shared-scale recovery needs the basis {1, x, ..., x^d}")
 
     def pull_back(sigma: float) -> np.ndarray:
-        M = transfer_matrix_gaussian(basis, sigma)
-        return scipy.linalg.solve_triangular(M, s.values, lower=True, unit_diagonal=True)
+        return _inverse_transfer_matrix(basis, sigma) @ s.values
 
     # largest atom count the moment span supports: 2k - 1 <= d
     k_cap = (basis.max_degree + 1) // 2
@@ -363,6 +382,89 @@ def _split_theta(theta: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndar
     return blocks[:, 0], blocks[:, 1:]
 
 
+def _stack_costs(values, thetas: np.ndarray) -> np.ndarray:
+    """Squared residual norm at each point of a stack, inf where a point does
+    not evaluate: one ``values`` call, and one per point only when a point's
+    parameters or moments leave the float range."""
+    try:
+        rows = values(thetas)
+    except (ValueError, OverflowError):
+        if len(thetas) == 1:
+            return np.array([math.inf])
+        return np.concatenate([_stack_costs(values, theta[None]) for theta in thetas])
+    return np.einsum("ij,ij->i", rows, rows)
+
+
+def _damped_least_squares(point, values, theta: np.ndarray, goal: float, max_iters: int):
+    """Levenberg descent of ``|r(theta)|^2`` until ``max|r| <= goal``.
+
+    ``point(theta)`` returns the residual and its Jacobian at one point (one
+    kernel call with derivatives); ``values(thetas)`` returns the residual
+    rows of a stack of points (one values-only kernel call).  Each iteration
+    factors J once by SVD and tries the step at the current damping, which
+    starts at 0: the minimum-norm Gauss-Newton step, which on an
+    underdetermined system follows the solution manifold instead of
+    zig-zagging across it.  An accepted step that achieves at least 3/4 of
+    the residual drop the linear model predicts divides the damping by 8.
+    When the step does not lower the residual, every step of the damping
+    ladder above it is evaluated in one ``values`` call and the least-damped
+    one that lowers it is taken, keeping its damping; when none does, or
+    when a step lowers it by less than a relative 1e-8, the descent stops.
+    Returns the last point, its residual, whether the goal was met and the
+    number of iterations (SVDs) spent.
+    """
+    r, J = point(theta)
+    damping, last = 0.0, math.inf
+    # a residual that overflows has an infinite or undefined cost, which no
+    # comparison accepts
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(max_iters):
+            if np.abs(r).max() <= goal:
+                return theta, r, True, iteration
+            cost = r @ r
+            if cost > last * (1.0 - _MIN_PROGRESS):  # a plateau
+                return theta, r, False, iteration
+            last = cost
+            try:
+                u, sv, vt = np.linalg.svd(J)
+            except np.linalg.LinAlgError:  # a Jacobian entry overflowed
+                return theta, r, False, iteration
+            if not sv[0] > 0:  # no direction lowers the residual
+                return theta, r, False, iteration
+            g = u[:, : len(sv)].T @ r
+            vt = vt[: len(sv)]
+            if damping:
+                inv = sv / (sv * sv + damping)
+            else:  # the pseudo-inverse, with the singular-value cutoff of lstsq
+                kept = sv > _SVD_CUTOFF * max(J.shape) * sv[0]
+                inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=kept)
+            trial = theta - (inv * g) @ vt
+            try:
+                r_trial, J_trial = point(trial)
+            except (ValueError, OverflowError):
+                r_trial = None  # the step left the range where moments evaluate
+            if r_trial is not None and (cost_trial := r_trial @ r_trial) < cost:
+                if damping:
+                    # the linear model's drop is |g|^2 - |f g|^2, f = damping / (sv^2 + damping)
+                    fg = damping / (sv * sv + damping) * g
+                    if cost - cost_trial >= _GAIN_DROP * (g @ g - fg @ fg):
+                        damping *= _DAMPING_DROP
+                theta, r, J = trial, r_trial, J_trial
+                continue
+            lambdas = max(damping * _LADDER_RATIO, _LADDER_START * sv[0] * sv[0]) * _LADDER
+            cands = theta - (sv / (sv * sv + lambdas[:, None]) * g) @ vt
+            for j in np.flatnonzero(_stack_costs(values, cands) < cost):
+                try:
+                    r, J = point(cands[j])
+                except (ValueError, OverflowError):
+                    continue  # only a derivative overflowed
+                theta, damping = cands[j], lambdas[j]
+                break
+            else:
+                return theta, r, False, iteration + 1
+    return theta, r, bool(np.abs(r).max() <= goal), max_iters
+
+
 def homotopy_gap_recovery(
     basis: MonomialBasis,
     s: MomentVector,
@@ -374,20 +476,18 @@ def homotopy_gap_recovery(
     """Gaussian recovery over a basis with exponent gaps, by scale continuation.
 
     Stage 1 finds a k-atom Dirac representation of s: from each random start
-    the damped minimum-norm Gauss-Newton corrector runs at scale 0 for at
-    most 15 iterations, and a start that does not converge or ends with a
+    the damped least-squares solver runs at scale 0 for at most 15
+    iterations, and a start that does not converge or ends with a
     negative weight gives way to the next.  Stage 2 requires every weight to
     exceed the corrector goal and the Jacobian to have full row rank; the
     set of vectors whose representations are all singular has measure zero
     and is reported, not repaired.  Stage 3 tracks the solution of the
-    smoothed moment equations with the same corrector as the shared scale
-    grows from 0 toward 0.1, halving the scale step whenever the corrector
-    fails; a continuation that stalls below 1e-4 is reported as a failure.
-    Each corrector iteration tries the full minimum-norm step first; when
-    it does not lower the residual, the 19 damped steps ``2**-j`` times it
-    are evaluated in one kernel call and the first that lowers the residual
-    is taken, which is the step a halving line search would take.
-    ``iterations`` counts the corrector iterations of stages 1 and 3.
+    smoothed moment equations while the shared scale grows from 0 toward
+    0.1, with the same solver as corrector, halving the scale step whenever
+    the corrector fails; a continuation that stalls below 1e-4 is reported
+    as a failure.  The moment system is underdetermined by one, so the
+    solver's undamped minimum-norm step follows the solution manifold.
+    ``iterations`` counts the solver iterations of stages 1 and 3.
     """
     if basis.n != 1:
         raise UnsupportedBasisError("gap recovery is implemented for univariate bases")
@@ -402,63 +502,38 @@ def homotopy_gap_recovery(
     scale = 1.0 + float(np.max(np.abs(target)))
     box = 1.5 * _data_scale(s)
 
-    def moment_residual(theta: np.ndarray, sigma: float) -> np.ndarray:
-        w, pts = _split_theta(theta, k, n)
-        return w @ component_moments(basis, "gaussian", pts, np.full(k, sigma)) - target
+    def system(sigma: float):
+        """The solver's residual maps at one shared scale."""
 
-    def moment_jac(theta: np.ndarray, sigma: float) -> np.ndarray:
-        w, pts = _split_theta(theta, k, n)
-        B, dmean, _ = component_moments(basis, "gaussian", pts, np.full(k, sigma), True)
-        return np.concatenate([B[:, None, :], w[:, None, None] * dmean], axis=1).reshape(-1, m).T
+        def point(theta: np.ndarray):
+            w, pts = _split_theta(theta, k, n)
+            B, dmean, _ = component_moments(basis, "gaussian", pts, np.full(k, sigma), True)
+            J = np.concatenate([B[:, None, :], w[:, None, None] * dmean], axis=1).reshape(-1, m).T
+            return w @ B - target, J
 
-    iterations = 0
+        def values(thetas: np.ndarray) -> np.ndarray:
+            w, pts = _split_theta(thetas, len(thetas) * k, n)
+            B = component_moments(basis, "gaussian", pts, np.full(w.shape[0], sigma))
+            return np.einsum("ck,ckm->cm", w.reshape(-1, k), B.reshape(-1, k, m)) - target
 
-    def corrector(theta: np.ndarray, sigma: float, goal: float, max_iters: int):
-        """Damped Gauss-Newton with minimum-norm steps; the moment system is
-        underdetermined by one, so the min-norm least-squares step follows
-        the solution manifold instead of zig-zagging across it.  Each
-        residual is evaluated once: an accepted candidate's residual is the
-        next iteration's."""
-        th = theta.copy()
-        nonlocal iterations
-        r = moment_residual(th, sigma)
-        for _ in range(max_iters):
-            iterations += 1
-            base = np.abs(r).max()
-            if base <= goal:
-                return th, True
-            J = moment_jac(th, sigma)
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            if not np.isfinite(step).all():
-                return th, False
-            cand = th + step
-            r_cand = moment_residual(cand, sigma)
-            if not np.abs(r_cand).max() < base:
-                # the full step is rejected: evaluate every damped step in
-                # one kernel call and take the first that lowers the residual
-                cands = th + _DAMPING[:, None] * step
-                w, pts = _split_theta(cands, len(_DAMPING) * k, n)
-                B = component_moments(basis, "gaussian", pts, np.full(w.shape[0], sigma))
-                for cand, w_j, B_j in zip(cands, w.reshape(-1, k), B.reshape(-1, k, m)):
-                    r_cand = w_j @ B_j - target
-                    if np.abs(r_cand).max() < base:
-                        break
-                else:
-                    return th, False
-            th, r = cand, r_cand
-        return th, np.abs(r).max() <= goal
+        return point, values
 
-    # stage 1: multistart search for a Dirac representation by the corrector
+    # stage 1: multistart search for a Dirac representation by the solver
     # at sigma = 0, converged to machine precision so coalescing atoms show
     # up in the rank check
     solution = None
     saw_residual_fit = False
+    iterations = 0
     floor, goal = _START_REL_TOL * scale, _NEWTON_REL_TOL * scale
+    dirac_point, dirac_values = system(0.0)
     for _ in range(_HOMOTOPY_STARTS):
         pts0 = rng.uniform(-box, box, size=(k, n))
         w0 = np.full(k, max(target[0], scale * 1e-3) / k)
         theta0 = _interleaved_theta(w0, pts0)
-        found, converged = corrector(theta0, 0.0, floor, _START_ITERS)
+        found, _, converged, spent = _damped_least_squares(
+            dirac_point, dirac_values, theta0, floor, _CORRECTOR_ITERS
+        )
+        iterations += spent
         w, _ = _split_theta(found, k, n)
         if not converged or np.any(w < -floor):
             continue
@@ -470,7 +545,7 @@ def homotopy_gap_recovery(
         # singular value of order sqrt(residual)
         if np.any(w <= goal):
             continue
-        if numeric_rank(moment_jac(found, 0.0), rel_tol=_START_RANK_TOL).full_rank:
+        if numeric_rank(dirac_point(found)[1], rel_tol=_START_RANK_TOL).full_rank:
             solution = found
             break
     if solution is None:
@@ -497,7 +572,10 @@ def homotopy_gap_recovery(
     corrector_calls = 0
     while sigma_cur < _SIGMA_TARGET and step_size >= _MIN_STEP and corrector_calls < 200:
         sigma_try = min(sigma_cur + step_size, _SIGMA_TARGET)
-        candidate, converged = corrector(theta, sigma_try, goal, _CORRECTOR_ITERS)
+        candidate, _, converged, spent = _damped_least_squares(
+            *system(sigma_try), theta, goal, _CORRECTOR_ITERS
+        )
+        iterations += spent
         corrector_calls += 1
         w_cand, _ = _split_theta(candidate, k, n)
         if converged and np.all(w_cand >= 0):
@@ -553,13 +631,15 @@ def lm_fit(
     n_starts: int = 16,
     rel_tol: float = 1e-8,
 ) -> RecoveryReport:
-    """Generic method-of-moments fit by multistart Levenberg-Marquardt.
+    """Generic method-of-moments fit by multistart damped least squares.
 
     Weights and scales (and log-normal locations) are optimized in log space
     so positivity needs no constraints; the Jacobian is the analytic one of
     the moment kernel, taken through the log parameters by the chain rule.
-    The best start by moment residual wins; success is residual at or below
-    ``rel_tol``.
+    Each start runs the solver for at most 2000 iterations, stopping at
+    ``rel_tol``; the best start by moment residual wins, and success is a
+    residual at or below ``rel_tol``.  ``k`` and ``n_starts`` must be
+    positive.
     """
     if kind not in ("gaussian", "lognormal"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -567,6 +647,10 @@ def lm_fit(
         raise UnsupportedBasisError("log-normal fits are univariate")
     if s.basis != basis:
         raise ValueError("moment vector basis does not match")
+    if k < 1:
+        raise ValueError(f"k={k}: a fit needs at least one component")
+    if n_starts < 1:
+        raise ValueError(f"n_starts={n_starts}: a fit needs at least one start")
     engine = "lm"
     refusal = _exterior_refusal(s, engine)
     if refusal is not None:
@@ -587,52 +671,39 @@ def lm_fit(
     if kind == "gaussian":
         logged[k : k + k * n] = False
 
-    def unpack(theta: np.ndarray):
+    def unpack(thetas: np.ndarray):
+        """Weights, locations and scales of a stack of parameter points."""
         with np.errstate(over="ignore"):
-            params = np.where(logged, np.exp(theta), theta)
-        if not (np.isfinite(params).all() and (params[logged] > 0).all()):
+            params = np.where(logged, np.exp(thetas), thetas)
+        if not (np.isfinite(params).all() and (params[:, logged] > 0).all()):
             raise ValueError("parameters left the finite positive range")
-        weights = params[:k]
-        means = params[k : k + k * n].reshape(k, n)
-        sigmas = params[k + k * n :]
+        c = len(params)
+        weights = params[:, :k]
+        means = params[:, k : k + k * n].reshape(c * k, n)
+        sigmas = params[:, k + k * n :]
         if not free_sigma_per_component:
-            sigmas = np.repeat(sigmas, k)
-        return weights, means, sigmas, params
+            sigmas = np.repeat(sigmas, k, axis=1)
+        return weights, means, sigmas.ravel(), params
 
-    # MINPACK asks for the Jacobian at the point whose residual it has just
-    # evaluated, so one kernel call with derivatives serves both
-    last = None
-
-    def evaluate(theta: np.ndarray):
-        nonlocal last
-        key = theta.tobytes()
-        if last is None or last[0] != key:
-            weights, means, sigmas, params = unpack(theta)
-            try:
-                out = component_moments(basis, kind, means, sigmas, derivatives=True)
-            except MomentOverflowError:
-                out = None  # a derivative can overflow where the values do not
-            last = key, weights, means, sigmas, params, out
-        return last[1:]
-
-    # huge weights times large moments overflow to inf; least_squares
-    # rejects the non-finite residual or step itself
-    def residual(theta: np.ndarray) -> np.ndarray:
-        weights, means, sigmas, _, out = evaluate(theta)
-        B = out[0] if out else component_moments(basis, kind, means, sigmas)
-        with np.errstate(over="ignore"):
-            return weights @ B - target
-
-    def jac(theta: np.ndarray) -> np.ndarray:
-        weights, means, sigmas, params, out = evaluate(theta)
-        B, dmean, dsigma = out or component_moments(basis, kind, means, sigmas, derivatives=True)
+    # huge weights times large moments overflow to inf, which the solver
+    # rejects as a step
+    def point(theta: np.ndarray):
+        weights, means, sigmas, params = unpack(theta[None])
+        weights = weights[0]
+        B, dmean, dsigma = component_moments(basis, kind, means, sigmas, derivatives=True)
         with np.errstate(over="ignore"):
             dsigma = weights[:, None] * dsigma
             if not free_sigma_per_component:
                 dsigma = dsigma.sum(axis=0, keepdims=True)
             J = np.concatenate([B, (weights[:, None, None] * dmean).reshape(k * n, m), dsigma]).T
             # chain rule through the log parameters: d exp(t) / dt = exp(t)
-            return J * np.where(logged, params, 1.0)
+            return weights @ B - target, J * np.where(logged, params[0], 1.0)
+
+    def values(thetas: np.ndarray) -> np.ndarray:
+        weights, means, sigmas, _ = unpack(thetas)
+        B = component_moments(basis, kind, means, sigmas).reshape(-1, k, m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.einsum("ck,ckm->cm", weights, B) - target
 
     best = None
     iterations = 0
@@ -645,18 +716,16 @@ def lm_fit(
         tau_n = k if free_sigma_per_component else 1
         tau0 = np.log(rng.uniform(*_LM_SIGMA_STARTS, size=tau_n))
         theta0 = np.concatenate([g0, loc0.ravel(), tau0])
-        method = "lm" if m >= theta0.size else "trf"
         try:
-            res = scipy.optimize.least_squares(
-                residual, theta0, jac=jac, method=method, xtol=1e-15, ftol=1e-15,
-                gtol=1e-15, max_nfev=2000,
+            theta, res, _, spent = _damped_least_squares(
+                point, values, theta0, rel_tol * scale, _LM_ITERS
             )
         except (ValueError, OverflowError):
-            continue
-        iterations += res.nfev
-        r = float(np.max(np.abs(res.fun))) / scale
+            continue  # the start itself does not evaluate
+        iterations += spent
+        r = float(np.max(np.abs(res))) / scale
         if best is None or r < best[0]:
-            best = (r, res.x.copy())
+            best = (r, theta)
         if r <= rel_tol:
             break
     if best is None:
@@ -665,8 +734,8 @@ def lm_fit(
             iterations=iterations, failure_reason="all starts failed to evaluate",
         )
     r, theta = best
-    weights, means, sigmas, _ = unpack(theta)
-    model = MixtureMeasure(kind=kind, weights=weights, means=means, sigmas=sigmas)
+    weights, means, sigmas, _ = unpack(theta[None])
+    model = MixtureMeasure(kind=kind, weights=weights[0], means=means, sigmas=sigmas)
     return RecoveryReport(
         success=r <= rel_tol,
         model=model,

@@ -104,6 +104,20 @@ def test_recover_homotopy_command(workspace, capsys, tmp_path):
     assert "Gaussian mixtures only" in captured.err
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("engine", [[], ["--engine", "lm"], ["--kind", "lognormal"]],
+                         ids=["shared-sigma", "lm", "shared-sigma-lognormal"])
+def test_recover_nonpositive_k_exits_one(workspace, capsys, tmp_path, engine, k):
+    lognormal = MixtureMeasure(kind="lognormal", weights=[1.0], means=[[1.2]], sigmas=[0.3])
+    path = tmp_path / "lognormal_moments.json"
+    path.write_text(json.dumps(mixture_moments(MonomialBasis.full_degree(5), lognormal).to_json()))
+    moments = path if "lognormal" in engine else workspace["moments"]
+    rc = main(["recover", "--moments", str(moments), *engine, "--k", k])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "at least one component" in captured.err
+
+
 def test_recover_failure_exits_two(workspace, capsys, tmp_path):
     basis = MonomialBasis.full_degree(5)
     bad = MomentVector(values=np.array([1.0, 0, -1.0, 0, 1.0, 0]), basis=basis)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,12 +13,14 @@ from mixcara.errors import MomentOverflowError, UnsupportedBasisError
 from mixcara.measures import AtomicMeasure, MixtureMeasure
 from mixcara.moments import (
     MomentVector,
+    _inverse_transfer_matrix,
     component_moments,
     dirac_moments,
     gaussian_smoothed_basis,
     mixture_moments,
     transfer_matrix_gaussian,
 )
+from mixcara.recover import default_sigma_schedule
 
 GAP = MonomialBasis.univariate([0, 2, 3, 5, 6])
 
@@ -282,6 +285,30 @@ def test_transfer_matrix_gap_row_for_x5():
 def test_transfer_matrix_multivariate_unsupported():
     with pytest.raises(UnsupportedBasisError):
         transfer_matrix_gaussian(MonomialBasis.full_degree(2, n=2), 0.5)
+
+
+@pytest.mark.parametrize("d", range(1, 16))
+def test_inverse_transfer_matrix_is_the_inverse(d):
+    # M(sigma)^-1 = M(i sigma), over the default schedule
+    basis = MonomialBasis.full_degree(d)
+    for sigma in default_sigma_schedule():
+        product = transfer_matrix_gaussian(basis, sigma) @ _inverse_transfer_matrix(basis, sigma)
+        np.testing.assert_allclose(product, np.eye(d + 1), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", range(1, 16))
+def test_inverse_pull_back_matches_triangular_solve(d):
+    basis = MonomialBasis.full_degree(d)
+    weights, means = np.array([0.6, 1.1, 0.8]), np.array([[-1.3], [0.2], [1.6]])
+    for sigma in default_sigma_schedule():
+        mix = MixtureMeasure(kind="gaussian", weights=weights, means=means,
+                             sigmas=np.full(3, sigma))
+        s = mixture_moments(basis, mix).values
+        closed = _inverse_transfer_matrix(basis, sigma) @ s
+        solved = scipy.linalg.solve_triangular(
+            transfer_matrix_gaussian(basis, sigma), s, lower=True, unit_diagonal=True
+        )
+        assert np.max(np.abs(closed - solved)) <= 1e-7 * np.max(np.abs(solved))
 
 
 def test_shared_sigma_factorization():

@@ -1,8 +1,9 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from mixcara import recover
 from mixcara.basis import MonomialBasis
@@ -43,6 +44,20 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(recover, "component_moments", spy)
     return calls
+
+
+@pytest.fixture
+def solver_runs(monkeypatch):
+    """The closures and start point of every damped least-squares run."""
+    runs = []
+    real = recover._damped_least_squares
+
+    def spy(point, values, theta, goal, max_iters):
+        runs.append((point, values, theta.copy()))
+        return real(point, values, theta, goal, max_iters)
+
+    monkeypatch.setattr(recover, "_damped_least_squares", spy)
+    return runs
 
 
 # ---------------------------------------------------------------- prony
@@ -293,14 +308,10 @@ def test_homotopy_zero_weight_start_is_singular(seed):
     assert "singular-start" in (report.failure_reason or "")
 
 
-def test_homotopy_never_calls_scipy(monkeypatch):
-    def fail(*args, **kwargs):
-        pytest.fail("the homotopy engine called scipy.optimize.least_squares")
-
-    monkeypatch.setattr(scipy.optimize, "least_squares", fail)
-    assert homotopy_gap_recovery(GAP, gap_roundtrip_moments(), k=3, seed=40).success
-    basis = MonomialBasis.full_degree(1)
-    assert homotopy_gap_recovery(basis, mv([1.0, 0.5], basis), k=1, seed=0).success
+def test_import_loads_no_scipy():
+    code = "import sys, mixcara.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_homotopy_kernel_call_count(kernel_calls):
@@ -313,23 +324,57 @@ def test_homotopy_kernel_call_count(kernel_calls):
 
 def test_homotopy_rejected_full_step_makes_one_batched_call(kernel_calls):
     k = 3
+    rungs = len(recover._LADDER)
     homotopy_gap_recovery(GAP, gap_roundtrip_moments(), k=k, seed=40)
     batched = [i for i, (means, _) in enumerate(kernel_calls) if len(means) != k]
     assert batched  # this run backtracks
     for i in batched:
         means, derivatives = kernel_calls[i]
-        assert len(means) == 19 * k and not derivatives
-        # right after the rejected full step, which follows the Jacobian
-        (full, full_der), (at, at_der) = kernel_calls[i - 1], kernel_calls[i - 2]
-        assert len(full) == k and not full_der
-        assert len(at) == k and at_der
-        # the candidates th + 2**-j * step, j = 1..19, of that full step
-        damped = means.reshape(19, k)
-        expected = at[:, 0] + 0.5 ** np.arange(1, 20)[:, None] * (full[:, 0] - at[:, 0])
-        np.testing.assert_allclose(damped, expected, rtol=1e-12, atol=1e-12)
-        # the next call evaluates a new point, never another damped step
+        assert len(means) == rungs * k and not derivatives
+        # right after the rejected trial step, which was evaluated with its Jacobian
+        trial, trial_der = kernel_calls[i - 1]
+        assert len(trial) == k and trial_der
+        # the next call evaluates one point with its Jacobian, never another ladder
         if i + 1 < len(kernel_calls):
-            assert len(kernel_calls[i + 1][0]) == k
+            after, after_der = kernel_calls[i + 1]
+            assert len(after) == k and after_der
+    # an accepted ladder step is the point evaluated next
+    assert any(
+        np.any(np.all(kernel_calls[i][0].reshape(rungs, k) == kernel_calls[i + 1][0][:, 0], axis=1))
+        for i in batched if i + 1 < len(kernel_calls)
+    )
+
+
+def test_solver_ladder_follows_a_rejected_gauss_newton_step():
+    # r(t) = (t0 - 1, 10 (t1 - t0^2)) from (-1.2, 1): the full Gauss-Newton
+    # step raises the residual, so every damping on the ladder is tried at once
+    def residual(t):
+        return np.array([t[0] - 1.0, 10.0 * (t[1] - t[0] ** 2)])
+
+    def point(t):
+        return residual(t), np.array([[1.0, 0.0], [-20.0 * t[0], 10.0]])
+
+    stacks = []
+
+    def values(ts):
+        stacks.append(ts.copy())
+        return np.array([residual(t) for t in ts])
+
+    theta0 = np.array([-1.2, 1.0])
+    r0, J0 = point(theta0)
+    theta, r, converged, iterations = recover._damped_least_squares(
+        point, values, theta0, 1e-10, 1
+    )
+    assert iterations == 1 and len(stacks) == 1
+    u, sv, vt = np.linalg.svd(J0)
+    lambdas = recover._LADDER_START * sv[0] ** 2 * recover._LADDER
+    expected = theta0 - (sv / (sv**2 + lambdas[:, None]) * (u.T @ r0)) @ vt
+    np.testing.assert_allclose(stacks[0], expected, rtol=1e-12, atol=1e-15)
+    costs = np.array([residual(t) @ residual(t) for t in expected])
+    first = np.flatnonzero(costs < r0 @ r0)[0]
+    assert first > 0  # the least damped steps still overshoot
+    np.testing.assert_array_equal(theta, stacks[0][first])
+    assert r @ r < r0 @ r0 and not converged
 
 
 def test_homotopy_parameter_count_validated():
@@ -363,24 +408,19 @@ def test_lm_fit_two_gaussians_free_sigma_roundtrip():
     ],
     ids=["gaussian-free", "gaussian-shared", "lognormal-free"],
 )
-def test_lm_fit_analytic_jacobian_matches_central_differences(monkeypatch, kind, free, means):
+def test_lm_fit_analytic_jacobian_matches_central_differences(solver_runs, kind, free, means):
     basis = MonomialBasis.full_degree(5)
     truth = MixtureMeasure(kind=kind, weights=[0.7, 1.3], means=means, sigmas=[0.3, 0.4])
-    calls = []
-    real = scipy.optimize.least_squares
-
-    def spy(fun, x0, jac, **kwargs):
-        calls.append((fun, jac, x0))
-        return real(fun, x0, jac=jac, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
     lm_fit(basis, kind, mixture_moments(basis, truth), k=2,
            free_sigma_per_component=free, n_starts=1)
-    fun, jac, theta = calls[0]
+    point, values, theta = solver_runs[0]
     h = 1e-6
-    fd = np.column_stack([(fun(theta + h * e) - fun(theta - h * e)) / (2 * h)
+    fd = np.column_stack([(point(theta + h * e)[0] - point(theta - h * e)[0]) / (2 * h)
                           for e in np.eye(theta.size)])
-    np.testing.assert_allclose(jac(theta), fd, rtol=1e-6, atol=1e-6)
+    r, J = point(theta)
+    np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-6)
+    # the batched residuals agree with the one-point residual
+    np.testing.assert_allclose(values(np.stack([theta, theta + h]))[0], r, rtol=1e-14)
 
 
 def test_lm_fit_kernel_call_count(kernel_calls):
@@ -398,49 +438,70 @@ def test_lm_fit_jacobian_reuses_the_residual_kernel_call(monkeypatch, kernel_cal
     basis = MonomialBasis.full_degree(6)
     truth = MixtureMeasure(kind="gaussian", weights=[0.7, 1.3], means=[[-0.8], [0.9]],
                            sigmas=[0.3, 0.45])
-    captured = []
+    evaluations, runs = [], []
+    real = recover._damped_least_squares
 
-    def capture(fun, x0, jac, **kwargs):
-        captured.append((fun, jac, x0))
-        raise ValueError("captured")
+    def spy(point, values, theta, goal, max_iters):
+        runs.append((point, values, theta.copy()))
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", capture)
-    lm_fit(basis, "gaussian", mixture_moments(basis, truth), k=2, n_starts=1)
-    fun, jac, theta = captured[0]
+        def counted_point(t):
+            evaluations.append(True)
+            return point(t)
+
+        def counted_values(ts):
+            evaluations.append(False)
+            return values(ts)
+
+        return real(counted_point, counted_values, theta, goal, max_iters)
+
+    monkeypatch.setattr(recover, "_damped_least_squares", spy)
+    report = lm_fit(basis, "gaussian", mixture_moments(basis, truth), k=2, seed=1)
+    assert report.success
+    # every point the solver evaluates costs one kernel call with derivatives,
+    # every stack one values-only call, and nothing else calls the kernel
+    assert [derivatives for _, derivatives in kernel_calls] == evaluations
+    point, values, theta = runs[0]
     kernel_calls.clear()
-    r = fun(theta)
-    assert len(kernel_calls) == 1
-    J = jac(theta)
-    assert len(kernel_calls) == 1  # the residual's evaluation serves the Jacobian
-    np.testing.assert_array_equal(fun(theta), r)
-    assert len(kernel_calls) == 1
-    moved = theta + 1e-3
-    J_moved = jac(moved)
-    assert len(kernel_calls) == 2 and kernel_calls[-1][1]
-    assert J.shape == J_moved.shape and not np.array_equal(J, J_moved)
-    fun(moved)
-    assert len(kernel_calls) == 2
+    r, J = point(theta)
+    assert len(kernel_calls) == 1 and kernel_calls[0][1]
+    assert r.shape == (7,) and J.shape == (7, theta.size)
+    rows = values(theta + np.linspace(0.0, 1e-3, 5)[:, None])
+    assert rows.shape == (5, 7)
+    assert len(kernel_calls) == 2 and not kernel_calls[1][1]
+    np.testing.assert_allclose(rows[0], r, rtol=1e-14)
 
 
-def test_lm_fit_residual_stands_where_only_a_derivative_overflows(monkeypatch):
+def test_lm_fit_rejects_a_step_whose_derivative_overflows(monkeypatch):
     # at scale 6.27 the x^6 log-normal moment is finite but its scale
-    # derivative is not: the residual is finite and the Jacobian raises
+    # derivative is not; the first trial step is sent there
     basis = MonomialBasis.full_degree(6)
     s = mixture_moments(basis, MixtureMeasure(kind="lognormal", weights=[1.0], means=[[1.2]],
                                               sigmas=[0.3]))
-    captured = []
+    overflow = np.array([0.0, 0.0, math.log(6.27)])
+    raised = []
+    real = recover._damped_least_squares
 
-    def capture(fun, x0, jac, **kwargs):
-        captured.append((fun, jac))
-        raise ValueError("captured")
+    def spy(point, values, theta, goal, max_iters):
+        assert np.all(np.isfinite(values(overflow[None])))
+        calls = []
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", capture)
-    lm_fit(basis, "lognormal", s, k=1, n_starts=1)
-    fun, jac = captured[0]
-    theta = np.array([0.0, 0.0, math.log(6.27)])
-    assert np.all(np.isfinite(fun(theta)))
-    with pytest.raises(MomentOverflowError):
-        jac(theta)
+        def redirected(t):
+            calls.append(t)
+            if len(calls) == 2:  # the first trial step
+                try:
+                    return point(overflow)
+                except MomentOverflowError:
+                    raised.append(t)
+                    raise
+            return point(t)
+
+        return real(redirected, values, theta, goal, max_iters)
+
+    monkeypatch.setattr(recover, "_damped_least_squares", spy)
+    report = lm_fit(basis, "lognormal", s, k=1, n_starts=1)
+    assert len(raised) == 1
+    assert report.success
+    assert report.model.sigmas[0] == pytest.approx(0.3, rel=1e-6)
 
 
 def test_lm_fit_single_gaussian_exact():
@@ -480,6 +541,33 @@ def test_lm_fit_lognormal():
     assert report.model.means[0, 0] == pytest.approx(1.8, rel=1e-5)
 
 
+@pytest.mark.parametrize("counts", [dict(k=0), dict(k=-1), dict(k=2, n_starts=0),
+                                    dict(k=2, n_starts=-1)])
+def test_lm_fit_rejects_nonpositive_counts(solver_runs, counts):
+    basis = MonomialBasis.full_degree(5)
+    s = mixture_moments(basis, MixtureMeasure(kind="gaussian", weights=[1.0], means=[[0.2]],
+                                              sigmas=[0.4]))
+    with pytest.raises(ValueError, match="at least one"):
+        lm_fit(basis, "gaussian", s, **counts)
+    assert not solver_runs
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_shared_scale_engines_reject_nonpositive_k(k):
+    basis = MonomialBasis.full_degree(5)
+    gauss = mixture_moments(basis, MixtureMeasure(kind="gaussian", weights=[1.0],
+                                                  means=[[0.2]], sigmas=[0.4]))
+    logn = mixture_moments(basis, MixtureMeasure(kind="lognormal", weights=[1.0],
+                                                 means=[[1.2]], sigmas=[0.3]))
+    with pytest.raises(ValueError, match="at least one"):
+        recover_shared_sigma_gaussian(gauss, k=k)
+    with pytest.raises(ValueError, match="at least one"):
+        recover_shared_sigma_lognormal(logn, k=k)
+    # the zero vector is checked too, though it needs no component
+    with pytest.raises(ValueError, match="at least one"):
+        recover_shared_sigma_gaussian(mv(np.zeros(6), basis), k=k)
+
+
 def test_lm_fit_underdetermined_warns():
     basis = MonomialBasis.full_degree(2)
     s = mv([1, 0, 1], basis)
@@ -505,16 +593,17 @@ def _exterior_lognormal(basis):
 
 @pytest.mark.parametrize("vector", [_exterior_ray, _exterior_lognormal], ids=["ray", "lognormal"])
 @pytest.mark.parametrize("kind", ["gaussian", "lognormal"])
-def test_lm_fit_refuses_exterior_before_any_start(monkeypatch, vector, kind):
+def test_lm_fit_refuses_exterior_before_any_start(monkeypatch, kernel_calls, vector, kind):
     basis = MonomialBasis.full_degree(5)
     s = vector(basis)
     assert hankel_classify(s).status == "exterior"
 
     def no_start(*args, **kwargs):
-        raise AssertionError("least_squares ran on an exterior vector")
+        raise AssertionError("the solver ran on an exterior vector")
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", no_start)
+    monkeypatch.setattr(recover, "_damped_least_squares", no_start)
     report = lm_fit(basis, kind, s, k=2, seed=0)
+    assert not kernel_calls
     assert not report.success
     assert report.failure_reason.startswith("exterior:")
     assert report.residual == math.inf
