@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Run the benchmark on a parent commit and on this checkout, in alternating pairs.
+
+Usage, from the repository root:
+
+    python scripts/bench.py --out BENCH_13.json --workload shared-scale \\
+        --seeds 300 301 302 303 304 305 [--parent HEAD]
+
+The parent commit is exported with ``git archive`` into a temporary
+directory, which is removed afterwards; the working tree of this checkout,
+uncommitted edits included, is the change side.  Each seed is one pair: both
+sides run ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in
+a fresh process, with ``T`` the ``run_seconds`` of ``BENCHMARK.json``, one
+run at a time, and the side that runs first alternates from pair to pair.
+
+The output file records the machine, the Python and numpy versions, and for
+each end-to-end metric that ``perfbench/run.py`` prints: its value in every
+run, the change/parent ratio of every pair, and the median, inclusive
+quartiles and range of each side.  ``change_better_pairs`` and
+``within_bound`` read the direction and bound of the metric from
+``BENCHMARK.json``.  The script measures nothing itself.  Running it again
+with the same ``--out`` adds or replaces that workload and keeps every other
+key of the file.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = Path("perfbench") / "run.py"
+
+
+def export(rev: str, directory: Path) -> str:
+    """Write the tree of ``rev`` into ``directory``; return the full commit id."""
+    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                            capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit],
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(directory)], input=archive, check=True)
+    return commit
+
+
+def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``--trace 0`` run in a fresh process; its final JSON line."""
+    argv = [sys.executable, str(BENCH), "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} in {tree} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
+
+
+def summarize(runs: dict[str, list[dict]], specs: dict[str, dict]) -> dict:
+    metrics = {}
+    for name, spec in specs.items():
+        parent = [run["metrics"][name]["value"] for run in runs["parent"]]
+        change = [run["metrics"][name]["value"] for run in runs["change"]]
+        sign = 1.0 if spec["better"] == "higher" else -1.0
+        rel = statistics.median(change) / statistics.median(parent) - 1.0
+        metrics[name] = {
+            "unit": spec["unit"],
+            "better": spec["better"],
+            "bound": spec["bound"],
+            "parent": parent,
+            "change": change,
+            "pair_ratio": [c / p for p, c in zip(parent, change)],
+            "parent_stats": spread(parent),
+            "change_stats": spread(change),
+            "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "median_change_rel": rel,
+            "within_bound": -sign * rel <= spec["bound"],
+        }
+    return metrics
+
+
+def machine() -> dict:
+    info = {
+        "machine": platform.machine(),
+        "cores": os.cpu_count(),
+        "cores_usable": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    import scipy  # perfbench's calibration kernel needs it; mixcara does not
+
+    info["scipy"] = scipy.__version__
+    return info
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--workload", required=True,
+                        choices=("shared-scale", "nonlinear-fit", "reduce-rank"))
+    parser.add_argument("--seeds", required=True, type=int, nargs="+")
+    parser.add_argument("--parent", default="HEAD")
+    args = parser.parse_args()
+    if len(args.seeds) < 2:
+        parser.error("quartiles need at least two pairs")
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    specs = {spec["name"]: spec for spec in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    order = []
+    with tempfile.TemporaryDirectory(prefix="mixcara-bench-") as tmp:
+        parent_tree = Path(tmp)
+        commit = export(args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
+        for pair, seed in enumerate(args.seeds):
+            sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            order.append(sides[0])
+            for side in sides:
+                result = bench_once(trees[side], args.workload, seed, seconds)
+                runs[side].append(result)
+                print(f"{args.workload} seed {seed} {side}: "
+                      f"ops_per_s {result['metrics']['ops_per_s']['value']:.1f}, "
+                      f"correct {result['correct']}", flush=True)
+
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    record["machine"] = machine()
+    record.setdefault("workloads", {})[args.workload] = {
+        "parent_commit": commit,
+        "command": f"{BENCH} --workload {args.workload} --seed S --seconds {seconds} --trace 0",
+        "seeds": args.seeds,
+        "first": order,
+        "all_runs_correct": all(run["correct"] for side in runs.values() for run in side),
+        "attempted_ops": {side: sum(run["attempted"] for run in rs) for side, rs in runs.items()},
+        "failed_ops": {side: sum(run["failed"] for run in rs) for side, rs in runs.items()},
+        "metrics": summarize(runs, specs),
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,14 +1,21 @@
-"""Moment-cone geometry for univariate full-degree bases.
+"""Moment-cone geometry for univariate bases of consecutive exponents.
 
-Membership in the cone of a gap-free basis {1, x, ..., x^d} is decided by
-positive semidefiniteness of the maximal Hankel matrix (s_{i+j}) that fits
-within degree d.  The eigenvalue threshold is a proxy: points within the
+One classifier, ``_classify``, tests consecutive moments against the cone of
+measures on a support.  On the real line (Hamburger) the maximal Hankel
+matrix (s_{i+j}) that fits within degree d must be positive semidefinite; on
+the half-line (0, inf) (Stieltjes) the Hankel matrix of the shifted sequence
+(s_{i+j+1}) must be too.  The half-line test also covers a basis
+{x^a, ..., x^(a+d)}, whose moments are those of the positive measure
+x^a dmu.  ``hankel_classify`` is the public real-line test on
+{1, x, ..., x^d}; ``_cone_support`` picks the test that fits a mixture kind
+on a basis.  The eigenvalue threshold is a proxy: points within the
 tolerance band of the boundary are classified "boundary" rather than
 resolved exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -37,8 +44,10 @@ INTERIOR = "interior"
 BOUNDARY = "boundary"
 EXTERIOR = "exterior"
 
-# eigenvalue tolerance of the Hankel test, relative to 1 + max|s|
+# eigenvalue tolerance of the Hankel tests, relative to 1 + max|s|
 _HANKEL_REL_TOL = 1e-10
+# the supports ``_classify`` knows, by the name an exterior reason gives them
+_SUPPORT_NAME = {"real": "real-line", "positive": "half-line"}
 # strip_mass: bisection width, and the cap on the mass (relative to
 # (1 + max|s|) / max|v|) beyond which a direction counts as unbounded
 _STRIP_ABS_TOL = 1e-10
@@ -57,30 +66,70 @@ class ConeClassification:
         return {"status": self.status, "margin": self.margin, "tolerance": self.tolerance}
 
 
+@cache
+def _hankel_index(order: int) -> np.ndarray:
+    """Indices i + j of the order-by-order Hankel matrix of a sequence,
+    read-only because every call shares them."""
+    index = np.add.outer(np.arange(order), np.arange(order))
+    index.setflags(write=False)
+    return index
+
+
+def _classify(values: np.ndarray, support: str) -> tuple[str, float, float]:
+    """Status, margin and tolerance of consecutive moments s_0, ..., s_d
+    against the cone of measures on ``support``.
+
+    "real": the Hankel matrix (s_{i+j}) of order d//2 + 1 must be positive
+    semidefinite.  "positive" (the half-line (0, inf)): so must the one of
+    the shifted sequence (s_{i+j+1}), of order (d+1)//2.  The margin is the
+    smallest eigenvalue over the blocks, one ``eigvalsh`` each; margin >= tol
+    is the interior proxy, margin < -tol exterior, anything between boundary.
+    The tolerance is ``1e-10 * (1 + max|s|)``.
+    """
+    m = len(values)
+    margin = np.linalg.eigvalsh(values[_hankel_index((m + 1) // 2)])[0]
+    if support == "positive" and m > 1:
+        margin = min(margin, np.linalg.eigvalsh(values[1:][_hankel_index(m // 2)])[0])
+    margin = float(margin)
+    tol = _HANKEL_REL_TOL * (1.0 + float(np.max(np.abs(values))))
+    if margin >= tol:
+        return INTERIOR, margin, tol
+    if margin < -tol:
+        return EXTERIOR, margin, tol
+    return BOUNDARY, margin, tol
+
+
+def _cone_support(basis: MonomialBasis, kind: str) -> str | None:
+    """The support whose cone test fits moments of ``kind`` mixtures on
+    ``basis``, or None when no test applies.
+
+    Log-normal mixtures live on (0, inf), so any univariate basis of
+    consecutive exponents takes the half-line test; Gaussian mixtures take
+    the real-line test on {1, x, ..., x^d} only.
+    """
+    exps = basis.exponents
+    # univariate exponents are distinct and sorted, so these span a run
+    if basis.n != 1 or exps[-1][0] - exps[0][0] != len(exps) - 1:
+        return None
+    if kind == "lognormal":
+        return "positive"
+    if kind == "gaussian" and exps[0][0] == 0:
+        return "real"
+    return None
+
+
 def hankel_classify(s: MomentVector) -> ConeClassification:
     """Classify a moment vector against the cone via Hankel eigenvalues.
 
+    The real-line test of ``_classify`` on the basis {1, x, ..., x^d}:
     margin >= tol everywhere -> interior proxy; any eigenvalue < -tol ->
     exterior; otherwise boundary.  The tolerance is ``1e-10 * (1 + max|s|)``.
     """
-    basis = s.basis
-    if not basis.is_full_degree():
+    if not s.basis.is_full_degree():
         raise UnsupportedBasisError(
             "hankel classification needs the gap-free univariate basis {1, x, ..., x^d}"
         )
-    d = basis.max_degree
-    r = d // 2
-    vals = s.values
-    H = vals[np.add.outer(np.arange(r + 1), np.arange(r + 1))]
-    eigs = np.linalg.eigvalsh(H)
-    margin = float(eigs[0])
-    tol = _HANKEL_REL_TOL * (1.0 + float(np.max(np.abs(vals))))
-    if margin >= tol:
-        status = INTERIOR
-    elif margin < -tol:
-        status = EXTERIOR
-    else:
-        status = BOUNDARY
+    status, margin, tol = _classify(s.values, "real")
     return ConeClassification(status=status, margin=margin, tolerance=tol)
 
 
@@ -104,7 +153,7 @@ def strip_mass(s: MomentVector, v: MomentVector) -> tuple[float, MomentVector]:
     cap = _STRIP_CAP_FACTOR * (1.0 + float(np.max(np.abs(sv)))) / vnorm
 
     def feasible(c: float) -> bool:
-        return hankel_classify(s.with_values(sv - c * vv)).status != EXTERIOR
+        return _classify(sv - c * vv, "real")[0] != EXTERIOR
 
     lo = 0.0
     hi = max(_STRIP_ABS_TOL, (1.0 + float(np.max(np.abs(sv)))) / vnorm * 1e-3)
@@ -139,11 +188,13 @@ def represent_with_prescribed_component(
     of the prescribed component can be split off and the remainder recovered
     by the shared-scale engine of ``kind``.  The mass starts at half the
     total and halves, down to ``1e-12`` of the total, until the remainder is
-    recoverable.  On the basis {1, x, ..., x^d} a remainder that the Hankel
-    test certifies as outside the cone is skipped without an engine call: no
-    mixture has its moments.  A remainder the engine refuses outright (a
-    log-normal remainder with a nonpositive moment) counts as not
-    recoverable.
+    recoverable.  A remainder that the cone test of ``kind`` certifies as
+    exterior is skipped without an engine call, because no mixture has its
+    moments: the real-line Hankel test for Gaussian remainders on
+    {1, x, ..., x^d}, the half-line test for log-normal remainders on any
+    basis of consecutive exponents.  A remainder the engine refuses outright
+    (a log-normal remainder with a nonpositive moment inside the tolerance
+    band) counts as not recoverable.
     """
     if s.basis != basis:
         raise ValueError("moment vector basis does not match")
@@ -158,8 +209,7 @@ def represent_with_prescribed_component(
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    full_degree = basis.is_full_degree()
-    if full_degree:
+    if basis.is_full_degree():
         if hankel_classify(s).status != INTERIOR:
             raise NotRepresentableError(
                 "prescribing a component needs a strictly interior moment vector"
@@ -174,15 +224,16 @@ def represent_with_prescribed_component(
 
     t0 = component_moments(basis, kind, np.reshape(x0, (1, -1)), [sigma0])[0]
     mass = float(s.values[0]) if basis.exponents[0] == (0,) * basis.n else 1.0
+    support = _cone_support(basis, kind)
     eps = mass
     last_reason = "no attempt made"
     while (eps := eps / 2.0) >= _MIN_EPS_FACTOR * mass:
-        remainder = s.with_values(s.values - eps * t0)
-        if full_degree and hankel_classify(remainder).status == EXTERIOR:
+        remainder = s.values - eps * t0
+        if support and _classify(remainder, support)[0] == EXTERIOR:
             last_reason = "remainder outside the moment cone"
             continue
         try:
-            report = engine(remainder)
+            report = engine(s.with_values(remainder))
         except InfeasibleMomentsError as exc:
             last_reason = f"remainder refused: {exc}"
             continue

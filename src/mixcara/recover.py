@@ -28,9 +28,11 @@ of points to their residuals (one values-only kernel call), which evaluates
 every damped step of a rejected iteration at once.
 
 Success is always judged by the moment residual, never by parameter
-closeness: distinct parameter sets can represent the same moments.  On the
-basis {1, x, ..., x^d}, ``lm_fit`` first refuses vectors that the Hankel test
-certifies as outside the moment cone.
+closeness: distinct parameter sets can represent the same moments.  Both
+shared-scale engines and ``lm_fit`` first refuse vectors that a cone test
+certifies as exterior, before any schedule step or solver start: the
+real-line Hankel test for Gaussian vectors on {1, x, ..., x^d}, the
+half-line test for log-normal vectors on any basis of consecutive exponents.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import MonomialBasis
-from .conegeo import EXTERIOR, hankel_classify
+from .conegeo import _SUPPORT_NAME, EXTERIOR, _classify, _cone_support
 from .errors import (
     ConditioningError,
     InfeasibleMomentsError,
@@ -151,22 +153,23 @@ def default_sigma_schedule():
     return [_SCHEDULE_START * _SCHEDULE_RATIO**j for j in range(_SCHEDULE_STEPS)]
 
 
-def _exterior_refusal(s: MomentVector, engine: str) -> RecoveryReport | None:
-    """A failed report when the Hankel test certifies ``s`` outside the cone.
+def _exterior_refusal(s: MomentVector, kind: str, engine: str) -> RecoveryReport | None:
+    """A failed report when the cone test of ``kind`` certifies ``s`` as exterior.
 
     No mixture has moments outside the cone, so such vectors are refused
-    before any solver work.  Only the basis {1, x, ..., x^d} has the test;
-    other bases and interior or boundary vectors get ``None``.
+    before any solver work.  Bases without a test for ``kind`` (see
+    ``conegeo._cone_support``) and interior or boundary vectors get ``None``.
     """
-    if not s.basis.is_full_degree():
+    support = _cone_support(s.basis, kind)
+    if support is None:
         return None
-    cone = hankel_classify(s)
-    if cone.status != EXTERIOR:
+    status, margin, tol = _classify(s.values, support)
+    if status != EXTERIOR:
         return None
     return RecoveryReport(
         success=False, model=None, residual=math.inf, engine=engine,
         failure_reason=(
-            f"exterior: Hankel margin {cone.margin:.3e} below -{cone.tolerance:.3e}"
+            f"exterior: {_SUPPORT_NAME[support]} Hankel margin {margin:.3e} below -{tol:.3e}"
         ),
     )
 
@@ -248,9 +251,10 @@ def _shared_scale_descent(
 ) -> RecoveryReport:
     """Descend the scale schedule until a pulled-back vector Prony-recovers.
 
-    ``pull_back(sigma)`` maps the moment vector to ordinary moments of the
-    atom locations at that scale; the first scale whose recovered mixture
-    matches ``s`` to ``rel_tol`` wins.
+    A vector that the cone test of ``kind`` certifies as exterior is refused
+    before the first step.  ``pull_back(sigma)`` maps the moment vector to
+    ordinary moments of the atom locations at that scale; the first scale
+    whose recovered mixture matches ``s`` to ``rel_tol`` wins.
     """
     if k is not None and k < 1:
         raise ValueError(f"k={k}: a recovery needs at least one component")
@@ -260,6 +264,9 @@ def _shared_scale_descent(
         return RecoveryReport(
             success=True, model=MixtureMeasure.empty(kind), residual=0.0, engine=engine
         )
+    refusal = _exterior_refusal(s, kind, engine)
+    if refusal is not None:
+        return refusal
     k_target = min(k, k_cap) if k is not None else k_cap
     schedule = list(sigma_schedule) if sigma_schedule is not None else default_sigma_schedule()
     d1 = basis.exponents[0][0]
@@ -313,7 +320,8 @@ def recover_shared_sigma_gaussian(
     For each scale in the descending schedule the moment vector is pulled
     back through the unit-triangular transfer matrix; a successful Prony
     recovery of the pulled-back vector gives the mixture directly.  Interior
-    vectors succeed once the scale is small enough.
+    vectors succeed once the scale is small enough; a vector that the
+    real-line Hankel test certifies as exterior is refused at once.
     """
     basis = s.basis
     if not basis.is_full_degree():
@@ -340,6 +348,8 @@ def recover_shared_sigma_lognormal(
     into ordinary moments of the atom locations (weights absorb the leading
     exponent), which Prony then recovers; only strictly positive atoms are
     accepted, and scales for which atoms come out nonpositive are skipped.
+    A vector with a nonpositive moment raises; one that the half-line
+    Hankel test certifies as exterior is refused at once.
     """
     basis = s.basis
     if basis.n != 1:
@@ -639,7 +649,8 @@ def lm_fit(
     Each start runs the solver for at most 2000 iterations, stopping at
     ``rel_tol``; the best start by moment residual wins, and success is a
     residual at or below ``rel_tol``.  ``k`` and ``n_starts`` must be
-    positive.
+    positive.  A vector that the cone test of ``kind`` certifies as exterior
+    is refused before any start.
     """
     if kind not in ("gaussian", "lognormal"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -652,7 +663,7 @@ def lm_fit(
     if n_starts < 1:
         raise ValueError(f"n_starts={n_starts}: a fit needs at least one start")
     engine = "lm"
-    refusal = _exterior_refusal(s, engine)
+    refusal = _exterior_refusal(s, kind, engine)
     if refusal is not None:
         return refusal
     m, n = basis.m, basis.n

@@ -7,6 +7,8 @@ from mixcara.conegeo import (
     BOUNDARY,
     EXTERIOR,
     INTERIOR,
+    _classify,
+    _cone_support,
     hankel_classify,
     represent_with_prescribed_component,
     strip_mass,
@@ -47,6 +49,60 @@ def test_classify_gap_basis_unsupported():
     gap = MonomialBasis.univariate([0, 2, 3, 5, 6])
     with pytest.raises(UnsupportedBasisError):
         hankel_classify(MomentVector(values=np.ones(5), basis=gap))
+
+
+@pytest.mark.parametrize(
+    "values, real, positive",
+    [
+        ([1, 1, 1], BOUNDARY, BOUNDARY),  # an atom at 1
+        ([1, -1, 1], BOUNDARY, EXTERIOR),  # an atom at -1
+        ([2, 1, 1, 1], INTERIOR, BOUNDARY),  # atoms at 0 and 1
+        ([1, 0, 1, 0], INTERIOR, EXTERIOR),  # atoms at -1 and 1
+        ([2, 1, 2.5], INTERIOR, INTERIOR),  # atoms at 0.5 and 2
+        ([2, -1, 2.5], INTERIOR, EXTERIOR),  # atoms at -0.5 and -2
+        ([1, 0, -1], EXTERIOR, EXTERIOR),
+        ([1], INTERIOR, INTERIOR),
+        ([-1, 1], EXTERIOR, EXTERIOR),
+    ],
+)
+def test_classify_real_line_and_half_line(values, real, positive):
+    values = np.asarray(values, dtype=float)
+    assert _classify(values, "real")[0] == real
+    assert _classify(values, "positive")[0] == positive
+
+
+def test_hankel_classify_is_the_real_line_test():
+    rng = np.random.default_rng(5)
+    for d in range(1, 9):
+        s = mv(rng.normal(size=d + 1) + np.eye(d + 1)[0] * 3, MonomialBasis.full_degree(d))
+        cls = hankel_classify(s)
+        assert (cls.status, cls.margin, cls.tolerance) == _classify(s.values, "real")
+
+
+def test_half_line_margin_covers_both_blocks():
+    # the shifted block [[s1, s2], [s2, s3]] of atoms at -0.5 and 2 is indefinite
+    values = np.array([1.1, 1.95, 4.025, 7.9875])
+    status, margin, tol = _classify(values, "positive")
+    shifted = np.linalg.eigvalsh(np.array([[1.95, 4.025], [4.025, 7.9875]]))[0]
+    assert status == EXTERIOR and margin == pytest.approx(shifted)
+    assert tol == pytest.approx(1e-10 * (1 + 7.9875))
+
+
+@pytest.mark.parametrize(
+    "basis, kind, support",
+    [
+        (MonomialBasis.full_degree(5), "gaussian", "real"),
+        (MonomialBasis.full_degree(5), "lognormal", "positive"),
+        (MonomialBasis.univariate(range(1, 7)), "lognormal", "positive"),
+        (MonomialBasis.univariate(range(1, 7)), "gaussian", None),
+        (MonomialBasis.univariate([0, 2, 3, 5, 6]), "lognormal", None),
+        (MonomialBasis.univariate([0, 2, 3, 5, 6]), "gaussian", None),
+        (MonomialBasis.full_degree(2, n=2), "gaussian", None),
+        (MonomialBasis.full_degree(5), "dirac", None),
+    ],
+)
+def test_cone_support_by_kind_and_basis(basis, kind, support):
+    assert _cone_support(basis, kind) == support
 
 
 @pytest.mark.parametrize("kind,mean_range", [("gaussian", (-2, 2)), ("lognormal", (0.5, 2.5))])
@@ -229,3 +285,20 @@ def test_prescribe_far_component_calls_engine_at_most_twice(monkeypatch, kind):
     statuses = engine_spy(monkeypatch)
     represent_with_prescribed_component(basis, kind, s, x0, sigma0)
     assert len(statuses) <= 2
+
+
+@pytest.mark.parametrize("x0", [1.0, 2.5, 3.0])
+def test_prescribe_lognormal_without_constant_calls_engine_at_most_twice(monkeypatch, x0):
+    # the half-line test skips the exterior remainders: one engine call for
+    # the gap-basis certificate and one for the first recoverable remainder,
+    # against 4, 17 and 19 calls without it
+    basis = MonomialBasis.univariate(range(1, 7))
+    mix = sample_random_mixture("lognormal", 2, rng=3, mean_range=(0.7, 2.0),
+                                sigma_range=(0.1, 0.3), shared_sigma=True)
+    s = mixture_moments(basis, mix)
+    statuses = engine_spy(monkeypatch)
+    combined = represent_with_prescribed_component(basis, "lognormal", s, x0, 0.2)
+    assert len(statuses) <= 2
+    assert any(c > 0 and xi[0] == x0 and sg == 0.2 for c, xi, sg in combined.components())
+    achieved = mixture_moments(basis, combined).values
+    assert np.max(np.abs(achieved - s.values)) / (1 + np.max(np.abs(s.values))) <= 1e-8

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixcara import recover
 from mixcara.basis import MonomialBasis
@@ -608,6 +610,105 @@ def test_lm_fit_refuses_exterior_before_any_start(monkeypatch, kernel_calls, vec
     assert report.failure_reason.startswith("exterior:")
     assert report.residual == math.inf
     assert report.model is None
+
+
+@pytest.fixture
+def prony_calls(monkeypatch):
+    """Every Prony solve the shared-scale engines make."""
+    calls = []
+    real = recover._prony
+
+    def spy(u, k_target):
+        calls.append(k_target)
+        return real(u, k_target)
+
+    monkeypatch.setattr(recover, "_prony", spy)
+    return calls
+
+
+def assert_refused(report, support):
+    assert not report.success
+    assert report.failure_reason.startswith(f"exterior: {support} Hankel margin")
+    assert report.residual == math.inf
+    assert report.model is None
+    assert report.sigma_steps == 0
+
+
+@pytest.mark.parametrize(
+    "engine, vector, support",
+    [(recover_shared_sigma_gaussian, _exterior_ray, "real-line"),
+     (recover_shared_sigma_lognormal, _exterior_lognormal, "half-line")],
+    ids=["gaussian", "lognormal"],
+)
+def test_shared_scale_engines_refuse_exterior_before_any_step(prony_calls, engine, vector, support):
+    s = vector(MonomialBasis.full_degree(5))
+    assert hankel_classify(s).status == "exterior"
+    assert_refused(engine(s), support)
+    assert not prony_calls
+
+
+def _negative_axis_mass(basis):
+    # N(2, 0.1^2) + 0.1 N(-0.5, 0.1^2): every moment is positive and the
+    # real-line test finds the vector interior (the bare atoms at 2 and -0.5
+    # would sit on its boundary), but the mass at -0.5 makes the shifted
+    # Hankel block indefinite
+    mix = MixtureMeasure(kind="gaussian", weights=[1.0, 0.1], means=[[2.0], [-0.5]],
+                         sigmas=[0.1, 0.1])
+    return mixture_moments(basis, mix)
+
+
+def test_lognormal_engines_refuse_mass_on_the_negative_axis(
+    monkeypatch, kernel_calls, prony_calls
+):
+    basis = MonomialBasis.full_degree(5)
+    s = _negative_axis_mass(basis)
+    assert np.all(s.values > 0)
+    assert hankel_classify(s).status == "interior"
+
+    def no_start(*args, **kwargs):
+        raise AssertionError("the solver ran on an exterior vector")
+
+    monkeypatch.setattr(recover, "_damped_least_squares", no_start)
+    assert_refused(recover_shared_sigma_lognormal(s), "half-line")
+    assert not prony_calls
+    report = lm_fit(basis, "lognormal", s, k=2, seed=0)
+    assert not kernel_calls
+    assert report.failure_reason.startswith("exterior: half-line Hankel margin")
+    assert report.residual == math.inf
+
+
+def test_lognormal_refusal_covers_bases_without_the_constant(prony_calls):
+    # moments 1..6 of the same measure: x dmu still puts mass on (-inf, 0)
+    basis = MonomialBasis.univariate(range(1, 7))
+    s = _negative_axis_mass(basis)
+    assert np.all(s.values > 0)
+    assert_refused(recover_shared_sigma_lognormal(s), "half-line")
+    assert not prony_calls
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "lognormal"]),
+    d=st.integers(3, 11),
+    k=st.integers(1, 8),
+    shift=st.integers(0, 2),
+    sigma_floor=st.sampled_from([1e-3, 0.05, 0.3]),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_refusal_never_fires_on_mixture_moments(kind, d, k, shift, sigma_floor, shared, seed):
+    # many components at tiny scales put the vector within the tolerance
+    # band of the boundary, where a too-tight test would refuse it
+    if kind == "gaussian":
+        basis = MonomialBasis.full_degree(d)
+        mean_range = (-4.0, 4.0)
+    else:
+        basis = MonomialBasis.univariate(range(shift, shift + d + 1))
+        mean_range = (0.2, 3.0)
+    mix = sample_random_mixture(kind, k, rng=seed, mean_range=mean_range,
+                                sigma_range=(sigma_floor, 1.0), shared_sigma=shared)
+    s = mixture_moments(basis, mix)
+    assert recover._exterior_refusal(s, kind, "probe") is None
 
 
 def test_default_schedule_shape():

@@ -1,8 +1,12 @@
-"""The desk-scale driver script runs every experiment end to end."""
+"""The desk-scale driver script runs every experiment end to end; the bench
+driver summarizes its runs."""
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from mixcara.harness import EXPERIMENTS
 
@@ -38,3 +42,28 @@ def test_benchmark_fast_trials_match_the_script():
     # importing perfbench/run.py would pin environment variables of this process
     bench = literal_assignment(ROOT / "perfbench" / "run.py", "HARNESS_FAST_TRIALS")
     assert bench == literal_assignment(SCRIPT, "FAST_TRIALS")
+
+
+def test_bench_summary_reads_each_metric_direction():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    def run(ops, p90):
+        return {"metrics": {"ops_per_s": {"value": ops}, "latency_p90_ms": {"value": p90}}}
+
+    specs = {"ops_per_s": {"unit": "1/s", "better": "higher", "bound": 0.25},
+             "latency_p90_ms": {"unit": "ms", "better": "lower", "bound": 0.25}}
+    runs = {"parent": [run(100.0, 2.0), run(110.0, 2.0), run(90.0, 2.0)],
+            "change": [run(150.0, 3.0), run(100.0, 1.0), run(120.0, 2.4)]}
+    summary = bench.summarize(runs, specs)
+    ops, p90 = summary["ops_per_s"], summary["latency_p90_ms"]
+    assert ops["pair_ratio"] == [1.5, 100.0 / 110.0, 120.0 / 90.0]
+    assert ops["change_better_pairs"] == 2 and p90["change_better_pairs"] == 1
+    assert ops["parent_stats"] == {"median": 100.0, "q1": 95.0, "q3": 105.0,
+                                   "min": 90.0, "max": 110.0}
+    assert ops["median_change_rel"] == pytest.approx(0.2) and ops["within_bound"]
+    # the p90 median rose 20% against a 25% bound
+    assert p90["median_change_rel"] == pytest.approx(0.2) and p90["within_bound"]
+    runs["change"][2] = run(120.0, 2.6)
+    assert not bench.summarize(runs, specs)["latency_p90_ms"]["within_bound"]
