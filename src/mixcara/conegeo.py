@@ -186,15 +186,17 @@ def represent_with_prescribed_component(
 
     Interior vectors keep a slack in every direction, so some positive mass
     of the prescribed component can be split off and the remainder recovered
-    by the shared-scale engine of ``kind``.  The mass starts at half the
-    total and halves, down to ``1e-12`` of the total, until the remainder is
-    recoverable.  A remainder that the cone test of ``kind`` certifies as
+    by the shared-scale engine of ``kind``.  The cone test of ``kind`` is the
+    real-line Hankel test for Gaussian vectors on {1, x, ..., x^d} and the
+    half-line test for log-normal vectors on any basis of consecutive
+    exponents.  On {1, x, ..., x^d} that test must certify s as interior; on
+    a gap basis, recovering s itself is the certificate.  The mass starts at
+    half the total and halves, down to ``1e-12`` of the total, until the
+    remainder is recoverable.  A remainder that the cone test certifies as
     exterior is skipped without an engine call, because no mixture has its
-    moments: the real-line Hankel test for Gaussian remainders on
-    {1, x, ..., x^d}, the half-line test for log-normal remainders on any
-    basis of consecutive exponents.  A remainder the engine refuses outright
-    (a log-normal remainder with a nonpositive moment inside the tolerance
-    band) counts as not recoverable.
+    moments.  A remainder the engine refuses outright (a log-normal remainder
+    with a nonpositive moment inside the tolerance band) counts as not
+    recoverable.
     """
     if s.basis != basis:
         raise ValueError("moment vector basis does not match")
@@ -209,10 +211,13 @@ def represent_with_prescribed_component(
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
+    support = _cone_support(basis, kind)
     if basis.is_full_degree():
-        if hankel_classify(s).status != INTERIOR:
+        status, margin, tol = _classify(s.values, support)
+        if status != INTERIOR:
             raise NotRepresentableError(
-                "prescribing a component needs a strictly interior moment vector"
+                "prescribing a component needs a strictly interior moment vector: "
+                f"{_SUPPORT_NAME[support]} Hankel margin {margin:.3e} below {tol:.3e}"
             )
     else:
         # gap basis: recoverability of s itself serves as the interior certificate
@@ -224,7 +229,6 @@ def represent_with_prescribed_component(
 
     t0 = component_moments(basis, kind, np.reshape(x0, (1, -1)), [sigma0])[0]
     mass = float(s.values[0]) if basis.exponents[0] == (0,) * basis.n else 1.0
-    support = _cone_support(basis, kind)
     eps = mass
     last_reason = "no attempt made"
     while (eps := eps / 2.0) >= _MIN_EPS_FACTOR * mass:
@@ -245,6 +249,7 @@ def represent_with_prescribed_component(
         if residual <= rel_tol:
             return combined
         last_reason = f"combined residual {residual:.3e} above {rel_tol:.1e}"
+    # the loop ends on the first eps below the floor; the last one tried is twice that
     raise PrescriptionError(
-        f"no recoverable remainder down to eps={eps:.3e}: {last_reason}"
+        f"no recoverable remainder down to eps={2.0 * eps:.3e}: {last_reason}"
     )

@@ -6,14 +6,23 @@ direction in weight space along which the moment vector is constant.  Walking
 that direction until the first weight hits zero removes an atom without
 changing any moment.
 
-The sweep works on a window of at most 2m live columns, taken in input order.
-One SVD of the window gives a basis of its null space; each basis direction
-in turn removes one atom, after which the dropped coordinate is eliminated
-from the remaining directions by a rank-one update, so they stay null
-vectors of the surviving columns.  When the basis is used up the window is
-refilled from the next unseen atoms and factored again, so about m atoms go
-per SVD.  A direction that fails the residual check, or a step that zeroes
-two weights at once, ends the walk early and the window is factored afresh.
+While more than 2m columns are live, reduction runs in recombination rounds
+(Litterer & Lyons 2012; Maalouf, Jubran & Feldman 2019).  The live columns,
+in input order, are split into 2m contiguous groups of near-equal size; each
+group is replaced by its mass and its weighted mean column, and the walk
+below runs on that m-by-2m matrix of means with the group masses as weights.
+Every atom of a group is then scaled by the group's new mass over its old
+one, which keeps every moment, so the groups the walk drops leave at once:
+about half of the live atoms go per round, and k atoms take about
+log2(k/m) SVDs rather than k/m.
+
+Once at most 2m columns are live, the walk runs on the columns themselves.
+One SVD gives a basis of the null space; each basis direction in turn
+removes one atom, after which the dropped coordinate is eliminated from the
+remaining directions by a rank-one update, so they stay null vectors of the
+surviving columns.  A direction that fails the residual check, or a step
+that zeroes two weights at once, ends the walk early and the live columns
+are factored afresh.  Survivors are input rows, in input order.
 """
 from __future__ import annotations
 
@@ -31,7 +40,7 @@ _NULL_TOL = 1e-10
 
 
 def _null_basis(V: np.ndarray, scale: float) -> np.ndarray:
-    """Unit null vectors of the window as columns, refined once if unreliable."""
+    """Unit null vectors of ``V`` as columns, refined once if unreliable."""
     tol = _NULL_TOL * scale
     _, sv, vt = np.linalg.svd(V)
     N = vt[V.shape[0]:].T
@@ -56,9 +65,10 @@ def _null_basis(V: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _walk_null_basis(V: np.ndarray, w: np.ndarray, scale: float) -> None:
-    """Step the window weights ``w`` in place along each null direction.
+    """Step the weights ``w`` of the columns of ``V`` in place along each
+    null direction.
 
-    Dropped atoms get weight exactly 0.  Returns early, leaving the rest of
+    Dropped columns get weight exactly 0.  Returns early, leaving the rest of
     the basis unused, when a direction fails the residual check or a step
     zeroes more than one weight.
     """
@@ -93,21 +103,25 @@ def _walk_null_basis(V: np.ndarray, w: np.ndarray, scale: float) -> None:
 
 
 def _reduce_columns(columns: np.ndarray, weights: np.ndarray, m: int):
-    """Run the windowed sweep; returns (weights, surviving original indices)."""
-    k = weights.shape[0]
+    """Run the rounds, then the walk on the live columns; returns (weights,
+    surviving original indices)."""
     scale = max(1.0, float(np.abs(columns).max()))
     w = weights.copy()
-    window = np.arange(0)
-    seen = 0
-    while window.size + (k - seen) > m:
-        fill = min(2 * m - window.size, k - seen)
-        window = np.concatenate([window, np.arange(seen, seen + fill)])
-        seen += fill
-        ww = w[window]
-        _walk_null_basis(columns[:, window], ww, scale)
-        w[window] = ww
-        window = window[ww > 0]
-    return w[window], window
+    live = np.arange(weights.shape[0])
+    while live.size > m:
+        wl = w[live]
+        if live.size > 2 * m:
+            starts = np.arange(2 * m) * live.size // (2 * m)
+            mass = np.add.reduceat(wl, starts)
+            means = np.add.reduceat(columns[:, live] * wl, starts, axis=1) / mass
+            new_mass = mass.copy()
+            _walk_null_basis(means, new_mass, scale)
+            wl *= np.repeat(new_mass / mass, np.diff(starts, append=live.size))
+        else:
+            _walk_null_basis(columns[:, live], wl, scale)
+        w[live] = wl
+        live = live[wl > 0]
+    return w[live], live
 
 
 def reduce_atoms(basis: MonomialBasis, mu: AtomicMeasure) -> AtomicMeasure:

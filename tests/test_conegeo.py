@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,11 @@ from mixcara.conegeo import (
 )
 from mixcara.errors import (
     NotRepresentableError,
+    PrescriptionError,
     UnboundedStripError,
     UnsupportedBasisError,
 )
-from mixcara.measures import AtomicMeasure, sample_random_mixture
+from mixcara.measures import AtomicMeasure, MixtureMeasure, sample_random_mixture
 from mixcara.moments import MomentVector, dirac_moments, mixture_moments
 
 B2 = MonomialBasis.full_degree(2)
@@ -302,3 +305,36 @@ def test_prescribe_lognormal_without_constant_calls_engine_at_most_twice(monkeyp
     assert any(c > 0 and xi[0] == x0 and sg == 0.2 for c, xi, sg in combined.components())
     achieved = mixture_moments(basis, combined).values
     assert np.max(np.abs(achieved - s.values)) / (1 + np.max(np.abs(s.values))) <= 1e-8
+
+
+def test_prescribe_lognormal_needs_a_half_line_interior_input(monkeypatch):
+    # real-line interior, but with mass on the negative axis: no log-normal
+    # mixture has these moments, and certifying with the real-line test alone
+    # ran about 40 halvings before failing
+    basis = MonomialBasis.full_degree(5)
+    mix = MixtureMeasure(kind="gaussian", weights=[1.0, 0.1], means=[[2.0], [-0.5]],
+                         sigmas=[0.1, 0.1])
+    s = mixture_moments(basis, mix)
+    assert hankel_classify(s).status == INTERIOR
+    statuses = engine_spy(monkeypatch)
+    with pytest.raises(NotRepresentableError, match="half-line Hankel margin"):
+        represent_with_prescribed_component(basis, "lognormal", s, 1.0, 0.2)
+    assert statuses == []
+
+
+def test_prescription_error_names_the_last_eps_tried(monkeypatch):
+    basis = MonomialBasis.full_degree(3)
+    mix = MixtureMeasure(kind="gaussian", weights=[1.1], means=[[0.0]], sigmas=[1.0])
+    s = mixture_moments(basis, mix)
+    tried = []
+
+    def failing_engine(remainder):
+        tried.append(remainder.values)
+        return SimpleNamespace(success=False, model=None, failure_reason="stub failure")
+
+    monkeypatch.setattr(recover, "recover_shared_sigma_gaussian", failing_engine)
+    # the masses tried are 1.1 / 2, 1.1 / 4, ..., down to 1.1 * 2**-39 >= 1e-12 * 1.1
+    with pytest.raises(PrescriptionError,
+                       match=rf"down to eps={1.1 * 2.0 ** -39:.3e}: stub failure$"):
+        represent_with_prescribed_component(basis, "gaussian", s, 0.5, 0.5)
+    assert tried

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixcara import reduce as reduce_module
 from mixcara.basis import MonomialBasis
 from mixcara.measures import AtomicMeasure, MixtureMeasure, sample_random_mixture
-from mixcara.moments import dirac_moments, mixture_moments
+from mixcara.moments import component_moments, dirac_moments, mixture_moments
 from mixcara.reduce import reduce_atoms, reduce_mixture_components
 
 
@@ -246,3 +247,65 @@ def reducible_measures(draw):
 def test_reduction_properties(case):
     basis, mu = case
     assert_reduction_invariants(basis, mu, _reduce(basis, mu))
+
+
+# ------------------------------------------------------ recombination rounds
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to ``reduce.<name>``."""
+    calls = []
+    real = getattr(reduce_module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reduce_module, name, spy)
+    return calls
+
+
+def test_rounds_need_about_log_k_svds(monkeypatch):
+    basis = MonomialBasis.full_degree(14)
+    k, m = 200, basis.m
+    rng = np.random.default_rng(4)
+    mu = AtomicMeasure(weights=rng.uniform(0.1, 1.5, k), points=rng.uniform(-1, 1, (k, 1)))
+    calls = _spy(monkeypatch, "_null_basis")
+    reduced = reduce_atoms(basis, mu)
+    # each SVD of a rows-by-cols matrix yields cols - rows null directions;
+    # one SVD per 2m-column window used 13 SVDs and 185 directions here
+    directions = sum(V.shape[1] - V.shape[0] for V, _ in calls)
+    assert len(calls) <= 6
+    assert directions <= 70
+    assert_reduction_invariants(basis, mu, reduced)
+
+
+def test_at_most_2m_atoms_take_one_walk_on_the_raw_columns(monkeypatch):
+    basis = MonomialBasis.full_degree(5)
+    k = 2 * basis.m
+    rng = np.random.default_rng(12)
+    mu = AtomicMeasure(weights=rng.uniform(0.1, 1.5, k), points=rng.uniform(-1, 1, (k, 1)))
+    calls = _spy(monkeypatch, "_walk_null_basis")
+    reduced = reduce_atoms(basis, mu)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(
+        calls[0][0], component_moments(basis, "gaussian", mu.points, np.zeros(k)).T
+    )
+    assert_reduction_invariants(basis, mu, reduced)
+
+
+@pytest.mark.parametrize("kind, mean_range", [("gaussian", (-1.0, 1.0)), ("lognormal", (0.5, 2.0))])
+def test_mixture_rounds_keep_the_moments(monkeypatch, kind, mean_range):
+    basis = MonomialBasis.full_degree(5)
+    rng = np.random.default_rng(13)
+    # at m = 6 the first round walks 12 groups of 8 or 9 components; generic
+    # means drop at most m of them, so more than 2m stay live for a second
+    mix = sample_random_mixture(kind, 100, rng=rng, mean_range=mean_range)
+    columns = component_moments(basis, kind, mix.means, mix.sigmas).T
+    calls = _spy(monkeypatch, "_walk_null_basis")
+    reduced = reduce_mixture_components(basis, kind, mix)
+    # a round walks on group means, which are not columns of the input
+    rounds = [V for V, *_ in calls
+              if not all((columns == col[:, None]).all(axis=0).any() for col in V.T)]
+    assert len(rounds) >= 2
+    assert_reduction_invariants(basis, mix, reduced)
