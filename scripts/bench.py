@@ -12,20 +12,15 @@ uncommitted edits included, is the change side.  Each seed is one pair: both
 sides run ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in
 a fresh process, with ``T`` the ``run_seconds`` of ``BENCHMARK.json``, one
 run at a time, and the side that runs first alternates from pair to pair.
-After its benchmark run each side also runs ``scripts/run_all_bounds.py
---seed 7 --timings`` in a fresh process, for the wall seconds of every
-experiment.  Both sides run this checkout's copy of that script, so the
-timing code is the same on both.
 
 The output file records the machine, the Python and numpy versions, and for
 each end-to-end metric that ``perfbench/run.py`` prints: its value in every
 run, the change/parent ratio of every pair, and the median, inclusive
 quartiles and range of each side.  ``change_better_pairs`` and
 ``within_bound`` read the direction and bound of the metric from
-``BENCHMARK.json``.  ``experiment_seconds`` holds the same summary, without
-a bound, for each experiment's seconds.  The script measures nothing itself.
-Running it again with the same ``--out`` adds or replaces that workload and
-keeps every other key of the file.
+``BENCHMARK.json``.  The script measures nothing itself.  Running it again
+with the same ``--out`` adds or replaces that workload and keeps every other
+key of the file.
 """
 from __future__ import annotations
 
@@ -33,7 +28,6 @@ import argparse
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -44,7 +38,6 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = Path("perfbench") / "run.py"
-BOUNDS = Path("scripts") / "run_all_bounds.py"
 
 
 def export(rev: str, directory: Path) -> str:
@@ -68,38 +61,9 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def time_experiments(tree: Path) -> dict[str, float]:
-    """One ``run_all_bounds.py --seed 7`` run in a fresh process; the wall
-    seconds of each experiment, from its ``--timings`` sidecar."""
-    with tempfile.TemporaryDirectory(prefix="mixcara-bounds-") as tmp:
-        timings = Path(tmp) / "timings.json"
-        argv = [sys.executable, str(BOUNDS), "--seed", "7", "--out", str(Path(tmp) / "out"),
-                "--timings", str(timings)]
-        proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise RuntimeError(f"{' '.join(argv)} in {tree} exited {proc.returncode}: "
-                               f"{proc.stderr.strip()[-500:]}")
-        return json.loads(timings.read_text())
-
-
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
-
-
-def compare(parent: list[float], change: list[float], better: str) -> dict:
-    """Per-pair ratios and per-side spreads of one measured quantity."""
-    sign = 1.0 if better == "higher" else -1.0
-    return {
-        "better": better,
-        "parent": parent,
-        "change": change,
-        "pair_ratio": [c / p for p, c in zip(parent, change)],
-        "parent_stats": spread(parent),
-        "change_stats": spread(change),
-        "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
-        "median_change_rel": statistics.median(change) / statistics.median(parent) - 1.0,
-    }
 
 
 def summarize(runs: dict[str, list[dict]], specs: dict[str, dict]) -> dict:
@@ -107,24 +71,22 @@ def summarize(runs: dict[str, list[dict]], specs: dict[str, dict]) -> dict:
     for name, spec in specs.items():
         parent = [run["metrics"][name]["value"] for run in runs["parent"]]
         change = [run["metrics"][name]["value"] for run in runs["change"]]
-        summary = compare(parent, change, spec["better"])
         sign = 1.0 if spec["better"] == "higher" else -1.0
+        rel = statistics.median(change) / statistics.median(parent) - 1.0
         metrics[name] = {
             "unit": spec["unit"],
+            "better": spec["better"],
             "bound": spec["bound"],
-            **summary,
-            "within_bound": -sign * summary["median_change_rel"] <= spec["bound"],
+            "parent": parent,
+            "change": change,
+            "pair_ratio": [c / p for p, c in zip(parent, change)],
+            "parent_stats": spread(parent),
+            "change_stats": spread(change),
+            "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "median_change_rel": rel,
+            "within_bound": -sign * rel <= spec["bound"],
         }
     return metrics
-
-
-def summarize_seconds(seconds: dict[str, list[dict]]) -> dict:
-    """``compare`` of every experiment's seconds, lower being better."""
-    return {
-        name: compare([run[name] for run in seconds["parent"]],
-                      [run[name] for run in seconds["change"]], "lower")
-        for name in seconds["parent"][0]
-    }
 
 
 def machine() -> dict:
@@ -156,12 +118,10 @@ def main() -> int:
     specs = {spec["name"]: spec for spec in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    experiment_seconds: dict[str, list[dict]] = {"parent": [], "change": []}
     order = []
     with tempfile.TemporaryDirectory(prefix="mixcara-bench-") as tmp:
         parent_tree = Path(tmp)
         commit = export(args.parent, parent_tree)
-        shutil.copyfile(ROOT / BOUNDS, parent_tree / BOUNDS)
         trees = {"parent": parent_tree, "change": ROOT}
         for pair, seed in enumerate(args.seeds):
             sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -169,12 +129,9 @@ def main() -> int:
             for side in sides:
                 result = bench_once(trees[side], args.workload, seed, seconds)
                 runs[side].append(result)
-                experiment_seconds[side].append(time_experiments(trees[side]))
                 print(f"{args.workload} seed {seed} {side}: "
                       f"ops_per_s {result['metrics']['ops_per_s']['value']:.1f}, "
-                      f"correct {result['correct']}, "
-                      f"experiments {sum(experiment_seconds[side][-1].values()):.2f} s",
-                      flush=True)
+                      f"correct {result['correct']}", flush=True)
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record["machine"] = machine()
@@ -187,7 +144,6 @@ def main() -> int:
         "attempted_ops": {side: sum(run["attempted"] for run in rs) for side, rs in runs.items()},
         "failed_ops": {side: sum(run["failed"] for run in rs) for side, rs in runs.items()},
         "metrics": summarize(runs, specs),
-        "experiment_seconds": summarize_seconds(experiment_seconds),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -2,17 +2,13 @@
 """Run every bound-verification experiment at desk scale and write reports.
 
 Usage:
-    python scripts/run_all_bounds.py [--out out/] [--seed 7] [--fast] [--timings t.json]
+    python scripts/run_all_bounds.py [--out out/] [--seed 7] [--fast]
 
 Each experiment runs its own full trial count; ``--fast`` trims the counts
-for a quick smoke run.  ``--timings`` also writes a JSON sidecar mapping each
-experiment to its ``perf_counter`` wall seconds, the times printed below;
-the reports themselves hold no timing, so they stay byte-identical.  Exit
-status is the worst exit status across experiments (0 = all bounds held,
-2 = violation).
+for a quick smoke run.  Exit status is the worst exit status across
+experiments (0 = all bounds held, 2 = violation).
 """
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -36,11 +32,9 @@ def main() -> int:
     parser.add_argument("--out", default="out")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--fast", action="store_true")
-    parser.add_argument("--timings", type=Path)
     args = parser.parse_args()
 
     worst = 0
-    seconds = {}
     print(f"{'experiment':32s} {'result':10s} {'rate':>8s} {'time':>8s}")
     for experiment in EXPERIMENTS:
         config = ExperimentConfig(
@@ -52,7 +46,6 @@ def main() -> int:
         start = time.perf_counter()
         report = run_experiment(config)
         elapsed = time.perf_counter() - start
-        seconds[experiment] = elapsed
         agg = report.aggregate
         verdict = "held" if report.bound_held else "VIOLATED"
         print(
@@ -61,8 +54,6 @@ def main() -> int:
         )
         worst = max(worst, report.exit_status)
     print(f"reports written to {Path(args.out).resolve()}")
-    if args.timings:
-        args.timings.write_text(json.dumps(seconds, indent=1) + "\n")
     return worst
 
 

@@ -6,23 +6,25 @@ direction in weight space along which the moment vector is constant.  Walking
 that direction until the first weight hits zero removes an atom without
 changing any moment.
 
-While more than 2m columns are live, reduction runs in recombination rounds
-(Litterer & Lyons 2012; Maalouf, Jubran & Feldman 2019).  The live columns,
-in input order, are split into 2m contiguous groups of near-equal size; each
-group is replaced by its mass and its weighted mean column, and the walk
-below runs on that m-by-2m matrix of means with the group masses as weights.
-Every atom of a group is then scaled by the group's new mass over its old
-one, which keeps every moment, so the groups the walk drops leave at once:
-about half of the live atoms go per round, and k atoms take about
-log2(k/m) SVDs rather than k/m.
+While more than 6m columns are live, reduction runs in recombination
+rounds (Litterer & Lyons 2012; Maalouf, Jubran & Feldman 2019).  The live
+columns, in input order, are split into 2m contiguous groups of near-equal
+size; each group is replaced by its mass and its weighted mean column, and
+the walk below runs on that m-by-2m matrix of means with the group masses as
+weights.  Every atom of a group is then scaled by the group's new mass over
+its old one, which keeps every moment, so the groups the walk drops leave at
+once: about half of the live atoms go per round, and k atoms take about
+log2(k/6m) rounds and at most five windows below, where windows alone take
+about k/m SVDs.
 
-Once at most 2m columns are live, the walk runs on the columns themselves.
-One SVD gives a basis of the null space; each basis direction in turn
-removes one atom, after which the dropped coordinate is eliminated from the
-remaining directions by a rank-one update, so they stay null vectors of the
-surviving columns.  A direction that fails the residual check, or a step
-that zeroes two weights at once, ends the walk early and the live columns
-are factored afresh.  Survivors are input rows, in input order.
+With at most 6m columns live, the walk runs on the first 2m live columns in
+input order, until at most m are left.  One SVD gives a basis of the null
+space; each basis direction in turn removes one atom, after which the
+dropped coordinate is eliminated from the remaining directions by a
+rank-one update, so they stay null vectors of the surviving columns.  A
+direction that fails the residual check, or a step that zeroes two weights
+at once, ends the walk early and the window is factored afresh.  Survivors
+are input rows, in input order.
 """
 from __future__ import annotations
 
@@ -37,6 +39,10 @@ __all__ = ["reduce_atoms", "reduce_mixture_components"]
 
 _DROP_TOL = 1e-14
 _NULL_TOL = 1e-10
+# rounds run while more than this many times m columns are live.  Rounds
+# down to 2m are faster still, but perfbench keeps every op it runs, and at
+# that speed reduce-rank's peak RSS left its bound (ROADMAP item 1, Memory)
+_ROUNDS_ABOVE = 6
 
 
 def _null_basis(V: np.ndarray, scale: float) -> np.ndarray:
@@ -103,24 +109,26 @@ def _walk_null_basis(V: np.ndarray, w: np.ndarray, scale: float) -> None:
 
 
 def _reduce_columns(columns: np.ndarray, weights: np.ndarray, m: int):
-    """Run the rounds, then the walk on the live columns; returns (weights,
-    surviving original indices)."""
+    """Run the rounds, then walk windows of the live columns; returns
+    (weights, surviving original indices)."""
     scale = max(1.0, float(np.abs(columns).max()))
     w = weights.copy()
     live = np.arange(weights.shape[0])
     while live.size > m:
-        wl = w[live]
-        if live.size > 2 * m:
+        if live.size > _ROUNDS_ABOVE * m:
+            wl = w[live]
             starts = np.arange(2 * m) * live.size // (2 * m)
             mass = np.add.reduceat(wl, starts)
             means = np.add.reduceat(columns[:, live] * wl, starts, axis=1) / mass
             new_mass = mass.copy()
             _walk_null_basis(means, new_mass, scale)
-            wl *= np.repeat(new_mass / mass, np.diff(starts, append=live.size))
+            w[live] = wl * np.repeat(new_mass / mass, np.diff(starts, append=live.size))
         else:
-            _walk_null_basis(columns[:, live], wl, scale)
-        w[live] = wl
-        live = live[wl > 0]
+            window = live[:2 * m]
+            ww = w[window]
+            _walk_null_basis(columns[:, window], ww, scale)
+            w[window] = ww
+        live = live[w[live] > 0]
     return w[live], live
 
 

@@ -265,6 +265,12 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _raw(columns, V):
+    """Whether every column of ``V`` is one of ``columns``: a round walks on
+    group means, which are not."""
+    return all((columns == col[:, None]).all(axis=0).any() for col in V.T)
+
+
 def test_rounds_need_about_log_k_svds(monkeypatch):
     basis = MonomialBasis.full_degree(14)
     k, m = 200, basis.m
@@ -294,18 +300,32 @@ def test_at_most_2m_atoms_take_one_walk_on_the_raw_columns(monkeypatch):
     assert_reduction_invariants(basis, mu, reduced)
 
 
+@pytest.mark.parametrize("extra, rounds", [(0, 0), (1, 1)])
+def test_rounds_start_above_6m_atoms(monkeypatch, extra, rounds):
+    basis = MonomialBasis.full_degree(5)
+    m = basis.m
+    k = reduce_module._ROUNDS_ABOVE * m + extra
+    rng = np.random.default_rng(14)
+    mu = AtomicMeasure(weights=rng.uniform(0.1, 1.5, k), points=rng.uniform(-1, 1, (k, 1)))
+    columns = component_moments(basis, "gaussian", mu.points, np.zeros(k)).T
+    calls = _spy(monkeypatch, "_walk_null_basis")
+    reduced = reduce_atoms(basis, mu)
+    walks = [V for V, *_ in calls if _raw(columns, V)]
+    assert len(calls) - len(walks) == rounds
+    assert all(V.shape[1] <= 2 * m for V in walks)
+    assert_reduction_invariants(basis, mu, reduced)
+
+
 @pytest.mark.parametrize("kind, mean_range", [("gaussian", (-1.0, 1.0)), ("lognormal", (0.5, 2.0))])
 def test_mixture_rounds_keep_the_moments(monkeypatch, kind, mean_range):
     basis = MonomialBasis.full_degree(5)
     rng = np.random.default_rng(13)
     # at m = 6 the first round walks 12 groups of 8 or 9 components; generic
-    # means drop at most m of them, so more than 2m stay live for a second
+    # means drop at most m of them, so more than 6m stay live for a second
     mix = sample_random_mixture(kind, 100, rng=rng, mean_range=mean_range)
     columns = component_moments(basis, kind, mix.means, mix.sigmas).T
     calls = _spy(monkeypatch, "_walk_null_basis")
     reduced = reduce_mixture_components(basis, kind, mix)
-    # a round walks on group means, which are not columns of the input
-    rounds = [V for V, *_ in calls
-              if not all((columns == col[:, None]).all(axis=0).any() for col in V.T)]
+    rounds = [V for V, *_ in calls if not _raw(columns, V)]
     assert len(rounds) >= 2
     assert_reduction_invariants(basis, mix, reduced)

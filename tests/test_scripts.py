@@ -2,7 +2,6 @@
 driver summarizes its runs."""
 import ast
 import importlib.util
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -28,23 +27,6 @@ def test_run_all_bounds_fast(tmp_path):
     assert {p.name for p in out.iterdir()} == expected
 
 
-def test_run_all_bounds_timings_sidecar(tmp_path):
-    out, timings = tmp_path / "out", tmp_path / "timings.json"
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--fast", "--out", str(out), "--timings", str(timings)],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    seconds = json.loads(timings.read_text())
-    assert list(seconds) == list(EXPERIMENTS)
-    # the sidecar holds the times printed on stdout, and no report gains a file
-    printed = {line.split()[0]: line.split()[-1] for line in proc.stdout.splitlines()
-               if line.split()[1:2] == ["held"]}
-    assert printed == {e: f"{t:.1f}s" for e, t in seconds.items()}
-    assert {p.name for p in out.iterdir()} == {f"{e}.{ext}" for e in EXPERIMENTS
-                                               for ext in ("csv", "json")}
-
-
 def literal_assignment(path, name):
     """The literal value assigned to ``name`` at the top level of ``path``,
     read without importing the module."""
@@ -62,15 +44,10 @@ def test_benchmark_fast_trials_match_the_script():
     assert bench == literal_assignment(SCRIPT, "FAST_TRIALS")
 
 
-def load_bench():
+def test_bench_summary_reads_each_metric_direction():
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    return bench
-
-
-def test_bench_summary_reads_each_metric_direction():
-    bench = load_bench()
 
     def run(ops, p90):
         return {"metrics": {"ops_per_s": {"value": ops}, "latency_p90_ms": {"value": p90}}}
@@ -90,21 +67,3 @@ def test_bench_summary_reads_each_metric_direction():
     assert p90["median_change_rel"] == pytest.approx(0.2) and p90["within_bound"]
     runs["change"][2] = run(120.0, 2.6)
     assert not bench.summarize(runs, specs)["latency_p90_ms"]["within_bound"]
-
-
-def test_bench_times_every_experiment():
-    seconds = load_bench().time_experiments(ROOT)
-    assert list(seconds) == list(EXPERIMENTS)
-    assert all(t > 0 for t in seconds.values())
-
-
-def test_bench_summarizes_experiment_seconds_per_pair():
-    seconds = {"parent": [{"a": 1.0, "b": 2.0}, {"a": 3.0, "b": 2.0}],
-               "change": [{"a": 0.5, "b": 2.5}, {"a": 1.5, "b": 1.0}]}
-    summary = load_bench().summarize_seconds(seconds)
-    assert list(summary) == ["a", "b"]
-    assert summary["a"]["pair_ratio"] == [0.5, 0.5]
-    # fewer seconds is better: "b" improved in one pair of two
-    assert summary["a"]["change_better_pairs"] == 2 and summary["b"]["change_better_pairs"] == 1
-    assert summary["a"]["median_change_rel"] == pytest.approx(-0.5)
-    assert summary["b"]["parent_stats"]["median"] == 2.0
