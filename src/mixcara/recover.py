@@ -405,7 +405,23 @@ def _stack_costs(values, thetas: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, rows)
 
 
-def _damped_least_squares(point, values, theta: np.ndarray, goal: float, max_iters: int):
+@dataclass(slots=True)
+class _Run:
+    """One solver run: its last point, the residual and Jacobian there,
+    whether the goal was met and the iterations (SVDs) spent.  Unpacks as
+    ``(theta, r, converged, iterations)``."""
+
+    theta: np.ndarray
+    r: np.ndarray
+    J: np.ndarray
+    converged: bool
+    iterations: int
+
+    def __iter__(self):
+        return iter((self.theta, self.r, self.converged, self.iterations))
+
+
+def _damped_least_squares(point, values, theta: np.ndarray, goal: float, max_iters: int) -> _Run:
     """Levenberg descent of ``|r(theta)|^2`` until ``max|r| <= goal``.
 
     ``point(theta)`` returns the residual and its Jacobian at one point (one
@@ -420,8 +436,6 @@ def _damped_least_squares(point, values, theta: np.ndarray, goal: float, max_ite
     ladder above it is evaluated in one ``values`` call and the least-damped
     one that lowers it is taken, keeping its damping; when none does, or
     when a step lowers it by less than a relative 1e-8, the descent stops.
-    Returns the last point, its residual, whether the goal was met and the
-    number of iterations (SVDs) spent.
     """
     r, J = point(theta)
     damping, last = 0.0, math.inf
@@ -430,17 +444,17 @@ def _damped_least_squares(point, values, theta: np.ndarray, goal: float, max_ite
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(max_iters):
             if np.abs(r).max() <= goal:
-                return theta, r, True, iteration
+                return _Run(theta, r, J, True, iteration)
             cost = r @ r
             if cost > last * (1.0 - _MIN_PROGRESS):  # a plateau
-                return theta, r, False, iteration
+                return _Run(theta, r, J, False, iteration)
             last = cost
             try:
                 u, sv, vt = np.linalg.svd(J)
             except np.linalg.LinAlgError:  # a Jacobian entry overflowed
-                return theta, r, False, iteration
+                return _Run(theta, r, J, False, iteration)
             if not sv[0] > 0:  # no direction lowers the residual
-                return theta, r, False, iteration
+                return _Run(theta, r, J, False, iteration)
             g = u[:, : len(sv)].T @ r
             vt = vt[: len(sv)]
             if damping:
@@ -471,8 +485,8 @@ def _damped_least_squares(point, values, theta: np.ndarray, goal: float, max_ite
                 theta, damping = cands[j], lambdas[j]
                 break
             else:
-                return theta, r, False, iteration + 1
-    return theta, r, bool(np.abs(r).max() <= goal), max_iters
+                return _Run(theta, r, J, False, iteration + 1)
+    return _Run(theta, r, J, bool(np.abs(r).max() <= goal), max_iters)
 
 
 def homotopy_gap_recovery(
@@ -514,16 +528,19 @@ def homotopy_gap_recovery(
 
     def system(sigma: float):
         """The solver's residual maps at one shared scale."""
+        # scales of one point and of the largest stack the solver evaluates
+        sigmas = np.full(k, sigma)
+        stack_sigmas = np.full(len(_LADDER) * k, sigma)
 
         def point(theta: np.ndarray):
             w, pts = _split_theta(theta, k, n)
-            B, dmean, _ = component_moments(basis, "gaussian", pts, np.full(k, sigma), True)
+            B, dmean, _ = component_moments(basis, "gaussian", pts, sigmas, True)
             J = np.concatenate([B[:, None, :], w[:, None, None] * dmean], axis=1).reshape(-1, m).T
             return w @ B - target, J
 
         def values(thetas: np.ndarray) -> np.ndarray:
             w, pts = _split_theta(thetas, len(thetas) * k, n)
-            B = component_moments(basis, "gaussian", pts, np.full(w.shape[0], sigma))
+            B = component_moments(basis, "gaussian", pts, stack_sigmas[: w.shape[0]])
             return np.einsum("ck,ckm->cm", w.reshape(-1, k), B.reshape(-1, k, m)) - target
 
         return point, values
@@ -540,12 +557,10 @@ def homotopy_gap_recovery(
         pts0 = rng.uniform(-box, box, size=(k, n))
         w0 = np.full(k, max(target[0], scale * 1e-3) / k)
         theta0 = _interleaved_theta(w0, pts0)
-        found, _, converged, spent = _damped_least_squares(
-            dirac_point, dirac_values, theta0, floor, _CORRECTOR_ITERS
-        )
-        iterations += spent
-        w, _ = _split_theta(found, k, n)
-        if not converged or np.any(w < -floor):
+        run = _damped_least_squares(dirac_point, dirac_values, theta0, floor, _CORRECTOR_ITERS)
+        iterations += run.iterations
+        w, _ = _split_theta(run.theta, k, n)
+        if not run.converged or np.any(w < -floor):
             continue
         saw_residual_fit = True
         # stage 2: the continuation argument needs a regular starting point.
@@ -555,8 +570,8 @@ def homotopy_gap_recovery(
         # singular value of order sqrt(residual)
         if np.any(w <= goal):
             continue
-        if numeric_rank(dirac_point(found)[1], rel_tol=_START_RANK_TOL).full_rank:
-            solution = found
+        if numeric_rank(run.J, rel_tol=_START_RANK_TOL).full_rank:
+            solution = run.theta
             break
     if solution is None:
         reason = (
@@ -582,14 +597,12 @@ def homotopy_gap_recovery(
     corrector_calls = 0
     while sigma_cur < _SIGMA_TARGET and step_size >= _MIN_STEP and corrector_calls < 200:
         sigma_try = min(sigma_cur + step_size, _SIGMA_TARGET)
-        candidate, _, converged, spent = _damped_least_squares(
-            *system(sigma_try), theta, goal, _CORRECTOR_ITERS
-        )
-        iterations += spent
+        run = _damped_least_squares(*system(sigma_try), theta, goal, _CORRECTOR_ITERS)
+        iterations += run.iterations
         corrector_calls += 1
-        w_cand, _ = _split_theta(candidate, k, n)
-        if converged and np.all(w_cand >= 0):
-            theta = candidate
+        w_cand, _ = _split_theta(run.theta, k, n)
+        if run.converged and np.all(w_cand >= 0):
+            theta = run.theta
             sigma_cur = sigma_try
             sigma_steps += 1
             step_size = min(step_size * 1.6, _SIGMA_TARGET - sigma_cur + _MIN_STEP)
@@ -728,15 +741,13 @@ def lm_fit(
         tau0 = np.log(rng.uniform(*_LM_SIGMA_STARTS, size=tau_n))
         theta0 = np.concatenate([g0, loc0.ravel(), tau0])
         try:
-            theta, res, _, spent = _damped_least_squares(
-                point, values, theta0, rel_tol * scale, _LM_ITERS
-            )
+            run = _damped_least_squares(point, values, theta0, rel_tol * scale, _LM_ITERS)
         except (ValueError, OverflowError):
             continue  # the start itself does not evaluate
-        iterations += spent
-        r = float(np.max(np.abs(res))) / scale
+        iterations += run.iterations
+        r = float(np.max(np.abs(run.r))) / scale
         if best is None or r < best[0]:
-            best = (r, theta)
+            best = (r, run.theta)
         if r <= rel_tol:
             break
     if best is None:
