@@ -16,6 +16,8 @@ Five routes from a moment vector back to a measure:
   representation by running the damped least-squares solver at scale 0
   from random starts, check the Jacobian has full rank, then continue the
   solution in the scale from 0 upward with the same solver as corrector.
+  The first scale step tries the target scale itself, and a corrector run
+  fails at its first iteration that does not halve the residual norm.
 * ``lm_fit`` -- generic moment matching by the same solver with
   log-parameterized positive parameters; the classical method-of-moments
   fallback when nothing structural applies.
@@ -25,7 +27,11 @@ that factors the Jacobian once per iteration by SVD and tries the
 minimum-norm Gauss-Newton step first.  An engine hands it two maps: a point
 to its residual and Jacobian (one kernel call with derivatives), and a stack
 of points to their residuals (one values-only kernel call), which evaluates
-every damped step of a rejected iteration at once.
+every damped step of a rejected iteration at once.  Besides the goal, a run
+stops when no damped step lowers the residual, at a step that lowers the
+squared residual by less than a relative 1e-8, and when its last 50
+iterations lowered it by less than 1%; a homotopy corrector run also stops,
+as failed, at an iteration that does not halve the residual norm.
 
 Success is always judged by the moment residual, never by parameter
 closeness: distinct parameter sets can represent the same moments.  Both
@@ -81,7 +87,8 @@ _SCHEDULE_RATIO = 0.5
 _SCHEDULE_STEPS = 40
 # homotopy: starts, continuation target and floor, smallest scale step,
 # corrector goal relative to the vector, the solver's iteration cap along the
-# continuation and from a random Dirac start, the Dirac start's goal and
+# continuation and from a random Dirac start, the share of |r| a corrector
+# iteration along the continuation may keep, the Dirac start's goal and
 # weight floor relative to the vector, and the singular-value cutoff of its
 # rank check
 _HOMOTOPY_STARTS = 32
@@ -90,6 +97,7 @@ _SIGMA_MIN = 1e-4
 _MIN_STEP = 1e-8
 _NEWTON_REL_TOL = 1e-9
 _CORRECTOR_ITERS = 15
+_CORRECTOR_CONTRACTION = 0.5
 _START_REL_TOL = 1e-12
 _START_RANK_TOL = 1e-4
 # damped least squares: the Levenberg dampings tried in one batch after a
@@ -103,9 +111,12 @@ _LADDER = _LADDER_RATIO ** np.arange(38)
 _GAIN_DROP = 0.75
 _DAMPING_DROP = 1.0 / 8.0
 _SVD_CUTOFF = np.finfo(float).eps
-# a step that lowers the squared residual by less than this share ends the
-# descent: it has reached a plateau short of the goal
+# a step that lowers the squared residual by less than a relative 1e-8, or 50
+# iterations that together lower it by less than 1%, end the descent: it has
+# reached a plateau short of the goal
 _MIN_PROGRESS = 1e-8
+_WINDOW = 50
+_WINDOW_PROGRESS = 0.01
 # lm_fit: scales of each start are drawn uniformly from this interval, and
 # the iteration cap of each start
 _LM_SIGMA_STARTS = (0.1, 1.0)
@@ -421,7 +432,9 @@ class _Run:
         return iter((self.theta, self.r, self.converged, self.iterations))
 
 
-def _damped_least_squares(point, values, theta: np.ndarray, goal: float, max_iters: int) -> _Run:
+def _damped_least_squares(
+    point, values, theta: np.ndarray, goal: float, max_iters: int, contraction: float | None = None
+) -> _Run:
     """Levenberg descent of ``|r(theta)|^2`` until ``max|r| <= goal``.
 
     ``point(theta)`` returns the residual and its Jacobian at one point (one
@@ -434,11 +447,17 @@ def _damped_least_squares(point, values, theta: np.ndarray, goal: float, max_ite
     the residual drop the linear model predicts divides the damping by 8.
     When the step does not lower the residual, every step of the damping
     ladder above it is evaluated in one ``values`` call and the least-damped
-    one that lowers it is taken, keeping its damping; when none does, or
-    when a step lowers it by less than a relative 1e-8, the descent stops.
+    one that lowers it is taken, keeping its damping.  The descent stops
+    short of the goal when no ladder step lowers the residual, when a step
+    lowers ``|r|^2`` by less than a relative 1e-8, when the last 50
+    iterations lowered it by less than 1%, and, given a ``contraction``,
+    when a step leaves ``|r|`` above that share of its previous value.
     """
     r, J = point(theta)
-    damping, last = 0.0, math.inf
+    damping = 0.0
+    # the largest share of the last squared residual that an iteration may keep
+    keep = 1.0 - _MIN_PROGRESS if contraction is None else contraction * contraction
+    costs = []
     # a residual that overflows has an infinite or undefined cost, which no
     # comparison accepts
     with np.errstate(over="ignore", invalid="ignore"):
@@ -446,9 +465,13 @@ def _damped_least_squares(point, values, theta: np.ndarray, goal: float, max_ite
             if np.abs(r).max() <= goal:
                 return _Run(theta, r, J, True, iteration)
             cost = r @ r
-            if cost > last * (1.0 - _MIN_PROGRESS):  # a plateau
+            if costs and (
+                cost > costs[-1] * keep  # a plateau, or a corrector that does not contract
+                or iteration >= _WINDOW
+                and cost > costs[-_WINDOW] * (1.0 - _WINDOW_PROGRESS)  # a long, slow crawl
+            ):
                 return _Run(theta, r, J, False, iteration)
-            last = cost
+            costs.append(cost)
             try:
                 u, sv, vt = np.linalg.svd(J)
             except np.linalg.LinAlgError:  # a Jacobian entry overflowed
@@ -507,10 +530,15 @@ def homotopy_gap_recovery(
     set of vectors whose representations are all singular has measure zero
     and is reported, not repaired.  Stage 3 tracks the solution of the
     smoothed moment equations while the shared scale grows from 0 toward
-    0.1, with the same solver as corrector, halving the scale step whenever
-    the corrector fails; a continuation that stalls below 1e-4 is reported
-    as a failure.  The moment system is underdetermined by one, so the
-    solver's undamped minimum-norm step follows the solution manifold.
+    0.1, with the same solver as corrector started from the last accepted
+    solution.  Three rules end stalled corrector runs early: the first
+    scale step tries 0.1 itself, and the step is halved after a failure and
+    grown 1.6x after a success; a corrector run fails at its first
+    iteration that does not halve the residual norm; and, as in every
+    solver run, 50 iterations that together lower the squared residual by
+    less than 1% end the run.  A continuation that stalls below 1e-4 is
+    reported as a failure.  The moment system is underdetermined by one, so
+    the solver's undamped minimum-norm step follows the solution manifold.
     ``iterations`` counts the solver iterations of stages 1 and 3.
     """
     if basis.n != 1:
@@ -589,15 +617,19 @@ def homotopy_gap_recovery(
             failure_reason=reason,
         )
 
-    # stage 3: predictor-corrector continuation in the shared scale
+    # stage 3: continuation in the shared scale; each corrector run starts
+    # from the last accepted solution, with no predictor step, and the first
+    # tries the target scale itself
     sigma_cur = 0.0
     theta = solution
-    step_size = _SIGMA_TARGET / 10.0
+    step_size = _SIGMA_TARGET
     sigma_steps = 0
     corrector_calls = 0
     while sigma_cur < _SIGMA_TARGET and step_size >= _MIN_STEP and corrector_calls < 200:
         sigma_try = min(sigma_cur + step_size, _SIGMA_TARGET)
-        run = _damped_least_squares(*system(sigma_try), theta, goal, _CORRECTOR_ITERS)
+        run = _damped_least_squares(
+            *system(sigma_try), theta, goal, _CORRECTOR_ITERS, _CORRECTOR_CONTRACTION
+        )
         iterations += run.iterations
         corrector_calls += 1
         w_cand, _ = _split_theta(run.theta, k, n)
@@ -660,9 +692,10 @@ def lm_fit(
     so positivity needs no constraints; the Jacobian is the analytic one of
     the moment kernel, taken through the log parameters by the chain rule.
     Each start runs the solver for at most 2000 iterations, stopping at
-    ``rel_tol``; the best start by moment residual wins, and success is a
-    residual at or below ``rel_tol``.  ``k`` and ``n_starts`` must be
-    positive.  A vector that the cone test of ``kind`` certifies as exterior
+    ``rel_tol`` or at a plateau, such as 50 iterations that together lower
+    the squared residual by less than 1%; the best start by moment residual
+    wins, and success is a residual at or below ``rel_tol``.  ``k`` and
+    ``n_starts`` must be positive.  A vector that the cone test of ``kind`` certifies as exterior
     is refused before any start.
     """
     if kind not in ("gaussian", "lognormal"):

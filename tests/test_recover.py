@@ -379,6 +379,107 @@ def test_solver_ladder_follows_a_rejected_gauss_newton_step():
     assert r @ r < r0 @ r0 and not converged
 
 
+def stage3_runs(monkeypatch, s):
+    """Squared residuals at every point of every stage-3 corrector run, with
+    whether the run converged; stage 3 is the solver goal of 1e-9 * scale."""
+    goal3 = recover._NEWTON_REL_TOL * (1.0 + float(np.max(np.abs(s.values))))
+    runs = []
+    real = recover._damped_least_squares
+
+    def spy(point, values, theta, goal, max_iters, *rest):
+        costs = []
+
+        def recorded(t):
+            r, J = point(t)
+            costs.append(r @ r)
+            return r, J
+
+        result = real(recorded, values, theta, goal, max_iters, *rest)
+        _, _, converged, _ = result
+        if goal == goal3:
+            runs.append((costs, converged))
+        return result
+
+    monkeypatch.setattr(recover, "_damped_least_squares", spy)
+    return runs
+
+
+def accepted_costs(costs):
+    """The squared residuals of a run's accepted iterates: every evaluated
+    point that lowers the residual is the solver's next iterate."""
+    accepted = [costs[0]]
+    for cost in costs[1:]:
+        if cost < accepted[-1]:
+            accepted.append(cost)
+    return accepted
+
+
+def test_homotopy_gap_roundtrip_reaches_the_target_in_one_corrector_call(monkeypatch):
+    s = gap_roundtrip_moments()
+    runs = stage3_runs(monkeypatch, s)
+    report = homotopy_gap_recovery(GAP, s, k=3, seed=40)
+    assert report.success
+    assert len(runs) == 1 and runs[0][1]
+    assert report.sigma_used == recover._SIGMA_TARGET and report.sigma_steps == 1
+
+
+def test_homotopy_failed_correctors_stop_at_the_first_step_that_does_not_contract(
+    monkeypatch, kernel_calls
+):
+    # a gap-basis input whose continuation stalls at sigma 0.0810, short of the
+    # 0.1 target; running every failed corrector to its iteration cap took 846
+    # kernel calls here
+    seed = 6
+    mix = sample_random_mixture(
+        "gaussian", 3, rng=np.random.default_rng(seed), sigma_range=(0.05, 0.05),
+        min_separation=0.5, shared_sigma=True,
+    )
+    s = mixture_moments(GAP, mix)
+    runs = stage3_runs(monkeypatch, s)
+    report = homotopy_gap_recovery(GAP, s, k=3, seed=seed)
+    assert report.success
+    assert report.sigma_used == pytest.approx(0.0810107644, abs=1e-6)
+    assert len(kernel_calls) <= 846 // 2
+    stopped = 0
+    for costs, converged in runs:
+        accepted = accepted_costs(costs)
+        # |r| halves at every iteration; only a failed run's last step may not
+        ratios = [b / a for a, b in zip(accepted, accepted[1:])]
+        assert all(ratio <= 0.25 for ratio in ratios[:-1])
+        if ratios and ratios[-1] > 0.25:
+            assert not converged
+            stopped += 1
+    assert stopped
+
+
+def test_solver_stops_after_a_window_of_slow_progress():
+    # r(t) = (1, t) creeps toward the floor |r|^2 = 1: the Jacobian is 100x
+    # too steep, so each Gauss-Newton step covers 1% of the way to t = 0 and
+    # lowers |r|^2 by far more than the per-step 1e-8 until t is about 1e-3
+    costs = []
+
+    def point(t):
+        r = np.array([1.0, t[0]])
+        costs.append(r @ r)
+        return r, np.array([[0.0], [100.0]])
+
+    def values(ts):
+        return np.column_stack([np.ones(len(ts)), ts[:, 0]])
+
+    window = 50
+    theta, r, converged, iterations = recover._damped_least_squares(
+        point, values, np.array([10.0]), 0.5, 5000
+    )
+    assert not converged
+    # every step is accepted, so the i-th evaluated point is the i-th iterate
+    assert len(costs) == iterations + 1
+    first = next(
+        i for i in range(window, len(costs)) if costs[i] > 0.99 * costs[i - window]
+    )
+    assert iterations == first
+    assert all(b < a * (1.0 - recover._MIN_PROGRESS) for a, b in zip(costs, costs[1:]))
+
+
 def test_homotopy_parameter_count_validated():
     with pytest.raises(ValueError):
         homotopy_gap_recovery(GAP, mv(np.ones(5), GAP), k=2)
