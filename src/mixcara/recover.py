@@ -695,8 +695,8 @@ def lm_fit(
     ``rel_tol`` or at a plateau, such as 50 iterations that together lower
     the squared residual by less than 1%; the best start by moment residual
     wins, and success is a residual at or below ``rel_tol``.  ``k`` and
-    ``n_starts`` must be positive.  A vector that the cone test of ``kind`` certifies as exterior
-    is refused before any start.
+    ``n_starts`` must be positive.  A vector that the cone test of ``kind``
+    certifies as exterior is refused before any start.
     """
     if kind not in ("gaussian", "lognormal"):
         raise ValueError(f"unknown kind {kind!r}")

@@ -427,8 +427,8 @@ def test_homotopy_failed_correctors_stop_at_the_first_step_that_does_not_contrac
     monkeypatch, kernel_calls
 ):
     # a gap-basis input whose continuation stalls at sigma 0.0810, short of the
-    # 0.1 target; running every failed corrector to its iteration cap took 846
-    # kernel calls here
+    # 0.1 target; a first scale step of 0.01 and correctors that need not
+    # contract took 846 kernel calls here
     seed = 6
     mix = sample_random_mixture(
         "gaussian", 3, rng=np.random.default_rng(seed), sigma_range=(0.05, 0.05),
