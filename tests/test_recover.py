@@ -1,6 +1,8 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,7 +314,10 @@ def test_homotopy_zero_weight_start_is_singular(seed):
 
 def test_import_loads_no_scipy():
     code = "import sys, mixcara.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    # the child imports mixcara from where this process did, installed or not
+    src = str(Path(recover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
 
 

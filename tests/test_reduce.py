@@ -301,7 +301,7 @@ def test_at_most_2m_atoms_take_one_walk_on_the_raw_columns(monkeypatch):
 
 
 @pytest.mark.parametrize("extra, rounds", [(0, 0), (1, 1)])
-def test_rounds_start_above_6m_atoms(monkeypatch, extra, rounds):
+def test_rounds_start_above_the_cutoff(monkeypatch, extra, rounds):
     basis = MonomialBasis.full_degree(5)
     m = basis.m
     k = reduce_module._ROUNDS_ABOVE * m + extra
@@ -321,7 +321,7 @@ def test_mixture_rounds_keep_the_moments(monkeypatch, kind, mean_range):
     basis = MonomialBasis.full_degree(5)
     rng = np.random.default_rng(13)
     # at m = 6 the first round walks 12 groups of 8 or 9 components; generic
-    # means drop at most m of them, so more than 6m stay live for a second
+    # means drop at most m of them, so more than 2m stay live for a second
     mix = sample_random_mixture(kind, 100, rng=rng, mean_range=mean_range)
     columns = component_moments(basis, kind, mix.means, mix.sigmas).T
     calls = _spy(monkeypatch, "_walk_null_basis")
@@ -329,3 +329,100 @@ def test_mixture_rounds_keep_the_moments(monkeypatch, kind, mean_range):
     rounds = [V for V, *_ in calls if not _raw(columns, V)]
     assert len(rounds) >= 2
     assert_reduction_invariants(basis, mix, reduced)
+
+
+# ------------------------------------------------ the walk and its reference
+
+
+def _walk_reference(V, w, scale):
+    """The walk with one plain numpy call per operation: the trimmed
+    ``_walk_null_basis`` must match it bit for bit."""
+    N = reduce_module._null_basis(V, scale)
+    for j in range(N.shape[1]):
+        lam = N[:, j] / np.linalg.norm(N[:, j])
+        if j and np.abs(V @ lam).max() > reduce_module._NULL_TOL * scale:
+            return
+        if lam[np.argmax(np.abs(lam))] < 0:
+            lam = -lam
+        positive = np.flatnonzero(lam > reduce_module._DROP_TOL)
+        assert positive.size
+        ratios = w[positive] / lam[positive]
+        i = positive[np.argmin(ratios)]
+        live = w > 0
+        threshold = reduce_module._DROP_TOL * float(np.max(w))
+        w -= float(ratios.min()) * lam
+        w[i] = 0.0
+        keep = w > threshold
+        w[~keep] = 0.0
+        if np.count_nonzero(live & ~keep) > 1:
+            return
+        rest = N[:, j + 1:]
+        rest -= np.outer(lam, rest[i] / lam[i])
+        rest[i] = 0.0
+
+
+def _walk_case(basis, points, weights):
+    columns = component_moments(basis, "gaussian", points, np.zeros(len(points))).T
+    return columns, weights, max(1.0, float(np.abs(columns).max()))
+
+
+def _window(n, seed):
+    basis = MonomialBasis.full_degree(14 if n == 1 else 4, n=n)
+    rng = np.random.default_rng(seed)
+    k = 2 * basis.m
+    return [_walk_case(basis, rng.uniform(-1, 1, (k, n)), rng.uniform(0.1, 1.5, k))]
+
+
+def _round_walks(monkeypatch, n, seed):
+    """The input of every walk of one reduction of 200 atoms: the rounds'
+    group means, then the raw columns."""
+    basis = MonomialBasis.full_degree(14 if n == 1 else 4, n=n)
+    rng = np.random.default_rng(seed)
+    mu = AtomicMeasure(weights=rng.uniform(0.1, 1.5, 200), points=rng.uniform(-1, 1, (200, n)))
+    inputs = []
+    real = reduce_module._walk_null_basis
+
+    def record(V, w, scale):
+        inputs.append((V.copy(), w.copy(), scale))
+        real(V, w, scale)
+
+    monkeypatch.setattr(reduce_module, "_walk_null_basis", record)
+    reduce_atoms(basis, mu)
+    monkeypatch.undo()
+    assert len(inputs) >= 3
+    return inputs
+
+
+def _tie():
+    basis, mu = _symmetric_pairs()
+    return [_walk_case(basis, mu.points[:6], mu.weights[:6].copy())]
+
+
+@pytest.mark.parametrize("layout", ["svd", "c-order"])
+@pytest.mark.parametrize(
+    "case",
+    [lambda mp: _window(1, 21), lambda mp: _window(2, 22),
+     lambda mp: _round_walks(mp, 1, 4), lambda mp: _round_walks(mp, 2, 23),
+     lambda mp: _tie()],
+    ids=["window-n1", "window-n2", "rounds-n1", "rounds-n2", "tie"],
+)
+def test_walk_matches_its_reference_bit_for_bit(monkeypatch, case, layout):
+    inputs = case(monkeypatch)
+    if layout == "c-order":
+        # the refined null basis comes back row-major, so its columns are strided
+        real = reduce_module._null_basis
+        monkeypatch.setattr(reduce_module, "_null_basis",
+                            lambda V, scale: np.ascontiguousarray(real(V, scale)))
+    for V, w, scale in inputs:
+        expected, got = w.copy(), w.copy()
+        _walk_reference(V, expected, scale)
+        reduce_module._walk_null_basis(V, got, scale)
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_tie_ends_the_walk_early():
+    # the reference case above must take the early return: a full walk on
+    # 2m columns leaves m
+    ((V, w, scale),) = _tie()
+    reduce_module._walk_null_basis(V, w, scale)
+    assert np.count_nonzero(w) > V.shape[0]
