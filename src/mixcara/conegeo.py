@@ -8,9 +8,11 @@ the half-line (0, inf) (Stieltjes) the Hankel matrix of the shifted sequence
 {x^a, ..., x^(a+d)}, whose moments are those of the positive measure
 x^a dmu.  ``hankel_classify`` is the public real-line test on
 {1, x, ..., x^d}; ``_cone_support`` picks the test that fits a mixture kind
-on a basis.  The eigenvalue threshold is a proxy: points within the
-tolerance band of the boundary are classified "boundary" rather than
-resolved exactly.
+on a basis, and ``represent_with_prescribed_component`` certifies its input
+with that test only, refusing a basis that has none.  The eigenvalue
+threshold is a proxy: points within the tolerance band of the boundary are
+classified "boundary" rather than resolved exactly.  ``_hankel_index`` is
+the one cached builder of Hankel indices, also for the Prony solve.
 """
 from __future__ import annotations
 
@@ -67,10 +69,10 @@ class ConeClassification:
 
 
 @cache
-def _hankel_index(order: int) -> np.ndarray:
-    """Indices i + j of the order-by-order Hankel matrix of a sequence,
+def _hankel_index(rows: int, cols: int) -> np.ndarray:
+    """Indices i + j of the rows-by-cols Hankel matrix of a sequence,
     read-only because every call shares them."""
-    index = np.add.outer(np.arange(order), np.arange(order))
+    index = np.add.outer(np.arange(rows), np.arange(cols))
     index.setflags(write=False)
     return index
 
@@ -87,9 +89,10 @@ def _classify(values: np.ndarray, support: str) -> tuple[str, float, float]:
     The tolerance is ``1e-10 * (1 + max|s|)``.
     """
     m = len(values)
-    margin = np.linalg.eigvalsh(values[_hankel_index((m + 1) // 2)])[0]
+    order = (m + 1) // 2
+    margin = np.linalg.eigvalsh(values[_hankel_index(order, order)])[0]
     if support == "positive" and m > 1:
-        margin = min(margin, np.linalg.eigvalsh(values[1:][_hankel_index(m // 2)])[0])
+        margin = min(margin, np.linalg.eigvalsh(values[1:][_hankel_index(m // 2, m // 2)])[0])
     margin = float(margin)
     tol = _HANKEL_REL_TOL * (1.0 + float(np.max(np.abs(values))))
     if margin >= tol:
@@ -186,17 +189,17 @@ def represent_with_prescribed_component(
 
     Interior vectors keep a slack in every direction, so some positive mass
     of the prescribed component can be split off and the remainder recovered
-    by the shared-scale engine of ``kind``.  The cone test of ``kind`` is the
-    real-line Hankel test for Gaussian vectors on {1, x, ..., x^d} and the
-    half-line test for log-normal vectors on any basis of consecutive
-    exponents.  On {1, x, ..., x^d} that test must certify s as interior; on
-    a gap basis, recovering s itself is the certificate.  The mass starts at
-    half the total and halves, down to ``1e-12`` of the total, until the
-    remainder is recoverable.  A remainder that the cone test certifies as
-    exterior is skipped without an engine call, because no mixture has its
-    moments.  A remainder the engine refuses outright (a log-normal remainder
-    with a nonpositive moment inside the tolerance band) counts as not
-    recoverable.
+    by the shared-scale engine of ``kind``.  The cone test of ``kind`` (see
+    ``_cone_support``) must certify s as interior: the real-line Hankel test
+    for Gaussian vectors on {1, x, ..., x^d}, the half-line test for
+    log-normal vectors on any basis of consecutive exponents.  A basis with
+    no test for ``kind`` raises ``UnsupportedBasisError`` before any engine
+    call.  The mass starts at half the total and halves, down to ``1e-12``
+    of the total, until the remainder is recoverable.  A remainder that the
+    cone test certifies as exterior is skipped without an engine call,
+    because no mixture has its moments.  A remainder the engine refuses
+    outright (a log-normal remainder with a nonpositive moment inside the
+    tolerance band) counts as not recoverable.
     """
     if s.basis != basis:
         raise ValueError("moment vector basis does not match")
@@ -212,20 +215,14 @@ def represent_with_prescribed_component(
         raise ValueError(f"unknown kind {kind!r}")
 
     support = _cone_support(basis, kind)
-    if basis.is_full_degree():
-        status, margin, tol = _classify(s.values, support)
-        if status != INTERIOR:
-            raise NotRepresentableError(
-                "prescribing a component needs a strictly interior moment vector: "
-                f"{_SUPPORT_NAME[support]} Hankel margin {margin:.3e} below {tol:.3e}"
-            )
-    else:
-        # gap basis: recoverability of s itself serves as the interior certificate
-        probe = engine(s)
-        if not probe.success:
-            raise NotRepresentableError(
-                f"no interior certificate for the gap basis: {probe.failure_reason}"
-            )
+    if support is None:
+        raise UnsupportedBasisError(f"no cone test certifies {kind} moments on this basis")
+    status, margin, tol = _classify(s.values, support)
+    if status != INTERIOR:
+        raise NotRepresentableError(
+            "prescribing a component needs a strictly interior moment vector: "
+            f"{_SUPPORT_NAME[support]} Hankel margin {margin:.3e} below {tol:.3e}"
+        )
 
     t0 = component_moments(basis, kind, np.reshape(x0, (1, -1)), [sigma0])[0]
     mass = float(s.values[0]) if basis.exponents[0] == (0,) * basis.n else 1.0
@@ -233,7 +230,7 @@ def represent_with_prescribed_component(
     last_reason = "no attempt made"
     while (eps := eps / 2.0) >= _MIN_EPS_FACTOR * mass:
         remainder = s.values - eps * t0
-        if support and _classify(remainder, support)[0] == EXTERIOR:
+        if _classify(remainder, support)[0] == EXTERIOR:
             last_reason = "remainder outside the moment cone"
             continue
         try:

@@ -299,11 +299,10 @@ def _bound_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int) -> 
 def _na_table_trial(config: ExperimentConfig, _basis, d: int) -> TrialRow:
     basis = MonomialBasis.full_degree(d)
     expected = (d + 2) // 2  # ceil((d+1)/2)
-    lower = math.ceil(basis.m / 2)
     result = min_full_rank_atoms(
         basis, max_k=expected + 2, trials=config.trials, seed=config.seed
     )
-    success = result.value == expected and (result.value or 0) >= lower
+    success = result.value == expected and (result.value or 0) >= result.lower_bound
     freq = result.frequencies.get(result.value, 0.0) if result.found else 0.0
     return TrialRow(
         trial=d,

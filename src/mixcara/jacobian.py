@@ -29,15 +29,6 @@ __all__ = [
     "min_full_rank_components",
 ]
 
-# per-component parameter counts differ between the two advertised lower
-# bounds; ranks are always computed directly, the note just surfaces it
-_DENOMINATOR_NOTE = (
-    "lower bound shown uses ceil(m / (n1 + n2)); each component carries "
-    "n1 + n2 + 1 free parameters (weight, position, scale), which would give "
-    "ceil(m / (n1 + n2 + 1)). Ranks are computed directly from the Jacobian "
-    "and assume neither denominator."
-)
-
 # rank searches: singular-value cutoff and the uniform sampling ranges of
 # weights, atom positions (each coordinate), locations and scales
 _SEARCH_REL_TOL = 1e-9
@@ -161,13 +152,16 @@ def numeric_rank(matrix, rel_tol: float = 1e-9) -> RankReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankSearchResult:
     """Outcome of sampling for the smallest full-rank component count.
 
     ``value`` is None when no k up to ``max_k`` reached full rank; that case
     is reported, not raised.  ``frequencies`` maps each k to the fraction of
-    random draws at which the Jacobian had full row rank.
+    random draws at which the Jacobian had full row rank.  ``lower_bound``
+    is ceil(m / p) for the p parameters of one sampled component, n + 1 for
+    atoms and n + 2 for mixture components: below it the Jacobian has fewer
+    columns than rows.
     """
 
     value: int | None
@@ -177,7 +171,6 @@ class RankSearchResult:
     lower_bound: int = 0
     tolerance: float = 1e-9
     warning: str | None = None
-    note: str | None = None
 
     @property
     def found(self) -> bool:
@@ -192,12 +185,11 @@ class RankSearchResult:
             "lower_bound": self.lower_bound,
             "tolerance": self.tolerance,
             "warning": self.warning,
-            "note": self.note,
         }
 
 
 def _search(basis: MonomialBasis, kind: str | None, max_k: int, trials: int, seed: int,
-            lower_bound: int, note: str | None) -> RankSearchResult:
+            lower_bound: int) -> RankSearchResult:
     """Full-rank frequency of each count k = 1..max_k, then the smallest hit.
 
     ``kind`` None samples atoms, otherwise components of that kind.  Trial t
@@ -241,7 +233,6 @@ def _search(basis: MonomialBasis, kind: str | None, max_k: int, trials: int, see
         lower_bound=lower_bound,
         tolerance=_SEARCH_REL_TOL,
         warning=warning,
-        note=note,
     )
 
 
@@ -259,7 +250,7 @@ def min_full_rank_atoms(
     lower = math.ceil(basis.m / (basis.n + 1))
     if max_k < lower:
         raise ValueError(f"max_k={max_k} is below the lower bound {lower}")
-    return _search(basis, None, max_k, trials, seed, lower, note=None)
+    return _search(basis, None, max_k, trials, seed, lower)
 
 
 def min_full_rank_components(
@@ -273,6 +264,5 @@ def min_full_rank_components(
     """
     if kind not in _MEAN_RANGE:
         raise ValueError(f"unknown kind {kind!r}")
-    n1, n2 = basis.n, 1
-    lower = math.ceil(basis.m / (n1 + n2))
-    return _search(basis, kind, max_k, trials, seed, lower, note=_DENOMINATOR_NOTE)
+    lower = math.ceil(basis.m / (basis.n + 2))
+    return _search(basis, kind, max_k, trials, seed, lower)

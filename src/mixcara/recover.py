@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import MonomialBasis
-from .conegeo import _SUPPORT_NAME, EXTERIOR, _classify, _cone_support
+from .conegeo import _SUPPORT_NAME, EXTERIOR, _classify, _cone_support, _hankel_index
 from .errors import (
     ConditioningError,
     InfeasibleMomentsError,
@@ -78,6 +78,8 @@ __all__ = [
     "default_sigma_schedule",
 ]
 
+# goal of prony_dirac and lm_fit: the moment residual max|moments - s| / (1 + max|s|)
+_REL_TOL = 1e-8
 _IMAG_TOL = 1e-8
 _WEIGHT_TOL = 1e-10
 _RANK_TOL = 1e-10
@@ -185,10 +187,6 @@ def _exterior_refusal(s: MomentVector, kind: str, engine: str) -> RecoveryReport
     )
 
 
-def _hankel_slice(u: np.ndarray, k: int) -> np.ndarray:
-    return u[np.add.outer(np.arange(k), np.arange(k + 1))]
-
-
 def _prony(u: np.ndarray, k_target: int) -> tuple[np.ndarray, np.ndarray]:
     """Atoms and weights of a measure with at most ``k_target`` atoms
     matching consecutive moments.
@@ -203,7 +201,7 @@ def _prony(u: np.ndarray, k_target: int) -> tuple[np.ndarray, np.ndarray]:
     count means the whole vector is infeasible.
     """
     for k in range(k_target, 0, -1):
-        _, sv, vt = np.linalg.svd(_hankel_slice(u, k))
+        _, sv, vt = np.linalg.svd(u[_hankel_index(k, k + 1)])
         if sv[-1] > _RANK_TOL * sv[0]:
             break
     else:
@@ -229,9 +227,10 @@ def _prony(u: np.ndarray, k_target: int) -> tuple[np.ndarray, np.ndarray]:
     return atoms[keep], w[keep]
 
 
-def prony_dirac(s: MomentVector, k: int, rel_tol: float = 1e-8) -> AtomicMeasure:
+def prony_dirac(s: MomentVector, k: int) -> AtomicMeasure:
     """Recover a measure with at most k atoms from a full-degree univariate
-    moment vector; a rank-deficient Hankel slice lowers the atom count."""
+    moment vector; a rank-deficient Hankel slice lowers the atom count.  A
+    reconstruction whose moment residual exceeds 1e-8 raises."""
     basis = s.basis
     if not basis.is_full_degree():
         raise UnsupportedBasisError("Prony recovery needs the basis {1, x, ..., x^d}")
@@ -245,8 +244,8 @@ def prony_dirac(s: MomentVector, k: int, rel_tol: float = 1e-8) -> AtomicMeasure
         else AtomicMeasure.empty(1)
     )
     residual = _relative_residual(dirac_moments(basis, measure).values, s.values)
-    if residual > rel_tol:
-        raise ConditioningError(f"reconstruction residual {residual:.3e} above {rel_tol:.1e}")
+    if residual > _REL_TOL:
+        raise ConditioningError(f"reconstruction residual {residual:.3e} above {_REL_TOL:.1e}")
     return measure
 
 
@@ -419,17 +418,13 @@ def _stack_costs(values, thetas: np.ndarray) -> np.ndarray:
 @dataclass(slots=True)
 class _Run:
     """One solver run: its last point, the residual and Jacobian there,
-    whether the goal was met and the iterations (SVDs) spent.  Unpacks as
-    ``(theta, r, converged, iterations)``."""
+    whether the goal was met and the iterations (SVDs) spent."""
 
     theta: np.ndarray
     r: np.ndarray
     J: np.ndarray
     converged: bool
     iterations: int
-
-    def __iter__(self):
-        return iter((self.theta, self.r, self.converged, self.iterations))
 
 
 def _damped_least_squares(
@@ -684,19 +679,18 @@ def lm_fit(
     *,
     seed: int = 0,
     n_starts: int = 16,
-    rel_tol: float = 1e-8,
 ) -> RecoveryReport:
     """Generic method-of-moments fit by multistart damped least squares.
 
     Weights and scales (and log-normal locations) are optimized in log space
     so positivity needs no constraints; the Jacobian is the analytic one of
     the moment kernel, taken through the log parameters by the chain rule.
-    Each start runs the solver for at most 2000 iterations, stopping at
-    ``rel_tol`` or at a plateau, such as 50 iterations that together lower
-    the squared residual by less than 1%; the best start by moment residual
-    wins, and success is a residual at or below ``rel_tol``.  ``k`` and
-    ``n_starts`` must be positive.  A vector that the cone test of ``kind``
-    certifies as exterior is refused before any start.
+    Each start runs the solver for at most 2000 iterations, stopping at a
+    moment residual of 1e-8 or at a plateau, such as 50 iterations that
+    together lower the squared residual by less than 1%; the best start by
+    moment residual wins, and success is a residual at or below 1e-8.
+    ``k`` and ``n_starts`` must be positive.  A vector that the cone test of
+    ``kind`` certifies as exterior is refused before any start.
     """
     if kind not in ("gaussian", "lognormal"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -774,14 +768,14 @@ def lm_fit(
         tau0 = np.log(rng.uniform(*_LM_SIGMA_STARTS, size=tau_n))
         theta0 = np.concatenate([g0, loc0.ravel(), tau0])
         try:
-            run = _damped_least_squares(point, values, theta0, rel_tol * scale, _LM_ITERS)
+            run = _damped_least_squares(point, values, theta0, _REL_TOL * scale, _LM_ITERS)
         except (ValueError, OverflowError):
             continue  # the start itself does not evaluate
         iterations += run.iterations
         r = float(np.max(np.abs(run.r))) / scale
         if best is None or r < best[0]:
             best = (r, run.theta)
-        if r <= rel_tol:
+        if r <= _REL_TOL:
             break
     if best is None:
         return RecoveryReport(
@@ -792,11 +786,11 @@ def lm_fit(
     weights, means, sigmas, _ = unpack(theta[None])
     model = MixtureMeasure(kind=kind, weights=weights[0], means=means, sigmas=sigmas)
     return RecoveryReport(
-        success=r <= rel_tol,
+        success=r <= _REL_TOL,
         model=model,
         residual=r,
         engine=engine,
         k_used=model.k,
         iterations=iterations,
-        failure_reason=None if r <= rel_tol else "best start stalled above tolerance",
+        failure_reason=None if r <= _REL_TOL else "best start stalled above tolerance",
     )

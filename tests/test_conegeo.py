@@ -291,17 +291,16 @@ def test_prescribe_far_component_calls_engine_at_most_twice(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("x0", [1.0, 2.5, 3.0])
-def test_prescribe_lognormal_without_constant_calls_engine_at_most_twice(monkeypatch, x0):
-    # the half-line test skips the exterior remainders: one engine call for
-    # the gap-basis certificate and one for the first recoverable remainder,
-    # against 4, 17 and 19 calls without it
+def test_prescribe_lognormal_without_constant_calls_engine_at_most_once(monkeypatch, x0):
+    # the half-line test certifies the input and skips the exterior
+    # remainders, so the one engine call is on the first recoverable remainder
     basis = MonomialBasis.univariate(range(1, 7))
     mix = sample_random_mixture("lognormal", 2, rng=3, mean_range=(0.7, 2.0),
                                 sigma_range=(0.1, 0.3), shared_sigma=True)
     s = mixture_moments(basis, mix)
     statuses = engine_spy(monkeypatch)
     combined = represent_with_prescribed_component(basis, "lognormal", s, x0, 0.2)
-    assert len(statuses) <= 2
+    assert len(statuses) <= 1
     assert any(c > 0 and xi[0] == x0 and sg == 0.2 for c, xi, sg in combined.components())
     achieved = mixture_moments(basis, combined).values
     assert np.max(np.abs(achieved - s.values)) / (1 + np.max(np.abs(s.values))) <= 1e-8
@@ -319,6 +318,18 @@ def test_prescribe_lognormal_needs_a_half_line_interior_input(monkeypatch):
     statuses = engine_spy(monkeypatch)
     with pytest.raises(NotRepresentableError, match="half-line Hankel margin"):
         represent_with_prescribed_component(basis, "lognormal", s, 1.0, 0.2)
+    assert statuses == []
+
+
+def test_prescribe_refuses_a_basis_without_a_cone_test(monkeypatch):
+    # Gaussian moments on a gap basis have no cone test to certify them
+    basis = MonomialBasis.univariate([0, 2, 3, 5, 6])
+    mix = sample_random_mixture("gaussian", 3, rng=6, sigma_range=(0.05, 0.05),
+                                min_separation=0.5, shared_sigma=True)
+    s = mixture_moments(basis, mix)
+    statuses = engine_spy(monkeypatch)
+    with pytest.raises(UnsupportedBasisError, match="no cone test"):
+        represent_with_prescribed_component(basis, "gaussian", s, 1.0, 0.5)
     assert statuses == []
 
 

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from mixcara.basis import MonomialBasis
 from mixcara.errors import ConfigError
 from mixcara.harness import (
     EXPERIMENTS,
@@ -167,6 +168,15 @@ def test_exit_status_two_when_bound_violated():
     )
     assert impossible.exit_status == 2
     assert not impossible.bound_held
+
+
+def test_engine_errors_become_failed_rows():
+    # the shared-scale Gaussian engine refuses a basis with exponent gaps
+    gap = MonomialBasis.univariate([0, 2, 3, 5, 6])
+    report = run_experiment(small_config("univariate-gaussian-bound", trials=3, basis=gap))
+    assert len(report.rows) == 3
+    assert all(r.detail.startswith("engine error:") and not r.success for r in report.rows)
+    assert report.exit_status == 2
 
 
 def test_write_reports(tmp_path):

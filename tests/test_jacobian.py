@@ -162,7 +162,7 @@ def test_min_atoms_full_degree_table(d):
     expected = (d + 2) // 2
     result = min_full_rank_atoms(basis, max_k=expected + 2, trials=20, seed=3)
     assert result.value == expected
-    assert result.value >= math.ceil(basis.m / 2)  # lower bound, n = 1
+    assert result.value >= result.lower_bound == math.ceil(basis.m / 2)  # n = 1
     # frequencies do not drop back to zero past the threshold
     for k in range(result.value, result.max_k):
         assert result.frequencies[k + 1] >= result.frequencies[k] - 0.05
@@ -170,12 +170,12 @@ def test_min_atoms_full_degree_table(d):
 
 def test_min_atoms_gap_example():
     result = min_full_rank_atoms(GAP, max_k=5, trials=30, seed=1)
-    assert result.value == 3
+    assert result.value == 3 == result.lower_bound
 
 
 def test_min_atoms_constant_basis():
     result = min_full_rank_atoms(MonomialBasis.univariate([0]), max_k=2, trials=5, seed=0)
-    assert result.value == 1
+    assert result.value == 1 == result.lower_bound
 
 
 def test_min_atoms_max_k_validation():
@@ -186,16 +186,16 @@ def test_min_atoms_max_k_validation():
 def test_min_components_gaussian_examples():
     basis = MonomialBasis.full_degree(5)
     result = min_full_rank_components(basis, "gaussian", max_k=4, trials=20, seed=2)
-    assert result.value == 2  # three columns per component, ceil(6/3)
-    assert result.note is not None and "n1 + n2 + 1" in result.note
+    # three parameters per component (weight, location, scale): ceil(6/3)
+    assert result.value == 2 == result.lower_bound
     tiny = min_full_rank_components(MonomialBasis.full_degree(1), "gaussian", max_k=2, trials=10)
-    assert tiny.value == 1
+    assert tiny.value == 1 == tiny.lower_bound
 
 
 def test_min_components_lognormal_example():
     basis = MonomialBasis.full_degree(5)
     result = min_full_rank_components(basis, "lognormal", max_k=4, trials=20, seed=2)
-    assert result.value == 2
+    assert result.value == 2 == result.lower_bound
 
 
 def test_min_atoms_two_variables():
@@ -214,7 +214,7 @@ def test_min_atoms_two_variables():
 def test_min_components_two_variables():
     quad = MonomialBasis.full_degree(2, n=2)
     res = min_full_rank_components(quad, "gaussian", max_k=4, trials=20, seed=0)
-    assert res.value == 2  # four parameters per component
+    assert res.value == 2 == res.lower_bound  # four parameters per component, ceil(6/4)
 
 
 def test_not_found_is_reported_not_raised():
@@ -228,7 +228,7 @@ def test_not_found_is_reported_not_raised():
 def test_rank_search_result_json():
     result = min_full_rank_atoms(MonomialBasis.full_degree(3), max_k=3, trials=10, seed=0)
     data = result.to_json()
-    assert data["value"] == 2
+    assert data["value"] == 2 == data["lower_bound"]
     assert set(data["frequencies"]) == {"1", "2", "3"}
 
 

@@ -369,10 +369,8 @@ def test_solver_ladder_follows_a_rejected_gauss_newton_step():
 
     theta0 = np.array([-1.2, 1.0])
     r0, J0 = point(theta0)
-    theta, r, converged, iterations = recover._damped_least_squares(
-        point, values, theta0, 1e-10, 1
-    )
-    assert iterations == 1 and len(stacks) == 1
+    run = recover._damped_least_squares(point, values, theta0, 1e-10, 1)
+    assert run.iterations == 1 and len(stacks) == 1
     u, sv, vt = np.linalg.svd(J0)
     lambdas = recover._LADDER_START * sv[0] ** 2 * recover._LADDER
     expected = theta0 - (sv / (sv**2 + lambdas[:, None]) * (u.T @ r0)) @ vt
@@ -380,8 +378,8 @@ def test_solver_ladder_follows_a_rejected_gauss_newton_step():
     costs = np.array([residual(t) @ residual(t) for t in expected])
     first = np.flatnonzero(costs < r0 @ r0)[0]
     assert first > 0  # the least damped steps still overshoot
-    np.testing.assert_array_equal(theta, stacks[0][first])
-    assert r @ r < r0 @ r0 and not converged
+    np.testing.assert_array_equal(run.theta, stacks[0][first])
+    assert run.r @ run.r < r0 @ r0 and not run.converged
 
 
 def stage3_runs(monkeypatch, s):
@@ -399,11 +397,10 @@ def stage3_runs(monkeypatch, s):
             costs.append(r @ r)
             return r, J
 
-        result = real(recorded, values, theta, goal, max_iters, *rest)
-        _, _, converged, _ = result
+        run = real(recorded, values, theta, goal, max_iters, *rest)
         if goal == goal3:
-            runs.append((costs, converged))
-        return result
+            runs.append((costs, run.converged))
+        return run
 
     monkeypatch.setattr(recover, "_damped_least_squares", spy)
     return runs
@@ -457,6 +454,27 @@ def test_homotopy_failed_correctors_stop_at_the_first_step_that_does_not_contrac
     assert stopped
 
 
+def test_homotopy_reports_a_stall_when_every_corrector_run_fails(monkeypatch):
+    # stage 3 alone passes the corrector contraction; failing those runs
+    # halves the scale step from 0.1 down past 1e-8 without leaving sigma = 0
+    real = recover._damped_least_squares
+    corrector_runs = []
+
+    def failing_corrector(point, values, theta, goal, max_iters, *contraction):
+        run = real(point, values, theta, goal, max_iters, *contraction)
+        if contraction:
+            corrector_runs.append(run.iterations)
+            run.converged = False
+        return run
+
+    monkeypatch.setattr(recover, "_damped_least_squares", failing_corrector)
+    report = homotopy_gap_recovery(GAP, gap_roundtrip_moments(), k=3, seed=40)
+    assert not report.success and report.model is None
+    assert report.failure_reason == "continuation stalled at sigma=0.000e+00 below 1.0e-04"
+    assert report.sigma_used == 0.0 and report.sigma_steps == 0
+    assert len(corrector_runs) == 24  # 0.1 / 2**24 < 1e-8 <= 0.1 / 2**23
+
+
 def test_solver_stops_after_a_window_of_slow_progress():
     # r(t) = (1, t) creeps toward the floor |r|^2 = 1: the Jacobian is 100x
     # too steep, so each Gauss-Newton step covers 1% of the way to t = 0 and
@@ -472,16 +490,14 @@ def test_solver_stops_after_a_window_of_slow_progress():
         return np.column_stack([np.ones(len(ts)), ts[:, 0]])
 
     window = 50
-    theta, r, converged, iterations = recover._damped_least_squares(
-        point, values, np.array([10.0]), 0.5, 5000
-    )
-    assert not converged
+    run = recover._damped_least_squares(point, values, np.array([10.0]), 0.5, 5000)
+    assert not run.converged
     # every step is accepted, so the i-th evaluated point is the i-th iterate
-    assert len(costs) == iterations + 1
+    assert len(costs) == run.iterations + 1
     first = next(
         i for i in range(window, len(costs)) if costs[i] > 0.99 * costs[i - window]
     )
-    assert iterations == first
+    assert run.iterations == first
     assert all(b < a * (1.0 - recover._MIN_PROGRESS) for a, b in zip(costs, costs[1:]))
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mixcara import reduce as reduce_module
 from mixcara.basis import MonomialBasis
+from mixcara.errors import ReductionError
 from mixcara.measures import AtomicMeasure, MixtureMeasure, sample_random_mixture
 from mixcara.moments import component_moments, dirac_moments, mixture_moments
 from mixcara.reduce import reduce_atoms, reduce_mixture_components
@@ -269,6 +270,46 @@ def _raw(columns, V):
     """Whether every column of ``V`` is one of ``columns``: a round walks on
     group means, which are not."""
     return all((columns == col[:, None]).all(axis=0).any() for col in V.T)
+
+
+def perturb_null_vectors(monkeypatch, shift):
+    """Make ``np.linalg.svd`` return V's null vectors (the rows of vt past
+    V's row count) plus ``shift(vt, rows)``."""
+    real = np.linalg.svd
+
+    def svd(V, *args, **kwargs):
+        u, sv, vt = real(V, *args, **kwargs)
+        vt = vt.copy()
+        vt[V.shape[0]:] += shift(vt, V.shape[0])
+        return u, sv, vt
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+
+
+def forty_atoms():
+    rng = np.random.default_rng(4)
+    return AtomicMeasure(weights=rng.uniform(0.1, 1.5, 40), points=rng.uniform(-1, 1, (40, 1)))
+
+
+def test_refinement_repairs_perturbed_null_vectors(monkeypatch):
+    # null vectors off by 1e-8 miss the 1e-10 residual check; one
+    # refinement step brings the moment drift back to rounding
+    basis, mu = MonomialBasis.full_degree(5), forty_atoms()
+    noise = np.random.default_rng(0).standard_normal
+    perturb_null_vectors(monkeypatch, lambda vt, rows: 1e-8 * noise(vt[rows:].shape))
+    reduced = reduce_atoms(basis, mu)
+    monkeypatch.undo()
+    assert_reduction_invariants(basis, mu, reduced)
+    before, after = _moments(basis, mu), _moments(basis, reduced)
+    assert np.max(np.abs(after - before)) <= 1e-13 * (1 + np.max(np.abs(before)))
+
+
+def test_unrepairable_null_vectors_raise(monkeypatch):
+    # a row-space part 1e8 times the null part: refinement projects it out,
+    # but the rounding left behind is far above the residual tolerance
+    perturb_null_vectors(monkeypatch, lambda vt, rows: 1e8 * vt[:rows].sum(axis=0))
+    with pytest.raises(ReductionError, match="no reliable null vector"):
+        reduce_atoms(MonomialBasis.full_degree(5), forty_atoms())
 
 
 def test_rounds_need_about_log_k_svds(monkeypatch):
