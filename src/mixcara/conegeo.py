@@ -173,7 +173,7 @@ def strip_mass(s: MomentVector, v: MomentVector) -> tuple[float, MomentVector]:
             lo = mid
         else:
             hi = mid
-    return lo, s.with_values(sv - lo * vv, kind_tag=None)
+    return lo, s.with_values(sv - lo * vv)
 
 
 def represent_with_prescribed_component(

@@ -162,22 +162,13 @@ class ExperimentConfig:
         version = data.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported config schema version {version!r}")
-        basis = data.get("basis")
-        if basis is not None:
+        settings = {name: value for name, value in data.items() if name != "schema_version"}
+        if settings.get("basis") is not None:
             try:
-                basis = MonomialBasis.from_json(basis)
+                settings["basis"] = MonomialBasis.from_json(settings["basis"])
             except ValueError as exc:
                 raise ConfigError(f"basis: {exc}") from exc
-        return cls(
-            experiment=data["experiment"],
-            trials=data.get("trials"),
-            seed=data.get("seed", 0),
-            basis=basis,
-            tolerances=data.get("tolerances", {}),
-            ranges=data.get("ranges", {}),
-            success_threshold=data.get("success_threshold"),
-            out_dir=data.get("out_dir"),
-        )
+        return cls(**settings)
 
 
 def _is_number(value) -> bool:
@@ -251,9 +242,8 @@ class ExperimentReport:
         return csv_path, json_path
 
 
-def _bound_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int) -> TrialRow:
+def _bound_trial(config: ExperimentConfig, basis: MonomialBasis, sub: tuple[int, int]) -> dict:
     spec = _EXPERIMENTS[config.experiment]
-    sub = (config.seed, trial)
     rng = np.random.default_rng(sub)
     residual_tol = config._value("tolerances", "residual_rel")
     k_limit = spec.k_limit(basis)
@@ -280,9 +270,7 @@ def _bound_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int) -> 
         detail = f"count-violation: k={report.k_used} above {k_limit}"
     elif not report.success:
         detail = report.failure_reason or ""
-    return TrialRow(
-        trial=trial,
-        sub_seed=str(sub),
+    return dict(
         engine=report.engine,
         k_used=report.k_used,
         residual=report.residual,
@@ -296,7 +284,8 @@ def _bound_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int) -> 
     )
 
 
-def _na_table_trial(config: ExperimentConfig, _basis, d: int) -> TrialRow:
+def _na_table_trial(config: ExperimentConfig, _basis, sub: tuple[int, int]) -> dict:
+    d = sub[1]
     basis = MonomialBasis.full_degree(d)
     expected = (d + 2) // 2  # ceil((d+1)/2)
     result = min_full_rank_atoms(
@@ -304,9 +293,7 @@ def _na_table_trial(config: ExperimentConfig, _basis, d: int) -> TrialRow:
     )
     success = result.value == expected and (result.value or 0) >= result.lower_bound
     freq = result.frequencies.get(result.value, 0.0) if result.found else 0.0
-    return TrialRow(
-        trial=d,
-        sub_seed=str((config.seed, d)),
+    return dict(
         engine="rank-sampling",
         k_used=result.value if result.found else -1,
         residual=0.0,
@@ -316,8 +303,7 @@ def _na_table_trial(config: ExperimentConfig, _basis, d: int) -> TrialRow:
     )
 
 
-def _reduction_trial(config: ExperimentConfig, _basis, trial: int) -> TrialRow:
-    sub = (config.seed, trial)
+def _reduction_trial(config: ExperimentConfig, _basis, sub: tuple[int, int]) -> dict:
     rng = np.random.default_rng(sub)
     preservation = config._value("tolerances", "preservation_abs")
     weight_range = config._value("ranges", "weight")
@@ -325,7 +311,7 @@ def _reduction_trial(config: ExperimentConfig, _basis, trial: int) -> TrialRow:
     m = int(rng.integers(1, 9))
     basis = MonomialBasis.full_degree(m - 1)
     k_in = int(rng.integers(m + 1, 51))
-    use_mixture = trial % 2 == 1
+    use_mixture = sub[1] % 2 == 1
     if use_mixture:
         mixture = sample_random_mixture(
             "gaussian",
@@ -351,9 +337,7 @@ def _reduction_trial(config: ExperimentConfig, _basis, trial: int) -> TrialRow:
     drift = float(np.max(np.abs(after - before)))
     success = k_out <= m and drift <= preservation
     detail = "" if k_out <= m else f"count-violation: k={k_out} above m={m}"
-    return TrialRow(
-        trial=trial,
-        sub_seed=str(sub),
+    return dict(
         engine="null-step-reduction",
         k_used=k_out,
         residual=drift,
@@ -363,8 +347,7 @@ def _reduction_trial(config: ExperimentConfig, _basis, trial: int) -> TrialRow:
     )
 
 
-def _prescribe_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int) -> TrialRow:
-    sub = (config.seed, trial)
+def _prescribe_trial(config: ExperimentConfig, basis: MonomialBasis, sub: tuple[int, int]) -> dict:
     rng = np.random.default_rng(sub)
     residual_tol = config._value("tolerances", "residual_rel")
     mixture = sample_random_mixture(
@@ -379,35 +362,24 @@ def _prescribe_trial(config: ExperimentConfig, basis: MonomialBasis, trial: int)
     x0 = rng.uniform(*config._value("ranges", "x0"))
     sigma0 = rng.uniform(*config._value("ranges", "sigma0"))
     s = mixture_moments(basis, mixture)
+    cells = {"engine": "prescribe+shared-sigma", "truth": f"x0={x0!r};sigma0={sigma0!r}"}
     try:
         combined = represent_with_prescribed_component(
             basis, "gaussian", s, x0, sigma0, rel_tol=residual_tol
         )
     except MixcaraError as exc:
-        return TrialRow(
-            trial=trial,
-            sub_seed=str(sub),
-            engine="prescribe+shared-sigma",
-            k_used=-1,
-            residual=math.inf,
-            success=False,
-            truth=f"x0={x0!r};sigma0={sigma0!r}",
-            detail=str(exc),
-        )
+        return dict(cells, k_used=-1, residual=math.inf, success=False, detail=str(exc))
     residual = _relative_residual(mixture_moments(basis, combined).values, s.values)
     contains = any(
         abs(xi[0] - x0) < 1e-12 and abs(sg - sigma0) < 1e-12 and c > 0
         for c, xi, sg in combined.components()
     )
     success = contains and residual <= residual_tol
-    return TrialRow(
-        trial=trial,
-        sub_seed=str(sub),
-        engine="prescribe+shared-sigma",
+    return dict(
+        cells,
         k_used=combined.k,
         residual=residual,
         success=success,
-        truth=f"x0={x0!r};sigma0={sigma0!r}",
         detail="" if contains else "prescribed component missing",
         models={"truth": mixture.to_json(), "combined": combined.to_json()},
     )
@@ -418,13 +390,16 @@ class _Experiment:
     """Everything one experiment fixes: the bound it checks, the verdict
     threshold, the trial function, the full-run trial count, every range and
     tolerance key the trial reads with its default, the default basis and,
-    when not ``range(trials)``, the trial indices.  Bound trials also fix the
-    sampled kind, the engine call and the count limit; a ``shared_sigma``
-    range in place of ``sigma`` gives every trial that one scale."""
+    when not ``range(trials)``, the trial indices.  A trial takes
+    ``(config, basis, sub)``, where ``sub = (config.seed, index)`` seeds it,
+    and returns the cells of its row after ``trial`` and ``sub_seed``.
+    Bound trials also fix the sampled kind, the engine call and the count
+    limit; a ``shared_sigma`` range in place of ``sigma`` gives every trial
+    that one scale."""
 
     bound: str
     threshold: float
-    trial: Callable[..., TrialRow]
+    trial: Callable[..., dict]
     trials: int
     ranges: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
@@ -536,19 +511,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     indices = spec.indices if spec.indices is not None else range(config.trials)
 
     def one(i: int) -> TrialRow:
+        sub = (config.seed, i)
         try:
-            return spec.trial(config, basis, i)
+            cells = spec.trial(config, basis, sub)
         except MixcaraError as exc:
-            return TrialRow(
-                trial=i,
-                sub_seed=str((config.seed, i)),
-                engine=config.experiment,
-                k_used=-1,
-                residual=math.inf,
-                success=False,
-                truth="",
-                detail=f"engine error: {exc}",
-            )
+            cells = dict(engine=config.experiment, k_used=-1, residual=math.inf, success=False,
+                         truth="", detail=f"engine error: {exc}")
+        return TrialRow(trial=i, sub_seed=str(sub), **cells)
 
     rows = [one(i) for i in indices]
     report = ExperimentReport(

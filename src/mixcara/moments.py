@@ -59,7 +59,6 @@ class MomentVector:
 
     values: np.ndarray
     basis: MonomialBasis
-    kind_tag: str | None = None
 
     def __post_init__(self) -> None:
         vals = np.atleast_1d(np.asarray(self.values, dtype=float))
@@ -69,21 +68,17 @@ class MomentVector:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values, kind_tag: str | None = None) -> "MomentVector":
-        return MomentVector(values=np.asarray(values, dtype=float), basis=self.basis, kind_tag=kind_tag)
+    def with_values(self, values) -> "MomentVector":
+        return MomentVector(values=np.asarray(values, dtype=float), basis=self.basis)
 
     def to_json(self) -> dict:
-        data = {"basis": self.basis.to_json(), "values": [float(v) for v in self.values]}
-        if self.kind_tag is not None:
-            data["kind_tag"] = self.kind_tag
-        return data
+        return {"basis": self.basis.to_json(), "values": [float(v) for v in self.values]}
 
     @classmethod
     def from_json(cls, data: dict) -> "MomentVector":
         return cls(
             values=np.array(data["values"], dtype=float),
             basis=MonomialBasis.from_json(data["basis"]),
-            kind_tag=data.get("kind_tag"),
         )
 
 
@@ -141,11 +136,11 @@ def gaussian_smoothed_basis(basis: MonomialBasis) -> SmoothedBasis:
 def dirac_moments(basis: MonomialBasis, mu: AtomicMeasure) -> MomentVector:
     """Moment vector of a finitely atomic measure; empty measures give zero."""
     if not mu.k:
-        return MomentVector(values=np.zeros(basis.m), basis=basis, kind_tag="dirac")
+        return MomentVector(values=np.zeros(basis.m), basis=basis)
     if mu.n != basis.n:
         raise ValueError(f"measure has dimension {mu.n}, basis expects {basis.n}")
     values = mu.weights @ component_moments(basis, "gaussian", mu.points, np.zeros(mu.k))
-    return MomentVector(values=values, basis=basis, kind_tag="dirac")
+    return MomentVector(values=values, basis=basis)
 
 
 def component_moments(basis: MonomialBasis, kind: str, means, sigmas, derivatives: bool = False):
@@ -262,11 +257,11 @@ def mixture_moments(basis: MonomialBasis, mu: MixtureMeasure) -> MomentVector:
     if mu.kind == "lognormal" and basis.n != 1:
         raise UnsupportedBasisError("log-normal mixtures need a univariate basis")
     if not mu.k:
-        return MomentVector(values=np.zeros(basis.m), basis=basis, kind_tag=mu.kind)
+        return MomentVector(values=np.zeros(basis.m), basis=basis)
     if mu.n != basis.n:
         raise ValueError(f"mixture has dimension {mu.n}, basis expects {basis.n}")
     values = mu.weights @ component_moments(basis, mu.kind, mu.means, mu.sigmas)
-    return MomentVector(values=values, basis=basis, kind_tag=mu.kind)
+    return MomentVector(values=values, basis=basis)
 
 
 def _relative_residual(achieved: np.ndarray, target: np.ndarray) -> float:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -129,12 +129,15 @@ _LM_ITERS = 2000
 class RecoveryReport:
     """Outcome of a recovery attempt.
 
-    ``residual`` is ``max|moments(model) - s| / (1 + max|s|)``.  ``success``
-    implies the residual is at or below the engine tolerance and all model
-    weights (and scales, and log-normal locations) are strictly positive.
-    ``iterations`` counts the iterations of the damped least-squares solver
-    in the two nonlinear engines, summed over all starts and corrector calls;
-    it is 0 for the shared-scale engines.
+    ``residual`` is ``max|moments(model) - s| / (1 + max|s|)``.  Every
+    report comes from one of two rules: ``_failed`` gives no model,
+    ``k_used`` 0 and a reason; ``_judged`` keeps a model, sets ``k_used`` to
+    its component count and succeeds iff the residual is at or below the
+    engine tolerance, with a reason only when it fails.  The models of all
+    engines have strictly positive weights (and scales, and log-normal
+    locations).  ``iterations`` counts the iterations of the damped
+    least-squares solver in the two nonlinear engines, summed over all starts
+    and corrector calls; it is 0 for the shared-scale engines.
     """
 
     success: bool
@@ -148,17 +151,30 @@ class RecoveryReport:
     failure_reason: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "success": self.success,
-            "model": None if self.model is None else self.model.to_json(),
-            "residual": self.residual,
-            "engine": self.engine,
-            "sigma_used": self.sigma_used,
-            "k_used": self.k_used,
-            "iterations": self.iterations,
-            "sigma_steps": self.sigma_steps,
-            "failure_reason": self.failure_reason,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["model"] = None if self.model is None else self.model.to_json()
+        return data
+
+
+def _failed(engine: str, reason: str, residual: float = math.inf, **counts) -> RecoveryReport:
+    """A failed report with no model; ``counts`` sets ``sigma_used``,
+    ``iterations`` and ``sigma_steps``."""
+    return RecoveryReport(
+        success=False, model=None, residual=residual, engine=engine, failure_reason=reason,
+        **counts,
+    )
+
+
+def _judged(
+    engine: str, model: MixtureMeasure, residual: float, tol: float, reason: str | None, **counts
+) -> RecoveryReport:
+    """A report on ``model`` that succeeds iff ``residual <= tol``, giving
+    ``reason`` only when it fails."""
+    success = bool(residual <= tol)
+    return RecoveryReport(
+        success=success, model=model, residual=residual, engine=engine, k_used=model.k,
+        failure_reason=None if success else reason, **counts,
+    )
 
 
 def default_sigma_schedule():
@@ -179,11 +195,8 @@ def _exterior_refusal(s: MomentVector, kind: str, engine: str) -> RecoveryReport
     status, margin, tol = _classify(s.values, support)
     if status != EXTERIOR:
         return None
-    return RecoveryReport(
-        success=False, model=None, residual=math.inf, engine=engine,
-        failure_reason=(
-            f"exterior: {_SUPPORT_NAME[support]} Hankel margin {margin:.3e} below -{tol:.3e}"
-        ),
+    return _failed(
+        engine, f"exterior: {_SUPPORT_NAME[support]} Hankel margin {margin:.3e} below -{tol:.3e}"
     )
 
 
@@ -270,10 +283,8 @@ def _shared_scale_descent(
         raise ValueError(f"k={k}: a recovery needs at least one component")
     basis = s.basis
     engine = _SHARED_SCALE_ENGINE[kind]
-    if not np.any(s.values):
-        return RecoveryReport(
-            success=True, model=MixtureMeasure.empty(kind), residual=0.0, engine=engine
-        )
+    if not np.any(s.values):  # the empty mixture matches exactly, whatever rel_tol is
+        return _judged(engine, MixtureMeasure.empty(kind), 0.0, 0.0, None)
     refusal = _exterior_refusal(s, kind, engine)
     if refusal is not None:
         return refusal
@@ -299,23 +310,10 @@ def _shared_scale_descent(
         residual = _relative_residual(mixture_moments(basis, model).values, s.values)
         best_residual = min(best_residual, residual)
         if residual <= rel_tol:
-            return RecoveryReport(
-                success=True,
-                model=model,
-                residual=residual,
-                engine=engine,
-                sigma_used=sigma,
-                k_used=model.k,
-                sigma_steps=step,
+            return _judged(
+                engine, model, residual, rel_tol, None, sigma_used=sigma, sigma_steps=step
             )
-    return RecoveryReport(
-        success=False,
-        model=None,
-        residual=best_residual,
-        engine=engine,
-        sigma_steps=len(schedule),
-        failure_reason=_EXHAUSTED_REASON[kind],
-    )
+    return _failed(engine, _EXHAUSTED_REASON[kind], best_residual, sigma_steps=len(schedule))
 
 
 def recover_shared_sigma_gaussian(
@@ -603,14 +601,7 @@ def homotopy_gap_recovery(
             if saw_residual_fit
             else "no-dirac-representation: all starts stalled"
         )
-        return RecoveryReport(
-            success=False,
-            model=None,
-            residual=math.inf,
-            engine=engine,
-            iterations=iterations,
-            failure_reason=reason,
-        )
+        return _failed(engine, reason, iterations=iterations)
 
     # stage 3: continuation in the shared scale; each corrector run starts
     # from the last accepted solution, with no predictor step, and the first
@@ -638,36 +629,20 @@ def homotopy_gap_recovery(
 
     w, pts = _split_theta(theta, k, n)
     keep = w > 1e-12 * max(1.0, float(np.sum(w)))
-    sigma_out = max(sigma_cur, 0.0)
+    counts = {"sigma_used": sigma_cur, "iterations": iterations, "sigma_steps": sigma_steps}
     if sigma_cur < _SIGMA_MIN:
-        return RecoveryReport(
-            success=False,
-            model=None,
-            residual=math.inf,
-            engine=engine,
-            sigma_used=sigma_out,
-            iterations=iterations,
-            sigma_steps=sigma_steps,
-            failure_reason=f"continuation stalled at sigma={sigma_cur:.3e} below {_SIGMA_MIN:.1e}",
+        return _failed(
+            engine, f"continuation stalled at sigma={sigma_cur:.3e} below {_SIGMA_MIN:.1e}",
+            **counts,
         )
     model = MixtureMeasure(
         kind="gaussian",
         weights=w[keep],
         means=pts[keep],
-        sigmas=np.full(int(np.sum(keep)), sigma_out),
+        sigmas=np.full(int(np.sum(keep)), sigma_cur),
     )
     residual = _relative_residual(mixture_moments(basis, model).values, target)
-    return RecoveryReport(
-        success=residual <= rel_tol,
-        model=model,
-        residual=residual,
-        engine=engine,
-        sigma_used=sigma_out,
-        k_used=model.k,
-        iterations=iterations,
-        sigma_steps=sigma_steps,
-        failure_reason=None if residual <= rel_tol else "final residual above tolerance",
-    )
+    return _judged(engine, model, residual, rel_tol, "final residual above tolerance", **counts)
 
 
 def lm_fit(
@@ -778,19 +753,10 @@ def lm_fit(
         if r <= _REL_TOL:
             break
     if best is None:
-        return RecoveryReport(
-            success=False, model=None, residual=math.inf, engine=engine,
-            iterations=iterations, failure_reason="all starts failed to evaluate",
-        )
+        return _failed(engine, "all starts failed to evaluate", iterations=iterations)
     r, theta = best
     weights, means, sigmas, _ = unpack(theta[None])
     model = MixtureMeasure(kind=kind, weights=weights[0], means=means, sigmas=sigmas)
-    return RecoveryReport(
-        success=r <= _REL_TOL,
-        model=model,
-        residual=r,
-        engine=engine,
-        k_used=model.k,
-        iterations=iterations,
-        failure_reason=None if r <= _REL_TOL else "best start stalled above tolerance",
+    return _judged(
+        engine, model, r, _REL_TOL, "best start stalled above tolerance", iterations=iterations
     )

@@ -61,5 +61,9 @@ def test_unread_names_stay_deleted():
     # each experiment's kind comes from its own table row
     assert "kind" not in {f.name for f in dataclasses.fields(mixcara.ExperimentConfig)}
     assert "kind" not in mixcara.ExperimentConfig(experiment="na-table").to_json()
+    # a moment vector carries its values and basis, with no kind tag beside them
+    assert "kind_tag" not in {f.name for f in dataclasses.fields(mixcara.MomentVector)}
+    s = mixcara.MomentVector(values=[1.0], basis=mixcara.MonomialBasis.full_degree(0))
+    assert "kind_tag" not in s.to_json()
     # perfbench/selftest.py:85 wraps and restores this method
     assert callable(mixcara.SmoothedBasis.eval_components)

@@ -16,6 +16,7 @@ from mixcara.conegeo import (
     strip_mass,
 )
 from mixcara.errors import (
+    InfeasibleMomentsError,
     NotRepresentableError,
     PrescriptionError,
     UnboundedStripError,
@@ -349,3 +350,31 @@ def test_prescription_error_names_the_last_eps_tried(monkeypatch):
                        match=rf"down to eps={1.1 * 2.0 ** -39:.3e}: stub failure$"):
         represent_with_prescribed_component(basis, "gaussian", s, 0.5, 0.5)
     assert tried
+
+
+def test_prescription_error_names_a_refused_remainder(monkeypatch):
+    basis = MonomialBasis.full_degree(3)
+    s = mixture_moments(basis, MixtureMeasure(kind="gaussian", weights=[1.0], means=[[0.0]],
+                                              sigmas=[1.0]))
+
+    def refusing_engine(remainder):
+        raise InfeasibleMomentsError("stub refusal")
+
+    monkeypatch.setattr(recover, "recover_shared_sigma_gaussian", refusing_engine)
+    with pytest.raises(PrescriptionError, match=r"remainder refused: stub refusal$"):
+        represent_with_prescribed_component(basis, "gaussian", s, 0.5, 0.5)
+
+
+def test_prescription_error_names_a_combined_residual_above_tolerance(monkeypatch):
+    basis = MonomialBasis.full_degree(3)
+    s = mixture_moments(basis, MixtureMeasure(kind="gaussian", weights=[1.0], means=[[0.0]],
+                                              sigmas=[1.0]))
+    # a claimed recovery whose moments are far from every remainder
+    wrong = MixtureMeasure(kind="gaussian", weights=[5.0], means=[[2.0]], sigmas=[0.5])
+
+    def wrong_engine(remainder):
+        return SimpleNamespace(success=True, model=wrong, failure_reason=None)
+
+    monkeypatch.setattr(recover, "recover_shared_sigma_gaussian", wrong_engine)
+    with pytest.raises(PrescriptionError, match=r"combined residual \S+ above 1\.0e-08$"):
+        represent_with_prescribed_component(basis, "gaussian", s, 0.5, 0.5)

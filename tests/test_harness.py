@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import re
 
 import pytest
 
+from mixcara import harness
 from mixcara.basis import MonomialBasis
 from mixcara.errors import ConfigError
 from mixcara.harness import (
@@ -11,6 +13,7 @@ from mixcara.harness import (
     ExperimentReport,
     run_experiment,
 )
+from mixcara.recover import RecoveryReport
 
 
 def small_config(experiment, trials=4, seed=11, **kw):
@@ -212,3 +215,29 @@ def test_bound_truth_strings_are_plain_floats(experiment):
     report = run_experiment(small_config(experiment, trials=2))
     for row in report.rows:
         assert re.fullmatch(r"k=3;sigma=[0-9.e+-]+", row.truth), row.truth
+
+
+def stub_engine(monkeypatch, experiment, report):
+    """Make every trial of ``experiment`` get ``report`` from its engine."""
+    row = harness._EXPERIMENTS[experiment]
+    stub = dataclasses.replace(row, engine=lambda basis, s, seed, tol: report)
+    monkeypatch.setitem(harness._EXPERIMENTS, experiment, stub)
+
+
+def test_bound_trial_flags_a_success_above_the_count_limit(monkeypatch):
+    stub_engine(monkeypatch, "univariate-gaussian-bound", RecoveryReport(
+        success=True, model=None, residual=0.0, engine="stub", k_used=4))
+    report = run_experiment(small_config("univariate-gaussian-bound", trials=2))
+    for row in report.rows:
+        assert not row.success and row.k_used == 4 and row.engine == "stub"
+        assert row.detail == "count-violation: k=4 above 3"
+    assert report.aggregate["count_violations"] == 2 and report.exit_status == 2
+
+
+def test_bound_trial_detail_is_the_failure_reason(monkeypatch):
+    stub_engine(monkeypatch, "lognormal-bound", RecoveryReport(
+        success=False, model=None, residual=1.0, engine="stub", failure_reason="stub failure"))
+    report = run_experiment(small_config("lognormal-bound", trials=2))
+    assert [r.detail for r in report.rows] == ["stub failure", "stub failure"]
+    assert not any(r.success for r in report.rows)
+    assert report.aggregate["count_violations"] == 0 and report.exit_status == 2

@@ -334,11 +334,13 @@ def test_moment_vector_validation_and_json():
     basis = MonomialBasis.full_degree(2)
     with pytest.raises(ValueError):
         MomentVector(values=np.ones(2), basis=basis)
-    s = MomentVector(values=[1.0, 0.0, 1.0], basis=basis, kind_tag="dirac")
+    s = MomentVector(values=[1.0, 0.0, 1.0], basis=basis)
     again = MomentVector.from_json(s.to_json())
     assert again.basis == basis
     np.testing.assert_array_equal(again.values, s.values)
-    assert again.kind_tag == "dirac"
+    # files written with the deleted kind tag still load
+    old = MomentVector.from_json({**s.to_json(), "kind_tag": "dirac"})
+    np.testing.assert_array_equal(old.values, s.values)
 
 
 def _eval_table(poly: dict, x, sigma: float) -> float:

@@ -117,6 +117,12 @@ def test_prony_lowers_count_on_rank_deficient_slice():
     np.testing.assert_allclose(rec.weights, [2.0, 1.0], atol=1e-12)
 
 
+def test_prony_zero_vector_has_no_atoms():
+    # every Hankel slice of the zero vector is zero, so no count has full rank
+    rec = prony_dirac(mv(np.zeros(4), MonomialBasis.full_degree(3)), 2)
+    assert rec.k == 0
+
+
 def test_prony_roundtrip_many_seeds():
     basis = MonomialBasis.full_degree(5)
     for seed in range(30):
@@ -654,6 +660,15 @@ def test_lm_fit_survives_overflowing_start():
             4.846750269365384, 7.2610793022435365, 11.460644819518814], basis)
     report = lm_fit(basis, "gaussian", s, k=2, seed=1620675823)
     assert report.success
+
+
+def test_lm_fit_reports_when_no_start_evaluates():
+    # x^1000 overflows at every start location, so no solver run begins
+    basis = MonomialBasis.univariate([0, 2, 1000])
+    report = lm_fit(basis, "gaussian", mv([1.0, 1e4, 1e300], basis), k=1)
+    assert not report.success and report.model is None
+    assert report.failure_reason == "all starts failed to evaluate"
+    assert report.iterations == 0 and report.k_used == 0 and report.residual == math.inf
 
 
 def test_lm_fit_lognormal():
