@@ -18,9 +18,12 @@ each end-to-end metric that ``perfbench/run.py`` prints: its value in every
 run, the change/parent ratio of every pair, and the median, inclusive
 quartiles and range of each side.  ``change_better_pairs`` and
 ``within_bound`` read the direction and bound of the metric from
-``BENCHMARK.json``.  The script measures nothing itself.  Running it again
-with the same ``--out`` adds or replaces that workload and keeps every other
-key of the file.
+``BENCHMARK.json``.  After each run it reads that run's per-kind table
+(ops, ok, unrecovered, p50 and time share of each op kind) from the record
+``perfbench/run.py`` writes to ``<tree>/.bench_out/``, and stores each
+side's per-kind medians under ``kinds``, which shows where a gain sits.  The
+script measures nothing itself.  Running it again with the same ``--out``
+adds or replaces that workload and keeps every other key of the file.
 """
 from __future__ import annotations
 
@@ -50,15 +53,50 @@ def export(rev: str, directory: Path) -> str:
     return commit
 
 
+KIND_COLUMNS = ("ops", "ok", "unrecovered", "p50_ms", "time_share")
+
+
 def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``--trace 0`` run in a fresh process; its final JSON line."""
+    """One ``--trace 0`` run in a fresh process; its final JSON line, with the
+    run's per-kind table under ``per_kind``."""
     argv = [sys.executable, str(BENCH), "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {tree} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["per_kind"] = kind_table(tree, workload, seed)
+    return result
+
+
+def kind_table(tree: Path, workload: str, seed: int) -> dict[str, dict]:
+    """The per-kind columns of the record a ``--trace 0`` run wrote in ``tree``."""
+    path = tree / ".bench_out" / f"run-{workload}-seed{seed}-trace0.json"
+    record = json.loads(path.read_text())
+    return {name: {column: row[column] for column in KIND_COLUMNS}
+            for name, row in record["per_kind"].items()}
+
+
+def summarize_kinds(runs: dict[str, list[dict]]) -> dict[str, dict]:
+    """Per op kind and side: the median p50 and time share over the runs and
+    the summed op counts; per kind, the change/parent ratio of the p50 medians.
+
+    Every run covers whole cycles of the workload, so every run has every kind.
+    """
+    kinds: dict[str, dict] = {}
+    for name in runs["parent"][0]["per_kind"]:
+        sides = kinds[name] = {}
+        for side, side_runs in runs.items():
+            rows = [run["per_kind"][name] for run in side_runs]
+            sides[side] = {
+                "p50_ms": statistics.median(row["p50_ms"] for row in rows),
+                "time_share": statistics.median(row["time_share"] for row in rows),
+                **{column: sum(row[column] for row in rows)
+                   for column in ("ops", "ok", "unrecovered")},
+            }
+        sides["p50_ratio"] = sides["change"]["p50_ms"] / sides["parent"]["p50_ms"]
+    return kinds
 
 
 def spread(values: list[float]) -> dict:
@@ -144,6 +182,7 @@ def main() -> int:
         "attempted_ops": {side: sum(run["attempted"] for run in rs) for side, rs in runs.items()},
         "failed_ops": {side: sum(run["failed"] for run in rs) for side, rs in runs.items()},
         "metrics": summarize(runs, specs),
+        "kinds": summarize_kinds(runs),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

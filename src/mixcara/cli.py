@@ -15,7 +15,7 @@ from pathlib import Path
 from .basis import MonomialBasis
 from .conegeo import hankel_classify, represent_with_prescribed_component
 from .errors import MixcaraError
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, _json_text, run_experiment
 from .jacobian import min_full_rank_atoms, min_full_rank_components
 from .measures import AtomicMeasure, model_from_json
 from .moments import MomentVector, dirac_moments, mixture_moments
@@ -35,7 +35,7 @@ def _load_json(path: str) -> dict:
 
 
 def _emit(data: dict, out: str | None) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    text = _json_text(data)
     if out:
         Path(out).write_text(text)
     else:
@@ -145,7 +145,7 @@ def _cmd_verify_bounds(args) -> int:
         "aggregate": report.aggregate,
         "exit_status": report.exit_status,
     }
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _emit(summary, None)
     return report.exit_status
 
 

@@ -179,6 +179,24 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
+def _json_text(data) -> str:
+    """Indented, key-sorted JSON text of ``data`` with a non-finite float as
+    ``null``: ``json.dumps`` would write ``Infinity`` or ``NaN``, which strict
+    parsers (``jq``, ``JSON.parse``) reject."""
+    return json.dumps(_finite_or_null(data), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 @dataclass
 class ExperimentReport:
     experiment: str
@@ -230,7 +248,7 @@ class ExperimentReport:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return _json_text(self.to_json_dict())
 
     def write(self, out_dir) -> tuple[Path, Path]:
         out = Path(out_dir)

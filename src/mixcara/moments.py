@@ -272,10 +272,11 @@ def _relative_residual(achieved: np.ndarray, target: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=64)
-def _transfer_tables(basis: MonomialBasis) -> tuple[np.ndarray, np.ndarray, int]:
-    """Coefficients ``C(a, j) (a-j-1)!!`` and sigma powers ``a - j`` of the
-    transfer matrix (coefficient 0 and power 0 where ``a - j`` is odd or
-    negative), with the largest power used."""
+def _transfer_tables(basis: MonomialBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Coefficients ``C(a, j) (a-j-1)!!`` of the transfer matrix, the same
+    coefficients with the inverse's sign ``(-1)^((a-j)/2)``, and sigma powers
+    ``a - j`` (coefficient 0 and power 0 where ``a - j`` is odd or negative),
+    with the largest power used."""
     degrees = basis.univariate_degrees()
     coef = np.zeros((basis.m, basis.max_degree + 1))
     power = np.zeros(coef.shape, dtype=np.intp)
@@ -283,9 +284,24 @@ def _transfer_tables(basis: MonomialBasis) -> tuple[np.ndarray, np.ndarray, int]
         for j, c in _smoothed_terms(a):
             coef[row, j] = c
             power[row, j] = a - j
-    coef.setflags(write=False)
-    power.setflags(write=False)
-    return coef, power, int(power.max())
+    signed = np.where(power % 4 == 2, -coef, coef)
+    for table in (coef, signed, power):
+        table.setflags(write=False)
+    return coef, signed, power, int(power.max())
+
+
+def _transfer_parts(
+    basis: MonomialBasis, sigma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plain and the signed coefficient table of ``basis``, and
+    ``sigma^(a-j)`` at every entry of its transfer matrix."""
+    if basis.n != 1:
+        raise UnsupportedBasisError("the transfer matrix is defined for univariate bases")
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    coef, signed, power, top = _transfer_tables(basis)
+    # scalar pow per power, not an array pow: numpy's differs in the last bit
+    return coef, signed, np.array([sigma**p for p in range(top + 1)])[power]
 
 
 def transfer_matrix_gaussian(basis: MonomialBasis, sigma: float) -> np.ndarray:
@@ -297,13 +313,8 @@ def transfer_matrix_gaussian(basis: MonomialBasis, sigma: float) -> np.ndarray:
     For a gap-free univariate basis the matrix is square, unit
     lower-triangular and therefore invertible for every ``sigma``.
     """
-    if basis.n != 1:
-        raise UnsupportedBasisError("the transfer matrix is defined for univariate bases")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    coef, power, top = _transfer_tables(basis)
-    # scalar pow per power, not an array pow: numpy's differs in the last bit
-    return coef * np.array([sigma**p for p in range(top + 1)])[power]
+    coef, _, powers = _transfer_parts(basis, sigma)
+    return coef * powers
 
 
 def _inverse_transfer_matrix(basis: MonomialBasis, sigma: float) -> np.ndarray:
@@ -313,8 +324,9 @@ def _inverse_transfer_matrix(basis: MonomialBasis, sigma: float) -> np.ndarray:
     Smoothing twice adds the variances, ``M(s) M(t) = M(sqrt(s^2 + t^2))``,
     and every entry is a polynomial in sigma^2, so ``M(sigma)^-1 = M(i
     sigma)``: the same matrix with the sign ``(-1)^((a-j)/2)`` on the entry of
-    sigma power ``a - j``.
+    sigma power ``a - j``.  One product of the signed coefficient table and
+    the sigma powers; negation is exact, so the entries are bit for bit the
+    negated entries of the forward matrix where the sign is minus.
     """
-    _, power, _ = _transfer_tables(basis)
-    M = transfer_matrix_gaussian(basis, sigma)
-    return np.where(power % 4 == 2, -M, M)
+    _, signed, powers = _transfer_parts(basis, sigma)
+    return signed * powers

@@ -200,6 +200,27 @@ def _exterior_refusal(s: MomentVector, kind: str, engine: str) -> RecoveryReport
     )
 
 
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of ``p_0 + p_1 x + ... + p_k x^k``, ``p_k != 0``, as the
+    eigenvalues of its companion matrix: first row ``-(p_(k-1), ..., p_0) /
+    p_k``, ones below the diagonal.
+
+    This is what ``np.roots(coeffs[::-1] / p_k)`` computes, bit for bit and
+    in the same order, without its wrapper work.  Like ``np.roots``, it
+    strips zero low-order coefficients and appends one root +0.0 for each:
+    the eigenvalues of the unstripped matrix differ in their last bits, and
+    a -0.0 would take the place of +0.0.
+    """
+    zeros = 0
+    while coeffs[zeros] == 0:
+        zeros += 1
+    k = len(coeffs) - 1 - zeros
+    companion = np.eye(k, k, -1)
+    companion[:1] = -coeffs[zeros:-1][::-1] / coeffs[-1]  # no row when every root is 0
+    roots = np.linalg.eigvals(companion)
+    return np.concatenate((roots, np.zeros(zeros, roots.dtype))) if zeros else roots
+
+
 def _prony(u: np.ndarray, k_target: int) -> tuple[np.ndarray, np.ndarray]:
     """Atoms and weights of a measure with at most ``k_target`` atoms
     matching consecutive moments.
@@ -207,11 +228,12 @@ def _prony(u: np.ndarray, k_target: int) -> tuple[np.ndarray, np.ndarray]:
     One SVD per tried count k of the k-by-(k+1) Hankel slice: a
     rank-deficient slice means fewer atoms suffice, so the count is lowered
     until the slice has full rank.  At that count the last right singular
-    vector holds the coefficients of the polynomial with the atoms as roots,
-    and weights come from the Vandermonde least-squares solve over all
-    supplied moments.  Raises the typed errors on non-real roots, negative
-    weights, or untrustworthy conditioning; infeasibility at the full-rank
-    count means the whole vector is infeasible.
+    vector holds the coefficients of the polynomial with the atoms as roots
+    (``_companion_roots``), and weights come from the Vandermonde
+    least-squares solve over all supplied moments.  Raises the typed errors
+    on non-real roots, negative weights, or untrustworthy conditioning;
+    infeasibility at the full-rank count means the whole vector is
+    infeasible.
     """
     for k in range(k_target, 0, -1):
         _, sv, vt = np.linalg.svd(u[_hankel_index(k, k + 1)])
@@ -221,10 +243,10 @@ def _prony(u: np.ndarray, k_target: int) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(0), np.zeros(0)
     coeffs = vt[-1]  # p_0 + p_1 x + ... + p_k x^k
     lead = coeffs[-1]
-    if abs(lead) <= 1e-12 * np.linalg.norm(coeffs):
+    if abs(lead) <= 1e-12 * math.sqrt(coeffs @ coeffs):
         raise ConditioningError("vanishing leading coefficient; atom count too high")
-    roots = np.roots(coeffs[::-1] / lead)
-    if np.any(np.abs(roots.imag) > _IMAG_TOL * (1.0 + np.abs(roots.real))):
+    roots = _companion_roots(coeffs)
+    if (np.abs(roots.imag) > _IMAG_TOL * (1.0 + np.abs(roots.real))).any():
         raise NonrealAtomsError(f"complex atoms {roots.tolist()}")
     atoms = np.sort(roots.real)
     V = np.vander(atoms, N=len(u), increasing=True).T
@@ -232,8 +254,8 @@ def _prony(u: np.ndarray, k_target: int) -> tuple[np.ndarray, np.ndarray]:
         w, *_ = np.linalg.lstsq(V, u, rcond=None)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"Vandermonde solve failed: {exc}") from exc
-    wscale = 1.0 + float(np.max(np.abs(u)))
-    if np.any(w < -_WEIGHT_TOL * wscale):
+    wscale = 1.0 + float(np.abs(u).max())
+    if (w < -_WEIGHT_TOL * wscale).any():
         raise InfeasibleWeightsError(f"negative weights {w.tolist()}")
     w = np.clip(w, 0.0, None)
     keep = w > 0

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from mixcara.basis import MonomialBasis
 from mixcara.cli import main
 from mixcara.measures import MixtureMeasure, sample_random_mixture
 from mixcara.moments import MomentVector, mixture_moments
+from mixcara.recover import recover_shared_sigma_gaussian
 
 
 @pytest.fixture
@@ -125,6 +127,24 @@ def test_recover_failure_exits_two(workspace, capsys, tmp_path):
     path.write_text(json.dumps(bad.to_json()))
     rc = main(["recover", "--moments", str(path), "--engine", "shared-sigma"])
     assert rc == 2
+
+
+def test_failed_recover_writes_strict_json(capsys, tmp_path):
+    # the report's residual is inf; strict parsers refuse Infinity, so it is written as null
+    basis = MonomialBasis.full_degree(5)
+    bad = MomentVector(values=np.array([1.0, 0, -1.0, 0, 1.0, 0]), basis=basis)
+    assert recover_shared_sigma_gaussian(bad).to_json()["residual"] == math.inf
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad.to_json()))
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    for engine in ("shared-sigma", "lm"):
+        assert main(["recover", "--moments", str(path), "--engine", engine, "--k", "3"]) == 2
+        data = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert data["residual"] is None and not data["success"]
+        assert data["failure_reason"].startswith("exterior:")
 
 
 def test_reduce_command(workspace, capsys, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import pytest
@@ -180,6 +181,21 @@ def test_engine_errors_become_failed_rows():
     assert len(report.rows) == 3
     assert all(r.detail.startswith("engine error:") and not r.success for r in report.rows)
     assert report.exit_status == 2
+
+
+def test_engine_error_rows_write_strict_json():
+    # the rows keep residual inf; the JSON text writes it as null, not Infinity
+    gap = MonomialBasis.univariate([0, 2, 3, 5, 6])
+    report = run_experiment(small_config("univariate-gaussian-bound", trials=2, basis=gap))
+    assert all(r.residual == math.inf for r in report.rows)
+    assert report.to_json_dict()["rows"][0]["residual"] == math.inf
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    data = json.loads(report.to_json_text(), parse_constant=refuse)
+    assert [row["residual"] for row in data["rows"]] == [None, None]
+    assert data["aggregate"] == report.aggregate
 
 
 def test_write_reports(tmp_path):

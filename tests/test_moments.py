@@ -297,6 +297,19 @@ def test_inverse_transfer_matrix_is_the_inverse(d):
 
 
 @pytest.mark.parametrize("d", range(1, 16))
+def test_inverse_transfer_matrix_is_the_negated_forward_matrix_bit_for_bit(d):
+    # the product with the signed table against negating the product: (-c) p == -(c p)
+    basis = MonomialBasis.full_degree(d)
+    a, j = np.indices((d + 1, d + 1))
+    power = np.where((a >= j) & ((a - j) % 2 == 0), a - j, 0)
+    for sigma in [0.0, *default_sigma_schedule()]:
+        M = transfer_matrix_gaussian(basis, sigma)
+        reference = np.where(power % 4 == 2, -M, M)
+        inverse = _inverse_transfer_matrix(basis, sigma)
+        assert inverse.dtype == reference.dtype and inverse.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 16))
 def test_inverse_pull_back_matches_triangular_solve(d):
     basis = MonomialBasis.full_degree(d)
     weights, means = np.array([0.6, 1.1, 0.8]), np.array([[-1.3], [0.2], [1.6]])

@@ -11,15 +11,23 @@ from hypothesis import strategies as st
 
 from mixcara import recover
 from mixcara.basis import MonomialBasis
-from mixcara.conegeo import hankel_classify
+from mixcara.conegeo import _hankel_index, hankel_classify
 from mixcara.errors import (
+    ConditioningError,
     InfeasibleMomentsError,
+    InfeasibleWeightsError,
     MixcaraError,
     MomentOverflowError,
+    NonrealAtomsError,
     UnsupportedBasisError,
 )
 from mixcara.measures import AtomicMeasure, MixtureMeasure, sample_random_mixture
-from mixcara.moments import MomentVector, dirac_moments, mixture_moments
+from mixcara.moments import (
+    MomentVector,
+    _inverse_transfer_matrix,
+    dirac_moments,
+    mixture_moments,
+)
 from mixcara.recover import (
     default_sigma_schedule,
     homotopy_gap_recovery,
@@ -135,6 +143,136 @@ def test_prony_roundtrip_many_seeds():
         s = dirac_moments(basis, mu)
         rec = prony_dirac(s, 3)
         np.testing.assert_allclose(np.sort(rec.points.ravel()), pts, rtol=1e-7)
+
+
+def _prony_reference(u, k_target):
+    """``recover._prony`` as it was before companion-matrix roots: np.roots,
+    np.linalg.norm and the np.any/np.max wrappers."""
+    for k in range(k_target, 0, -1):
+        _, sv, vt = np.linalg.svd(u[_hankel_index(k, k + 1)])
+        if sv[-1] > recover._RANK_TOL * sv[0]:
+            break
+    else:
+        return np.zeros(0), np.zeros(0)
+    coeffs = vt[-1]
+    lead = coeffs[-1]
+    if abs(lead) <= 1e-12 * np.linalg.norm(coeffs):
+        raise ConditioningError("vanishing leading coefficient; atom count too high")
+    roots = np.roots(coeffs[::-1] / lead)
+    if np.any(np.abs(roots.imag) > recover._IMAG_TOL * (1.0 + np.abs(roots.real))):
+        raise NonrealAtomsError(f"complex atoms {roots.tolist()}")
+    atoms = np.sort(roots.real)
+    V = np.vander(atoms, N=len(u), increasing=True).T
+    try:
+        w, *_ = np.linalg.lstsq(V, u, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError(f"Vandermonde solve failed: {exc}") from exc
+    wscale = 1.0 + float(np.max(np.abs(u)))
+    if np.any(w < -recover._WEIGHT_TOL * wscale):
+        raise InfeasibleWeightsError(f"negative weights {w.tolist()}")
+    w = np.clip(w, 0.0, None)
+    keep = w > 0
+    return atoms[keep], w[keep]
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: -0.0 differs from 0.0, NaN equals itself."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def prony_outcome(prony, u, k):
+    try:
+        return prony(u, k)
+    except MixcaraError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_prony(u, k):
+    got, want = prony_outcome(recover._prony, u, k), prony_outcome(_prony_reference, u, k)
+    if isinstance(want[0], str):
+        assert got == want
+    else:
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), (got, want)
+
+
+coefficient = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda c: abs(c) > 1e-3)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 8).flatmap(lambda k: st.lists(coefficient, min_size=k + 1, max_size=k + 1)))
+def test_companion_roots_are_the_np_roots_bits(coeffs):
+    # nonzero constant coefficient: np.roots strips nothing
+    coeffs = np.array(coeffs)
+    assert same_bits(recover._companion_roots(coeffs), np.roots(coeffs[::-1] / coeffs[-1]))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+    st.lists(coefficient, min_size=k + 1, max_size=k + 1),
+    st.integers(1, k),
+    st.sampled_from([0.0, -0.0]),
+)))
+def test_companion_roots_strip_zero_low_order_coefficients_as_np_roots_does(case):
+    # eigenvalues of the unstripped matrix differ in their last bits, and the
+    # root of a -0.0 constant coefficient would come out as -0.0
+    coeffs, zeros, zero = case
+    coeffs = np.array(coeffs)
+    coeffs[:zeros] = zero
+    assert same_bits(recover._companion_roots(coeffs), np.roots(coeffs[::-1] / coeffs[-1]))
+
+
+@pytest.mark.parametrize(
+    "weights, points",
+    [([1.0], [0.0]),
+     ([1.0, 1.0], [0.0, 1.0]),
+     ([1.0, 1.0, 1.0], [0.0, -0.5, 2.0]),
+     ([1.0, 1.0, 1.0], [-1.0, 0.0, 1.0]),
+     ([2.0, 1.0, 2.0], [-3.0, 0.0, 3.0])],
+    ids=["d0", "d0+d1", "d0+d-0.5+d2", "symmetric", "symmetric-wide"],
+)
+def test_prony_atoms_at_zero_keep_the_reference_bits(weights, points):
+    # an atom at 0 makes the constant coefficient of the Prony polynomial
+    # exactly 0 (a single atom at 0; symmetric measures at k = 3), and the
+    # reference returns +0.0 there
+    mu = AtomicMeasure(weights=weights, points=np.reshape(points, (-1, 1)))
+    for d in range(2 * len(weights) - 1, 14):
+        u = dirac_moments(MonomialBasis.full_degree(d), mu).values
+        for k in range(1, (d + 1) // 2 + 1):
+            assert_same_prony(u, k)
+
+
+def test_prony_single_atom_at_zero_is_plus_zero():
+    # the companion matrix [[-0.0]] has the eigenvalue -0.0
+    atoms, weights = recover._prony(np.array([1.0, 0.0, 0.0]), 1)
+    assert same_bits(atoms, np.array([0.0])) and same_bits(weights, np.array([1.0]))
+
+
+def test_prony_random_vectors_keep_the_reference_bits():
+    # interior, exterior and pulled-back vectors: every outcome, errors included
+    for seed in range(40):
+        rng = np.random.default_rng([20, seed])
+        d = int(rng.integers(3, 16))
+        k = (d + 1) // 2
+        basis = MonomialBasis.full_degree(d)
+        mu = AtomicMeasure(weights=rng.uniform(0.2, 2.0, k),
+                           points=rng.uniform(-2.0, 2.0, (k, 1)))
+        u = dirac_moments(basis, mu).values
+        assert_same_prony(u, k)
+        assert_same_prony(u + rng.normal(scale=1e-3, size=u.size), k)
+        for sigma in default_sigma_schedule()[::8]:
+            assert_same_prony(_inverse_transfer_matrix(basis, sigma) @ u, k)
+
+
+def test_prony_calls_no_np_roots(monkeypatch):
+    def no_roots(p):
+        raise AssertionError("np.roots called")
+
+    monkeypatch.setattr(np, "roots", no_roots)
+    basis = MonomialBasis.full_degree(5)
+    mu = AtomicMeasure(weights=[1.0, 2.0, 0.5], points=[[-1.0], [0.3], [1.2]])
+    atoms, _ = recover._prony(dirac_moments(basis, mu).values, 3)
+    np.testing.assert_allclose(atoms, [-1.0, 0.3, 1.2], atol=1e-9)
 
 
 # ------------------------------------------------- shared-sigma gaussian

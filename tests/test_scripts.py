@@ -2,6 +2,7 @@
 driver summarizes its runs."""
 import ast
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -44,10 +45,15 @@ def test_benchmark_fast_trials_match_the_script():
     assert bench == literal_assignment(SCRIPT, "FAST_TRIALS")
 
 
-def test_bench_summary_reads_each_metric_direction():
+def load_bench():
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_summary_reads_each_metric_direction():
+    bench = load_bench()
 
     def run(ops, p90):
         return {"metrics": {"ops_per_s": {"value": ops}, "latency_p90_ms": {"value": p90}}}
@@ -67,3 +73,35 @@ def test_bench_summary_reads_each_metric_direction():
     assert p90["median_change_rel"] == pytest.approx(0.2) and p90["within_bound"]
     runs["change"][2] = run(120.0, 2.6)
     assert not bench.summarize(runs, specs)["latency_p90_ms"]["within_bound"]
+
+
+def test_bench_kind_rows_come_from_each_run_record(tmp_path):
+    bench = load_bench()
+
+    def write_record(tree, seed, d15_p50, d5_p50):
+        # the shape perfbench/run.py writes: more columns than the bench keeps
+        def row(ops, ok, p50, share):
+            return {"ops": ops, "ok": ok, "unrecovered": ops - ok, "wrong": 0,
+                    "p50_ms": p50, "time_share": share}
+
+        out = tree / ".bench_out"
+        out.mkdir(parents=True)
+        record = {"workload": "shared-scale", "metrics": {},
+                  "per_kind": {"gauss-d15": row(40, 4, d15_p50, 0.5),
+                               "gauss-d5": row(40, 40, d5_p50, 0.1)}}
+        (out / f"run-shared-scale-seed{seed}-trace0.json").write_text(json.dumps(record))
+
+    write_record(tmp_path / "parent", 7, 8.0, 0.6)
+    write_record(tmp_path / "change", 7, 6.0, 0.6)
+    parent = bench.kind_table(tmp_path / "parent", "shared-scale", 7)
+    change = bench.kind_table(tmp_path / "change", "shared-scale", 7)
+    assert parent["gauss-d15"] == {"ops": 40, "ok": 4, "unrecovered": 36, "p50_ms": 8.0,
+                                   "time_share": 0.5}
+    runs = {"parent": [{"per_kind": parent}, {"per_kind": parent}],
+            "change": [{"per_kind": change}, {"per_kind": change}]}
+    kinds = bench.summarize_kinds(runs)
+    assert list(kinds) == ["gauss-d15", "gauss-d5"]
+    assert kinds["gauss-d15"]["parent"] == {"p50_ms": 8.0, "time_share": 0.5, "ops": 80,
+                                            "ok": 8, "unrecovered": 72}
+    assert kinds["gauss-d15"]["change"]["p50_ms"] == 6.0
+    assert kinds["gauss-d15"]["p50_ratio"] == 0.75 and kinds["gauss-d5"]["p50_ratio"] == 1.0
