@@ -243,7 +243,8 @@ def test_prony_atoms_at_zero_keep_the_reference_bits(weights, points):
 
 
 def test_prony_single_atom_at_zero_is_plus_zero():
-    # the companion matrix [[-0.0]] has the eigenvalue -0.0
+    # the Hankel null vector is (0, 1): an unstripped companion matrix would
+    # be [[-0.0]], with the eigenvalue -0.0
     atoms, weights = recover._prony(np.array([1.0, 0.0, 0.0]), 1)
     assert same_bits(atoms, np.array([0.0])) and same_bits(weights, np.array([1.0]))
 
