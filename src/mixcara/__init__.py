@@ -24,7 +24,6 @@ from .errors import (
     InfeasibleWeightsError,
     MixcaraError,
     MomentOverflowError,
-    NonrealAtomsError,
     NotRepresentableError,
     PrescriptionError,
     ReductionError,

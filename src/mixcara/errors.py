@@ -34,10 +34,6 @@ class PrescriptionError(MixcaraError):
     """No mixture containing the prescribed component was found."""
 
 
-class NonrealAtomsError(MixcaraError):
-    """Root finding produced atoms with non-negligible imaginary parts."""
-
-
 class InfeasibleWeightsError(MixcaraError):
     """Recovered weights are negative beyond tolerance."""
 
@@ -47,7 +43,7 @@ class InfeasibleMomentsError(MixcaraError):
 
 
 class ConditioningError(MixcaraError):
-    """A linear solve or root extraction was too ill-conditioned to trust."""
+    """A linear solve or a reconstruction was too ill-conditioned to trust."""
 
 
 class ConfigError(MixcaraError, ValueError):

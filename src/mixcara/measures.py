@@ -82,13 +82,18 @@ class AtomicMeasure:
 
     @classmethod
     def from_json(cls, data: dict, n: int = 1) -> "AtomicMeasure":
-        comps = data.get("components", [])
+        try:
+            comps = data.get("components", [])
+            weights, points = (
+                np.array([c[key] for c in comps], dtype=float) for key in ("c", "x")
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"a Dirac model is an object with a list of components {{'c', 'x'}}, got {data!r}"
+            ) from exc
         if not comps:
             return cls.empty(n)
-        return cls(
-            weights=np.array([c["c"] for c in comps]),
-            points=np.array([c["x"] for c in comps]),
-        )
+        return cls(weights=weights, points=points)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -167,25 +172,31 @@ class MixtureMeasure:
 
     @classmethod
     def from_json(cls, data: dict) -> "MixtureMeasure":
-        comps = data.get("components", [])
+        try:
+            kind, comps = data["kind"], data.get("components", [])
+            weights, means, sigmas = (
+                np.array([c[key] for c in comps], dtype=float) for key in ("c", "xi", "sigma")
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(
+                "a mixture model is an object with 'kind' and a list of components "
+                f"{{'c', 'xi', 'sigma'}}, got {data!r}"
+            ) from exc
         if not comps:
-            return cls.empty(kind=data["kind"])
-        return cls(
-            kind=data["kind"],
-            weights=np.array([c["c"] for c in comps]),
-            means=np.array([c["xi"] for c in comps]),
-            sigmas=np.array([c["sigma"] for c in comps]),
-        )
+            return cls.empty(kind=kind)
+        return cls(kind=kind, weights=weights, means=means, sigmas=sigmas)
 
 
 def model_from_json(data: dict):
     """Dispatch a model literal to AtomicMeasure or MixtureMeasure."""
-    kind = data.get("kind")
+    kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "dirac":
         return AtomicMeasure.from_json(data)
     if kind in KINDS:
         return MixtureMeasure.from_json(data)
-    raise ValueError(f"unknown model kind {kind!r}")
+    raise ValueError(
+        f"a model is an object whose 'kind' is one of {('dirac', *KINDS)}, got {data!r}"
+    )
 
 
 def _separated(candidate: np.ndarray, chosen: list[np.ndarray], min_sep: float) -> bool:

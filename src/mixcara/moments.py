@@ -76,10 +76,14 @@ class MomentVector:
 
     @classmethod
     def from_json(cls, data: dict) -> "MomentVector":
-        return cls(
-            values=np.array(data["values"], dtype=float),
-            basis=MonomialBasis.from_json(data["basis"]),
-        )
+        try:
+            values = np.array(data["values"], dtype=float)
+            basis = MonomialBasis.from_json(data["basis"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                f"a moment vector is an object with 'values' and 'basis', got {data!r}"
+            ) from exc
+        return cls(values=values, basis=basis)
 
 
 def _double_factorial(j: int) -> int:

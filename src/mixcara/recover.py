@@ -2,8 +2,9 @@
 
 Five routes from a moment vector back to a measure:
 
-* ``prony_dirac`` -- atoms as roots of the polynomial in the Hankel null
-  space, weights from a Vandermonde solve.
+* ``prony_dirac`` -- atoms as the eigenvalues of the symmetric Jacobi
+  matrix of the Hankel blocks (Golub-Welsch), weights from a Vandermonde
+  solve.
 * ``recover_shared_sigma_gaussian`` -- descend a scale schedule, deconvolve
   through the closed-form inverse of the triangular transfer matrix, and
   Prony the result.  Small enough scales always succeed for interior
@@ -54,7 +55,7 @@ from .errors import (
     ConditioningError,
     InfeasibleMomentsError,
     InfeasibleWeightsError,
-    NonrealAtomsError,
+    NotRepresentableError,
     UnsupportedBasisError,
 )
 from .jacobian import numeric_rank
@@ -80,7 +81,6 @@ __all__ = [
 
 # goal of prony_dirac and lm_fit: the moment residual max|moments - s| / (1 + max|s|)
 _REL_TOL = 1e-8
-_IMAG_TOL = 1e-8
 _WEIGHT_TOL = 1e-10
 _RANK_TOL = 1e-10
 # default scale schedule of the shared-scale engines: 1, 1/2, 1/4, ...
@@ -200,55 +200,35 @@ def _exterior_refusal(s: MomentVector, kind: str, engine: str) -> RecoveryReport
     )
 
 
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of ``p_0 + p_1 x + ... + p_k x^k``, ``p_k != 0``, as the
-    eigenvalues of its companion matrix: first row ``-(p_(k-1), ..., p_0) /
-    p_k``, ones below the diagonal.
-
-    This is what ``np.roots(coeffs[::-1] / p_k)`` computes, bit for bit and
-    in the same order, without its wrapper work.  Like ``np.roots``, it
-    strips zero low-order coefficients and appends one root +0.0 for each:
-    the eigenvalues of the unstripped matrix differ in their last bits, and
-    a -0.0 would take the place of +0.0.
-    """
-    zeros = 0
-    while coeffs[zeros] == 0:
-        zeros += 1
-    k = len(coeffs) - 1 - zeros
-    companion = np.eye(k, k, -1)
-    companion[:1] = -coeffs[zeros:-1][::-1] / coeffs[-1]  # no row when every root is 0
-    roots = np.linalg.eigvals(companion)
-    return np.concatenate((roots, np.zeros(zeros, roots.dtype))) if zeros else roots
-
-
 def _prony(u: np.ndarray, k_target: int) -> tuple[np.ndarray, np.ndarray]:
     """Atoms and weights of a measure with at most ``k_target`` atoms
     matching consecutive moments.
 
     One SVD per tried count k of the k-by-(k+1) Hankel slice: a
     rank-deficient slice means fewer atoms suffice, so the count is lowered
-    until the slice has full rank.  At that count the last right singular
-    vector holds the coefficients of the polynomial with the atoms as roots
-    (``_companion_roots``), and weights come from the Vandermonde
-    least-squares solve over all supplied moments.  Raises the typed errors
-    on non-real roots, negative weights, or untrustworthy conditioning;
-    infeasibility at the full-rank count means the whole vector is
-    infeasible.
+    until the slice has full rank.  At that count the atoms are the Gauss
+    quadrature nodes of the moments (Golub & Welsch 1969): with the Hankel
+    block ``H0 = L L^T`` and its shift ``H1``, they are the eigenvalues of
+    the symmetric Jacobi matrix ``L^-1 H1 L^-T``, real and sorted.  Weights
+    come from the Vandermonde least-squares solve over all supplied moments.
+    Raises ``NotRepresentableError`` when ``H0`` is not positive definite
+    (the vector is not strictly inside the cone), and the typed errors on
+    negative weights or a failed solve; infeasibility at the full-rank count
+    means the whole vector is infeasible.
     """
     for k in range(k_target, 0, -1):
-        _, sv, vt = np.linalg.svd(u[_hankel_index(k, k + 1)])
+        _, sv, _ = np.linalg.svd(u[_hankel_index(k, k + 1)])
         if sv[-1] > _RANK_TOL * sv[0]:
             break
     else:
         return np.zeros(0), np.zeros(0)
-    coeffs = vt[-1]  # p_0 + p_1 x + ... + p_k x^k
-    lead = coeffs[-1]
-    if abs(lead) <= 1e-12 * math.sqrt(coeffs @ coeffs):
-        raise ConditioningError("vanishing leading coefficient; atom count too high")
-    roots = _companion_roots(coeffs)
-    if (np.abs(roots.imag) > _IMAG_TOL * (1.0 + np.abs(roots.real))).any():
-        raise NonrealAtomsError(f"complex atoms {roots.tolist()}")
-    atoms = np.sort(roots.real)
+    index = _hankel_index(k, k)
+    try:
+        L = np.linalg.cholesky(u[index])
+    except np.linalg.LinAlgError as exc:
+        raise NotRepresentableError(f"Hankel block of order {k} is not positive definite") from exc
+    # eigvalsh reads one triangle of the Jacobi matrix and sorts its eigenvalues
+    atoms = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, u[1:][index]).T))
     V = np.vander(atoms, N=len(u), increasing=True).T
     try:
         w, *_ = np.linalg.lstsq(V, u, rcond=None)
@@ -317,7 +297,7 @@ def _shared_scale_descent(
     for step, sigma in enumerate(schedule, start=1):
         try:
             atoms, w = _prony(pull_back(sigma), k_target)
-        except (NonrealAtomsError, InfeasibleWeightsError, ConditioningError):
+        except (NotRepresentableError, InfeasibleWeightsError, ConditioningError):
             continue
         if kind == "lognormal" and np.any(atoms <= 0):
             continue  # atoms must land in (0, inf); try a smaller scale

@@ -5,7 +5,7 @@ import dataclasses
 import inspect
 
 import mixcara
-from mixcara import basis, jacobian, measures, moments, recover
+from mixcara import basis, errors, jacobian, measures, moments, recover
 
 EXPECTED_PARAMETERS = {
     mixcara.homotopy_gap_recovery: ["basis", "s", "k", "seed", "rel_tol"],
@@ -41,8 +41,9 @@ DELETED = {
     measures: ["sample_random_atoms", "merge_close_atoms"],
     basis: ["eval_point", "eval_jacobian", "_as_point"],
     moments: ["lognormal_moment", "component_moment_vector", "_MAX_EXP_ARG"],
-    recover: ["match_components", "_hankel_slice"],
+    recover: ["match_components", "_hankel_slice", "_companion_roots", "_IMAG_TOL"],
     jacobian: ["_DENOMINATOR_NOTE"],
+    errors: ["NonrealAtomsError"],
 }
 
 

@@ -266,6 +266,36 @@ def test_bad_config_exits_one(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: "), config
 
 
+BASIS_3 = {"n": 1, "exponents": [[0], [1], [2], [3]]}
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        (["classify", "--moments"], {"basis": BASIS_3}),
+        (["classify", "--moments"], {"basis": BASIS_3, "values": {"s0": 1.0}}),
+        (["recover", "--moments"], [1.0, 0.0, 1.0, 0.0]),
+        (["prescribe", "--kind", "gaussian", "--x0", "0", "--sigma0", "0.1", "--moments"], []),
+        (["moments", "--basis", "{basis}", "--model"],
+         {"kind": "gaussian", "components": [{"c": 1.0, "xi": [0.0]}]}),
+        (["moments", "--basis", "{basis}", "--model"], {"kind": "dirac", "components": [{"c": 1.0}]}),
+        (["moments", "--basis", "{basis}", "--model"], {"kind": "lognormal", "components": 3}),
+        (["moments", "--basis", "{basis}", "--model"], [{"kind": "gaussian"}]),
+        (["reduce", "--basis", "{basis}", "--model"], {"components": []}),
+    ],
+    ids=["no-values", "dict-values", "moments-list", "moments-empty-list", "no-sigma", "no-x",
+         "components-not-a-list", "model-list", "model-without-kind"],
+)
+def test_malformed_input_file_exits_one_without_traceback(workspace, capsys, command, data):
+    path = workspace["dir"] / "input.json"
+    path.write_text(json.dumps(data))
+    argv = [arg.format(basis=workspace["basis"]) for arg in command] + [str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_missing_file_exits_one(tmp_path):
     assert main(["classify", "--moments", str(tmp_path / "nope.json")]) == 1
 
