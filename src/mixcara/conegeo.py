@@ -12,7 +12,9 @@ on a basis, and ``represent_with_prescribed_component`` certifies its input
 with that test only, refusing a basis that has none.  The eigenvalue
 threshold is a proxy: points within the tolerance band of the boundary are
 classified "boundary" rather than resolved exactly.  ``_hankel_index`` is
-the one cached builder of Hankel indices, also for the Prony solve.
+the one cached builder of Hankel indices, also for the Prony solve, and
+``_bisect`` the one bisection loop, also for the largest-scale step of the
+Gaussian recovery engines.
 """
 from __future__ import annotations
 
@@ -75,6 +77,19 @@ def _hankel_index(rows: int, cols: int) -> np.ndarray:
     index = np.add.outer(np.arange(rows), np.arange(cols))
     index.setflags(write=False)
     return index
+
+
+def _bisect(feasible, lo: float, hi: float, width: float) -> tuple[float, float]:
+    """Halve the bracket [lo, hi] until it is at most ``width`` wide, keeping
+    ``lo`` on the side where ``feasible`` holds and ``hi`` on the other.
+    The ends themselves are not tested."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _classify(values: np.ndarray, support: str) -> tuple[str, float, float]:
@@ -167,12 +182,7 @@ def strip_mass(s: MomentVector, v: MomentVector) -> tuple[float, MomentVector]:
             raise UnboundedStripError(
                 f"direction still feasible at mass {lo:.3e} (cap {cap:.3e})"
             )
-    while hi - lo > _STRIP_ABS_TOL:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, _ = _bisect(feasible, lo, hi, _STRIP_ABS_TOL)
     return lo, s.with_values(sv - lo * vv)
 
 

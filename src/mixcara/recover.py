@@ -8,7 +8,10 @@ Five routes from a moment vector back to a measure:
 * ``recover_shared_sigma_gaussian`` -- descend a scale schedule, deconvolve
   through the closed-form inverse of the triangular transfer matrix, and
   Prony the result.  Small enough scales always succeed for interior
-  vectors.
+  vectors.  Asked for fewer components than the cap, it first tries the
+  largest-scale step, ``_largest_scale``: the common scale is where the
+  pulled-back Hankel block of the sought count turns singular (Lindsay
+  1989), found by bisection, and one Prony solve there gives the mixture.
 * ``recover_shared_sigma_lognormal`` -- descale each moment by the
   closed-form factor, Prony the resulting ordinary moments, keep only
   positive atoms.  Both shared-scale engines run one descent loop and
@@ -21,7 +24,8 @@ Five routes from a moment vector back to a measure:
   fails at its first iteration that does not halve the residual norm.
 * ``lm_fit`` -- generic moment matching by the same solver with
   log-parameterized positive parameters; the classical method-of-moments
-  fallback when nothing structural applies.
+  fallback when nothing structural applies.  A shared-scale Gaussian fit on
+  {1, x, ..., x^d} with 2k <= d tries the largest-scale step first.
 
 Both nonlinear engines run ``_damped_least_squares``, a Levenberg descent
 that factors the Jacobian once per iteration by SVD and tries the
@@ -50,7 +54,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .basis import MonomialBasis
-from .conegeo import _SUPPORT_NAME, EXTERIOR, _classify, _cone_support, _hankel_index
+from .conegeo import (
+    _SUPPORT_NAME,
+    EXTERIOR,
+    _bisect,
+    _classify,
+    _cone_support,
+    _hankel_index,
+)
 from .errors import (
     ConditioningError,
     InfeasibleMomentsError,
@@ -87,6 +98,9 @@ _RANK_TOL = 1e-10
 _SCHEDULE_START = 1.0
 _SCHEDULE_RATIO = 0.5
 _SCHEDULE_STEPS = 40
+# largest-scale step: width of the final scale bracket, relative to the
+# starting bracket [0, standard deviation]; about 34 halvings
+_SCALE_REL_WIDTH = 1e-10
 # homotopy: starts, continuation target and floor, smallest scale step,
 # corrector goal relative to the vector, the solver's iteration cap along the
 # continuation and from a random Dirac start, the share of |r| a corrector
@@ -137,7 +151,8 @@ class RecoveryReport:
     engines have strictly positive weights (and scales, and log-normal
     locations).  ``iterations`` counts the iterations of the damped
     least-squares solver in the two nonlinear engines, summed over all starts
-    and corrector calls; it is 0 for the shared-scale engines.
+    and corrector calls; it is 0 for the shared-scale engines, and for an
+    ``lm_fit`` that the largest-scale step settles without the solver.
     """
 
     success: bool
@@ -264,6 +279,69 @@ def prony_dirac(s: MomentVector, k: int) -> AtomicMeasure:
     return measure
 
 
+def _largest_scale(
+    s: MomentVector, k: int, tol: float
+) -> tuple[float, MixtureMeasure, float] | None:
+    """A shared-scale Gaussian mixture with the fewest components, at most
+    ``k``, that matches ``s`` on {1, x, ..., x^d} to ``tol``, 2k <= d, with
+    no descent and no random start; None when there is none.
+
+    A vector with a j-component shared-scale representation has a pull-back
+    whose (j+1)-by-(j+1) Hankel block H_j is positive definite below the
+    common scale and singular at it (Lindsay 1989, Ann. Statist. 17).  Each
+    block is a leading block of the next, so the scale where H_j leaves the
+    definite side falls with j, and the orders are tried from 1 up: H_1 is
+    singular at the standard deviation ``sqrt(s2/s0 - (s1/s0)^2)`` itself,
+    and each higher order bisects on the sign of the smallest eigenvalue of
+    its block, from 0 to the last order's upper end, down to ``1e-10 * sd``.
+    ``_prony`` with at most j atoms runs at both positive ends, and the
+    first order whose better end meets ``tol`` gives the scale, mixture and
+    residual.  The order of the bisected block must not exceed the count
+    sought: a larger block has several eigenvalues that vanish at the common
+    scale, and the smallest of them loses its sign to rounding well before
+    it.
+    """
+    basis, values = s.basis, s.values
+    s0, s1, s2 = values[:3]
+    if not s0 > 0:
+        return None
+    variance = s2 / s0 - (s1 / s0) ** 2
+    if not variance > 0:
+        return None
+
+    def pull_back(sigma: float) -> np.ndarray:
+        return _inverse_transfer_matrix(basis, sigma) @ values
+
+    sd = math.sqrt(variance)
+    lo = hi = sd
+    for order in range(1, k + 1):
+        if order > 1:
+            index = _hankel_index(order + 1, order + 1)
+
+            def definite(sigma: float) -> bool:
+                return np.linalg.eigvalsh(pull_back(sigma)[index])[0] > 0
+
+            lo, hi = _bisect(definite, 0.0, hi, _SCALE_REL_WIDTH * sd)
+        best = None
+        for sigma in (lo,) if lo == hi else (lo, hi):
+            if not sigma > 0:
+                continue
+            try:
+                atoms, w = _prony(pull_back(sigma), order)
+            except (NotRepresentableError, InfeasibleWeightsError, ConditioningError):
+                continue
+            model = MixtureMeasure(
+                kind="gaussian", weights=w, means=atoms.reshape(-1, 1),
+                sigmas=np.full(len(w), sigma),
+            )
+            residual = _relative_residual(mixture_moments(basis, model).values, values)
+            if best is None or residual < best[2]:
+                best = (sigma, model, residual)
+        if best is not None and best[2] <= tol:
+            return best
+    return None
+
+
 _SHARED_SCALE_ENGINE = {"gaussian": "shared-sigma-gaussian", "lognormal": "shared-sigma-lognormal"}
 _EXHAUSTED_REASON = {
     "gaussian": "schedule exhausted without a feasible recovery",
@@ -291,6 +369,11 @@ def _shared_scale_descent(
     if refusal is not None:
         return refusal
     k_target = min(k, k_cap) if k is not None else k_cap
+    if kind == "gaussian" and k_target < k_cap:
+        step = _largest_scale(s, k_target, rel_tol)
+        if step is not None:
+            sigma, model, residual = step
+            return _judged(engine, model, residual, rel_tol, None, sigma_used=sigma)
     schedule = list(sigma_schedule) if sigma_schedule is not None else default_sigma_schedule()
     d1 = basis.exponents[0][0]
     best_residual = math.inf
@@ -331,7 +414,13 @@ def recover_shared_sigma_gaussian(
     back through the unit-triangular transfer matrix; a successful Prony
     recovery of the pulled-back vector gives the mixture directly.  Interior
     vectors succeed once the scale is small enough; a vector that the
-    real-line Hankel test certifies as exterior is refused at once.
+    real-line Hankel test certifies as exterior is refused at once.  With
+    ``k`` below the cap ``ceil((d+1)/2)`` the largest-scale step runs
+    before the schedule: it looks for a representation with at most k
+    components at one common scale, which the schedule finds only by
+    landing on that scale.  Its success reports the scale as
+    ``sigma_used`` and ``sigma_steps`` 0; otherwise the schedule runs as it
+    would without the step.
     """
     basis = s.basis
     if not basis.is_full_degree():
@@ -657,7 +746,16 @@ def lm_fit(
     seed: int = 0,
     n_starts: int = 16,
 ) -> RecoveryReport:
-    """Generic method-of-moments fit by multistart damped least squares.
+    """Generic method-of-moments fit by multistart damped least squares, with
+    a direct step for shared-scale Gaussian fits.
+
+    A Gaussian fit with one shared scale (``free_sigma_per_component``
+    false) on {1, x, ..., x^d} with 2k <= d first tries the largest-scale
+    step: bisection on the pulled-back Hankel blocks finds the common scale
+    of a representation with at most k components, and one Prony solve
+    there gives it.  A residual at or below 1e-8 is the fit, with
+    ``iterations`` 0 and no random draw; otherwise the descent below runs
+    and reports exactly what it would without the step.
 
     Weights and scales (and log-normal locations) are optimized in log space
     so positivity needs no constraints; the Jacobian is the analytic one of
@@ -683,6 +781,16 @@ def lm_fit(
     refusal = _exterior_refusal(s, kind, engine)
     if refusal is not None:
         return refusal
+    if (
+        kind == "gaussian"
+        and not free_sigma_per_component
+        and basis.is_full_degree()
+        and 2 * k <= basis.max_degree
+    ):
+        step = _largest_scale(s, k, _REL_TOL)
+        if step is not None:
+            _, model, residual = step
+            return _judged(engine, model, residual, _REL_TOL, None)
     m, n = basis.m, basis.n
     n_params = k * (1 + n) + (k if free_sigma_per_component else 1)
     if n_params > m:

@@ -147,6 +147,25 @@ def test_failed_recover_writes_strict_json(capsys, tmp_path):
         assert data["failure_reason"].startswith("exterior:")
 
 
+def test_recover_below_the_cap_takes_the_largest_scale_step(capsys, tmp_path):
+    basis = MonomialBasis.full_degree(6)
+    mixture = MixtureMeasure(
+        kind="gaussian", weights=[0.5, 0.5], means=[[-1.0], [0.8]], sigmas=[0.3, 0.3]
+    )
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps(mixture_moments(basis, mixture).to_json()))
+    rc = main(["recover", "--moments", str(path), "--engine", "shared-sigma", "--k", "2"])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["success"] and data["sigma_steps"] == 0
+    assert len(data["model"]["components"]) == 2
+    rc = main(["recover", "--moments", str(path), "--engine", "lm", "--k", "2", "--shared-sigma"])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["success"] and data["iterations"] == 0
+    assert len(data["model"]["components"]) == 2
+
+
 def test_reduce_command(workspace, capsys, tmp_path):
     basis = MonomialBasis.full_degree(2)
     basis_path = tmp_path / "b2.json"

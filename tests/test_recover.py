@@ -864,6 +864,141 @@ def test_lm_fit_underdetermined_warns():
         lm_fit(basis, "gaussian", s, k=2, seed=0, n_starts=2)
 
 
+# ------------------------------------------------ largest-scale step
+
+
+def _shared_truth(k, seed):
+    span = 2.5 if k >= 4 else 1.5
+    return sample_random_mixture("gaussian", k, rng=seed, mean_range=(-span, span),
+                                 sigma_range=(0.2, 0.6), min_separation=0.6, shared_sigma=True)
+
+
+def _shared_fits(s, k):
+    """The shared-scale lm_fit and the shared-scale engine, both asked for k."""
+    return [
+        lm_fit(s.basis, "gaussian", s, k, free_sigma_per_component=False, seed=1, n_starts=4),
+        recover_shared_sigma_gaussian(s, k=k),
+    ]
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """The count k of every largest-scale step."""
+    calls = []
+    real = recover._largest_scale
+
+    def spy(s, k, tol):
+        calls.append(k)
+        return real(s, k, tol)
+
+    monkeypatch.setattr(recover, "_largest_scale", spy)
+    return calls
+
+
+@pytest.mark.parametrize("d, k", [(6, 2), (8, 3), (10, 4), (12, 5)])
+def test_largest_scale_step_returns_the_truth(solver_runs, d, k):
+    basis = MonomialBasis.full_degree(d)
+    for seed in range(3):
+        truth = _shared_truth(k, seed)
+        for report in _shared_fits(mixture_moments(basis, truth), k):
+            assert report.success and report.k_used == k
+            assert report.iterations == 0 and report.sigma_steps == 0
+            np.testing.assert_allclose(report.model.sigmas, truth.sigmas, rtol=1e-8)
+            np.testing.assert_allclose(np.sort(report.model.means[:, 0]), truth.means[:, 0],
+                                       rtol=1e-6, atol=1e-8)
+            assert report.residual <= 1e-9
+        assert report.sigma_used == report.model.sigmas[0]
+    assert not solver_runs
+
+
+@pytest.mark.parametrize("values, seed", [
+    # lm-shared-d6k2 inputs of the nonlinear-fit benchmark, workload seeds 81
+    # (op 492), 2203 (op 832) and 2214 (op 6421): every one of the 16 descent
+    # starts stalled, at residuals 2.57e-3, 2.13e-3 and 2.09e-3
+    ([2.2959002892288627, -1.8103845589605276, 1.930399667780662, -2.3772445187915388,
+      3.2665928749919093, -4.856896256208354, 7.686218438585389], 862868750),
+    ([2.3048082176005957, -2.2878437721113984, 2.636193850769116, -3.389744036628689,
+      4.7562604663038135, -7.160958626815058, 11.420640211116037], 470107709),
+    ([2.5413994856542415, -1.9564812244614322, 2.503119834987035, -3.5610988359057756,
+      5.907793005763907, -10.63460468874636, 20.804066354996316], 588489774),
+], ids=["seed81-op492", "seed2203-op832", "seed2214-op6421"])
+def test_lm_fit_shared_recovers_inputs_where_every_start_stalled(values, seed):
+    basis = MonomialBasis.full_degree(6)
+    report = lm_fit(basis, "gaussian", mv(values, basis), k=2, free_sigma_per_component=False,
+                    seed=seed)
+    assert report.success and report.iterations == 0 and report.k_used == 2
+    assert report.residual <= 1e-10
+
+
+def test_largest_scale_fallback_reports_equal_the_descent(monkeypatch):
+    # three components at one scale have no two-component shared-scale fit
+    basis = MonomialBasis.full_degree(6)
+    truth = MixtureMeasure(kind="gaussian", weights=[0.8, 1.1, 0.6],
+                           means=[[-1.2], [0.1], [1.3]], sigmas=[0.35, 0.35, 0.35])
+    s = mixture_moments(basis, truth)
+    assert recover._largest_scale(s, 2, 1e-8) is None
+    real = _shared_fits(s, 2)
+    assert not any(report.success for report in real)
+    assert real[0].iterations > 0 and real[1].sigma_steps == 40
+    monkeypatch.setattr(recover, "_largest_scale", lambda s, k, tol: None)
+    assert [r.to_json() for r in _shared_fits(s, 2)] == [r.to_json() for r in real]
+
+
+def test_largest_scale_step_skipped_for_free_scales_and_short_bases(step_calls):
+    truth = MixtureMeasure(kind="gaussian", weights=[0.7, 1.3], means=[[-0.8], [0.9]],
+                           sigmas=[0.3, 0.3])
+    d5, d6 = MonomialBasis.full_degree(5), MonomialBasis.full_degree(6)
+    s5, s6 = mixture_moments(d5, truth), mixture_moments(d6, truth)
+    lm_fit(d6, "gaussian", s6, k=2, free_sigma_per_component=True, n_starts=1)
+    with pytest.warns(UserWarning):  # 2k > d: 7 parameters against 6 moments
+        lm_fit(d5, "gaussian", s5, k=3, free_sigma_per_component=False, n_starts=1)
+    recover_shared_sigma_gaussian(s5)  # k at the cap
+    recover_shared_sigma_gaussian(s5, k=3)
+    logn = mixture_moments(d6, MixtureMeasure(kind="lognormal", weights=[1.0, 1.0],
+                                              means=[[0.8], [1.6]], sigmas=[0.3, 0.3]))
+    lm_fit(d6, "lognormal", logn, k=2, free_sigma_per_component=False, n_starts=1)
+    recover_shared_sigma_lognormal(logn, k=2)
+    assert step_calls == []
+    lm_fit(d6, "gaussian", s6, k=2, free_sigma_per_component=False)
+    recover_shared_sigma_gaussian(s5, k=2)
+    assert step_calls == [2, 2]
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_largest_scale_step_returns_a_smaller_truth_with_its_own_count(solver_runs, j):
+    basis = MonomialBasis.full_degree(8)
+    truth = _shared_truth(j, 4)
+    for report in _shared_fits(mixture_moments(basis, truth), 3):
+        assert report.success and report.k_used == j
+        np.testing.assert_allclose(report.model.sigmas, truth.sigmas, rtol=1e-8)
+    assert not solver_runs
+
+
+def test_exterior_ray_is_refused_before_the_largest_scale_step(monkeypatch):
+    def no_step(s, k, tol):
+        raise AssertionError("the largest-scale step ran on an exterior vector")
+
+    monkeypatch.setattr(recover, "_largest_scale", no_step)
+    basis = MonomialBasis.full_degree(5)
+    for report in _shared_fits(mv([1, 0, -1, 0, 1, 0], basis), 2):
+        assert not report.success
+        assert report.failure_reason.startswith("exterior:")
+
+
+def test_shared_sigma_gaussian_below_the_cap_takes_the_largest_scale_step(monkeypatch):
+    basis = MonomialBasis.full_degree(6)
+    truth = MixtureMeasure(kind="gaussian", weights=[0.5, 0.5], means=[[-1.0], [0.8]],
+                           sigmas=[0.3, 0.3])
+    s = mixture_moments(basis, truth)
+    report = recover_shared_sigma_gaussian(s, k=2)
+    assert report.success and report.k_used == 2 and report.sigma_steps == 0
+    assert report.sigma_used == pytest.approx(0.3, rel=1e-8)
+    # no schedule scale lands on 0.3, and two atoms cannot fit in between
+    monkeypatch.setattr(recover, "_largest_scale", lambda s, k, tol: None)
+    report = recover_shared_sigma_gaussian(s, k=2)
+    assert not report.success and report.sigma_steps == 40
+
+
 # ------------------------------------------------ exterior refusal
 
 
