@@ -5,17 +5,17 @@ Five routes from a moment vector back to a measure:
 * ``prony_dirac`` -- atoms as the eigenvalues of the symmetric Jacobi
   matrix of the Hankel blocks (Golub-Welsch), weights from a Vandermonde
   solve.
-* ``recover_shared_sigma_gaussian`` -- descend a scale schedule, deconvolve
-  through the closed-form inverse of the triangular transfer matrix, and
-  Prony the result.  Small enough scales always succeed for interior
-  vectors.  Asked for fewer components than the cap, it first tries the
-  largest-scale step, ``_largest_scale``: the common scale is where the
-  pulled-back Hankel block of the sought count turns singular (Lindsay
-  1989), found by bisection, and one Prony solve there gives the mixture.
+* ``recover_shared_sigma_gaussian`` -- with 2k <= d, the largest-scale
+  step ``_largest_scale``: the common scale is where the pulled-back Hankel
+  block of the sought count turns singular (Lindsay 1989), found by
+  bisection, and one Prony solve there gives the mixture.  At the cap of an
+  odd d, descend a scale schedule, deconvolve through the closed-form
+  inverse of the triangular transfer matrix, and Prony the result; small
+  enough scales always succeed for interior vectors.
 * ``recover_shared_sigma_lognormal`` -- descale each moment by the
   closed-form factor, Prony the resulting ordinary moments, keep only
-  positive atoms.  Both shared-scale engines run one descent loop and
-  differ only in this pull-back to ordinary moments.
+  positive atoms.  Both schedule descents run one loop and differ only in
+  this pull-back to ordinary moments.
 * ``homotopy_gap_recovery`` -- for bases with exponent gaps: find a Dirac
   representation by running the damped least-squares solver at scale 0
   from random starts, check the Jacobian has full rank, then continue the
@@ -47,6 +47,7 @@ half-line test for log-normal vectors on any basis of consecutive exponents.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -98,8 +99,9 @@ _RANK_TOL = 1e-10
 _SCHEDULE_START = 1.0
 _SCHEDULE_RATIO = 0.5
 _SCHEDULE_STEPS = 40
-# largest-scale step: width of the final scale bracket, relative to the
-# starting bracket [0, standard deviation]; about 34 halvings
+# largest-scale step: floor of the standard deviation, and width of the final
+# scale bracket relative to the starting bracket [0, sd]; about 34 halvings
+_SCALE_FLOOR = 1e-10
 _SCALE_REL_WIDTH = 1e-10
 # homotopy: starts, continuation target and floor, smallest scale step,
 # corrector goal relative to the vector, the solver's iteration cap along the
@@ -279,12 +281,37 @@ def prony_dirac(s: MomentVector, k: int) -> AtomicMeasure:
     return measure
 
 
+def _gaussian_pull_back(s: MomentVector, sigma: float) -> np.ndarray:
+    """Moments of the component means of a Gaussian vector at scale ``sigma``."""
+    return _inverse_transfer_matrix(s.basis, sigma) @ s.values
+
+
+def _fit_at_scale(
+    s: MomentVector, kind: str, u: np.ndarray, sigma: float, k: int
+) -> tuple[MixtureMeasure, float] | None:
+    """The mixture of ``kind`` at scale ``sigma`` whose at most ``k`` atoms
+    ``_prony`` finds in ``u``, the pull-back of ``s`` at that scale, and its
+    residual; None when Prony raises or a log-normal atom is not positive."""
+    try:
+        atoms, w = _prony(u, k)
+    except (NotRepresentableError, InfeasibleWeightsError, ConditioningError):
+        return None
+    if kind == "lognormal" and np.any(atoms <= 0):
+        return None  # atoms must land in (0, inf)
+    # pulled-back moments start at degree d1, so their weights carry atoms**d1
+    d1 = s.basis.exponents[0][0]
+    weights = w / atoms**d1 if d1 else w
+    sigmas = np.full(len(weights), sigma)
+    model = MixtureMeasure(kind=kind, weights=weights, means=atoms.reshape(-1, 1), sigmas=sigmas)
+    return model, _relative_residual(mixture_moments(s.basis, model).values, s.values)
+
+
 def _largest_scale(
     s: MomentVector, k: int, tol: float
 ) -> tuple[float, MixtureMeasure, float] | None:
     """A shared-scale Gaussian mixture with the fewest components, at most
-    ``k``, that matches ``s`` on {1, x, ..., x^d} to ``tol``, 2k <= d, with
-    no descent and no random start; None when there is none.
+    ``k``, that matches ``s`` on {1, x, ..., x^d} to ``tol``, 1 <= k and
+    2k <= d, with no descent and no random start; None when there is none.
 
     A vector with a j-component shared-scale representation has a pull-back
     whose (j+1)-by-(j+1) Hankel block H_j is positive definite below the
@@ -292,51 +319,36 @@ def _largest_scale(
     block is a leading block of the next, so the scale where H_j leaves the
     definite side falls with j, and the orders are tried from 1 up: H_1 is
     singular at the standard deviation ``sqrt(s2/s0 - (s1/s0)^2)`` itself,
-    and each higher order bisects on the sign of the smallest eigenvalue of
-    its block, from 0 to the last order's upper end, down to ``1e-10 * sd``.
-    ``_prony`` with at most j atoms runs at both positive ends, and the
-    first order whose better end meets ``tol`` gives the scale, mixture and
-    residual.  The order of the bisected block must not exceed the count
-    sought: a larger block has several eigenvalues that vanish at the common
-    scale, and the smallest of them loses its sign to rounding well before
-    it.
+    floored at 1e-10 so that a one-atom vector, whose variance is 0, still
+    gets its one-component fit, and each higher order bisects on the sign
+    of the smallest eigenvalue of its block, from 0 to the last order's
+    upper end, down to ``1e-10 * sd``.  ``_prony`` with at most j atoms
+    runs at both positive ends, and the first order whose better end meets
+    ``tol`` gives the scale, mixture and residual.  The order of the bisected block
+    must not exceed the count sought: a larger block has several
+    eigenvalues that vanish at the common scale, and the smallest of them
+    loses its sign to rounding well before it.
     """
-    basis, values = s.basis, s.values
-    s0, s1, s2 = values[:3]
+    s0, s1, s2 = s.values[:3]
     if not s0 > 0:
         return None
-    variance = s2 / s0 - (s1 / s0) ** 2
-    if not variance > 0:
-        return None
-
-    def pull_back(sigma: float) -> np.ndarray:
-        return _inverse_transfer_matrix(basis, sigma) @ values
-
-    sd = math.sqrt(variance)
+    sd = max(math.sqrt(max(s2 / s0 - (s1 / s0) ** 2, 0.0)), _SCALE_FLOOR)
     lo = hi = sd
     for order in range(1, k + 1):
         if order > 1:
             index = _hankel_index(order + 1, order + 1)
 
             def definite(sigma: float) -> bool:
-                return np.linalg.eigvalsh(pull_back(sigma)[index])[0] > 0
+                return np.linalg.eigvalsh(_gaussian_pull_back(s, sigma)[index])[0] > 0
 
             lo, hi = _bisect(definite, 0.0, hi, _SCALE_REL_WIDTH * sd)
         best = None
         for sigma in (lo,) if lo == hi else (lo, hi):
             if not sigma > 0:
                 continue
-            try:
-                atoms, w = _prony(pull_back(sigma), order)
-            except (NotRepresentableError, InfeasibleWeightsError, ConditioningError):
-                continue
-            model = MixtureMeasure(
-                kind="gaussian", weights=w, means=atoms.reshape(-1, 1),
-                sigmas=np.full(len(w), sigma),
-            )
-            residual = _relative_residual(mixture_moments(basis, model).values, values)
-            if best is None or residual < best[2]:
-                best = (sigma, model, residual)
+            fit = _fit_at_scale(s, "gaussian", _gaussian_pull_back(s, sigma), sigma, order)
+            if fit is not None and (best is None or fit[1] < best[2]):
+                best = (sigma, *fit)
         if best is not None and best[2] <= tol:
             return best
     return None
@@ -352,16 +364,17 @@ _EXHAUSTED_REASON = {
 def _shared_scale_descent(
     s: MomentVector, kind: str, k_cap: int, k: int | None, pull_back, sigma_schedule, rel_tol: float
 ) -> RecoveryReport:
-    """Descend the scale schedule until a pulled-back vector Prony-recovers.
+    """Recover a shared-scale mixture with at most ``k`` (or ``k_cap``) components.
 
     A vector that the cone test of ``kind`` certifies as exterior is refused
-    before the first step.  ``pull_back(sigma)`` maps the moment vector to
-    ordinary moments of the atom locations at that scale; the first scale
-    whose recovered mixture matches ``s`` to ``rel_tol`` wins.
+    first.  A Gaussian count with 1 <= k and 2k <= d takes the largest-scale
+    step alone.  Otherwise the schedule is descended: ``pull_back(sigma)``
+    maps the vector to ordinary moments of the atom locations at that scale,
+    and the first scale whose recovered mixture matches ``s`` to ``rel_tol``
+    wins.
     """
     if k is not None and k < 1:
         raise ValueError(f"k={k}: a recovery needs at least one component")
-    basis = s.basis
     engine = _SHARED_SCALE_ENGINE[kind]
     if not np.any(s.values):  # the empty mixture matches exactly, whatever rel_tol is
         return _judged(engine, MixtureMeasure.empty(kind), 0.0, 0.0, None)
@@ -369,30 +382,19 @@ def _shared_scale_descent(
     if refusal is not None:
         return refusal
     k_target = min(k, k_cap) if k is not None else k_cap
-    if kind == "gaussian" and k_target < k_cap:
+    if kind == "gaussian" and 0 < 2 * k_target <= s.basis.max_degree:
         step = _largest_scale(s, k_target, rel_tol)
-        if step is not None:
-            sigma, model, residual = step
-            return _judged(engine, model, residual, rel_tol, None, sigma_used=sigma)
+        if step is None:
+            return _failed(engine, f"no shared-scale fit with at most {k_target} components")
+        sigma, model, residual = step
+        return _judged(engine, model, residual, rel_tol, None, sigma_used=sigma)
     schedule = list(sigma_schedule) if sigma_schedule is not None else default_sigma_schedule()
-    d1 = basis.exponents[0][0]
     best_residual = math.inf
     for step, sigma in enumerate(schedule, start=1):
-        try:
-            atoms, w = _prony(pull_back(sigma), k_target)
-        except (NotRepresentableError, InfeasibleWeightsError, ConditioningError):
+        fit = _fit_at_scale(s, kind, pull_back(sigma), sigma, k_target)
+        if fit is None:
             continue
-        if kind == "lognormal" and np.any(atoms <= 0):
-            continue  # atoms must land in (0, inf); try a smaller scale
-        # pulled-back moments start at degree d1, so their weights carry atoms**d1
-        weights = w / atoms**d1 if d1 else w
-        model = MixtureMeasure(
-            kind=kind,
-            weights=weights,
-            means=atoms.reshape(-1, 1),
-            sigmas=np.full(len(weights), sigma),
-        )
-        residual = _relative_residual(mixture_moments(basis, model).values, s.values)
+        model, residual = fit
         best_residual = min(best_residual, residual)
         if residual <= rel_tol:
             return _judged(
@@ -410,27 +412,24 @@ def recover_shared_sigma_gaussian(
 ) -> RecoveryReport:
     """Recover a Gaussian mixture whose components share one scale.
 
-    For each scale in the descending schedule the moment vector is pulled
-    back through the unit-triangular transfer matrix; a successful Prony
-    recovery of the pulled-back vector gives the mixture directly.  Interior
-    vectors succeed once the scale is small enough; a vector that the
-    real-line Hankel test certifies as exterior is refused at once.  With
-    ``k`` below the cap ``ceil((d+1)/2)`` the largest-scale step runs
-    before the schedule: it looks for a representation with at most k
-    components at one common scale, which the schedule finds only by
-    landing on that scale.  Its success reports the scale as
-    ``sigma_used`` and ``sigma_steps`` 0; otherwise the schedule runs as it
-    would without the step.
+    ``k`` is capped at ``ceil((d+1)/2)``, the cap when None, and picks the
+    route; a vector that the real-line Hankel test certifies as exterior is
+    refused at once.  With 2k <= d (every count at even d) the largest-scale
+    step alone looks for a representation with at most k components at one
+    common scale and ``sigma_schedule`` is not read; the report has
+    ``sigma_steps`` 0 and, on success, the scale as ``sigma_used``.  At the
+    cap of an odd d (2k = d + 1) the vector is pulled back through the
+    unit-triangular transfer matrix at each scale of the descending
+    schedule, and the first successful Prony recovery of the pulled-back
+    vector gives the mixture; interior vectors succeed once the scale is
+    small enough.
     """
     basis = s.basis
     if not basis.is_full_degree():
         raise UnsupportedBasisError("shared-scale recovery needs the basis {1, x, ..., x^d}")
-
-    def pull_back(sigma: float) -> np.ndarray:
-        return _inverse_transfer_matrix(basis, sigma) @ s.values
-
     # largest atom count the moment span supports: 2k - 1 <= d
     k_cap = (basis.max_degree + 1) // 2
+    pull_back = functools.partial(_gaussian_pull_back, s)
     return _shared_scale_descent(s, "gaussian", k_cap, k, pull_back, sigma_schedule, rel_tol)
 
 

@@ -213,6 +213,20 @@ def test_prescribe_lognormal_component(basis):
     assert np.max(np.abs(achieved - s.values)) / (1 + np.max(np.abs(s.values))) <= 1e-8
 
 
+@pytest.mark.parametrize("d", [4, 6])
+def test_prescribe_gaussian_component_at_even_degree(d):
+    # the remainders need the engine's cap d/2 at even d
+    basis = MonomialBasis.full_degree(d)
+    for seed in range(30):
+        truth = sample_random_mixture("gaussian", d // 2 + 1, rng=seed, sigma_range=(0.1, 0.6),
+                                      min_separation=0.3)
+        s = mixture_moments(basis, truth)
+        combined = represent_with_prescribed_component(basis, "gaussian", s, 0.0, 0.5)
+        assert any(c > 0 and xi[0] == 0.0 and sg == 0.5 for c, xi, sg in combined.components())
+        achieved = mixture_moments(basis, combined).values
+        assert np.max(np.abs(achieved - s.values)) / (1 + np.max(np.abs(s.values))) <= 1e-8
+
+
 def test_prescribe_existing_component_succeeds():
     basis = MonomialBasis.full_degree(5)
     mix = sample_random_mixture("gaussian", 2, rng=4, min_separation=0.8)

@@ -930,18 +930,20 @@ def test_lm_fit_shared_recovers_inputs_where_every_start_stalled(values, seed):
     assert report.residual <= 1e-10
 
 
-def test_largest_scale_fallback_reports_equal_the_descent(monkeypatch):
+def _three_at_one_scale():
     # three components at one scale have no two-component shared-scale fit
-    basis = MonomialBasis.full_degree(6)
     truth = MixtureMeasure(kind="gaussian", weights=[0.8, 1.1, 0.6],
                            means=[[-1.2], [0.1], [1.3]], sigmas=[0.35, 0.35, 0.35])
-    s = mixture_moments(basis, truth)
+    return mixture_moments(MonomialBasis.full_degree(6), truth)
+
+
+def test_largest_scale_fallback_reports_equal_the_descent(monkeypatch):
+    s = _three_at_one_scale()
     assert recover._largest_scale(s, 2, 1e-8) is None
-    real = _shared_fits(s, 2)
-    assert not any(report.success for report in real)
-    assert real[0].iterations > 0 and real[1].sigma_steps == 40
+    real = _shared_fits(s, 2)[0]
+    assert not real.success and real.iterations > 0
     monkeypatch.setattr(recover, "_largest_scale", lambda s, k, tol: None)
-    assert [r.to_json() for r in _shared_fits(s, 2)] == [r.to_json() for r in real]
+    assert _shared_fits(s, 2)[0].to_json() == real.to_json()
 
 
 def test_largest_scale_step_skipped_for_free_scales_and_short_bases(step_calls):
@@ -985,7 +987,7 @@ def test_exterior_ray_is_refused_before_the_largest_scale_step(monkeypatch):
         assert report.failure_reason.startswith("exterior:")
 
 
-def test_shared_sigma_gaussian_below_the_cap_takes_the_largest_scale_step(monkeypatch):
+def test_shared_sigma_gaussian_below_the_cap_takes_the_largest_scale_step(prony_in_step):
     basis = MonomialBasis.full_degree(6)
     truth = MixtureMeasure(kind="gaussian", weights=[0.5, 0.5], means=[[-1.0], [0.8]],
                            sigmas=[0.3, 0.3])
@@ -993,10 +995,99 @@ def test_shared_sigma_gaussian_below_the_cap_takes_the_largest_scale_step(monkey
     report = recover_shared_sigma_gaussian(s, k=2)
     assert report.success and report.k_used == 2 and report.sigma_steps == 0
     assert report.sigma_used == pytest.approx(0.3, rel=1e-8)
-    # no schedule scale lands on 0.3, and two atoms cannot fit in between
-    monkeypatch.setattr(recover, "_largest_scale", lambda s, k, tol: None)
-    report = recover_shared_sigma_gaussian(s, k=2)
-    assert not report.success and report.sigma_steps == 40
+    # a miss of the step is the report: no Prony solve runs outside it
+    report = recover_shared_sigma_gaussian(_three_at_one_scale(), k=2)
+    assert not report.success and report.sigma_steps == 0 and report.model is None
+    assert "at most 2 components" in report.failure_reason
+    assert prony_in_step and all(prony_in_step)
+
+
+@pytest.fixture
+def prony_in_step(monkeypatch):
+    """For every ``_prony`` call, whether it ran inside the largest-scale step."""
+    calls, depth = [], []
+    real_step, real_prony = recover._largest_scale, recover._prony
+
+    def step(s, k, tol):
+        depth.append(k)
+        try:
+            return real_step(s, k, tol)
+        finally:
+            depth.pop()
+
+    def prony(u, k):
+        calls.append(bool(depth))
+        return real_prony(u, k)
+
+    monkeypatch.setattr(recover, "_largest_scale", step)
+    monkeypatch.setattr(recover, "_prony", prony)
+    return calls
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_shared_sigma_gaussian_with_2k_at_most_d_runs_prony_only_in_the_step(prony_in_step, d):
+    basis = MonomialBasis.full_degree(d)
+    for k in range(1, d // 2 + 1):
+        for j in (k, k + 1):  # a truth with k components, and one with k + 1
+            s = mixture_moments(basis, _shared_truth(j, d))
+            recover_shared_sigma_gaussian(s, k=k)
+    if d % 2 == 0:
+        recover_shared_sigma_gaussian(s)  # k = None is the cap d/2
+    assert prony_in_step and all(prony_in_step)
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_shared_sigma_gaussian_even_cap_represents_one_more_free_scale_component(d):
+    # at even d = 2r the cap r is one below ceil((d+1)/2); r components
+    # sharing one scale still represent the moments of r + 1 with free scales
+    basis = MonomialBasis.full_degree(d)
+    r = d // 2
+    for seed in range(30):
+        truth = sample_random_mixture("gaussian", r + 1, rng=seed, sigma_range=(0.1, 0.6),
+                                      min_separation=0.3)
+        report = recover_shared_sigma_gaussian(mixture_moments(basis, truth))
+        assert report.success and report.k_used <= r and report.residual <= 1e-8
+        assert report.sigma_steps == 0
+
+
+def test_shared_sigma_gaussian_single_component_at_even_degree():
+    basis = MonomialBasis.full_degree(4)
+    truth = MixtureMeasure(kind="gaussian", weights=[1.3], means=[[0.4]], sigmas=[0.7])
+    report = recover_shared_sigma_gaussian(mixture_moments(basis, truth))
+    assert report.success and report.k_used == 1 and report.sigma_steps == 0
+    assert report.sigma_used == pytest.approx(0.7, rel=1e-10)
+    assert report.model.means[0, 0] == pytest.approx(0.4, rel=1e-10)
+    assert report.model.weights[0] == pytest.approx(1.3, rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_shared_sigma_gaussian_one_atom_at_even_degree(d):
+    # the variance is 0, so the step's scale floor gives the one-component fit
+    basis = MonomialBasis.full_degree(d)
+    rng = np.random.default_rng(d)
+    for _ in range(30):
+        x, w = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0)
+        s = dirac_moments(basis, AtomicMeasure(weights=[w], points=[[x]]))
+        report = recover_shared_sigma_gaussian(s)
+        assert report.success and report.k_used == 1 and report.residual <= 1e-8
+        assert report.model.means[0, 0] == pytest.approx(x, rel=1e-8, abs=1e-8)
+
+
+def test_shared_sigma_gaussian_below_degree_two_walks_the_schedule():
+    # d = 0 has cap 0 and d = 1 has 2k = d + 1: neither takes the step
+    report = recover_shared_sigma_gaussian(mv([1.0], MonomialBasis.full_degree(0)))
+    assert report.to_json() == {
+        "success": False, "model": None, "residual": 0.5, "engine": "shared-sigma-gaussian",
+        "sigma_used": None, "k_used": 0, "iterations": 0, "sigma_steps": 40,
+        "failure_reason": "schedule exhausted without a feasible recovery",
+    }
+    report = recover_shared_sigma_gaussian(mv([1.0, 0.3], MonomialBasis.full_degree(1)))
+    assert report.to_json() == {
+        "success": True, "model": {"kind": "gaussian",
+                                   "components": [{"c": 1.0, "xi": [0.3], "sigma": 1.0}]},
+        "residual": 0.0, "engine": "shared-sigma-gaussian", "sigma_used": 1.0, "k_used": 1,
+        "iterations": 0, "sigma_steps": 1, "failure_reason": None,
+    }
 
 
 # ------------------------------------------------ exterior refusal

@@ -28,6 +28,15 @@ def test_run_all_bounds_fast(tmp_path):
     assert {p.name for p in out.iterdir()} == expected
 
 
+def test_bench_selftest_passes():
+    # every bench op's check against the library as it stands; writes nothing
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def literal_assignment(path, name):
     """The literal value assigned to ``name`` at the top level of ``path``,
     read without importing the module."""
