@@ -13,11 +13,13 @@ with that test only, refusing a basis that has none.  The eigenvalue
 threshold is a proxy: points within the tolerance band of the boundary are
 classified "boundary" rather than resolved exactly.  ``_hankel_index`` is
 the one cached builder of Hankel indices, also for the Prony solve, and
-``_bisect`` the one bisection loop, also for the largest-scale step of the
-Gaussian recovery engines.
+``_itp_bracket`` the one root-bracketing loop, an ITP search that ends in
+at most one step more than bisection, also for the largest-scale step of
+the Gaussian recovery engines.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -52,10 +54,13 @@ EXTERIOR = "exterior"
 _HANKEL_REL_TOL = 1e-10
 # the supports ``_classify`` knows, by the name an exterior reason gives them
 _SUPPORT_NAME = {"real": "real-line", "positive": "half-line"}
-# strip_mass: bisection width, and the cap on the mass (relative to
+# strip_mass: final bracket width, and the cap on the mass (relative to
 # (1 + max|s|) / max|v|) beyond which a direction counts as unbounded
 _STRIP_ABS_TOL = 1e-10
 _STRIP_CAP_FACTOR = 1e6
+# ITP bracket: truncation factor kappa1 relative to the starting width (the
+# truncation exponent kappa2 is 2, and the slack n0 one step)
+_ITP_KAPPA1 = 2.0
 # prescribed component: smallest mass tried, relative to the total mass
 _MIN_EPS_FACTOR = 1e-12
 
@@ -79,16 +84,57 @@ def _hankel_index(rows: int, cols: int) -> np.ndarray:
     return index
 
 
-def _bisect(feasible, lo: float, hi: float, width: float) -> tuple[float, float]:
-    """Halve the bracket [lo, hi] until it is at most ``width`` wide, keeping
-    ``lo`` on the side where ``feasible`` holds and ``hi`` on the other.
-    The ends themselves are not tested."""
+def _itp_bracket(f, lo: float, hi: float, width: float) -> tuple[float, float]:
+    """Shrink [lo, hi] to at most ``width`` around the sign change of ``f``,
+    keeping ``lo`` where ``f > 0`` and ``hi`` where ``f <= 0``.
+
+    ITP steps (Oliveira & Takahashi 2020, ACM TOMS 47(1)): each step moves
+    the regula falsi point toward the midpoint by ``2 w^2 / w0`` (w the
+    bracket width, w0 the starting one), at least half of ``width``, then
+    projects it to within the radius about the midpoint that still ends in
+    at most one step more than bisection.  A smooth ``f`` takes a few
+    steps; none takes more.  ``f`` runs at both ends first.  When an end
+    lies on the wrong side, the bracket is what bisection of a monotone
+    ``f`` gives, the other end halved toward it, with no further call; a
+    bracket already within ``width`` is returned with no call at all.
+    """
+    if hi - lo <= width:
+        return lo, hi
+    f_lo, f_hi = f(lo), f(hi)
+    if not f_lo > 0:
+        while hi - lo > width:
+            hi = 0.5 * (lo + hi)
+        return lo, hi
+    if f_hi > 0:
+        while hi - lo > width:
+            lo = 0.5 * (lo + hi)
+        return lo, hi
+    # the step j = 0, 1, ... may end at most top / 2^j wide: the last step
+    # allowed, one after bisection's count, ends a few rounding units
+    # inside ``width``.  Bisection's midpoints round, which can save it the
+    # last halving, so the count takes a width within a unit as reached
+    unit = math.ulp(max(abs(lo), abs(hi)))
+    top = width - 4.0 * unit
+    w = hi - lo
+    while w > width + unit:
+        w *= 0.5
+        top *= 2.0
+    kappa1 = _ITP_KAPPA1 / (hi - lo)
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
+        radius = max(top - 0.5 * (hi - lo), 0.0)
+        delta = max(kappa1 * (hi - lo) ** 2, 0.5 * width)
+        falsi = (hi * f_lo - lo * f_hi) / (f_lo - f_hi)
+        toward = math.copysign(1.0, mid - falsi)
+        x = falsi + toward * delta if delta <= abs(mid - falsi) else mid
+        if not abs(x - mid) <= radius:
+            x = mid - toward * radius
+        y = f(x)
+        if y > 0:
+            lo, f_lo = x, y
         else:
-            hi = mid
+            hi, f_hi = x, y
+        top *= 0.5
     return lo, hi
 
 
@@ -152,9 +198,11 @@ def hankel_classify(s: MomentVector) -> ConeClassification:
 
 
 def strip_mass(s: MomentVector, v: MomentVector) -> tuple[float, MomentVector]:
-    """Largest mass c such that s - c*v stays in the cone, by bisection.
+    """Largest mass c such that s - c*v stays in the cone.
 
-    Returns the supremal mass, to within 1e-10, and the stripped vector,
+    The mass doubles until s - c*v is exterior, then ``_itp_bracket``
+    closes in on the sign change of the signed cone margin.  Returns the
+    supremal mass, to within 1e-10, and the stripped vector,
     which sits on the feasible side of the boundary (boundary or interior
     within tolerance).  Directions still feasible past the cap
     ``1e6 * (1 + max|s|) / max|v|`` raise.
@@ -170,19 +218,22 @@ def strip_mass(s: MomentVector, v: MomentVector) -> tuple[float, MomentVector]:
         raise ValueError("direction vector is zero")
     cap = _STRIP_CAP_FACTOR * (1.0 + float(np.max(np.abs(sv)))) / vnorm
 
-    def feasible(c: float) -> bool:
-        return _classify(sv - c * vv, "real")[0] != EXTERIOR
+    def signed_margin(c: float) -> float:
+        """The cone margin of s - c*v over the exterior threshold, below 0
+        exactly where s - c*v is exterior."""
+        _, margin, tol = _classify(sv - c * vv, "real")
+        return margin + tol
 
     lo = 0.0
     hi = max(_STRIP_ABS_TOL, (1.0 + float(np.max(np.abs(sv)))) / vnorm * 1e-3)
-    while feasible(hi):
+    while signed_margin(hi) > 0:
         lo = hi
         hi *= 2.0
         if hi > cap:
             raise UnboundedStripError(
                 f"direction still feasible at mass {lo:.3e} (cap {cap:.3e})"
             )
-    lo, _ = _bisect(feasible, lo, hi, _STRIP_ABS_TOL)
+    lo, _ = _itp_bracket(signed_margin, lo, hi, _STRIP_ABS_TOL)
     return lo, s.with_values(sv - lo * vv)
 
 

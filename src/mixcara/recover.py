@@ -7,8 +7,9 @@ Five routes from a moment vector back to a measure:
   solve.
 * ``recover_shared_sigma_gaussian`` -- with 2k <= d, the largest-scale
   step ``_largest_scale``: the common scale is where the pulled-back Hankel
-  block of the sought count turns singular (Lindsay 1989), found by
-  bisection, and one Prony solve there gives the mixture.  At the cap of an
+  block of the sought count turns singular (Lindsay 1989), bracketed by
+  ITP steps on its smallest eigenvalue (``conegeo._itp_bracket``), and one
+  Prony solve there gives the mixture.  At the cap of an
   odd d, descend a scale schedule, deconvolve through the closed-form
   inverse of the triangular transfer matrix, and Prony the result; small
   enough scales always succeed for interior vectors.
@@ -24,8 +25,9 @@ Five routes from a moment vector back to a measure:
   fails at its first iteration that does not halve the residual norm.
 * ``lm_fit`` -- generic moment matching by the same solver with
   log-parameterized positive parameters; the classical method-of-moments
-  fallback when nothing structural applies.  A shared-scale Gaussian fit on
-  {1, x, ..., x^d} with 2k <= d tries the largest-scale step first.
+  fallback when nothing structural applies.  A Gaussian fit on
+  {1, x, ..., x^d} with 2k <= d, shared or free scales, tries the
+  largest-scale step first; a miss with k components is the first start.
 
 Both nonlinear engines run ``_damped_least_squares``, a Levenberg descent
 that factors the Jacobian once per iteration by SVD and tries the
@@ -58,10 +60,10 @@ from .basis import MonomialBasis
 from .conegeo import (
     _SUPPORT_NAME,
     EXTERIOR,
-    _bisect,
     _classify,
     _cone_support,
     _hankel_index,
+    _itp_bracket,
 )
 from .errors import (
     ConditioningError,
@@ -100,7 +102,7 @@ _SCHEDULE_START = 1.0
 _SCHEDULE_RATIO = 0.5
 _SCHEDULE_STEPS = 40
 # largest-scale step: floor of the standard deviation, and width of the final
-# scale bracket relative to the starting bracket [0, sd]; about 34 halvings
+# scale bracket relative to the standard deviation, 34 halvings of [0, sd]
 _SCALE_FLOOR = 1e-10
 _SCALE_REL_WIDTH = 1e-10
 # homotopy: starts, continuation target and floor, smallest scale step,
@@ -286,12 +288,29 @@ def _gaussian_pull_back(s: MomentVector, sigma: float) -> np.ndarray:
     return _inverse_transfer_matrix(s.basis, sigma) @ s.values
 
 
+@dataclass(slots=True)
+class _ScaleFit:
+    """One Prony attempt at one scale: the component weights, the locations
+    as a (k, 1) column and the moment residual, with no model built."""
+
+    sigma: float
+    weights: np.ndarray
+    means: np.ndarray
+    residual: float
+
+    def model(self, kind: str) -> MixtureMeasure:
+        sigmas = np.full(len(self.weights), self.sigma)
+        return MixtureMeasure(kind=kind, weights=self.weights, means=self.means, sigmas=sigmas)
+
+
 def _fit_at_scale(
     s: MomentVector, kind: str, u: np.ndarray, sigma: float, k: int
-) -> tuple[MixtureMeasure, float] | None:
+) -> _ScaleFit | None:
     """The mixture of ``kind`` at scale ``sigma`` whose at most ``k`` atoms
     ``_prony`` finds in ``u``, the pull-back of ``s`` at that scale, and its
-    residual; None when Prony raises or a log-normal atom is not positive."""
+    residual; None when Prony raises or a log-normal atom is not positive.
+    The residual comes straight from the moment kernel, so a try that no
+    caller returns builds no ``MixtureMeasure``."""
     try:
         atoms, w = _prony(u, k)
     except (NotRepresentableError, InfeasibleWeightsError, ConditioningError):
@@ -301,17 +320,15 @@ def _fit_at_scale(
     # pulled-back moments start at degree d1, so their weights carry atoms**d1
     d1 = s.basis.exponents[0][0]
     weights = w / atoms**d1 if d1 else w
-    sigmas = np.full(len(weights), sigma)
-    model = MixtureMeasure(kind=kind, weights=weights, means=atoms.reshape(-1, 1), sigmas=sigmas)
-    return model, _relative_residual(mixture_moments(s.basis, model).values, s.values)
+    means = atoms.reshape(-1, 1)
+    values = weights @ component_moments(s.basis, kind, means, np.full(len(weights), sigma))
+    return _ScaleFit(sigma, weights, means, _relative_residual(values, s.values))
 
 
-def _largest_scale(
-    s: MomentVector, k: int, tol: float
-) -> tuple[float, MixtureMeasure, float] | None:
-    """A shared-scale Gaussian mixture with the fewest components, at most
-    ``k``, that matches ``s`` on {1, x, ..., x^d} to ``tol``, 1 <= k and
-    2k <= d, with no descent and no random start; None when there is none.
+def _largest_scale(s: MomentVector, k: int, tol: float) -> _ScaleFit | None:
+    """The best shared-scale Gaussian fit with at most ``k`` components
+    that the common scales of ``s`` on {1, x, ..., x^d} give, 1 <= k and
+    2k <= d, with no descent and no random start.
 
     A vector with a j-component shared-scale representation has a pull-back
     whose (j+1)-by-(j+1) Hankel block H_j is positive definite below the
@@ -320,38 +337,41 @@ def _largest_scale(
     definite side falls with j, and the orders are tried from 1 up: H_1 is
     singular at the standard deviation ``sqrt(s2/s0 - (s1/s0)^2)`` itself,
     floored at 1e-10 so that a one-atom vector, whose variance is 0, still
-    gets its one-component fit, and each higher order bisects on the sign
-    of the smallest eigenvalue of its block, from 0 to the last order's
-    upper end, down to ``1e-10 * sd``.  ``_prony`` with at most j atoms
-    runs at both positive ends, and the first order whose better end meets
-    ``tol`` gives the scale, mixture and residual.  The order of the bisected block
-    must not exceed the count sought: a larger block has several
-    eigenvalues that vanish at the common scale, and the smallest of them
-    loses its sign to rounding well before it.
+    gets its one-component fit, and each higher order brackets the sign
+    change of the smallest eigenvalue of its block with ``_itp_bracket``,
+    from 0 to the last order's upper end, down to ``1e-10 * sd``.
+    ``_prony`` with at most j atoms runs at both positive ends.  The first
+    order whose better end meets ``tol`` gives the fit; when none does, the
+    try with the smallest residual over all orders is returned, for the
+    caller to judge.  None only when no try ran: ``s0 <= 0``, or Prony
+    raised at every end.  The order of the bracketed block must not exceed
+    the count sought: a larger block has several eigenvalues that vanish
+    at the common scale, and the smallest of them loses its sign to
+    rounding well before it.
     """
     s0, s1, s2 = s.values[:3]
     if not s0 > 0:
         return None
     sd = max(math.sqrt(max(s2 / s0 - (s1 / s0) ** 2, 0.0)), _SCALE_FLOOR)
     lo = hi = sd
+    best = None
     for order in range(1, k + 1):
         if order > 1:
             index = _hankel_index(order + 1, order + 1)
 
-            def definite(sigma: float) -> bool:
-                return np.linalg.eigvalsh(_gaussian_pull_back(s, sigma)[index])[0] > 0
+            def smallest_eigenvalue(sigma: float) -> float:
+                return np.linalg.eigvalsh(_gaussian_pull_back(s, sigma)[index])[0]
 
-            lo, hi = _bisect(definite, 0.0, hi, _SCALE_REL_WIDTH * sd)
-        best = None
+            lo, hi = _itp_bracket(smallest_eigenvalue, 0.0, hi, _SCALE_REL_WIDTH * sd)
         for sigma in (lo,) if lo == hi else (lo, hi):
             if not sigma > 0:
                 continue
             fit = _fit_at_scale(s, "gaussian", _gaussian_pull_back(s, sigma), sigma, order)
-            if fit is not None and (best is None or fit[1] < best[2]):
-                best = (sigma, *fit)
-        if best is not None and best[2] <= tol:
-            return best
-    return None
+            if fit is not None and (best is None or fit.residual < best.residual):
+                best = fit
+        if best is not None and best.residual <= tol:
+            break
+    return best
 
 
 _SHARED_SCALE_ENGINE = {"gaussian": "shared-sigma-gaussian", "lognormal": "shared-sigma-lognormal"}
@@ -366,15 +386,21 @@ def _shared_scale_descent(
 ) -> RecoveryReport:
     """Recover a shared-scale mixture with at most ``k`` (or ``k_cap``) components.
 
-    A vector that the cone test of ``kind`` certifies as exterior is refused
-    first.  A Gaussian count with 1 <= k and 2k <= d takes the largest-scale
-    step alone.  Otherwise the schedule is descended: ``pull_back(sigma)``
-    maps the vector to ordinary moments of the atom locations at that scale,
-    and the first scale whose recovered mixture matches ``s`` to ``rel_tol``
-    wins.
+    ``k`` and every schedule scale are checked first; a vector that the
+    cone test of ``kind`` certifies as exterior is refused next.  A Gaussian
+    count with 1 <= k and 2k <= d takes the largest-scale step alone; a miss
+    reports the best residual the step reached, with no model.  Otherwise
+    the schedule is descended: ``pull_back(sigma)`` maps the vector to
+    ordinary moments of the atom locations at that scale, and the first
+    scale whose recovered mixture matches ``s`` to ``rel_tol`` wins.
     """
     if k is not None and k < 1:
         raise ValueError(f"k={k}: a recovery needs at least one component")
+    if sigma_schedule is not None:
+        sigma_schedule = list(sigma_schedule)
+        bad = [sigma for sigma in sigma_schedule if not (math.isfinite(sigma) and sigma > 0)]
+        if bad:
+            raise ValueError(f"sigma_schedule entries must be finite and strictly positive: {bad}")
     engine = _SHARED_SCALE_ENGINE[kind]
     if not np.any(s.values):  # the empty mixture matches exactly, whatever rel_tol is
         return _judged(engine, MixtureMeasure.empty(kind), 0.0, 0.0, None)
@@ -383,22 +409,24 @@ def _shared_scale_descent(
         return refusal
     k_target = min(k, k_cap) if k is not None else k_cap
     if kind == "gaussian" and 0 < 2 * k_target <= s.basis.max_degree:
-        step = _largest_scale(s, k_target, rel_tol)
-        if step is None:
-            return _failed(engine, f"no shared-scale fit with at most {k_target} components")
-        sigma, model, residual = step
-        return _judged(engine, model, residual, rel_tol, None, sigma_used=sigma)
-    schedule = list(sigma_schedule) if sigma_schedule is not None else default_sigma_schedule()
+        fit = _largest_scale(s, k_target, rel_tol)
+        if fit is None or not fit.residual <= rel_tol:
+            return _failed(
+                engine, f"no shared-scale fit with at most {k_target} components",
+                math.inf if fit is None else fit.residual,
+            )
+        return _judged(engine, fit.model(kind), fit.residual, rel_tol, None, sigma_used=fit.sigma)
+    schedule = sigma_schedule if sigma_schedule is not None else default_sigma_schedule()
     best_residual = math.inf
     for step, sigma in enumerate(schedule, start=1):
         fit = _fit_at_scale(s, kind, pull_back(sigma), sigma, k_target)
         if fit is None:
             continue
-        model, residual = fit
-        best_residual = min(best_residual, residual)
-        if residual <= rel_tol:
+        best_residual = min(best_residual, fit.residual)
+        if fit.residual <= rel_tol:
             return _judged(
-                engine, model, residual, rel_tol, None, sigma_used=sigma, sigma_steps=step
+                engine, fit.model(kind), fit.residual, rel_tol, None,
+                sigma_used=sigma, sigma_steps=step,
             )
     return _failed(engine, _EXHAUSTED_REASON[kind], best_residual, sigma_steps=len(schedule))
 
@@ -416,13 +444,15 @@ def recover_shared_sigma_gaussian(
     route; a vector that the real-line Hankel test certifies as exterior is
     refused at once.  With 2k <= d (every count at even d) the largest-scale
     step alone looks for a representation with at most k components at one
-    common scale and ``sigma_schedule`` is not read; the report has
-    ``sigma_steps`` 0 and, on success, the scale as ``sigma_used``.  At the
+    common scale and ``sigma_schedule`` is only checked; the report has
+    ``sigma_steps`` 0 and, on success, the scale as ``sigma_used``, and a
+    miss reports the best residual the step reached, with no model.  At the
     cap of an odd d (2k = d + 1) the vector is pulled back through the
     unit-triangular transfer matrix at each scale of the descending
     schedule, and the first successful Prony recovery of the pulled-back
     vector gives the mixture; interior vectors succeed once the scale is
-    small enough.
+    small enough.  A schedule entry that is not finite and positive raises
+    ``ValueError`` before any step.
     """
     basis = s.basis
     if not basis.is_full_degree():
@@ -446,8 +476,9 @@ def recover_shared_sigma_lognormal(
     into ordinary moments of the atom locations (weights absorb the leading
     exponent), which Prony then recovers; only strictly positive atoms are
     accepted, and scales for which atoms come out nonpositive are skipped.
-    A vector with a nonpositive moment raises; one that the half-line
-    Hankel test certifies as exterior is refused at once.
+    A vector with a nonpositive moment raises, and so does a schedule entry
+    that is not finite and positive; a vector that the half-line Hankel
+    test certifies as exterior is refused at once.
     """
     basis = s.basis
     if basis.n != 1:
@@ -746,15 +777,16 @@ def lm_fit(
     n_starts: int = 16,
 ) -> RecoveryReport:
     """Generic method-of-moments fit by multistart damped least squares, with
-    a direct step for shared-scale Gaussian fits.
+    a direct step for Gaussian fits on {1, x, ..., x^d}.
 
-    A Gaussian fit with one shared scale (``free_sigma_per_component``
-    false) on {1, x, ..., x^d} with 2k <= d first tries the largest-scale
-    step: bisection on the pulled-back Hankel blocks finds the common scale
-    of a representation with at most k components, and one Prony solve
-    there gives it.  A residual at or below 1e-8 is the fit, with
-    ``iterations`` 0 and no random draw; otherwise the descent below runs
-    and reports exactly what it would without the step.
+    A Gaussian fit on {1, x, ..., x^d} with 2k <= d, with one shared
+    scale or free ones, first tries the largest-scale step: ITP brackets on
+    the pulled-back Hankel blocks find the common scale of a representation
+    with at most k components, and one Prony solve there gives it.  A
+    residual at or below 1e-8 is the fit, with ``iterations`` 0 and no
+    random draw.  Otherwise the step's best try, when it has k components,
+    is one extra start before the ``n_starts`` random ones, every scale at
+    its common one; the random starts are drawn as they would be without it.
 
     Weights and scales (and log-normal locations) are optimized in log space
     so positivity needs no constraints; the Jacobian is the analytic one of
@@ -780,16 +812,11 @@ def lm_fit(
     refusal = _exterior_refusal(s, kind, engine)
     if refusal is not None:
         return refusal
-    if (
-        kind == "gaussian"
-        and not free_sigma_per_component
-        and basis.is_full_degree()
-        and 2 * k <= basis.max_degree
-    ):
+    step = None
+    if kind == "gaussian" and basis.is_full_degree() and 2 * k <= basis.max_degree:
         step = _largest_scale(s, k, _REL_TOL)
-        if step is not None:
-            _, model, residual = step
-            return _judged(engine, model, residual, _REL_TOL, None)
+        if step is not None and step.residual <= _REL_TOL:
+            return _judged(engine, step.model(kind), step.residual, _REL_TOL, None)
     m, n = basis.m, basis.n
     n_params = k * (1 + n) + (k if free_sigma_per_component else 1)
     if n_params > m:
@@ -840,17 +867,28 @@ def lm_fit(
         with np.errstate(over="ignore", invalid="ignore"):
             return np.einsum("ck,ckm->cm", weights, B) - target
 
+    tau_n = k if free_sigma_per_component else 1
+
+    def starts():
+        """The step's best try when it has k components, every scale at its
+        common one, then the ``n_starts`` random starts, each drawn only
+        when reached."""
+        if step is not None and len(step.weights) == k:
+            yield np.concatenate(
+                [np.log(step.weights), step.means.ravel(), np.full(tau_n, math.log(step.sigma))]
+            )
+        for _ in range(n_starts):
+            g0 = np.log(np.full(k, max(target[0], 1e-3) / k if target[0] > 0 else 1.0 / k))
+            if kind == "lognormal":
+                loc0 = np.log(rng.uniform(0.3 * box, box, size=(k, n)))
+            else:
+                loc0 = rng.uniform(-box, box, size=(k, n))
+            tau0 = np.log(rng.uniform(*_LM_SIGMA_STARTS, size=tau_n))
+            yield np.concatenate([g0, loc0.ravel(), tau0])
+
     best = None
     iterations = 0
-    for _ in range(n_starts):
-        g0 = np.log(np.full(k, max(target[0], 1e-3) / k if target[0] > 0 else 1.0 / k))
-        if kind == "lognormal":
-            loc0 = np.log(rng.uniform(0.3 * box, box, size=(k, n)))
-        else:
-            loc0 = rng.uniform(-box, box, size=(k, n))
-        tau_n = k if free_sigma_per_component else 1
-        tau0 = np.log(rng.uniform(*_LM_SIGMA_STARTS, size=tau_n))
-        theta0 = np.concatenate([g0, loc0.ravel(), tau0])
+    for theta0 in starts():
         try:
             run = _damped_least_squares(point, values, theta0, _REL_TOL * scale, _LM_ITERS)
         except (ValueError, OverflowError):

@@ -1,7 +1,10 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixcara import recover
 from mixcara.basis import MonomialBasis
@@ -11,6 +14,7 @@ from mixcara.conegeo import (
     INTERIOR,
     _classify,
     _cone_support,
+    _itp_bracket,
     hankel_classify,
     represent_with_prescribed_component,
     strip_mass,
@@ -166,6 +170,66 @@ def test_strip_bisection_brackets_the_boundary():
     c, _ = strip_mass(s, v)
     assert hankel_classify(s.with_values(s.values - (c - 1e-6) * v.values)).status != EXTERIOR
     assert hankel_classify(s.with_values(s.values - (c + 1e-6) * v.values)).status == EXTERIOR
+
+
+def _bisect(f, lo, hi, width):
+    """Plain bisection on the sign of ``f``, with its count of calls."""
+    calls = 0
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        calls += 1
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, calls
+
+
+# odd, increasing shapes t -> g(t): a sign change of g(root - x) at the root
+_SHAPES = {
+    "linear": lambda t: t,
+    "cubic": lambda t: t**3 + 0.01 * t,
+    "tanh": lambda t: math.tanh(40.0 * t),
+    "sqrt": lambda t: math.copysign(math.sqrt(abs(t)), t),
+    "step": lambda t: math.copysign(1.0 + abs(t), t) if t else 0.0,
+    "kink": lambda t: 30.0 * t if t < 0 else 0.05 * t,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.floats(-10.0, 10.0),
+    span=st.floats(1e-3, 20.0),
+    at=st.floats(-0.2, 1.2),
+    halvings=st.integers(0, 36),
+    scale=st.floats(1e-12, 1e6),
+    shape=st.sampled_from(sorted(_SHAPES)),
+)
+def test_itp_bracket_ends_on_both_sides_within_bisection_count_plus_three(
+    lo, span, at, halvings, scale, shape
+):
+    hi = lo + span
+    width = span * 2.0**-halvings
+    root = lo + at * span
+    calls = []
+
+    def g(x):
+        return scale * _SHAPES[shape](root - x)
+
+    def f(x):
+        calls.append(x)
+        return g(x)
+
+    a, b = _itp_bracket(f, lo, hi, width)
+    want_a, want_b, bisections = _bisect(g, lo, hi, width)
+    assert lo <= a <= b <= hi and b - a <= width
+    assert len(calls) <= bisections + 3
+    if g(lo) > 0 >= g(hi):
+        assert g(a) > 0 >= g(b)
+    elif hi - lo > width:
+        # an end on the wrong side: bisection's bracket after the two end calls
+        assert (a, b) == (want_a, want_b)
+        assert calls == [lo, hi]
 
 
 def test_strip_unbounded_direction():

@@ -688,19 +688,31 @@ def test_lm_fit_two_gaussians_free_sigma_roundtrip():
     ],
     ids=["gaussian-free", "gaussian-shared", "lognormal-free"],
 )
-def test_lm_fit_analytic_jacobian_matches_central_differences(solver_runs, kind, free, means):
+def test_lm_fit_analytic_jacobian_matches_central_differences(
+    monkeypatch, solver_runs, kind, free, means
+):
     basis = MonomialBasis.full_degree(5)
     truth = MixtureMeasure(kind=kind, weights=[0.7, 1.3], means=means, sigmas=[0.3, 0.4])
-    lm_fit(basis, kind, mixture_moments(basis, truth), k=2,
-           free_sigma_per_component=free, n_starts=1)
-    point, values, theta = solver_runs[0]
+    s = mixture_moments(basis, truth)
+    lm_fit(basis, kind, s, k=2, free_sigma_per_component=free, n_starts=1)
+    if kind == "gaussian":
+        # 2k <= d: the first start is the largest-scale step's best try, one
+        # common scale for every component; the random start comes after it
+        # or, without the step, first
+        step = recover._largest_scale(s, 2, 1e-8)
+        assert step.residual > 1e-8
+        np.testing.assert_array_equal(solver_runs[0][2][4:], math.log(step.sigma))
+        monkeypatch.setattr(recover, "_largest_scale", lambda s, k, tol: None)
+        lm_fit(basis, kind, s, k=2, free_sigma_per_component=free, n_starts=1)
+        assert len(solver_runs) >= 2
     h = 1e-6
-    fd = np.column_stack([(point(theta + h * e)[0] - point(theta - h * e)[0]) / (2 * h)
-                          for e in np.eye(theta.size)])
-    r, J = point(theta)
-    np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-6)
-    # the batched residuals agree with the one-point residual
-    np.testing.assert_allclose(values(np.stack([theta, theta + h]))[0], r, rtol=1e-14)
+    for point, values, theta in solver_runs:
+        fd = np.column_stack([(point(theta + h * e)[0] - point(theta - h * e)[0]) / (2 * h)
+                              for e in np.eye(theta.size)])
+        r, J = point(theta)
+        np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-6)
+        # the batched residuals agree with the one-point residual
+        np.testing.assert_allclose(values(np.stack([theta, theta + h]))[0], r, rtol=1e-14)
 
 
 def test_lm_fit_kernel_call_count(kernel_calls):
@@ -718,10 +730,12 @@ def test_lm_fit_jacobian_reuses_the_residual_kernel_call(monkeypatch, kernel_cal
     basis = MonomialBasis.full_degree(6)
     truth = MixtureMeasure(kind="gaussian", weights=[0.7, 1.3], means=[[-0.8], [0.9]],
                            sigmas=[0.3, 0.45])
-    evaluations, runs = [], []
+    evaluations, runs, before = [], [], []
     real = recover._damped_least_squares
 
     def spy(point, values, theta, goal, max_iters):
+        if not runs:
+            before.append(len(kernel_calls))
         runs.append((point, values, theta.copy()))
 
         def counted_point(t):
@@ -737,9 +751,13 @@ def test_lm_fit_jacobian_reuses_the_residual_kernel_call(monkeypatch, kernel_cal
     monkeypatch.setattr(recover, "_damped_least_squares", spy)
     report = lm_fit(basis, "gaussian", mixture_moments(basis, truth), k=2, seed=1)
     assert report.success
-    # every point the solver evaluates costs one kernel call with derivatives,
-    # every stack one values-only call, and nothing else calls the kernel
-    assert [derivatives for _, derivatives in kernel_calls] == evaluations
+    # the largest-scale step's tries come first, one values-only call each;
+    # then every point the solver evaluates costs one kernel call with
+    # derivatives, every stack one values-only call, and nothing else calls
+    # the kernel
+    step_calls, solver_calls = kernel_calls[: before[0]], kernel_calls[before[0]:]
+    assert step_calls and not any(derivatives for _, derivatives in step_calls)
+    assert [derivatives for _, derivatives in solver_calls] == evaluations
     point, values, theta = runs[0]
     kernel_calls.clear()
     r, J = point(theta)
@@ -937,21 +955,41 @@ def _three_at_one_scale():
     return mixture_moments(MonomialBasis.full_degree(6), truth)
 
 
-def test_largest_scale_fallback_reports_equal_the_descent(monkeypatch):
+def test_largest_scale_miss_is_the_first_start_of_the_descent(monkeypatch, solver_runs):
     s = _three_at_one_scale()
-    assert recover._largest_scale(s, 2, 1e-8) is None
-    real = _shared_fits(s, 2)[0]
-    assert not real.success and real.iterations > 0
+    step = recover._largest_scale(s, 2, 1e-8)
+    assert step.residual > 1e-8 and len(step.weights) == 2
+    seeded = np.concatenate([np.log(step.weights), step.means[:, 0], [math.log(step.sigma)]])
+    report = _shared_fits(s, 2)[0]
+    assert not report.success and report.iterations > 0
+    # every solver step lowers the residual, so the fit ends below the try
+    assert report.residual <= step.residual
+    np.testing.assert_array_equal(solver_runs[0][2], seeded)
+    seeded_starts = [theta for _, _, theta in solver_runs[1:]]
+    # without a try, the random starts are drawn exactly as before
+    solver_runs.clear()
     monkeypatch.setattr(recover, "_largest_scale", lambda s, k, tol: None)
-    assert _shared_fits(s, 2)[0].to_json() == real.to_json()
+    _shared_fits(s, 2)
+    random_starts = [theta for _, _, theta in solver_runs]
+    assert len(random_starts) == len(seeded_starts) == 4
+    for got, want in zip(seeded_starts, random_starts):
+        np.testing.assert_array_equal(got, want)
 
 
-def test_largest_scale_step_skipped_for_free_scales_and_short_bases(step_calls):
+def test_largest_scale_miss_reports_its_best_residual():
+    s = _three_at_one_scale()
+    step = recover._largest_scale(s, 2, 1e-8)
+    report = recover_shared_sigma_gaussian(s, k=2)
+    assert not report.success and report.model is None and report.k_used == 0
+    assert report.residual == step.residual and math.isfinite(report.residual)
+    assert report.failure_reason == "no shared-scale fit with at most 2 components"
+
+
+def test_largest_scale_step_runs_for_gaussian_fits_on_full_bases_with_2k_at_most_d(step_calls):
     truth = MixtureMeasure(kind="gaussian", weights=[0.7, 1.3], means=[[-0.8], [0.9]],
                            sigmas=[0.3, 0.3])
     d5, d6 = MonomialBasis.full_degree(5), MonomialBasis.full_degree(6)
     s5, s6 = mixture_moments(d5, truth), mixture_moments(d6, truth)
-    lm_fit(d6, "gaussian", s6, k=2, free_sigma_per_component=True, n_starts=1)
     with pytest.warns(UserWarning):  # 2k > d: 7 parameters against 6 moments
         lm_fit(d5, "gaussian", s5, k=3, free_sigma_per_component=False, n_starts=1)
     recover_shared_sigma_gaussian(s5)  # k at the cap
@@ -961,9 +999,12 @@ def test_largest_scale_step_skipped_for_free_scales_and_short_bases(step_calls):
     lm_fit(d6, "lognormal", logn, k=2, free_sigma_per_component=False, n_starts=1)
     recover_shared_sigma_lognormal(logn, k=2)
     assert step_calls == []
-    lm_fit(d6, "gaussian", s6, k=2, free_sigma_per_component=False)
+    # free and shared scales alike
+    for free in (True, False):
+        report = lm_fit(d6, "gaussian", s6, k=2, free_sigma_per_component=free)
+        assert report.success and report.iterations == 0
     recover_shared_sigma_gaussian(s5, k=2)
-    assert step_calls == [2, 2]
+    assert step_calls == [2, 2, 2]
 
 
 @pytest.mark.parametrize("j", [1, 2])
@@ -974,6 +1015,106 @@ def test_largest_scale_step_returns_a_smaller_truth_with_its_own_count(solver_ru
         assert report.success and report.k_used == j
         np.testing.assert_allclose(report.model.sigmas, truth.sigmas, rtol=1e-8)
     assert not solver_runs
+
+
+@pytest.mark.parametrize("d, k", [(6, 2), (8, 3), (10, 4), (12, 5)])
+def test_largest_scale_brackets_take_at_most_16_eigenvalue_calls_per_order(monkeypatch, d, k):
+    # bisection took 34 per order, down to 1e-10 of the standard deviation
+    per_order, depth = [], []
+    real_bracket, real_eigvalsh = recover._itp_bracket, np.linalg.eigvalsh
+
+    def bracket(f, lo, hi, width):
+        per_order.append(0)
+        depth.append(True)
+        try:
+            return real_bracket(f, lo, hi, width)
+        finally:
+            depth.pop()
+
+    def eigvalsh(a, *args, **kwargs):
+        if depth:
+            per_order[-1] += 1
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(recover, "_itp_bracket", bracket)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    basis = MonomialBasis.full_degree(d)
+    for seed in range(3):
+        per_order.clear()
+        fit = recover._largest_scale(mixture_moments(basis, _shared_truth(k, seed)), k, 1e-8)
+        assert fit.residual <= 1e-8 and len(fit.weights) == k
+        assert len(per_order) == k - 1 and max(per_order) <= 16
+
+
+def _free_truth(k, seed):
+    return sample_random_mixture("gaussian", k, rng=seed, mean_range=(-1.5, 1.5),
+                                 sigma_range=(0.2, 0.6), min_separation=0.6)
+
+
+@pytest.mark.parametrize("d, k", [(6, 2), (8, 3)])
+def test_lm_fit_free_scales_start_from_the_largest_scale_try(monkeypatch, d, k):
+    basis = MonomialBasis.full_degree(d)
+    vectors = [mixture_moments(basis, _free_truth(k, seed)) for seed in range(30)]
+    seeded = [lm_fit(basis, "gaussian", s, k, seed=1) for s in vectors]
+    monkeypatch.setattr(recover, "_largest_scale", lambda s, k, tol: None)
+    unseeded = [lm_fit(basis, "gaussian", s, k, seed=1) for s in vectors]
+    assert all(report.success for report in seeded)
+    iterations = sum(report.iterations for report in seeded)
+    without = sum(report.iterations for report in unseeded)
+    if k == 2:
+        # 280 against 1124 iterations
+        assert iterations <= without / 2
+    else:
+        # the square (8, 3) system crawls from any start: 5530 against 6277
+        assert iterations < without
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Every ``MixtureMeasure`` the engines build."""
+    built = []
+
+    class Counted(recover.MixtureMeasure):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(recover, "MixtureMeasure", Counted)
+    return built
+
+
+@pytest.mark.parametrize("d, k", [(5, None), (6, 2), (6, 3)])
+def test_shared_scale_tries_build_only_the_returned_model(constructions, d, k):
+    # the odd-d cap walks the schedule, the others take the largest-scale step
+    basis = MonomialBasis.full_degree(d)
+    s = mixture_moments(basis, _shared_truth(2 if k is None else k, 5))
+    reports = [recover_shared_sigma_gaussian(s, k=k)]
+    if k is not None:
+        reports.append(lm_fit(basis, "gaussian", s, k, free_sigma_per_component=False))
+    for report in reports:
+        assert report.success
+        residual = _relative_residual(mixture_moments(basis, report.model).values, s.values)
+        assert report.residual == residual
+    assert constructions == [report.model for report in reports]
+    constructions.clear()
+    miss = recover_shared_sigma_gaussian(_three_at_one_scale(), k=2)
+    assert not miss.success and not constructions
+
+
+@pytest.mark.parametrize("entry", [0.0, -0.1, math.nan, math.inf])
+def test_shared_scale_engines_refuse_degenerate_schedule_entries(prony_calls, entry):
+    basis = MonomialBasis.full_degree(5)
+    gauss = mixture_moments(basis, _shared_truth(3, 0))
+    logn = mixture_moments(basis, MixtureMeasure(kind="lognormal", weights=[1.0, 0.5],
+                                                 means=[[1.2], [2.0]], sigmas=[0.3, 0.3]))
+    for engine, s in [(recover_shared_sigma_gaussian, gauss),
+                      (recover_shared_sigma_lognormal, logn)]:
+        with pytest.raises(ValueError, match="sigma_schedule entries must be finite"):
+            engine(s, [0.5, entry])
+    # also where the largest-scale step would not read the schedule
+    with pytest.raises(ValueError, match="sigma_schedule"):
+        recover_shared_sigma_gaussian(gauss, [entry], k=2)
+    assert not prony_calls
 
 
 def test_exterior_ray_is_refused_before_the_largest_scale_step(monkeypatch):
