@@ -198,14 +198,21 @@ def hankel_classify(s: MomentVector) -> ConeClassification:
 
 
 def strip_mass(s: MomentVector, v: MomentVector) -> tuple[float, MomentVector]:
-    """Largest mass c such that s - c*v stays in the cone.
+    """Largest mass c such that s - c*v stays in the cone, as the real-line
+    Hankel test classifies it.
 
     The mass doubles until s - c*v is exterior, then ``_itp_bracket``
-    closes in on the sign change of the signed cone margin.  Returns the
-    supremal mass, to within 1e-10, and the stripped vector,
-    which sits on the feasible side of the boundary (boundary or interior
-    within tolerance).  Directions still feasible past the cap
-    ``1e6 * (1 + max|s|) / max|v|`` raise.
+    closes in on a sign change of the signed cone margin, to a bracket
+    1e-10 wide.  Returns the bracket's feasible end and the stripped vector:
+    s - c*v is never exterior (boundary or interior within tolerance), and
+    a mass at most 1e-10 above c is.  That is not the supremal mass to
+    within 1e-10.  The test admits eigenvalues down to ``-1e-10 * (1 +
+    max|s|)``, and on a boundary vector the margin stays within eigenvalue
+    rounding of that threshold over a band of masses, where its sign may
+    flip several times: stripping one atom of a three-atom Dirac vector on
+    {1, x, ..., x^6} returns up to about 2e-8 more than the atom's weight.
+    Directions still feasible past the cap ``1e6 * (1 + max|s|) / max|v|``
+    raise.
     """
     if s.basis != v.basis:
         raise ValueError("moment vectors must share a basis")

@@ -18,9 +18,11 @@ Five routes from a moment vector back to a measure:
   positive atoms.  Both schedule descents run one loop and differ only in
   this pull-back to ordinary moments.
 * ``homotopy_gap_recovery`` -- for bases with exponent gaps: find a Dirac
-  representation by running the damped least-squares solver at scale 0
-  from random starts, check the Jacobian has full rank, then continue the
-  solution in the scale from 0 upward with the same solver as corrector.
+  representation by running the damped least-squares solver at scale 0,
+  first from the measure of a Hankel completion (``_completed_dirac``) when
+  the top degree is 2k, then from random starts, check the Jacobian has
+  full rank, then continue the solution in the scale from 0 upward with the
+  same solver as corrector.
   The first scale step tries the target scale itself, and a corrector run
   fails at its first iteration that does not halve the residual norm.
 * ``lm_fit`` -- generic moment matching by the same solver with
@@ -120,6 +122,12 @@ _CORRECTOR_ITERS = 15
 _CORRECTOR_CONTRACTION = 0.5
 _START_REL_TOL = 1e-12
 _START_RANK_TOL = 1e-4
+# Hankel completion step: Newton steps of the ascent on the smallest
+# eigenvalue, the longest step relative to the largest moment, and halvings
+# of one step before the ascent gives up
+_COMPLETION_STEPS = 20
+_COMPLETION_REACH = 0.25
+_COMPLETION_HALVINGS = 30
 # damped least squares: the Levenberg dampings tried in one batch after a
 # rejected step, 38 values 2x apart from 1e-12 times the largest squared
 # singular value (or 2x the rejected damping); the share of the predicted
@@ -626,6 +634,105 @@ def _damped_least_squares(
     return _Run(theta, r, J, bool(np.abs(r).max() <= goal), max_iters)
 
 
+def _completion_gaps(basis: MonomialBasis, k: int) -> list[int]:
+    """The degrees below d that a univariate basis holding degree 0 and
+    topped by d = 2k misses; empty when the completion step does not apply."""
+    if basis.n != 1:
+        return []
+    degrees = basis.univariate_degrees()
+    if degrees[0] != 0 or degrees[-1] != 2 * k:
+        return []
+    return sorted(set(range(2 * k)) - set(degrees))
+
+
+def _completed_dirac(s: MomentVector, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Atoms and weights of a Dirac measure with the moments of ``s``, read
+    off a completion of the missing moments, when the basis is univariate,
+    holds degree 0, has top degree d = 2k and misses a degree below d.
+
+    A sequence u_0..u_2k whose (k+1)-by-(k+1) Hankel block H is positive
+    semidefinite and singular has a unique representing measure, with
+    rank(H) atoms (Curto & Fialkow 1991, Houston J. Math. 17).  The step is
+    homogeneous in the sequence, so it runs on s scaled to max|s| = 1 and
+    scales the weights back.  The missing moments start at 0 for odd degrees and at half the geometric
+    interpolation of the nearest given even moments for even ones.  Newton
+    steps raise the smallest eigenvalue of H, a concave function of the
+    missing moments: its gradient at degree g is ``v^T A_g v``, with v the
+    eigenvector and A_g the 0/1 pattern of degree g in H, and its Hessian
+    ``2 sum_l (v^T A_g v_l)(v_l^T A_h v) / (lam_0 - lam_l)`` over the other
+    eigenpairs.  A step reaches at most a quarter of the largest moment and
+    is halved until the eigenvalue rises, at most 30 times; the ascent stops
+    at the first positive eigenvalue, within 20 steps.  With H = L L^T
+    there, the largest missing moment moves to the boundary in closed form:
+    H turns singular at both ends u_g - 1/mu of the interval where it stays
+    definite, mu the smallest and the largest eigenvalue of
+    ``L^-1 A_g L^-T`` (of both signs, because A_g is indefinite), with
+    kernel ``q = L^-T y``, y the eigenvector.  q holds the coefficients of
+    the polynomial that vanishes on the atoms, and the end with the smaller
+    root bound ``max|q_i| / |q_k|`` is taken: at the other end an atom often
+    runs off with a vanishing weight.  ``_prony`` reads the measure off the
+    completed sequence; the pair is empty when Prony raises, and holds fewer
+    than k atoms when H has lower rank.  None when the step does not apply
+    or finds no positive-definite completion, as for a vector with a
+    non-finite moment or with every moment 0.
+    """
+    gaps = _completion_gaps(s.basis, k)
+    size = float(np.abs(s.values).max())
+    if not (gaps and math.isfinite(size) and size > 0):
+        return None
+    u = np.zeros(2 * k + 1)
+    u[list(s.basis.univariate_degrees())] = s.values / size
+    given_even = [g for g in range(0, 2 * k + 1, 2) if g not in gaps]
+    for g in (g for g in gaps if g % 2 == 0):
+        a = max(e for e in given_even if e < g)
+        b = min(e for e in given_even if e > g)
+        if not (u[a] > 0 and u[b] > 0):
+            return None  # a diagonal entry of H is not positive
+        t = (g - a) / (b - a)
+        u[g] = 0.5 * u[a] ** (1.0 - t) * u[b] ** t
+    index = _hankel_index(k + 1, k + 1)
+    # A_g for every missing degree g, stacked
+    patterns = (index == np.array(gaps)[:, None, None]).astype(float)
+    lam, V = np.linalg.eigh(u[index])
+    for _ in range(_COMPLETION_STEPS):
+        if lam[0] > 0:
+            break
+        # C[l, g] = v_l^T A_g v, v = v_0 the eigenvector of the smallest eigenvalue
+        C = V.T @ (patterns @ V[:, 0]).T
+        spread = np.maximum(lam[1:] - lam[0], _SVD_CUTOFF * np.abs(lam).max())
+        neg_hessian = 2.0 * (C[1:].T / spread) @ C[1:]
+        step = np.linalg.lstsq(neg_hessian, C[0], rcond=None)[0]
+        reach, longest = _COMPLETION_REACH * np.abs(u).max(), np.abs(step).max()
+        if longest > reach:
+            step *= reach / longest
+        for _ in range(_COMPLETION_HALVINGS):
+            trial = u.copy()
+            trial[gaps] += step
+            lam_t, V_t = np.linalg.eigh(trial[index])
+            if lam_t[0] > lam[0]:
+                u, lam, V = trial, lam_t, V_t
+                break
+            step *= 0.5
+        else:
+            return None
+    if not lam[0] > 0:
+        return None
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(u[index]))
+    except np.linalg.LinAlgError:
+        return None
+    mu, Y = np.linalg.eigh(L_inv @ patterns[-1] @ L_inv.T)
+    q = np.abs(L_inv.T @ Y[:, [0, -1]])
+    lead, rest = q[-1], q[:-1].max(axis=0)
+    end = 0 if lead[0] * rest[1] >= lead[1] * rest[0] else -1
+    u[gaps[-1]] -= 1.0 / mu[end]
+    try:
+        atoms, weights = _prony(u, k)
+    except (NotRepresentableError, InfeasibleWeightsError, ConditioningError):
+        return np.zeros(0), np.zeros(0)
+    return atoms, weights * size
+
+
 def homotopy_gap_recovery(
     basis: MonomialBasis,
     s: MomentVector,
@@ -636,16 +743,21 @@ def homotopy_gap_recovery(
 ) -> RecoveryReport:
     """Gaussian recovery over a basis with exponent gaps, by scale continuation.
 
-    Stage 1 finds a k-atom Dirac representation of s: from each random start
-    the damped least-squares solver runs at scale 0 for at most 15
-    iterations, and a start that does not converge or ends with a
-    negative weight gives way to the next.  Stage 2 requires every weight to
-    exceed the corrector goal and the Jacobian to have full row rank; the
-    set of vectors whose representations are all singular has measure zero
-    and is reported, not repaired.  Stage 3 tracks the solution of the
-    smoothed moment equations while the shared scale grows from 0 toward
-    0.1, with the same solver as corrector started from the last accepted
-    solution.  Three rules end stalled corrector runs early: the first
+    Stage 1 finds a k-atom Dirac representation of s: from each start the
+    damped least-squares solver runs at scale 0 for at most 15 iterations,
+    and a start that does not converge or ends with a negative weight gives
+    way to the next.  When the basis holds degree 0 and has top degree
+    d = 2k, the first start is the Dirac measure that ``_completed_dirac``
+    reads off a positive semidefinite, singular completion of the Hankel
+    matrix, if it has k atoms; the 32 random starts follow, drawn as they
+    would be without it.  A failure with no converged start says so when
+    that step found no positive-definite completion.  Stage 2 requires
+    every weight to exceed the corrector goal and the Jacobian to have full
+    row rank; the set of vectors whose representations are all singular has
+    measure zero and is reported, not repaired.  Stage 3 tracks the
+    solution of the smoothed moment equations while the shared scale grows
+    from 0 toward 0.1, with the same solver as corrector started from the
+    last accepted solution.  Three rules end stalled corrector runs early: the first
     scale step tries 0.1 itself, and the step is halved after a failure and
     grown 1.6x after a success; a corrector run fails at its first
     iteration that does not halve the residual norm; and, as in every
@@ -687,18 +799,28 @@ def homotopy_gap_recovery(
 
         return point, values
 
-    # stage 1: multistart search for a Dirac representation by the solver
-    # at sigma = 0, converged to machine precision so coalescing atoms show
-    # up in the rank check
+    # stage 1: search for a Dirac representation by the solver at sigma = 0,
+    # converged to machine precision so coalescing atoms show up in the rank
+    # check, first from the Hankel completion step, then from random starts
+    completion = _completed_dirac(s, k)
+
+    def starts():
+        """The completion's measure when it has k atoms, then the random
+        starts, each drawn only when reached."""
+        if completion is not None and len(completion[1]) == k:
+            atoms, weights = completion
+            yield _interleaved_theta(weights, atoms.reshape(k, n))
+        for _ in range(_HOMOTOPY_STARTS):
+            pts0 = rng.uniform(-box, box, size=(k, n))
+            w0 = np.full(k, max(target[0], scale * 1e-3) / k)
+            yield _interleaved_theta(w0, pts0)
+
     solution = None
     saw_residual_fit = False
     iterations = 0
     floor, goal = _START_REL_TOL * scale, _NEWTON_REL_TOL * scale
     dirac_point, dirac_values = system(0.0)
-    for _ in range(_HOMOTOPY_STARTS):
-        pts0 = rng.uniform(-box, box, size=(k, n))
-        w0 = np.full(k, max(target[0], scale * 1e-3) / k)
-        theta0 = _interleaved_theta(w0, pts0)
+    for theta0 in starts():
         run = _damped_least_squares(dirac_point, dirac_values, theta0, floor, _CORRECTOR_ITERS)
         iterations += run.iterations
         w, _ = _split_theta(run.theta, k, n)
@@ -716,12 +838,15 @@ def homotopy_gap_recovery(
             solution = run.theta
             break
     if solution is None:
-        reason = (
-            "singular-start: every Dirac representation found has a zero weight "
-            "or a rank-deficient Jacobian"
-            if saw_residual_fit
-            else "no-dirac-representation: all starts stalled"
-        )
+        if saw_residual_fit:
+            reason = (
+                "singular-start: every Dirac representation found has a zero weight "
+                "or a rank-deficient Jacobian"
+            )
+        else:
+            reason = "no-dirac-representation: all starts stalled"
+            if completion is None and _completion_gaps(basis, k):
+                reason += "; no positive-definite Hankel completion"
         return _failed(engine, reason, iterations=iterations)
 
     # stage 3: continuation in the shared scale; each corrector run starts

@@ -172,6 +172,25 @@ def test_strip_bisection_brackets_the_boundary():
     assert hankel_classify(s.with_values(s.values - (c + 1e-6) * v.values)).status == EXTERIOR
 
 
+def test_strip_from_a_boundary_vector_never_leaves_the_cone():
+    # three atoms on {1, ..., x^6}: the 4-by-4 Hankel block is singular for
+    # every mass below the stripped atom's weight, so the margin sits on the
+    # threshold and the bracket lands somewhere in a band of rounding
+    basis = MonomialBasis.full_degree(6)
+    rng = np.random.default_rng(20261020)
+    for trial in range(30):
+        pts = np.sort(rng.uniform(-1.5, 1.5, 3))
+        while np.diff(pts).min() < 0.3:
+            pts = np.sort(rng.uniform(-1.5, 1.5, 3))
+        w = rng.uniform(0.5, 2.0, 3)
+        s = dirac_moments(basis, AtomicMeasure(weights=w, points=pts.reshape(-1, 1)))
+        atom = trial % 3
+        v = dirac_moments(basis, AtomicMeasure(weights=[1.0], points=[[pts[atom]]]))
+        c, stripped = strip_mass(s, v)
+        assert hankel_classify(stripped).status != EXTERIOR
+        assert c == pytest.approx(w[atom], abs=1e-7)
+
+
 def _bisect(f, lo, hi, width):
     """Plain bisection on the sign of ``f``, with its count of calls."""
     calls = 0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mixcara import recover
 from mixcara.basis import MonomialBasis
-from mixcara.conegeo import _hankel_index, hankel_classify
+from mixcara.conegeo import EXTERIOR, _hankel_index, hankel_classify
 from mixcara.errors import (
     ConditioningError,
     InfeasibleMomentsError,
@@ -422,13 +422,13 @@ def test_shared_sigma_lognormal_nonconsecutive_rejected():
 # ----------------------------------------------------------- homotopy
 
 
-def gap_roundtrip_moments():
+def gap_roundtrip_moments(basis=GAP):
     rng = np.random.default_rng(40)
     mix = sample_random_mixture(
         "gaussian", 3, rng=rng, sigma_range=(0.05, 0.05), min_separation=0.5,
         shared_sigma=True,
     )
-    return mixture_moments(GAP, mix)
+    return mixture_moments(basis, mix)
 
 
 def test_homotopy_gap_roundtrip():
@@ -486,9 +486,11 @@ def test_homotopy_kernel_call_count(kernel_calls):
 
 
 def test_homotopy_rejected_full_step_makes_one_batched_call(kernel_calls):
+    # top degree 7 is odd, so stage 1 runs the random starts alone
     k = 3
     rungs = len(recover._LADDER)
-    homotopy_gap_recovery(GAP, gap_roundtrip_moments(), k=k, seed=40)
+    basis = MonomialBasis.univariate([0, 2, 3, 5, 7])
+    homotopy_gap_recovery(basis, gap_roundtrip_moments(basis), k=k, seed=40)
     batched = [i for i, (means, _) in enumerate(kernel_calls) if len(means) != k]
     assert batched  # this run backtracks
     for i in batched:
@@ -584,7 +586,7 @@ def test_homotopy_gap_roundtrip_reaches_the_target_in_one_corrector_call(monkeyp
 def test_homotopy_failed_correctors_stop_at_the_first_step_that_does_not_contract(
     monkeypatch, kernel_calls
 ):
-    # a gap-basis input whose continuation stalls at sigma 0.0810, short of the
+    # a gap-basis input whose continuation stalls at sigma 0.0808, short of the
     # 0.1 target; a first scale step of 0.01 and correctors that need not
     # contract took 846 kernel calls here
     seed = 6
@@ -596,7 +598,7 @@ def test_homotopy_failed_correctors_stop_at_the_first_step_that_does_not_contrac
     runs = stage3_runs(monkeypatch, s)
     report = homotopy_gap_recovery(GAP, s, k=3, seed=seed)
     assert report.success
-    assert report.sigma_used == pytest.approx(0.0810107644, abs=1e-6)
+    assert report.sigma_used == pytest.approx(0.0808224862, abs=1e-6)
     assert len(kernel_calls) <= 846 // 2
     stopped = 0
     for costs, converged in runs:
@@ -660,6 +662,106 @@ def test_solver_stops_after_a_window_of_slow_progress():
 def test_homotopy_parameter_count_validated():
     with pytest.raises(ValueError):
         homotopy_gap_recovery(GAP, mv(np.ones(5), GAP), k=2)
+
+
+# ------------------------------------------------- Hankel completion step
+
+
+@pytest.mark.parametrize(
+    "degrees, k",
+    [([0, 1, 3, 4, 6], 3), ([0, 2, 3, 5, 6], 3), ([0, 1, 3, 4, 6, 7, 8], 4)],
+    ids=["01346", "02356", "0134678"],
+)
+def test_completed_dirac_is_an_exact_k_atom_representation(degrees, k):
+    basis = MonomialBasis.univariate(degrees)
+    for seed in range(20):
+        mix = sample_random_mixture(
+            "gaussian", k, rng=np.random.default_rng(seed), sigma_range=(0.05, 0.05),
+            min_separation=0.5, shared_sigma=True,
+        )
+        s = mixture_moments(basis, mix)
+        atoms, weights = recover._completed_dirac(s, k)
+        assert len(atoms) == k and np.all(weights > 0)
+        measure = AtomicMeasure(weights=weights, points=atoms.reshape(-1, 1))
+        assert _relative_residual(dirac_moments(basis, measure).values, s.values) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "degrees, k",
+    [(range(7), 3), ([0, 2, 3, 5, 6], 4), ([0, 2, 3, 5], 2), ([1, 2, 3, 5, 6], 3)],
+    ids=["full-degree", "d-below-2k", "d-above-2k", "no-degree-0"],
+)
+def test_completed_dirac_applies_only_to_gap_bases_with_top_degree_2k(degrees, k):
+    basis = MonomialBasis.univariate(list(degrees))
+    assert recover._completed_dirac(gap_roundtrip_moments(basis), k) is None
+
+
+def test_completed_dirac_finds_no_completion_of_an_exterior_vector():
+    # s_0 s_2 < s_1^2: whatever fills degrees 3 and 5, the Hankel matrix has
+    # an indefinite leading 2-by-2 block
+    basis = MonomialBasis.univariate([0, 1, 2, 4, 6])
+    s = mv([1.0, 0.5, 0.2, 0.3, 1.0], basis)
+    full = MonomialBasis.full_degree(6)
+    for fill in np.random.default_rng(0).normal(scale=10.0, size=(20, 2)):
+        values = np.insert(s.values, [3, 4], fill)
+        assert hankel_classify(mv(values, full)).status == EXTERIOR
+    assert recover._completed_dirac(s, 3) is None
+    report = homotopy_gap_recovery(basis, s, k=3)
+    assert report.failure_reason == (
+        "no-dirac-representation: all starts stalled; no positive-definite Hankel completion"
+    )
+
+
+def stage1_starts(monkeypatch, stall_first=False):
+    """The start point of every stage-1 solver run; ``stall_first`` reports
+    the first run as not converged."""
+    real = recover._damped_least_squares
+    starts = []
+
+    def spy(point, values, theta, goal, max_iters, *contraction):
+        run = real(point, values, theta, goal, max_iters, *contraction)
+        if not contraction:
+            starts.append(theta.copy())
+            if stall_first and len(starts) == 1:
+                run.converged = False
+        return run
+
+    monkeypatch.setattr(recover, "_damped_least_squares", spy)
+    return starts
+
+
+def test_homotopy_starts_from_the_completion_then_draws_the_random_starts_as_without_it(
+    monkeypatch,
+):
+    s = gap_roundtrip_moments()
+    with monkeypatch.context() as patch:
+        patch.setattr(recover, "_completed_dirac", lambda s, k: None)
+        plain_starts = stage1_starts(patch)
+        plain = homotopy_gap_recovery(GAP, s, k=3, seed=40)
+    atoms, weights = recover._completed_dirac(s, 3)
+    starts = stage1_starts(monkeypatch, stall_first=True)
+    seeded = homotopy_gap_recovery(GAP, s, k=3, seed=40)
+    np.testing.assert_array_equal(starts[0], recover._interleaved_theta(weights, atoms[:, None]))
+    assert len(starts) == len(plain_starts) + 1
+    for a, b in zip(starts[1:], plain_starts):
+        np.testing.assert_array_equal(a, b)
+    # the completion is exact to the stage-1 floor, so its run took no iteration
+    assert seeded.to_json() == plain.to_json()
+
+
+def test_homotopy_outside_the_completion_step_runs_the_random_starts_alone(monkeypatch):
+    # top degree 7 is odd; 24 iterations, as before the step existed
+    basis = MonomialBasis.univariate([0, 2, 3, 5, 7])
+    s = gap_roundtrip_moments(basis)
+    starts = stage1_starts(monkeypatch)
+    report = homotopy_gap_recovery(basis, s, k=3, seed=40)
+    box = 1.5 * recover._data_scale(s)
+    first = np.random.default_rng(40).uniform(-box, box, size=(3, 1))
+    np.testing.assert_array_equal(starts[0][1::2], first[:, 0])
+    assert report.success and report.iterations == 24 and report.sigma_steps == 1
+
+    monkeypatch.setattr(recover, "_completed_dirac", lambda s, k: None)
+    assert homotopy_gap_recovery(basis, s, k=3, seed=40).to_json() == report.to_json()
 
 
 # ----------------------------------------------------------------- lm
