@@ -6,7 +6,8 @@ Usage:
 
 Each experiment runs its own full trial count; ``--fast`` trims the counts
 for a quick smoke run.  Exit status is the worst exit status across
-experiments (0 = all bounds held, 2 = violation).
+experiments (0 = all bounds held, 2 = violation).  Each row prints the
+experiment's wall time in milliseconds.
 """
 import argparse
 import sys
@@ -35,7 +36,7 @@ def main() -> int:
     args = parser.parse_args()
 
     worst = 0
-    print(f"{'experiment':32s} {'result':10s} {'rate':>8s} {'time':>8s}")
+    print(f"{'experiment':32s} {'result':10s} {'rate':>8s} {'time_ms':>8s}")
     for experiment in EXPERIMENTS:
         config = ExperimentConfig(
             experiment=experiment,
@@ -50,7 +51,7 @@ def main() -> int:
         verdict = "held" if report.bound_held else "VIOLATED"
         print(
             f"{experiment:32s} {verdict:10s} "
-            f"{agg['successes']:>4d}/{agg['trials']:<4d} {elapsed:7.1f}s"
+            f"{agg['successes']:>4d}/{agg['trials']:<4d} {1e3 * elapsed:8.1f}"
         )
         worst = max(worst, report.exit_status)
     print(f"reports written to {Path(args.out).resolve()}")

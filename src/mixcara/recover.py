@@ -21,10 +21,8 @@ Five routes from a moment vector back to a measure:
   representation by running the damped least-squares solver at scale 0,
   first from the measure of a Hankel completion (``_completed_dirac``) when
   the top degree is 2k, then from random starts, check the Jacobian has
-  full rank, then continue the solution in the scale from 0 upward with the
-  same solver as corrector.
-  The first scale step tries the target scale itself, and a corrector run
-  fails at its first iteration that does not halve the residual norm.
+  full rank, then run the same solver as corrector from that solution at
+  the scales 0.1, 0.05, ... down to 1e-4; the first that converges wins.
 * ``lm_fit`` -- generic moment matching by the same solver with
   log-parameterized positive parameters; the classical method-of-moments
   fallback when nothing structural applies.  A Gaussian fit on
@@ -39,15 +37,15 @@ of points to their residuals (one values-only kernel call), which evaluates
 every damped step of a rejected iteration at once.  Besides the goal, a run
 stops when no damped step lowers the residual, at a step that lowers the
 squared residual by less than a relative 1e-8, and when its last 50
-iterations lowered it by less than 1%; a homotopy corrector run also stops,
-as failed, at an iteration that does not halve the residual norm.
+iterations lowered it by less than 1%.
 
 Success is always judged by the moment residual, never by parameter
-closeness: distinct parameter sets can represent the same moments.  Both
-shared-scale engines and ``lm_fit`` first refuse vectors that a cone test
-certifies as exterior, before any schedule step or solver start: the
-real-line Hankel test for Gaussian vectors on {1, x, ..., x^d}, the
-half-line test for log-normal vectors on any basis of consecutive exponents.
+closeness: distinct parameter sets can represent the same moments.  Every
+engine but ``prony_dirac`` first refuses vectors that a cone test certifies
+as exterior, before any schedule step or solver start: the real-line Hankel
+test for Gaussian vectors on {1, x, ..., x^d}, the half-line test for
+log-normal vectors on any basis of consecutive exponents, and on other
+bases a negative moment of a monomial that is nonnegative on the support.
 """
 from __future__ import annotations
 
@@ -60,6 +58,7 @@ import numpy as np
 
 from .basis import MonomialBasis
 from .conegeo import (
+    _HANKEL_REL_TOL,
     _SUPPORT_NAME,
     EXTERIOR,
     _classify,
@@ -107,19 +106,15 @@ _SCHEDULE_STEPS = 40
 # scale bracket relative to the standard deviation, 34 halvings of [0, sd]
 _SCALE_FLOOR = 1e-10
 _SCALE_REL_WIDTH = 1e-10
-# homotopy: starts, continuation target and floor, smallest scale step,
+# homotopy: starts, the first and the smallest scale of the halving walk,
 # corrector goal relative to the vector, the solver's iteration cap along the
-# continuation and from a random Dirac start, the share of |r| a corrector
-# iteration along the continuation may keep, the Dirac start's goal and
-# weight floor relative to the vector, and the singular-value cutoff of its
-# rank check
+# walk and from a Dirac start, the Dirac start's goal and weight floor
+# relative to the vector, and the singular-value cutoff of its rank check
 _HOMOTOPY_STARTS = 32
 _SIGMA_TARGET = 0.1
 _SIGMA_MIN = 1e-4
-_MIN_STEP = 1e-8
 _NEWTON_REL_TOL = 1e-9
 _CORRECTOR_ITERS = 15
-_CORRECTOR_CONTRACTION = 0.5
 _START_REL_TOL = 1e-12
 _START_RANK_TOL = 1e-4
 # Hankel completion step: Newton steps of the ascent on the smallest
@@ -165,6 +160,9 @@ class RecoveryReport:
     least-squares solver in the two nonlinear engines, summed over all starts
     and corrector calls; it is 0 for the shared-scale engines, and for an
     ``lm_fit`` that the largest-scale step settles without the solver.
+    ``sigma_steps`` counts the scales tried by a schedule descent or the
+    homotopy's halving walk, the accepted one included; it is 0 for the
+    largest-scale step and ``lm_fit``.
     """
 
     success: bool
@@ -213,12 +211,26 @@ def _exterior_refusal(s: MomentVector, kind: str, engine: str) -> RecoveryReport
     """A failed report when the cone test of ``kind`` certifies ``s`` as exterior.
 
     No mixture has moments outside the cone, so such vectors are refused
-    before any solver work.  Bases without a test for ``kind`` (see
-    ``conegeo._cone_support``) and interior or boundary vectors get ``None``.
+    before any solver work.  Bases without a Hankel test for ``kind`` (see
+    ``conegeo._cone_support``) take a sign test: a moment below
+    ``-1e-10 * (1 + max|s|)`` of a monomial nonnegative where the components
+    live (every exponent even for Gaussians, any for log-normals) certifies
+    exteriority.  Vectors neither test certifies get ``None``.
     """
     support = _cone_support(s.basis, kind)
     if support is None:
-        return None
+        values = s.values.tolist()
+        lowest = min(
+            (v for v, alpha in zip(values, s.basis.exponents)
+             if kind == "lognormal" or not any(a % 2 for a in alpha)),
+            default=math.inf,
+        )
+        tol = _HANKEL_REL_TOL * (1.0 + max(map(abs, values)))
+        if not lowest < -tol:
+            return None
+        return _failed(
+            engine, f"exterior: moment {lowest:.3e} of a nonnegative monomial below -{tol:.3e}"
+        )
     status, margin, tol = _classify(s.values, support)
     if status != EXTERIOR:
         return None
@@ -554,9 +566,7 @@ class _Run:
     iterations: int
 
 
-def _damped_least_squares(
-    point, values, theta: np.ndarray, goal: float, max_iters: int, contraction: float | None = None
-) -> _Run:
+def _damped_least_squares(point, values, theta: np.ndarray, goal: float, max_iters: int) -> _Run:
     """Levenberg descent of ``|r(theta)|^2`` until ``max|r| <= goal``.
 
     ``point(theta)`` returns the residual and its Jacobian at one point (one
@@ -571,14 +581,11 @@ def _damped_least_squares(
     ladder above it is evaluated in one ``values`` call and the least-damped
     one that lowers it is taken, keeping its damping.  The descent stops
     short of the goal when no ladder step lowers the residual, when a step
-    lowers ``|r|^2`` by less than a relative 1e-8, when the last 50
-    iterations lowered it by less than 1%, and, given a ``contraction``,
-    when a step leaves ``|r|`` above that share of its previous value.
+    lowers ``|r|^2`` by less than a relative 1e-8, and when the last 50
+    iterations lowered it by less than 1%.
     """
     r, J = point(theta)
     damping = 0.0
-    # the largest share of the last squared residual that an iteration may keep
-    keep = 1.0 - _MIN_PROGRESS if contraction is None else contraction * contraction
     costs = []
     # a residual that overflows has an infinite or undefined cost, which no
     # comparison accepts
@@ -588,7 +595,7 @@ def _damped_least_squares(
                 return _Run(theta, r, J, True, iteration)
             cost = r @ r
             if costs and (
-                cost > costs[-1] * keep  # a plateau, or a corrector that does not contract
+                cost > costs[-1] * (1.0 - _MIN_PROGRESS)  # a plateau
                 or iteration >= _WINDOW
                 and cost > costs[-_WINDOW] * (1.0 - _WINDOW_PROGRESS)  # a long, slow crawl
             ):
@@ -754,18 +761,18 @@ def homotopy_gap_recovery(
     that step found no positive-definite completion.  Stage 2 requires
     every weight to exceed the corrector goal and the Jacobian to have full
     row rank; the set of vectors whose representations are all singular has
-    measure zero and is reported, not repaired.  Stage 3 tracks the
-    solution of the smoothed moment equations while the shared scale grows
-    from 0 toward 0.1, with the same solver as corrector started from the
-    last accepted solution.  Three rules end stalled corrector runs early: the first
-    scale step tries 0.1 itself, and the step is halved after a failure and
-    grown 1.6x after a success; a corrector run fails at its first
-    iteration that does not halve the residual norm; and, as in every
-    solver run, 50 iterations that together lower the squared residual by
-    less than 1% end the run.  A continuation that stalls below 1e-4 is
-    reported as a failure.  The moment system is underdetermined by one, so
-    the solver's undamped minimum-norm step follows the solution manifold.
-    ``iterations`` counts the solver iterations of stages 1 and 3.
+    measure zero and is reported, not repaired.  Stage 3 is a halving
+    walk: the same solver, as corrector, runs from the Dirac solution on the
+    smoothed moment equations at the shared scales 0.1, 0.05, ..., down to
+    the last one at or above 1e-4, ten in all, for at most 15 iterations
+    each, and the first run that converges with nonnegative weights gives
+    the model at that scale.  The moment system is underdetermined by one,
+    so the solver's undamped minimum-norm step follows the solution
+    manifold.  ``sigma_steps`` counts the scales tried; an exhausted walk is
+    a failure with ``sigma_steps`` 10 and no model.  ``iterations`` counts
+    the solver iterations of stages 1 and 3.  A vector with a negative
+    moment of an even monomial, or one the real-line Hankel test certifies
+    on {1, x, ..., x^d}, is refused as exterior before stage 1.
     """
     if basis.n != 1:
         raise UnsupportedBasisError("gap recovery is implemented for univariate bases")
@@ -775,6 +782,9 @@ def homotopy_gap_recovery(
     if k * (n + 1) < m:
         raise ValueError(f"k={k} gives {k * (n + 1)} parameters, fewer than m={m}")
     engine = "homotopy-gap"
+    refusal = _exterior_refusal(s, "gaussian", engine)
+    if refusal is not None:
+        return refusal
     rng = np.random.default_rng(seed)
     target = s.values
     scale = 1.0 + float(np.max(np.abs(target)))
@@ -849,46 +859,33 @@ def homotopy_gap_recovery(
                 reason += "; no positive-definite Hankel completion"
         return _failed(engine, reason, iterations=iterations)
 
-    # stage 3: continuation in the shared scale; each corrector run starts
-    # from the last accepted solution, with no predictor step, and the first
-    # tries the target scale itself
-    sigma_cur = 0.0
-    theta = solution
-    step_size = _SIGMA_TARGET
+    # stage 3: a halving walk down from the target scale; each corrector run
+    # starts from the Dirac solution, with no predictor step, and the first
+    # that converges with nonnegative weights gives the model
+    sigma = _SIGMA_TARGET
     sigma_steps = 0
-    corrector_calls = 0
-    while sigma_cur < _SIGMA_TARGET and step_size >= _MIN_STEP and corrector_calls < 200:
-        sigma_try = min(sigma_cur + step_size, _SIGMA_TARGET)
-        run = _damped_least_squares(
-            *system(sigma_try), theta, goal, _CORRECTOR_ITERS, _CORRECTOR_CONTRACTION
-        )
+    while sigma >= _SIGMA_MIN:
+        sigma_steps += 1
+        run = _damped_least_squares(*system(sigma), solution, goal, _CORRECTOR_ITERS)
         iterations += run.iterations
-        corrector_calls += 1
-        w_cand, _ = _split_theta(run.theta, k, n)
-        if run.converged and np.all(w_cand >= 0):
-            theta = run.theta
-            sigma_cur = sigma_try
-            sigma_steps += 1
-            step_size = min(step_size * 1.6, _SIGMA_TARGET - sigma_cur + _MIN_STEP)
-        else:
-            step_size *= 0.5
-
-    w, pts = _split_theta(theta, k, n)
-    keep = w > 1e-12 * max(1.0, float(np.sum(w)))
-    counts = {"sigma_used": sigma_cur, "iterations": iterations, "sigma_steps": sigma_steps}
-    if sigma_cur < _SIGMA_MIN:
+        w, pts = _split_theta(run.theta, k, n)
+        if run.converged and np.all(w >= 0):
+            break
+        sigma *= _SCHEDULE_RATIO
+    else:
         return _failed(
-            engine, f"continuation stalled at sigma={sigma_cur:.3e} below {_SIGMA_MIN:.1e}",
-            **counts,
+            engine, f"continuation: no corrector run converged at a scale down to {_SIGMA_MIN:.1e}",
+            iterations=iterations, sigma_steps=sigma_steps,
         )
+    keep = w > 1e-12 * max(1.0, float(np.sum(w)))
     model = MixtureMeasure(
-        kind="gaussian",
-        weights=w[keep],
-        means=pts[keep],
-        sigmas=np.full(int(np.sum(keep)), sigma_cur),
+        kind="gaussian", weights=w[keep], means=pts[keep], sigmas=np.full(int(keep.sum()), sigma)
     )
     residual = _relative_residual(mixture_moments(basis, model).values, target)
-    return _judged(engine, model, residual, rel_tol, "final residual above tolerance", **counts)
+    return _judged(
+        engine, model, residual, rel_tol, "final residual above tolerance",
+        sigma_used=sigma, iterations=iterations, sigma_steps=sigma_steps,
+    )
 
 
 def lm_fit(

@@ -41,7 +41,8 @@ DELETED = {
     measures: ["sample_random_atoms", "merge_close_atoms"],
     basis: ["eval_point", "eval_jacobian", "_as_point"],
     moments: ["lognormal_moment", "component_moment_vector", "_MAX_EXP_ARG"],
-    recover: ["match_components", "_hankel_slice", "_companion_roots", "_IMAG_TOL"],
+    recover: ["match_components", "_hankel_slice", "_companion_roots", "_IMAG_TOL",
+              "_MIN_STEP", "_CORRECTOR_CONTRACTION"],
     jacobian: ["_DENOMINATOR_NOTE"],
     errors: ["NonrealAtomsError"],
 }
@@ -57,8 +58,9 @@ def test_unread_names_stay_deleted():
     # the rank searches report their lower bound, with no note beside it
     assert "note" not in {f.name for f in dataclasses.fields(mixcara.RankSearchResult)}
     assert "note" not in mixcara.RankSearchResult(value=None).to_json()
-    # a solver run is read by field name
+    # a solver run is read by field name, and no caller sets a contraction
     assert not hasattr(recover._Run, "__iter__")
+    assert "contraction" not in inspect.signature(recover._damped_least_squares).parameters
     # each experiment's kind comes from its own table row
     assert "kind" not in {f.name for f in dataclasses.fields(mixcara.ExperimentConfig)}
     assert "kind" not in mixcara.ExperimentConfig(experiment="na-table").to_json()

@@ -540,38 +540,22 @@ def test_solver_ladder_follows_a_rejected_gauss_newton_step():
     assert run.r @ run.r < r0 @ r0 and not run.converged
 
 
-def stage3_runs(monkeypatch, s):
-    """Squared residuals at every point of every stage-3 corrector run, with
-    whether the run converged; stage 3 is the solver goal of 1e-9 * scale."""
+def stage3_runs(monkeypatch, s, fail=False):
+    """Whether each stage-3 corrector run converged; stage 3 is the solver
+    goal of 1e-9 * scale.  ``fail`` reports every such run as not converged."""
     goal3 = recover._NEWTON_REL_TOL * (1.0 + float(np.max(np.abs(s.values))))
     runs = []
     real = recover._damped_least_squares
 
-    def spy(point, values, theta, goal, max_iters, *rest):
-        costs = []
-
-        def recorded(t):
-            r, J = point(t)
-            costs.append(r @ r)
-            return r, J
-
-        run = real(recorded, values, theta, goal, max_iters, *rest)
+    def spy(point, values, theta, goal, max_iters):
+        run = real(point, values, theta, goal, max_iters)
         if goal == goal3:
-            runs.append((costs, run.converged))
+            runs.append(run.converged)
+            run.converged = run.converged and not fail
         return run
 
     monkeypatch.setattr(recover, "_damped_least_squares", spy)
     return runs
-
-
-def accepted_costs(costs):
-    """The squared residuals of a run's accepted iterates: every evaluated
-    point that lowers the residual is the solver's next iterate."""
-    accepted = [costs[0]]
-    for cost in costs[1:]:
-        if cost < accepted[-1]:
-            accepted.append(cost)
-    return accepted
 
 
 def test_homotopy_gap_roundtrip_reaches_the_target_in_one_corrector_call(monkeypatch):
@@ -579,16 +563,13 @@ def test_homotopy_gap_roundtrip_reaches_the_target_in_one_corrector_call(monkeyp
     runs = stage3_runs(monkeypatch, s)
     report = homotopy_gap_recovery(GAP, s, k=3, seed=40)
     assert report.success
-    assert len(runs) == 1 and runs[0][1]
+    assert runs == [True]
     assert report.sigma_used == recover._SIGMA_TARGET and report.sigma_steps == 1
 
 
-def test_homotopy_failed_correctors_stop_at_the_first_step_that_does_not_contract(
-    monkeypatch, kernel_calls
-):
-    # a gap-basis input whose continuation stalls at sigma 0.0808, short of the
-    # 0.1 target; a first scale step of 0.01 and correctors that need not
-    # contract took 846 kernel calls here
+def test_homotopy_walk_halves_the_scale_until_a_corrector_converges(monkeypatch, kernel_calls):
+    # a gap-basis input whose corrector fails at the 0.1 target and converges
+    # at 0.05, the next scale of the walk
     seed = 6
     mix = sample_random_mixture(
         "gaussian", 3, rng=np.random.default_rng(seed), sigma_range=(0.05, 0.05),
@@ -598,39 +579,23 @@ def test_homotopy_failed_correctors_stop_at_the_first_step_that_does_not_contrac
     runs = stage3_runs(monkeypatch, s)
     report = homotopy_gap_recovery(GAP, s, k=3, seed=seed)
     assert report.success
-    assert report.sigma_used == pytest.approx(0.0808224862, abs=1e-6)
-    assert len(kernel_calls) <= 846 // 2
-    stopped = 0
-    for costs, converged in runs:
-        accepted = accepted_costs(costs)
-        # |r| halves at every iteration; only a failed run's last step may not
-        ratios = [b / a for a, b in zip(accepted, accepted[1:])]
-        assert all(ratio <= 0.25 for ratio in ratios[:-1])
-        if ratios and ratios[-1] > 0.25:
-            assert not converged
-            stopped += 1
-    assert stopped
+    assert report.sigma_used == 0.05 and report.sigma_steps == 2
+    assert runs == [False, True]
+    assert len(kernel_calls) <= 40
 
 
-def test_homotopy_reports_a_stall_when_every_corrector_run_fails(monkeypatch):
-    # stage 3 alone passes the corrector contraction; failing those runs
-    # halves the scale step from 0.1 down past 1e-8 without leaving sigma = 0
-    real = recover._damped_least_squares
-    corrector_runs = []
-
-    def failing_corrector(point, values, theta, goal, max_iters, *contraction):
-        run = real(point, values, theta, goal, max_iters, *contraction)
-        if contraction:
-            corrector_runs.append(run.iterations)
-            run.converged = False
-        return run
-
-    monkeypatch.setattr(recover, "_damped_least_squares", failing_corrector)
-    report = homotopy_gap_recovery(GAP, gap_roundtrip_moments(), k=3, seed=40)
-    assert not report.success and report.model is None
-    assert report.failure_reason == "continuation stalled at sigma=0.000e+00 below 1.0e-04"
-    assert report.sigma_used == 0.0 and report.sigma_steps == 0
-    assert len(corrector_runs) == 24  # 0.1 / 2**24 < 1e-8 <= 0.1 / 2**23
+def test_homotopy_reports_an_exhausted_walk_when_every_corrector_run_fails(monkeypatch):
+    # failing every stage-3 run walks the scale from 0.1 down to the last
+    # halving at or above 1e-4, 0.1 / 2**9
+    s = gap_roundtrip_moments()
+    runs = stage3_runs(monkeypatch, s, fail=True)
+    report = homotopy_gap_recovery(GAP, s, k=3, seed=40)
+    assert not report.success and report.model is None and report.k_used == 0
+    assert report.failure_reason == (
+        "continuation: no corrector run converged at a scale down to 1.0e-04"
+    )
+    assert report.sigma_used is None and report.sigma_steps == 10
+    assert len(runs) == 10
 
 
 def test_solver_stops_after_a_window_of_slow_progress():
@@ -712,15 +677,17 @@ def test_completed_dirac_finds_no_completion_of_an_exterior_vector():
     )
 
 
-def stage1_starts(monkeypatch, stall_first=False):
+def stage1_starts(monkeypatch, s, stall_first=False):
     """The start point of every stage-1 solver run; ``stall_first`` reports
-    the first run as not converged."""
+    the first run as not converged.  Stage 1 is the solver goal of 1e-12 *
+    scale."""
+    goal1 = recover._START_REL_TOL * (1.0 + float(np.max(np.abs(s.values))))
     real = recover._damped_least_squares
     starts = []
 
-    def spy(point, values, theta, goal, max_iters, *contraction):
-        run = real(point, values, theta, goal, max_iters, *contraction)
-        if not contraction:
+    def spy(point, values, theta, goal, max_iters):
+        run = real(point, values, theta, goal, max_iters)
+        if goal == goal1:
             starts.append(theta.copy())
             if stall_first and len(starts) == 1:
                 run.converged = False
@@ -736,10 +703,10 @@ def test_homotopy_starts_from_the_completion_then_draws_the_random_starts_as_wit
     s = gap_roundtrip_moments()
     with monkeypatch.context() as patch:
         patch.setattr(recover, "_completed_dirac", lambda s, k: None)
-        plain_starts = stage1_starts(patch)
+        plain_starts = stage1_starts(patch, s)
         plain = homotopy_gap_recovery(GAP, s, k=3, seed=40)
     atoms, weights = recover._completed_dirac(s, 3)
-    starts = stage1_starts(monkeypatch, stall_first=True)
+    starts = stage1_starts(monkeypatch, s, stall_first=True)
     seeded = homotopy_gap_recovery(GAP, s, k=3, seed=40)
     np.testing.assert_array_equal(starts[0], recover._interleaved_theta(weights, atoms[:, None]))
     assert len(starts) == len(plain_starts) + 1
@@ -753,7 +720,7 @@ def test_homotopy_outside_the_completion_step_runs_the_random_starts_alone(monke
     # top degree 7 is odd; 24 iterations, as before the step existed
     basis = MonomialBasis.univariate([0, 2, 3, 5, 7])
     s = gap_roundtrip_moments(basis)
-    starts = stage1_starts(monkeypatch)
+    starts = stage1_starts(monkeypatch, s)
     report = homotopy_gap_recovery(basis, s, k=3, seed=40)
     box = 1.5 * recover._data_scale(s)
     first = np.random.default_rng(40).uniform(-box, box, size=(3, 1))
@@ -1440,6 +1407,46 @@ def test_lognormal_refusal_covers_bases_without_the_constant(prony_calls):
     assert np.all(s.values > 0)
     assert_refused(recover_shared_sigma_lognormal(s), "half-line")
     assert not prony_calls
+
+
+@pytest.mark.parametrize("engine", ["homotopy", "lm_fit"])
+def test_gap_engines_refuse_a_negative_even_moment_before_any_start(
+    monkeypatch, kernel_calls, engine
+):
+    # no measure on the line has a negative second moment
+    values = gap_roundtrip_moments().values.copy()
+    values[1] = -0.1 * abs(values[1])
+    s = mv(values, GAP)
+
+    def no_start(*args, **kwargs):
+        raise AssertionError("the solver ran on an exterior vector")
+
+    monkeypatch.setattr(recover, "_damped_least_squares", no_start)
+    if engine == "homotopy":
+        report = homotopy_gap_recovery(GAP, s, k=3, seed=40)
+    else:
+        report = lm_fit(GAP, "gaussian", s, k=3, seed=0)
+    assert not kernel_calls
+    assert not report.success and report.model is None and report.residual == math.inf
+    assert report.failure_reason.startswith("exterior: moment -")
+
+
+def test_sign_certificate_reads_only_monomials_nonnegative_on_the_support():
+    # a negative x^3 or x*y moment is a Gaussian mixture's (mass left of 0, or
+    # in the second quadrant) but no log-normal mixture's; a negative x^2
+    # moment is neither's
+    values = gap_roundtrip_moments().values.copy()
+    values[2] = -abs(values[2])
+    odd = mv(values, GAP)
+    bivariate = MonomialBasis(n=2, exponents=((0, 0), (2, 0), (1, 1)))
+    assert bivariate.exponents == ((0, 0), (2, 0), (1, 1))
+    for s, gaussian_exterior in [(odd, False), (mv([1.0, 1.0, -0.5], bivariate), False),
+                                 (mv([1.0, -1.0, 0.5], bivariate), True)]:
+        gaussian, lognormal = (
+            recover._exterior_refusal(s, kind, "probe") for kind in ("gaussian", "lognormal")
+        )
+        assert (gaussian is not None) == gaussian_exterior
+        assert lognormal.failure_reason.startswith("exterior: moment -")
 
 
 @settings(max_examples=120, deadline=None)
