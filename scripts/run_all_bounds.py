@@ -7,9 +7,12 @@ Usage:
 Each experiment runs its own full trial count; ``--fast`` trims the counts
 for a quick smoke run.  Exit status is the worst exit status across
 experiments (0 = all bounds held, 2 = violation).  Each row prints the
-experiment's wall time in milliseconds.
+experiment's wall time in milliseconds and ``report_sha``, the first 12 hex
+digits of the sha256 of its JSON report, so two runs at one seed compare
+by their printed tables.
 """
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -36,7 +39,7 @@ def main() -> int:
     args = parser.parse_args()
 
     worst = 0
-    print(f"{'experiment':32s} {'result':10s} {'rate':>8s} {'time_ms':>8s}")
+    print(f"{'experiment':32s} {'result':10s} {'rate':>8s} {'time_ms':>8s} report_sha")
     for experiment in EXPERIMENTS:
         config = ExperimentConfig(
             experiment=experiment,
@@ -49,9 +52,10 @@ def main() -> int:
         elapsed = time.perf_counter() - start
         agg = report.aggregate
         verdict = "held" if report.bound_held else "VIOLATED"
+        sha = hashlib.sha256((Path(args.out) / f"{experiment}.json").read_bytes()).hexdigest()
         print(
             f"{experiment:32s} {verdict:10s} "
-            f"{agg['successes']:>4d}/{agg['trials']:<4d} {1e3 * elapsed:8.1f}"
+            f"{agg['successes']:>4d}/{agg['trials']:<4d} {1e3 * elapsed:8.1f} {sha[:12]}"
         )
         worst = max(worst, report.exit_status)
     print(f"reports written to {Path(args.out).resolve()}")

@@ -1,16 +1,16 @@
-"""Moment-cone geometry for univariate bases of consecutive exponents.
+"""Moment-cone geometry on runs of consecutive exponents.
 
 One classifier, ``_classify``, tests consecutive moments against the cone of
 measures on a support.  On the real line (Hamburger) the maximal Hankel
 matrix (s_{i+j}) that fits within degree d must be positive semidefinite; on
 the half-line (0, inf) (Stieltjes) the Hankel matrix of the shifted sequence
-(s_{i+j+1}) must be too.  The half-line test also covers a basis
-{x^a, ..., x^(a+d)}, whose moments are those of the positive measure
-x^a dmu.  ``hankel_classify`` is the public real-line test on
-{1, x, ..., x^d}; ``_cone_support`` picks the test that fits a mixture kind
-on a basis, and ``represent_with_prescribed_component`` certifies its input
-with that test only, refusing a basis that has none.  The eigenvalue
-threshold is a proxy: points within the tolerance band of the boundary are
+(s_{i+j+1}) must be too.  The test holds on any run {x^a, ..., x^(a+d)}
+whose measure x^a dmu is positive: on the real line from an even a, on the
+half-line from any a.  ``_cone_blocks`` lists, per basis and mixture kind,
+the runs the test reads; ``hankel_classify`` is the public real-line test
+on {1, x, ..., x^d}, and ``represent_with_prescribed_component`` certifies
+its input only on a basis that one block spans.  The eigenvalue threshold
+is a proxy: points within the tolerance band of the boundary are
 classified "boundary" rather than resolved exactly.  ``_hankel_index`` is
 the one cached builder of Hankel indices, also for the Prony solve, and
 ``_itp_bracket`` the one root-bracketing loop, an ITP search that ends in
@@ -138,7 +138,9 @@ def _itp_bracket(f, lo: float, hi: float, width: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _classify(values: np.ndarray, support: str) -> tuple[str, float, float]:
+def _classify(
+    values: np.ndarray, support: str, tol: float | None = None
+) -> tuple[str, float, float]:
     """Status, margin and tolerance of consecutive moments s_0, ..., s_d
     against the cone of measures on ``support``.
 
@@ -147,7 +149,7 @@ def _classify(values: np.ndarray, support: str) -> tuple[str, float, float]:
     the shifted sequence (s_{i+j+1}), of order (d+1)//2.  The margin is the
     smallest eigenvalue over the blocks, one ``eigvalsh`` each; margin >= tol
     is the interior proxy, margin < -tol exterior, anything between boundary.
-    The tolerance is ``1e-10 * (1 + max|s|)``.
+    The tolerance is ``1e-10 * (1 + max|s|)`` unless given.
     """
     m = len(values)
     order = (m + 1) // 2
@@ -155,7 +157,8 @@ def _classify(values: np.ndarray, support: str) -> tuple[str, float, float]:
     if support == "positive" and m > 1:
         margin = min(margin, np.linalg.eigvalsh(values[1:][_hankel_index(m // 2, m // 2)])[0])
     margin = float(margin)
-    tol = _HANKEL_REL_TOL * (1.0 + float(np.max(np.abs(values))))
+    if tol is None:
+        tol = _HANKEL_REL_TOL * (1.0 + float(np.max(np.abs(values))))
     if margin >= tol:
         return INTERIOR, margin, tol
     if margin < -tol:
@@ -163,23 +166,26 @@ def _classify(values: np.ndarray, support: str) -> tuple[str, float, float]:
     return BOUNDARY, margin, tol
 
 
-def _cone_support(basis: MonomialBasis, kind: str) -> str | None:
-    """The support whose cone test fits moments of ``kind`` mixtures on
-    ``basis``, or None when no test applies.
+@cache
+def _cone_blocks(basis: MonomialBasis, kind: str) -> tuple[tuple[slice, str], ...]:
+    """The index blocks of ``basis`` that ``_classify`` tests for mixtures
+    of ``kind``, each with its support: every maximal run of consecutive
+    univariate exponents, and every multivariate exponent alone.
 
-    Log-normal mixtures live on (0, inf), so any univariate basis of
-    consecutive exponents takes the half-line test; Gaussian mixtures take
-    the real-line test on {1, x, ..., x^d} only.
+    Log-normal mixtures live on (0, inf), so a run takes the half-line test
+    whole; other kinds take the real-line test from the first exponent with
+    every entry even, and a run with none gives no block.
     """
+    positive = kind == "lognormal"
     exps = basis.exponents
-    # univariate exponents are distinct and sorted, so these span a run
-    if basis.n != 1 or exps[-1][0] - exps[0][0] != len(exps) - 1:
-        return None
-    if kind == "lognormal":
-        return "positive"
-    if kind == "gaussian" and exps[0][0] == 0:
-        return "real"
-    return None
+    starts = [i for i in range(basis.m)
+              if basis.n != 1 or i == 0 or exps[i][0] != exps[i - 1][0] + 1]
+    blocks = []
+    for start, stop in zip(starts, starts[1:] + [basis.m]):
+        first = start if positive or not any(a % 2 for a in exps[start]) else start + 1
+        if first < stop:
+            blocks.append((slice(first, stop), "positive" if positive else "real"))
+    return tuple(blocks)
 
 
 def hankel_classify(s: MomentVector) -> ConeClassification:
@@ -257,12 +263,14 @@ def represent_with_prescribed_component(
 
     Interior vectors keep a slack in every direction, so some positive mass
     of the prescribed component can be split off and the remainder recovered
-    by the shared-scale engine of ``kind``.  The cone test of ``kind`` (see
-    ``_cone_support``) must certify s as interior: the real-line Hankel test
-    for Gaussian vectors on {1, x, ..., x^d}, the half-line test for
-    log-normal vectors on any basis of consecutive exponents.  A basis with
-    no test for ``kind`` raises ``UnsupportedBasisError`` before any engine
-    call.  The mass starts at half the total and halves, down to ``1e-12``
+    by the shared-scale engine of ``kind``.  The cone test of ``kind`` must
+    certify s as interior on a basis that one block of ``_cone_blocks``
+    spans: the real-line Hankel test for Gaussian vectors on
+    {1, x, ..., x^d}, the half-line test for log-normal vectors on any
+    basis of consecutive exponents.  Any other basis raises
+    ``UnsupportedBasisError`` before any engine call, and so does the
+    Gaussian engine, at its first call, on a run that starts above 0.  The
+    mass starts at half the total and halves, down to ``1e-12``
     of the total, until the remainder is recoverable.  A remainder that the
     cone test certifies as exterior is skipped without an engine call,
     because no mixture has its moments.  A remainder the engine refuses
@@ -282,9 +290,10 @@ def represent_with_prescribed_component(
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    support = _cone_support(basis, kind)
-    if support is None:
+    blocks = _cone_blocks(basis, kind)
+    if len(blocks) != 1 or blocks[0][0] != slice(0, basis.m):
         raise UnsupportedBasisError(f"no cone test certifies {kind} moments on this basis")
+    support = blocks[0][1]
     status, margin, tol = _classify(s.values, support)
     if status != INTERIOR:
         raise NotRepresentableError(

@@ -42,10 +42,11 @@ iterations lowered it by less than 1%.
 Success is always judged by the moment residual, never by parameter
 closeness: distinct parameter sets can represent the same moments.  Every
 engine but ``prony_dirac`` first refuses vectors that a cone test certifies
-as exterior, before any schedule step or solver start: the real-line Hankel
-test for Gaussian vectors on {1, x, ..., x^d}, the half-line test for
-log-normal vectors on any basis of consecutive exponents, and on other
-bases a negative moment of a monomial that is nonnegative on the support.
+as exterior, before any schedule step or solver start: the Hankel test on
+each run of consecutive exponents, on the real line from the run's first
+even exponent for Gaussian vectors and on the half-line over the whole run
+for log-normal vectors, and on a multivariate basis the sign of each moment
+of a monomial that is nonnegative on the support.
 """
 from __future__ import annotations
 
@@ -62,7 +63,7 @@ from .conegeo import (
     _SUPPORT_NAME,
     EXTERIOR,
     _classify,
-    _cone_support,
+    _cone_blocks,
     _hankel_index,
     _itp_bracket,
 )
@@ -211,32 +212,19 @@ def _exterior_refusal(s: MomentVector, kind: str, engine: str) -> RecoveryReport
     """A failed report when the cone test of ``kind`` certifies ``s`` as exterior.
 
     No mixture has moments outside the cone, so such vectors are refused
-    before any solver work.  Bases without a Hankel test for ``kind`` (see
-    ``conegeo._cone_support``) take a sign test: a moment below
-    ``-1e-10 * (1 + max|s|)`` of a monomial nonnegative where the components
-    live (every exponent even for Gaussians, any for log-normals) certifies
-    exteriority.  Vectors neither test certifies get ``None``.
+    before any solver work.  Each block of ``conegeo._cone_blocks`` takes
+    its Hankel test against the tolerance ``1e-10 * (1 + max|s|)`` of the
+    whole vector, and the first block found exterior gives the reason.  A
+    block of one exponent tests the sign of its moment.  Vectors no block
+    certifies get ``None``.
     """
-    support = _cone_support(s.basis, kind)
-    if support is None:
-        values = s.values.tolist()
-        lowest = min(
-            (v for v, alpha in zip(values, s.basis.exponents)
-             if kind == "lognormal" or not any(a % 2 for a in alpha)),
-            default=math.inf,
-        )
-        tol = _HANKEL_REL_TOL * (1.0 + max(map(abs, values)))
-        if not lowest < -tol:
-            return None
-        return _failed(
-            engine, f"exterior: moment {lowest:.3e} of a nonnegative monomial below -{tol:.3e}"
-        )
-    status, margin, tol = _classify(s.values, support)
-    if status != EXTERIOR:
-        return None
-    return _failed(
-        engine, f"exterior: {_SUPPORT_NAME[support]} Hankel margin {margin:.3e} below -{tol:.3e}"
-    )
+    tol = _HANKEL_REL_TOL * (1.0 + float(np.max(np.abs(s.values))))
+    for block, support in _cone_blocks(s.basis, kind):
+        status, margin, _ = _classify(s.values[block], support, tol)
+        if status == EXTERIOR:
+            reason = f"{_SUPPORT_NAME[support]} Hankel margin {margin:.3e} below -{tol:.3e}"
+            return _failed(engine, f"exterior: {reason}")
+    return None
 
 
 def _prony(u: np.ndarray, k_target: int) -> tuple[np.ndarray, np.ndarray]:
@@ -770,9 +758,9 @@ def homotopy_gap_recovery(
     so the solver's undamped minimum-norm step follows the solution
     manifold.  ``sigma_steps`` counts the scales tried; an exhausted walk is
     a failure with ``sigma_steps`` 10 and no model.  ``iterations`` counts
-    the solver iterations of stages 1 and 3.  A vector with a negative
-    moment of an even monomial, or one the real-line Hankel test certifies
-    on {1, x, ..., x^d}, is refused as exterior before stage 1.
+    the solver iterations of stages 1 and 3.  A vector that the real-line
+    Hankel test certifies as exterior on some run of consecutive exponents,
+    taken from its first even one, is refused before stage 1.
     """
     if basis.n != 1:
         raise UnsupportedBasisError("gap recovery is implemented for univariate bases")
@@ -918,7 +906,9 @@ def lm_fit(
     together lower the squared residual by less than 1%; the best start by
     moment residual wins, and success is a residual at or below 1e-8.
     ``k`` and ``n_starts`` must be positive.  A vector that the cone test of
-    ``kind`` certifies as exterior is refused before any start.
+    ``kind`` certifies as exterior on some run of consecutive exponents (or,
+    on a multivariate basis, on some even monomial) is refused before any
+    start.
     """
     if kind not in ("gaussian", "lognormal"):
         raise ValueError(f"unknown kind {kind!r}")

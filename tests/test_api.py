@@ -5,7 +5,7 @@ import dataclasses
 import inspect
 
 import mixcara
-from mixcara import basis, errors, jacobian, measures, moments, recover
+from mixcara import basis, conegeo, errors, jacobian, measures, moments, recover
 
 EXPECTED_PARAMETERS = {
     mixcara.homotopy_gap_recovery: ["basis", "s", "k", "seed", "rel_tol"],
@@ -44,6 +44,7 @@ DELETED = {
     recover: ["match_components", "_hankel_slice", "_companion_roots", "_IMAG_TOL",
               "_MIN_STEP", "_CORRECTOR_CONTRACTION"],
     jacobian: ["_DENOMINATOR_NOTE"],
+    conegeo: ["_cone_support"],
     errors: ["NonrealAtomsError"],
 }
 

@@ -13,7 +13,7 @@ from mixcara.conegeo import (
     EXTERIOR,
     INTERIOR,
     _classify,
-    _cone_support,
+    _cone_blocks,
     _itp_bracket,
     hankel_classify,
     represent_with_prescribed_component,
@@ -96,21 +96,32 @@ def test_half_line_margin_covers_both_blocks():
     assert tol == pytest.approx(1e-10 * (1 + 7.9875))
 
 
+def _blocks(support, *spans):
+    return tuple((slice(*span), support) for span in spans)
+
+
 @pytest.mark.parametrize(
-    "basis, kind, support",
+    "basis, kind, blocks",
     [
-        (MonomialBasis.full_degree(5), "gaussian", "real"),
-        (MonomialBasis.full_degree(5), "lognormal", "positive"),
-        (MonomialBasis.univariate(range(1, 7)), "lognormal", "positive"),
-        (MonomialBasis.univariate(range(1, 7)), "gaussian", None),
-        (MonomialBasis.univariate([0, 2, 3, 5, 6]), "lognormal", None),
-        (MonomialBasis.univariate([0, 2, 3, 5, 6]), "gaussian", None),
-        (MonomialBasis.full_degree(2, n=2), "gaussian", None),
-        (MonomialBasis.full_degree(5), "dirac", None),
+        (MonomialBasis.full_degree(5), "gaussian", _blocks("real", (0, 6))),
+        (MonomialBasis.full_degree(5), "lognormal", _blocks("positive", (0, 6))),
+        (MonomialBasis.univariate(range(1, 7)), "lognormal", _blocks("positive", (0, 6))),
+        # x dmu is no positive measure on the line, x^2 dmu is
+        (MonomialBasis.univariate(range(1, 7)), "gaussian", _blocks("real", (1, 6))),
+        (MonomialBasis.univariate([0, 2, 3, 5, 6]), "lognormal",
+         _blocks("positive", (0, 1), (1, 3), (3, 5))),
+        (MonomialBasis.univariate([0, 2, 3, 5, 6]), "gaussian",
+         _blocks("real", (0, 1), (1, 3), (4, 5))),
+        # (0,0), (2,0) and (0,2) of the graded order (0,0), (1,0), (0,1), (2,0), (1,1), (0,2)
+        (MonomialBasis.full_degree(2, n=2), "gaussian", _blocks("real", (0, 1), (3, 4), (5, 6))),
+        (MonomialBasis.full_degree(5), "dirac", _blocks("real", (0, 6))),
+        (MonomialBasis.univariate([0, 1, 2, 4, 6]), "gaussian",
+         _blocks("real", (0, 3), (3, 4), (4, 5))),
+        (MonomialBasis.univariate([1, 3, 5]), "gaussian", ()),
     ],
 )
-def test_cone_support_by_kind_and_basis(basis, kind, support):
-    assert _cone_support(basis, kind) == support
+def test_cone_blocks_by_kind_and_basis(basis, kind, blocks):
+    assert _cone_blocks(basis, kind) == blocks
 
 
 @pytest.mark.parametrize("kind,mean_range", [("gaussian", (-2, 2)), ("lognormal", (0.5, 2.5))])
@@ -420,7 +431,8 @@ def test_prescribe_lognormal_needs_a_half_line_interior_input(monkeypatch):
 
 
 def test_prescribe_refuses_a_basis_without_a_cone_test(monkeypatch):
-    # Gaussian moments on a gap basis have no cone test to certify them
+    # on a gap basis each run takes its own test, and none certifies the
+    # whole vector as interior
     basis = MonomialBasis.univariate([0, 2, 3, 5, 6])
     mix = sample_random_mixture("gaussian", 3, rng=6, sigma_range=(0.05, 0.05),
                                 min_separation=0.5, shared_sigma=True)
@@ -429,6 +441,13 @@ def test_prescribe_refuses_a_basis_without_a_cone_test(monkeypatch):
     with pytest.raises(UnsupportedBasisError, match="no cone test"):
         represent_with_prescribed_component(basis, "gaussian", s, 1.0, 0.5)
     assert statuses == []
+    # one real-line run spans {x^2, ..., x^6}, but the engine needs {1, x, ..., x^d}
+    shifted = MonomialBasis.univariate(range(2, 7))
+    with pytest.raises(UnsupportedBasisError, match="shared-scale recovery needs"):
+        represent_with_prescribed_component(
+            shifted, "gaussian", mixture_moments(shifted, mix), 1.0, 0.5
+        )
+    assert statuses == [None]
 
 
 def test_prescription_error_names_the_last_eps_tried(monkeypatch):

@@ -671,7 +671,12 @@ def test_completed_dirac_finds_no_completion_of_an_exterior_vector():
         values = np.insert(s.values, [3, 4], fill)
         assert hankel_classify(mv(values, full)).status == EXTERIOR
     assert recover._completed_dirac(s, 3) is None
-    report = homotopy_gap_recovery(basis, s, k=3)
+    # s_0 s_4 < s_2^2 makes the principal block of degrees 0, 2, 4
+    # indefinite, which no run of consecutive exponents sees
+    hidden = mv([1.0, 0.0, 1.0, 0.5, 1.0], basis)
+    assert recover._exterior_refusal(hidden, "gaussian", "probe") is None
+    assert recover._completed_dirac(hidden, 3) is None
+    report = homotopy_gap_recovery(basis, hidden, k=3)
     assert report.failure_reason == (
         "no-dirac-representation: all starts stalled; no positive-definite Hankel completion"
     )
@@ -1428,7 +1433,41 @@ def test_gap_engines_refuse_a_negative_even_moment_before_any_start(
         report = lm_fit(GAP, "gaussian", s, k=3, seed=0)
     assert not kernel_calls
     assert not report.success and report.model is None and report.residual == math.inf
-    assert report.failure_reason.startswith("exterior: moment -")
+    assert report.failure_reason.startswith("exterior: real-line Hankel margin -")
+
+
+@pytest.mark.parametrize("engine", ["homotopy", "lm_fit"])
+def test_gap_engines_refuse_an_exterior_run_before_any_start(monkeypatch, kernel_calls, engine):
+    # every even moment is positive, but s_0 s_2 < s_1^2 on the run 0..2
+    s = mv([1.0, 0.5, 0.2, 0.3, 1.0], MonomialBasis.univariate([0, 1, 2, 4, 6]))
+
+    def no_start(*args, **kwargs):
+        raise AssertionError("the solver ran on an exterior vector")
+
+    monkeypatch.setattr(recover, "_damped_least_squares", no_start)
+    if engine == "homotopy":
+        report = homotopy_gap_recovery(s.basis, s, k=3)
+    else:
+        report = lm_fit(s.basis, "gaussian", s, k=3, seed=0)
+    assert not kernel_calls
+    assert not report.success and report.model is None and report.residual == math.inf
+    assert report.iterations == 0 and report.sigma_steps == 0
+    assert report.failure_reason.startswith("exterior: real-line Hankel margin -4.03")
+
+
+def test_lognormal_fit_refuses_an_exterior_run_of_a_gap_basis(monkeypatch, kernel_calls):
+    # every moment is positive, but s_2 s_4 < s_3^2 on the run 2..4
+    basis = MonomialBasis.univariate([0, 2, 3, 4, 6])
+    s = mv([1.0, 1.0, 2.0, 3.0, 50.0], basis)
+
+    def no_start(*args, **kwargs):
+        raise AssertionError("the solver ran on an exterior vector")
+
+    monkeypatch.setattr(recover, "_damped_least_squares", no_start)
+    report = lm_fit(basis, "lognormal", s, k=3, seed=0)
+    assert not kernel_calls
+    assert not report.success and report.model is None and report.residual == math.inf
+    assert report.failure_reason.startswith("exterior: half-line Hankel margin -")
 
 
 def test_sign_certificate_reads_only_monomials_nonnegative_on_the_support():
@@ -1446,29 +1485,37 @@ def test_sign_certificate_reads_only_monomials_nonnegative_on_the_support():
             recover._exterior_refusal(s, kind, "probe") for kind in ("gaussian", "lognormal")
         )
         assert (gaussian is not None) == gaussian_exterior
-        assert lognormal.failure_reason.startswith("exterior: moment -")
+        assert lognormal.failure_reason.startswith("exterior: half-line Hankel margin -")
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=240, deadline=None)
 @given(
     kind=st.sampled_from(["gaussian", "lognormal"]),
+    shape=st.sampled_from(["consecutive", "subset", "bivariate"]),
     d=st.integers(3, 11),
     k=st.integers(1, 8),
     shift=st.integers(0, 2),
+    degrees=st.sets(st.integers(0, 12), min_size=1),
     sigma_floor=st.sampled_from([1e-3, 0.05, 0.3]),
     shared=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_refusal_never_fires_on_mixture_moments(kind, d, k, shift, sigma_floor, shared, seed):
+def test_refusal_never_fires_on_mixture_moments(
+    kind, shape, d, k, shift, degrees, sigma_floor, shared, seed
+):
     # many components at tiny scales put the vector within the tolerance
-    # band of the boundary, where a too-tight test would refuse it
-    if kind == "gaussian":
+    # band of the boundary, where a too-tight test would refuse it; on gap
+    # bases each run of consecutive exponents takes its own Hankel test
+    if shape == "bivariate":
+        kind, basis = "gaussian", MonomialBasis.full_degree(d, n=2)
+    elif shape == "subset":
+        basis = MonomialBasis.univariate(degrees)
+    elif kind == "gaussian":
         basis = MonomialBasis.full_degree(d)
-        mean_range = (-4.0, 4.0)
     else:
         basis = MonomialBasis.univariate(range(shift, shift + d + 1))
-        mean_range = (0.2, 3.0)
-    mix = sample_random_mixture(kind, k, rng=seed, mean_range=mean_range,
+    mean_range = (-4.0, 4.0) if kind == "gaussian" else (0.2, 3.0)
+    mix = sample_random_mixture(kind, k, n=basis.n, rng=seed, mean_range=mean_range,
                                 sigma_range=(sigma_floor, 1.0), shared_sigma=shared)
     s = mixture_moments(basis, mix)
     assert recover._exterior_refusal(s, kind, "probe") is None

@@ -1,6 +1,7 @@
 """The desk-scale driver script runs every experiment end to end; the bench
 driver summarizes its runs."""
 import ast
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -26,6 +27,11 @@ def test_run_all_bounds_fast(tmp_path):
     assert [line.split()[0] for line in held] == list(EXPERIMENTS)
     expected = {f"{e}.{ext}" for e in EXPERIMENTS for ext in ("csv", "json")}
     assert {p.name for p in out.iterdir()} == expected
+    # the last column is the head of each JSON report's sha256
+    assert proc.stdout.splitlines()[0].split()[-1] == "report_sha"
+    assert [line.split()[-1] for line in held] == [
+        hashlib.sha256((out / f"{e}.json").read_bytes()).hexdigest()[:12] for e in EXPERIMENTS
+    ]
 
 
 def test_bench_selftest_passes():
