@@ -1,24 +1,21 @@
-"""Moment-cone geometry on runs of consecutive exponents.
+"""Moment-cone geometry on principal Hankel blocks.
 
-One classifier, ``_classify``, tests consecutive moments against the cone of
-measures on a support.  On the real line (Hamburger) the maximal Hankel
-matrix (s_{i+j}) that fits within degree d must be positive semidefinite; on
-the half-line (0, inf) (Stieltjes) the Hankel matrix of the shifted sequence
-(s_{i+j+1}) must be too.  The test holds on any run {x^a, ..., x^(a+d)}
-whose measure x^a dmu is positive: on the real line from an even a, on the
-half-line from any a.  ``_cone_blocks`` lists, per basis and mixture kind,
-the runs the test reads; ``hankel_classify`` is the public real-line test
-on {1, x, ..., x^d}, and ``represent_with_prescribed_component`` certifies
-its input only on a basis that one block spans.  The eigenvalue threshold
-is a proxy: points within the tolerance band of the boundary are
-classified "boundary" rather than resolved exactly.  ``_hankel_index`` is
-the one cached builder of Hankel indices, also for the Prony solve, and
-``_itp_bracket`` the one root-bracketing loop, an ITP search that ends in
-at most one step more than bisection, also for the largest-scale step of
-the Gaussian recovery engines.
+Every principal submatrix of the moment matrix (s_{a+b}) whose entries a
+basis holds is positive semidefinite for any measure, and on the positive
+orthant so is every one of the localizing matrix (s_{a+b+e}), e a 0/1 vector
+(Curto & Fialkow 1991; Lasserre 2001).  ``_cone_blocks`` lists the maximal
+ones per basis and mixture kind, and ``_classify``, the one cone test, takes
+the smallest eigenvalue over them: on {1, x, ..., x^d} the Hankel matrix
+(Hamburger), for log-normals on consecutive exponents also its shift
+(Stieltjes).  The eigenvalue threshold is a proxy: points within the
+tolerance band of the boundary are classified "boundary" rather than
+resolved exactly.  ``_itp_bracket`` is the one root-bracketing loop, an ITP
+search that ends in at most one step more than bisection, also for the
+largest-scale step of the Gaussian recovery engines.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -52,8 +49,8 @@ EXTERIOR = "exterior"
 
 # eigenvalue tolerance of the Hankel tests, relative to 1 + max|s|
 _HANKEL_REL_TOL = 1e-10
-# the supports ``_classify`` knows, by the name an exterior reason gives them
-_SUPPORT_NAME = {"real": "real-line", "positive": "half-line"}
+# the support of each mixture kind, by the name a cone margin's reason gives it
+_SUPPORT_NAME = {"gaussian": "real-line", "lognormal": "half-line"}
 # strip_mass: final bracket width, and the cap on the mass (relative to
 # (1 + max|s|) / max|v|) beyond which a direction counts as unbounded
 _STRIP_ABS_TOL = 1e-10
@@ -73,15 +70,6 @@ class ConeClassification:
 
     def to_json(self) -> dict:
         return {"status": self.status, "margin": self.margin, "tolerance": self.tolerance}
-
-
-@cache
-def _hankel_index(rows: int, cols: int) -> np.ndarray:
-    """Indices i + j of the rows-by-cols Hankel matrix of a sequence,
-    read-only because every call shares them."""
-    index = np.add.outer(np.arange(rows), np.arange(cols))
-    index.setflags(write=False)
-    return index
 
 
 def _itp_bracket(f, lo: float, hi: float, width: float) -> tuple[float, float]:
@@ -138,54 +126,66 @@ def _itp_bracket(f, lo: float, hi: float, width: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _classify(
-    values: np.ndarray, support: str, tol: float | None = None
-) -> tuple[str, float, float]:
-    """Status, margin and tolerance of consecutive moments s_0, ..., s_d
-    against the cone of measures on ``support``.
-
-    "real": the Hankel matrix (s_{i+j}) of order d//2 + 1 must be positive
-    semidefinite.  "positive" (the half-line (0, inf)): so must the one of
-    the shifted sequence (s_{i+j+1}), of order (d+1)//2.  The margin is the
-    smallest eigenvalue over the blocks, one ``eigvalsh`` each; margin >= tol
-    is the interior proxy, margin < -tol exterior, anything between boundary.
-    The tolerance is ``1e-10 * (1 + max|s|)`` unless given.
+def _maximal_cliques(links: list[set[int]]) -> list[list[int]]:
+    """The maximal cliques, each sorted, of the graph whose vertex v has the
+    neighbours ``links[v]``, in sorted order: Bron & Kerbosch (1973), where a
+    clique grows one candidate at a time, a tried candidate moves to the
+    excluded set, and only candidates not linked to a pivot start a branch.
     """
-    m = len(values)
-    order = (m + 1) // 2
-    margin = np.linalg.eigvalsh(values[_hankel_index(order, order)])[0]
-    if support == "positive" and m > 1:
-        margin = min(margin, np.linalg.eigvalsh(values[1:][_hankel_index(m // 2, m // 2)])[0])
-    margin = float(margin)
-    if tol is None:
-        tol = _HANKEL_REL_TOL * (1.0 + float(np.max(np.abs(values))))
+    cliques = []
+
+    def grow(clique: list[int], candidates: set[int], excluded: set[int]) -> None:
+        if not candidates and not excluded:
+            cliques.append(sorted(clique))
+            return
+        pivot = max(candidates | excluded, key=lambda v: len(links[v] & candidates))
+        for v in sorted(candidates - links[pivot]):
+            grow(clique + [v], candidates & links[v], excluded & links[v])
+            candidates = candidates - {v}
+            excluded = excluded | {v}
+
+    if links:  # the empty graph has no clique to list
+        grow([], set(range(len(links))), set())
+    return sorted(cliques)
+
+
+@cache
+def _cone_blocks(basis: MonomialBasis, kind: str) -> tuple[np.ndarray, ...]:
+    """Read-only index matrices into the moment vector of the maximal
+    principal submatrices of (s_{a+b+e}) that ``basis`` holds: for each
+    shift e, the maximal cliques of the graph on the rows a with 2a + e in
+    the basis, a and b linked when a + b + e is in it, rows in the basis
+    order of 2a + e.  Log-normal mixtures live on the positive orthant, so
+    e runs over every 0/1 vector; other kinds take e = 0 alone."""
+    position = {alpha: i for i, alpha in enumerate(basis.exponents)}
+    exps = basis.exponent_array
+    blocks = []
+    for e in itertools.product((0, 1) if kind == "lognormal" else (0,), repeat=basis.n):
+        rows = (exps - e)[np.all((exps >= e) & ((exps - e) % 2 == 0), axis=1)] // 2
+        # entry[i][j]: the position of x^(a_i + a_j + e) in the basis, None if missing
+        entry = [[position.get(tuple(alpha)) for alpha in row]
+                 for row in (rows[:, None] + rows[None, :] + e).tolist()]
+        links = [{j for j, p in enumerate(row) if p is not None and j != i}
+                 for i, row in enumerate(entry)]
+        for clique in _maximal_cliques(links):
+            block = np.array([[entry[i][j] for j in clique] for i in clique])
+            block.setflags(write=False)
+            blocks.append(block)
+    return tuple(blocks)
+
+
+def _classify(values: np.ndarray, blocks: tuple[np.ndarray, ...]) -> tuple[str, float, float]:
+    """Status, margin and tolerance of a moment vector against the cone: the
+    margin is the smallest eigenvalue over ``blocks`` (infinite with none),
+    the tolerance ``1e-10 * (1 + max|s|)``; margin >= tol is the interior
+    proxy, margin < -tol exterior, anything between boundary."""
+    margin = min((float(np.linalg.eigvalsh(values[b])[0]) for b in blocks), default=math.inf)
+    tol = _HANKEL_REL_TOL * (1.0 + float(np.max(np.abs(values))))
     if margin >= tol:
         return INTERIOR, margin, tol
     if margin < -tol:
         return EXTERIOR, margin, tol
     return BOUNDARY, margin, tol
-
-
-@cache
-def _cone_blocks(basis: MonomialBasis, kind: str) -> tuple[tuple[slice, str], ...]:
-    """The index blocks of ``basis`` that ``_classify`` tests for mixtures
-    of ``kind``, each with its support: every maximal run of consecutive
-    univariate exponents, and every multivariate exponent alone.
-
-    Log-normal mixtures live on (0, inf), so a run takes the half-line test
-    whole; other kinds take the real-line test from the first exponent with
-    every entry even, and a run with none gives no block.
-    """
-    positive = kind == "lognormal"
-    exps = basis.exponents
-    starts = [i for i in range(basis.m)
-              if basis.n != 1 or i == 0 or exps[i][0] != exps[i - 1][0] + 1]
-    blocks = []
-    for start, stop in zip(starts, starts[1:] + [basis.m]):
-        first = start if positive or not any(a % 2 for a in exps[start]) else start + 1
-        if first < stop:
-            blocks.append((slice(first, stop), "positive" if positive else "real"))
-    return tuple(blocks)
 
 
 def hankel_classify(s: MomentVector) -> ConeClassification:
@@ -199,7 +199,7 @@ def hankel_classify(s: MomentVector) -> ConeClassification:
         raise UnsupportedBasisError(
             "hankel classification needs the gap-free univariate basis {1, x, ..., x^d}"
         )
-    status, margin, tol = _classify(s.values, "real")
+    status, margin, tol = _classify(s.values, _cone_blocks(s.basis, "gaussian"))
     return ConeClassification(status=status, margin=margin, tolerance=tol)
 
 
@@ -230,11 +230,12 @@ def strip_mass(s: MomentVector, v: MomentVector) -> tuple[float, MomentVector]:
     if vnorm == 0:
         raise ValueError("direction vector is zero")
     cap = _STRIP_CAP_FACTOR * (1.0 + float(np.max(np.abs(sv)))) / vnorm
+    blocks = _cone_blocks(s.basis, "gaussian")
 
     def signed_margin(c: float) -> float:
         """The cone margin of s - c*v over the exterior threshold, below 0
         exactly where s - c*v is exterior."""
-        _, margin, tol = _classify(sv - c * vv, "real")
+        _, margin, tol = _classify(sv - c * vv, blocks)
         return margin + tol
 
     lo = 0.0
@@ -264,18 +265,16 @@ def represent_with_prescribed_component(
     Interior vectors keep a slack in every direction, so some positive mass
     of the prescribed component can be split off and the remainder recovered
     by the shared-scale engine of ``kind``.  The cone test of ``kind`` must
-    certify s as interior on a basis that one block of ``_cone_blocks``
-    spans: the real-line Hankel test for Gaussian vectors on
-    {1, x, ..., x^d}, the half-line test for log-normal vectors on any
-    basis of consecutive exponents.  Any other basis raises
-    ``UnsupportedBasisError`` before any engine call, and so does the
-    Gaussian engine, at its first call, on a run that starts above 0.  The
-    mass starts at half the total and halves, down to ``1e-12``
-    of the total, until the remainder is recoverable.  A remainder that the
-    cone test certifies as exterior is skipped without an engine call,
-    because no mixture has its moments.  A remainder the engine refuses
-    outright (a log-normal remainder with a nonpositive moment inside the
-    tolerance band) counts as not recoverable.
+    certify s as interior on a basis where its blocks are the whole Hankel
+    test: the real-line test for Gaussian vectors on {1, x, ..., x^d}, the
+    half-line test for log-normal vectors on any univariate basis of
+    consecutive exponents.  Any other basis raises ``UnsupportedBasisError``
+    before any engine call.  The mass starts at half the total and halves,
+    down to ``1e-12`` of the total, until the remainder is recoverable.  A
+    remainder that the cone test certifies as exterior is skipped without
+    an engine call, because no mixture has its moments.  A remainder the
+    engine refuses outright (a log-normal remainder with a nonpositive
+    moment inside the tolerance band) counts as not recoverable.
     """
     if s.basis != basis:
         raise ValueError("moment vector basis does not match")
@@ -290,15 +289,16 @@ def represent_with_prescribed_component(
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    blocks = _cone_blocks(basis, kind)
-    if len(blocks) != 1 or blocks[0][0] != slice(0, basis.m):
+    # {1, x, ..., x^d} for Gaussians, any run of consecutive exponents for log-normals
+    low = 0 if kind == "gaussian" else basis.exponents[0][0]
+    if basis.n != 1 or basis.max_degree - low != basis.m - 1:
         raise UnsupportedBasisError(f"no cone test certifies {kind} moments on this basis")
-    support = blocks[0][1]
-    status, margin, tol = _classify(s.values, support)
+    blocks = _cone_blocks(basis, kind)
+    status, margin, tol = _classify(s.values, blocks)
     if status != INTERIOR:
         raise NotRepresentableError(
             "prescribing a component needs a strictly interior moment vector: "
-            f"{_SUPPORT_NAME[support]} Hankel margin {margin:.3e} below {tol:.3e}"
+            f"{_SUPPORT_NAME[kind]} Hankel margin {margin:.3e} below {tol:.3e}"
         )
 
     t0 = component_moments(basis, kind, np.reshape(x0, (1, -1)), [sigma0])[0]
@@ -307,7 +307,7 @@ def represent_with_prescribed_component(
     last_reason = "no attempt made"
     while (eps := eps / 2.0) >= _MIN_EPS_FACTOR * mass:
         remainder = s.values - eps * t0
-        if _classify(remainder, support)[0] == EXTERIOR:
+        if _classify(remainder, blocks)[0] == EXTERIOR:
             last_reason = "remainder outside the moment cone"
             continue
         try:

@@ -42,11 +42,10 @@ iterations lowered it by less than 1%.
 Success is always judged by the moment residual, never by parameter
 closeness: distinct parameter sets can represent the same moments.  Every
 engine but ``prony_dirac`` first refuses vectors that a cone test certifies
-as exterior, before any schedule step or solver start: the Hankel test on
-each run of consecutive exponents, on the real line from the run's first
-even exponent for Gaussian vectors and on the half-line over the whole run
-for log-normal vectors, and on a multivariate basis the sign of each moment
-of a monomial that is nonnegative on the support.
+as exterior, before any schedule step or solver start: the smallest
+eigenvalue over every principal block of the moment matrix (s_{a+b}) whose
+entries the basis holds, and for log-normal vectors of its shifts
+(s_{a+b+e}) too (``conegeo._cone_blocks``).
 """
 from __future__ import annotations
 
@@ -59,12 +58,10 @@ import numpy as np
 
 from .basis import MonomialBasis
 from .conegeo import (
-    _HANKEL_REL_TOL,
     _SUPPORT_NAME,
     EXTERIOR,
     _classify,
     _cone_blocks,
-    _hankel_index,
     _itp_bracket,
 )
 from .errors import (
@@ -209,22 +206,23 @@ def default_sigma_schedule():
 
 
 def _exterior_refusal(s: MomentVector, kind: str, engine: str) -> RecoveryReport | None:
-    """A failed report when the cone test of ``kind`` certifies ``s`` as exterior.
+    """A failed report when ``conegeo._classify`` on the blocks of ``kind``
+    certifies ``s`` as exterior, None otherwise: no mixture has moments
+    outside the cone, so such vectors are refused before any solver work."""
+    status, margin, tol = _classify(s.values, _cone_blocks(s.basis, kind))
+    if status != EXTERIOR:
+        return None
+    reason = f"{_SUPPORT_NAME[kind]} Hankel margin {margin:.3e} below -{tol:.3e}"
+    return _failed(engine, f"exterior: {reason}")
 
-    No mixture has moments outside the cone, so such vectors are refused
-    before any solver work.  Each block of ``conegeo._cone_blocks`` takes
-    its Hankel test against the tolerance ``1e-10 * (1 + max|s|)`` of the
-    whole vector, and the first block found exterior gives the reason.  A
-    block of one exponent tests the sign of its moment.  Vectors no block
-    certifies get ``None``.
-    """
-    tol = _HANKEL_REL_TOL * (1.0 + float(np.max(np.abs(s.values))))
-    for block, support in _cone_blocks(s.basis, kind):
-        status, margin, _ = _classify(s.values[block], support, tol)
-        if status == EXTERIOR:
-            reason = f"{_SUPPORT_NAME[support]} Hankel margin {margin:.3e} below -{tol:.3e}"
-            return _failed(engine, f"exterior: {reason}")
-    return None
+
+@functools.cache
+def _hankel_index(rows: int, cols: int) -> np.ndarray:
+    """Indices i + j of the rows-by-cols Hankel matrix of a sequence,
+    read-only because every call shares them."""
+    index = np.add.outer(np.arange(rows), np.arange(cols))
+    index.setflags(write=False)
+    return index
 
 
 def _prony(u: np.ndarray, k_target: int) -> tuple[np.ndarray, np.ndarray]:
@@ -759,8 +757,8 @@ def homotopy_gap_recovery(
     manifold.  ``sigma_steps`` counts the scales tried; an exhausted walk is
     a failure with ``sigma_steps`` 10 and no model.  ``iterations`` counts
     the solver iterations of stages 1 and 3.  A vector that the real-line
-    Hankel test certifies as exterior on some run of consecutive exponents,
-    taken from its first even one, is refused before stage 1.
+    cone test certifies as exterior on some principal block of its moment
+    matrix is refused before stage 1.
     """
     if basis.n != 1:
         raise UnsupportedBasisError("gap recovery is implemented for univariate bases")
@@ -906,9 +904,8 @@ def lm_fit(
     together lower the squared residual by less than 1%; the best start by
     moment residual wins, and success is a residual at or below 1e-8.
     ``k`` and ``n_starts`` must be positive.  A vector that the cone test of
-    ``kind`` certifies as exterior on some run of consecutive exponents (or,
-    on a multivariate basis, on some even monomial) is refused before any
-    start.
+    ``kind`` certifies as exterior on some principal block of its moment
+    matrices is refused before any start.
     """
     if kind not in ("gaussian", "lognormal"):
         raise ValueError(f"unknown kind {kind!r}")

@@ -62,6 +62,8 @@ def test_unread_names_stay_deleted():
     # a solver run is read by field name, and no caller sets a contraction
     assert not hasattr(recover._Run, "__iter__")
     assert "contraction" not in inspect.signature(recover._damped_least_squares).parameters
+    # the cone test reads its blocks from the table, with no support or tolerance beside them
+    assert list(inspect.signature(conegeo._classify).parameters) == ["values", "blocks"]
     # each experiment's kind comes from its own table row
     assert "kind" not in {f.name for f in dataclasses.fields(mixcara.ExperimentConfig)}
     assert "kind" not in mixcara.ExperimentConfig(experiment="na-table").to_json()

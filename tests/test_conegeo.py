@@ -74,9 +74,13 @@ def test_classify_gap_basis_unsupported():
     ],
 )
 def test_classify_real_line_and_half_line(values, real, positive):
+    # the Gaussian blocks of {1, x, ..., x^d} are the real-line test, the
+    # log-normal ones the half-line test, on {1, x, ..., x^d} and one shift up
     values = np.asarray(values, dtype=float)
-    assert _classify(values, "real")[0] == real
-    assert _classify(values, "positive")[0] == positive
+    d = len(values) - 1
+    assert _classify(values, _cone_blocks(MonomialBasis.full_degree(d), "gaussian"))[0] == real
+    for basis in (MonomialBasis.full_degree(d), MonomialBasis.univariate(range(1, d + 2))):
+        assert _classify(values, _cone_blocks(basis, "lognormal"))[0] == positive
 
 
 def test_hankel_classify_is_the_real_line_test():
@@ -84,44 +88,79 @@ def test_hankel_classify_is_the_real_line_test():
     for d in range(1, 9):
         s = mv(rng.normal(size=d + 1) + np.eye(d + 1)[0] * 3, MonomialBasis.full_degree(d))
         cls = hankel_classify(s)
-        assert (cls.status, cls.margin, cls.tolerance) == _classify(s.values, "real")
+        hankel = s.values[np.add.outer(np.arange(d // 2 + 1), np.arange(d // 2 + 1))]
+        assert (cls.status, cls.margin, cls.tolerance) == _classify(
+            s.values, _cone_blocks(s.basis, "gaussian")
+        )
+        assert cls.margin == np.linalg.eigvalsh(hankel)[0]
 
 
 def test_half_line_margin_covers_both_blocks():
     # the shifted block [[s1, s2], [s2, s3]] of atoms at -0.5 and 2 is indefinite
     values = np.array([1.1, 1.95, 4.025, 7.9875])
-    status, margin, tol = _classify(values, "positive")
+    status, margin, tol = _classify(
+        values, _cone_blocks(MonomialBasis.full_degree(3), "lognormal")
+    )
     shifted = np.linalg.eigvalsh(np.array([[1.95, 4.025], [4.025, 7.9875]]))[0]
     assert status == EXTERIOR and margin == pytest.approx(shifted)
     assert tol == pytest.approx(1e-10 * (1 + 7.9875))
 
 
-def _blocks(support, *spans):
-    return tuple((slice(*span), support) for span in spans)
+def _hankel(rows, shift=0):
+    """The degrees a + b + shift of the principal block on ``rows``, which
+    are also its indices on {1, x, ..., x^d}."""
+    return np.add.outer(rows, rows) + shift
+
+
+def _bivariate_moment_matrix(d):
+    """The index matrix of (s_{a+b}) over every row a of total degree at
+    most d // 2, on the bivariate basis of full degree d."""
+    positions = MonomialBasis.full_degree(d, n=2).exponents
+    rows = MonomialBasis.full_degree(d // 2, n=2).exponents
+    return [[positions.index((a1 + b1, a2 + b2)) for b1, b2 in rows] for a1, a2 in rows]
+
+
+def _in_basis(degrees, *blocks):
+    """Degree matrices mapped to positions in the sorted ``degrees``."""
+    return [np.searchsorted(degrees, block).tolist() for block in blocks]
 
 
 @pytest.mark.parametrize(
     "basis, kind, blocks",
     [
-        (MonomialBasis.full_degree(5), "gaussian", _blocks("real", (0, 6))),
-        (MonomialBasis.full_degree(5), "lognormal", _blocks("positive", (0, 6))),
-        (MonomialBasis.univariate(range(1, 7)), "lognormal", _blocks("positive", (0, 6))),
+        # the Hankel matrix (s_{i+j}) of order 3, and for log-normals its shift
+        (MonomialBasis.full_degree(5), "gaussian", [_hankel([0, 1, 2]).tolist()]),
+        (MonomialBasis.full_degree(5), "lognormal",
+         [_hankel([0, 1, 2]).tolist(), _hankel([0, 1, 2], 1).tolist()]),
+        # (s_{2+i+j}), then its shift (s_{1+i+j}), of order 3 on {x, ..., x^6},
+        # where each degree sits one index below itself
+        (MonomialBasis.univariate(range(1, 7)), "lognormal",
+         [_hankel([0, 1, 2], 1).tolist(), _hankel([0, 1, 2], 0).tolist()]),
         # x dmu is no positive measure on the line, x^2 dmu is
-        (MonomialBasis.univariate(range(1, 7)), "gaussian", _blocks("real", (1, 6))),
+        (MonomialBasis.univariate(range(1, 7)), "gaussian", [_hankel([0, 1, 2], 1).tolist()]),
+        # rows {0, 3} read degrees 0, 3, 6, row 1 degree 2; shifted, rows 1
+        # and 2 read degrees 3 and 5 alone
         (MonomialBasis.univariate([0, 2, 3, 5, 6]), "lognormal",
-         _blocks("positive", (0, 1), (1, 3), (3, 5))),
+         _in_basis([0, 2, 3, 5, 6], _hankel([0, 3]), _hankel([1]), _hankel([1], 1),
+                   _hankel([2], 1))),
         (MonomialBasis.univariate([0, 2, 3, 5, 6]), "gaussian",
-         _blocks("real", (0, 1), (1, 3), (4, 5))),
-        # (0,0), (2,0) and (0,2) of the graded order (0,0), (1,0), (0,1), (2,0), (1,1), (0,2)
-        (MonomialBasis.full_degree(2, n=2), "gaussian", _blocks("real", (0, 1), (3, 4), (5, 6))),
-        (MonomialBasis.full_degree(5), "dirac", _blocks("real", (0, 6))),
+         _in_basis([0, 2, 3, 5, 6], _hankel([0, 3]), _hankel([1]))),
+        # rows (0,0), (1,0), (0,1) of the graded order (0,0), (1,0), (0,1), (2,0), (1,1), (0,2)
+        (MonomialBasis.full_degree(2, n=2), "gaussian", [[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]),
+        (MonomialBasis.full_degree(5), "dirac", [_hankel([0, 1, 2]).tolist()]),
+        # rows {0, 1}, {0, 2} and {1, 3} read degrees 0..2, {0, 2, 4}, {2, 4, 6}
         (MonomialBasis.univariate([0, 1, 2, 4, 6]), "gaussian",
-         _blocks("real", (0, 3), (3, 4), (4, 5))),
-        (MonomialBasis.univariate([1, 3, 5]), "gaussian", ()),
+         _in_basis([0, 1, 2, 4, 6], _hankel([0, 1]), _hankel([0, 2]), _hankel([1, 3]))),
+        (MonomialBasis.univariate([1, 3, 5]), "gaussian", []),
+        (MonomialBasis.univariate([0, 1, 3, 4, 6]), "gaussian",
+         _in_basis([0, 1, 3, 4, 6], _hankel([0, 3]), _hankel([2]))),
+        (MonomialBasis.full_degree(4, n=2), "gaussian", [_bivariate_moment_matrix(4)]),
     ],
 )
 def test_cone_blocks_by_kind_and_basis(basis, kind, blocks):
-    assert _cone_blocks(basis, kind) == blocks
+    table = _cone_blocks(basis, kind)
+    assert [block.tolist() for block in table] == blocks
+    assert all(block.dtype.kind == "i" and not block.flags.writeable for block in table)
 
 
 @pytest.mark.parametrize("kind,mean_range", [("gaussian", (-2, 2)), ("lognormal", (0.5, 2.5))])
@@ -431,8 +470,8 @@ def test_prescribe_lognormal_needs_a_half_line_interior_input(monkeypatch):
 
 
 def test_prescribe_refuses_a_basis_without_a_cone_test(monkeypatch):
-    # on a gap basis each run takes its own test, and none certifies the
-    # whole vector as interior
+    # on a gap basis the blocks read only some principal submatrices, and
+    # none certifies the whole vector as interior
     basis = MonomialBasis.univariate([0, 2, 3, 5, 6])
     mix = sample_random_mixture("gaussian", 3, rng=6, sigma_range=(0.05, 0.05),
                                 min_separation=0.5, shared_sigma=True)
@@ -441,13 +480,13 @@ def test_prescribe_refuses_a_basis_without_a_cone_test(monkeypatch):
     with pytest.raises(UnsupportedBasisError, match="no cone test"):
         represent_with_prescribed_component(basis, "gaussian", s, 1.0, 0.5)
     assert statuses == []
-    # one real-line run spans {x^2, ..., x^6}, but the engine needs {1, x, ..., x^d}
+    # one block spans {x^2, ..., x^6}, but the Gaussian engine needs {1, x, ..., x^d}
     shifted = MonomialBasis.univariate(range(2, 7))
-    with pytest.raises(UnsupportedBasisError, match="shared-scale recovery needs"):
+    with pytest.raises(UnsupportedBasisError, match="no cone test"):
         represent_with_prescribed_component(
             shifted, "gaussian", mixture_moments(shifted, mix), 1.0, 0.5
         )
-    assert statuses == [None]
+    assert statuses == []
 
 
 def test_prescription_error_names_the_last_eps_tried(monkeypatch):

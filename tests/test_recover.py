@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mixcara import recover
 from mixcara.basis import MonomialBasis
-from mixcara.conegeo import EXTERIOR, _hankel_index, hankel_classify
+from mixcara.conegeo import EXTERIOR, hankel_classify
 from mixcara.errors import (
     ConditioningError,
     InfeasibleMomentsError,
@@ -157,7 +157,7 @@ def _prony_reference(u, k_target):
     guard and a rejection of nonreal roots (raised as NotRepresentableError,
     the type the shared-scale descent now catches in its place)."""
     for k in range(k_target, 0, -1):
-        _, sv, vt = np.linalg.svd(u[_hankel_index(k, k + 1)])
+        _, sv, vt = np.linalg.svd(u[recover._hankel_index(k, k + 1)])
         if sv[-1] > recover._RANK_TOL * sv[0]:
             break
     else:
@@ -672,8 +672,16 @@ def test_completed_dirac_finds_no_completion_of_an_exterior_vector():
         assert hankel_classify(mv(values, full)).status == EXTERIOR
     assert recover._completed_dirac(s, 3) is None
     # s_0 s_4 < s_2^2 makes the principal block of degrees 0, 2, 4
-    # indefinite, which no run of consecutive exponents sees
-    hidden = mv([1.0, 0.0, 1.0, 0.5, 1.0], basis)
+    # indefinite: the cone test reads that block and refuses the vector
+    across = mv([1.0, 0.0, 1.0, 0.5, 1.0], basis)
+    assert recover._completed_dirac(across, 3) is None
+    refusal = recover._exterior_refusal(across, "gaussian", "probe")
+    assert refusal.failure_reason.startswith("exterior: real-line Hankel margin -")
+    # every 2-by-2 block here is definite, yet no s_3, s_5 complete a
+    # positive semidefinite Hankel matrix (a Nelder-Mead search over them
+    # finds a best smallest eigenvalue of about -0.10): only the missing
+    # moments show it exterior
+    hidden = mv([1.0, 0.8, 0.7, 1.8, 5.7], basis)
     assert recover._exterior_refusal(hidden, "gaussian", "probe") is None
     assert recover._completed_dirac(hidden, 3) is None
     report = homotopy_gap_recovery(basis, hidden, k=3)
@@ -1438,21 +1446,27 @@ def test_gap_engines_refuse_a_negative_even_moment_before_any_start(
 
 @pytest.mark.parametrize("engine", ["homotopy", "lm_fit"])
 def test_gap_engines_refuse_an_exterior_run_before_any_start(monkeypatch, kernel_calls, engine):
-    # every even moment is positive, but s_0 s_2 < s_1^2 on the run 0..2
-    s = mv([1.0, 0.5, 0.2, 0.3, 1.0], MonomialBasis.univariate([0, 1, 2, 4, 6]))
+    # every even moment is positive, but s_0 s_2 < s_1^2 on the run 0..2;
+    # and s_0 s_4 < s_2^2 on degrees 0, 2, 4, a block across runs, where the
+    # homotopy took 413 solver iterations and lm_fit 5455 before a cone test
+    # read it
+    basis = MonomialBasis.univariate([0, 1, 2, 4, 6])
 
     def no_start(*args, **kwargs):
         raise AssertionError("the solver ran on an exterior vector")
 
     monkeypatch.setattr(recover, "_damped_least_squares", no_start)
-    if engine == "homotopy":
-        report = homotopy_gap_recovery(s.basis, s, k=3)
-    else:
-        report = lm_fit(s.basis, "gaussian", s, k=3, seed=0)
-    assert not kernel_calls
-    assert not report.success and report.model is None and report.residual == math.inf
-    assert report.iterations == 0 and report.sigma_steps == 0
-    assert report.failure_reason.startswith("exterior: real-line Hankel margin -4.03")
+    for values, margin in [([1.0, 0.5, 0.2, 0.3, 1.0], "-4.03"),
+                           ([1.0, 0.0, 1.0, 0.5, 1.0], "-2.808e-01")]:
+        s = mv(values, basis)
+        if engine == "homotopy":
+            report = homotopy_gap_recovery(basis, s, k=3)
+        else:
+            report = lm_fit(basis, "gaussian", s, k=3, seed=0)
+        assert not kernel_calls
+        assert not report.success and report.model is None and report.residual == math.inf
+        assert report.iterations == 0 and report.sigma_steps == 0
+        assert report.failure_reason.startswith(f"exterior: real-line Hankel margin {margin}")
 
 
 def test_lognormal_fit_refuses_an_exterior_run_of_a_gap_basis(monkeypatch, kernel_calls):
@@ -1488,10 +1502,10 @@ def test_sign_certificate_reads_only_monomials_nonnegative_on_the_support():
         assert lognormal.failure_reason.startswith("exterior: half-line Hankel margin -")
 
 
-@settings(max_examples=240, deadline=None)
+@settings(max_examples=320, deadline=None)
 @given(
     kind=st.sampled_from(["gaussian", "lognormal"]),
-    shape=st.sampled_from(["consecutive", "subset", "bivariate"]),
+    shape=st.sampled_from(["consecutive", "subset", "bivariate", "trivariate"]),
     d=st.integers(3, 11),
     k=st.integers(1, 8),
     shift=st.integers(0, 2),
@@ -1505,9 +1519,12 @@ def test_refusal_never_fires_on_mixture_moments(
 ):
     # many components at tiny scales put the vector within the tolerance
     # band of the boundary, where a too-tight test would refuse it; on gap
-    # bases each run of consecutive exponents takes its own Hankel test
+    # bases the test reads the principal blocks the basis holds, and on
+    # multivariate full-degree bases the whole moment matrix
     if shape == "bivariate":
         kind, basis = "gaussian", MonomialBasis.full_degree(d, n=2)
+    elif shape == "trivariate":
+        kind, basis = "gaussian", MonomialBasis.full_degree(min(d, 5), n=3)
     elif shape == "subset":
         basis = MonomialBasis.univariate(degrees)
     elif kind == "gaussian":
