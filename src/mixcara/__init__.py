@@ -20,7 +20,6 @@ from .errors import (
     ConditioningError,
     ConfigError,
     GenerationError,
-    InfeasibleMomentsError,
     InfeasibleWeightsError,
     MixcaraError,
     MomentOverflowError,

@@ -9,8 +9,10 @@ the smallest eigenvalue over them: on {1, x, ..., x^d} the Hankel matrix
 (Hamburger), for log-normals on consecutive exponents also its shift
 (Stieltjes).  The eigenvalue threshold is a proxy: points within the
 tolerance band of the boundary are classified "boundary" rather than
-resolved exactly.  ``_itp_bracket`` is the one root-bracketing loop, an ITP
-search that ends in at most one step more than bisection, also for the
+resolved exactly.  ``_require_hankel_basis`` is the one rule for the bases
+where the blocks are the whole Hankel test and a Prony solve reads
+consecutive moments.  ``_itp_bracket`` is the one root-bracketing loop, an
+ITP search that ends in at most one step more than bisection, also for the
 largest-scale step of the Gaussian recovery engines.
 """
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 from .basis import MonomialBasis
 from .errors import (
-    InfeasibleMomentsError,
     NotRepresentableError,
     PrescriptionError,
     UnboundedStripError,
@@ -174,33 +175,41 @@ def _cone_blocks(basis: MonomialBasis, kind: str) -> tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
-def _classify(values: np.ndarray, blocks: tuple[np.ndarray, ...]) -> tuple[str, float, float]:
+def _classify(values: np.ndarray, blocks: tuple[np.ndarray, ...]) -> ConeClassification:
     """Status, margin and tolerance of a moment vector against the cone: the
     margin is the smallest eigenvalue over ``blocks`` (infinite with none),
     the tolerance ``1e-10 * (1 + max|s|)``; margin >= tol is the interior
     proxy, margin < -tol exterior, anything between boundary."""
     margin = min((float(np.linalg.eigvalsh(values[b])[0]) for b in blocks), default=math.inf)
     tol = _HANKEL_REL_TOL * (1.0 + float(np.max(np.abs(values))))
-    if margin >= tol:
-        return INTERIOR, margin, tol
-    if margin < -tol:
-        return EXTERIOR, margin, tol
-    return BOUNDARY, margin, tol
+    status = INTERIOR if margin >= tol else EXTERIOR if margin < -tol else BOUNDARY
+    return ConeClassification(status=status, margin=margin, tolerance=tol)
+
+
+def _require_hankel_basis(basis: MonomialBasis, kind: str) -> None:
+    """Raise ``UnsupportedBasisError`` unless ``basis`` is one the Hankel
+    machinery takes for ``kind``: any univariate run of consecutive
+    exponents {x^a, ..., x^(a+d)} for log-normal moments, {1, x, ..., x^d}
+    for every other kind.  There the blocks of ``_cone_blocks`` are the
+    whole Hankel test, and the moments are the consecutive ones a Prony
+    solve reads."""
+    low = basis.exponents[0][0] if kind == "lognormal" else 0
+    if basis.n != 1 or basis.max_degree - low != basis.m - 1:
+        need = ("consecutive univariate exponents {x^a, ..., x^(a+d)}" if kind == "lognormal"
+                else "the basis {1, x, ..., x^d}")
+        raise UnsupportedBasisError(f"the Hankel test of {kind} moments needs {need}")
 
 
 def hankel_classify(s: MomentVector) -> ConeClassification:
     """Classify a moment vector against the cone via Hankel eigenvalues.
 
-    The real-line test of ``_classify`` on the basis {1, x, ..., x^d}:
-    margin >= tol everywhere -> interior proxy; any eigenvalue < -tol ->
-    exterior; otherwise boundary.  The tolerance is ``1e-10 * (1 + max|s|)``.
+    The real-line test of ``_classify`` on the basis {1, x, ..., x^d}, the
+    only basis it takes: margin >= tol everywhere -> interior proxy; any
+    eigenvalue < -tol -> exterior; otherwise boundary.  The tolerance is
+    ``1e-10 * (1 + max|s|)``.
     """
-    if not s.basis.is_full_degree():
-        raise UnsupportedBasisError(
-            "hankel classification needs the gap-free univariate basis {1, x, ..., x^d}"
-        )
-    status, margin, tol = _classify(s.values, _cone_blocks(s.basis, "gaussian"))
-    return ConeClassification(status=status, margin=margin, tolerance=tol)
+    _require_hankel_basis(s.basis, "gaussian")
+    return _classify(s.values, _cone_blocks(s.basis, "gaussian"))
 
 
 def strip_mass(s: MomentVector, v: MomentVector) -> tuple[float, MomentVector]:
@@ -235,8 +244,8 @@ def strip_mass(s: MomentVector, v: MomentVector) -> tuple[float, MomentVector]:
     def signed_margin(c: float) -> float:
         """The cone margin of s - c*v over the exterior threshold, below 0
         exactly where s - c*v is exterior."""
-        _, margin, tol = _classify(sv - c * vv, blocks)
-        return margin + tol
+        verdict = _classify(sv - c * vv, blocks)
+        return verdict.margin + verdict.tolerance
 
     lo = 0.0
     hi = max(_STRIP_ABS_TOL, (1.0 + float(np.max(np.abs(sv)))) / vnorm * 1e-3)
@@ -264,22 +273,25 @@ def represent_with_prescribed_component(
 
     Interior vectors keep a slack in every direction, so some positive mass
     of the prescribed component can be split off and the remainder recovered
-    by the shared-scale engine of ``kind``.  The cone test of ``kind`` must
-    certify s as interior on a basis where its blocks are the whole Hankel
-    test: the real-line test for Gaussian vectors on {1, x, ..., x^d}, the
-    half-line test for log-normal vectors on any univariate basis of
-    consecutive exponents.  Any other basis raises ``UnsupportedBasisError``
-    before any engine call.  The mass starts at half the total and halves,
-    down to ``1e-12`` of the total, until the remainder is recoverable.  A
-    remainder that the cone test certifies as exterior is skipped without
-    an engine call, because no mixture has its moments.  A remainder the
-    engine refuses outright (a log-normal remainder with a nonpositive
-    moment inside the tolerance band) counts as not recoverable.
+    by the shared-scale engine of ``kind``.  ``x0`` must be finite and
+    ``sigma0`` finite and positive.  The cone test of ``kind`` must certify
+    s as interior on a basis that ``_require_hankel_basis`` takes, where its
+    blocks are the whole Hankel test: the real-line test for Gaussian
+    vectors on {1, x, ..., x^d}, the half-line test for log-normal vectors
+    on any univariate basis of consecutive exponents.  Any other basis
+    raises ``UnsupportedBasisError`` before any engine call.  The mass
+    starts at half the total and halves, down to ``1e-12`` of the total,
+    until the remainder is recoverable.  A remainder that the cone test
+    certifies as exterior is skipped without an engine call, because no
+    mixture has its moments; the engine's failed report on any other
+    counts as not recoverable.
     """
     if s.basis != basis:
         raise ValueError("moment vector basis does not match")
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
+    if not (sigma0 > 0 and math.isfinite(sigma0)):
+        raise ValueError(f"sigma0 must be finite and positive, got {sigma0}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be finite, got {x0}")
     from . import recover as _recover
 
     if kind == "gaussian":
@@ -289,16 +301,14 @@ def represent_with_prescribed_component(
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    # {1, x, ..., x^d} for Gaussians, any run of consecutive exponents for log-normals
-    low = 0 if kind == "gaussian" else basis.exponents[0][0]
-    if basis.n != 1 or basis.max_degree - low != basis.m - 1:
-        raise UnsupportedBasisError(f"no cone test certifies {kind} moments on this basis")
+    _require_hankel_basis(basis, kind)
     blocks = _cone_blocks(basis, kind)
-    status, margin, tol = _classify(s.values, blocks)
-    if status != INTERIOR:
+    verdict = _classify(s.values, blocks)
+    if verdict.status != INTERIOR:
         raise NotRepresentableError(
             "prescribing a component needs a strictly interior moment vector: "
-            f"{_SUPPORT_NAME[kind]} Hankel margin {margin:.3e} below {tol:.3e}"
+            f"{_SUPPORT_NAME[kind]} Hankel margin {verdict.margin:.3e} "
+            f"below {verdict.tolerance:.3e}"
         )
 
     t0 = component_moments(basis, kind, np.reshape(x0, (1, -1)), [sigma0])[0]
@@ -307,14 +317,10 @@ def represent_with_prescribed_component(
     last_reason = "no attempt made"
     while (eps := eps / 2.0) >= _MIN_EPS_FACTOR * mass:
         remainder = s.values - eps * t0
-        if _classify(remainder, blocks)[0] == EXTERIOR:
+        if _classify(remainder, blocks).status == EXTERIOR:
             last_reason = "remainder outside the moment cone"
             continue
-        try:
-            report = engine(s.with_values(remainder))
-        except InfeasibleMomentsError as exc:
-            last_reason = f"remainder refused: {exc}"
-            continue
+        report = engine(s.with_values(remainder))
         if not (report.success and isinstance(report.model, MixtureMeasure)):
             last_reason = report.failure_reason or "engine failure"
             continue

@@ -38,10 +38,6 @@ class InfeasibleWeightsError(MixcaraError):
     """Recovered weights are negative beyond tolerance."""
 
 
-class InfeasibleMomentsError(MixcaraError):
-    """The input moments violate a necessary positivity condition."""
-
-
 class ConditioningError(MixcaraError):
     """A linear solve or a reconstruction was too ill-conditioned to trust."""
 

@@ -55,7 +55,8 @@ SmoothedPoly = dict[tuple[tuple[int, ...], int], int]
 
 @dataclass(frozen=True, eq=False)
 class MomentVector:
-    """A point of the moment cone, tagged with the basis it lives over."""
+    """Finite moment values, tagged with the basis they live over; whether
+    they lie in the moment cone is for the cone test to decide."""
 
     values: np.ndarray
     basis: MonomialBasis
@@ -64,6 +65,8 @@ class MomentVector:
         vals = np.atleast_1d(np.asarray(self.values, dtype=float))
         if vals.shape != (self.basis.m,):
             raise ValueError(f"expected {self.basis.m} moment values, got shape {vals.shape}")
+        if not np.isfinite(vals).all():
+            raise ValueError("moment values must be finite")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

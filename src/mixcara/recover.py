@@ -45,7 +45,10 @@ engine but ``prony_dirac`` first refuses vectors that a cone test certifies
 as exterior, before any schedule step or solver start: the smallest
 eigenvalue over every principal block of the moment matrix (s_{a+b}) whose
 entries the basis holds, and for log-normal vectors of its shifts
-(s_{a+b+e}) too (``conegeo._cone_blocks``).
+(s_{a+b+e}) too (``conegeo._cone_blocks``).  That test is the only refusal
+of a vector; ``MomentVector`` admits finite values alone, and
+``conegeo._require_hankel_basis`` is the one basis rule of the Prony-based
+engines.
 """
 from __future__ import annotations
 
@@ -63,10 +66,10 @@ from .conegeo import (
     _classify,
     _cone_blocks,
     _itp_bracket,
+    _require_hankel_basis,
 )
 from .errors import (
     ConditioningError,
-    InfeasibleMomentsError,
     InfeasibleWeightsError,
     NotRepresentableError,
     UnsupportedBasisError,
@@ -209,11 +212,14 @@ def _exterior_refusal(s: MomentVector, kind: str, engine: str) -> RecoveryReport
     """A failed report when ``conegeo._classify`` on the blocks of ``kind``
     certifies ``s`` as exterior, None otherwise: no mixture has moments
     outside the cone, so such vectors are refused before any solver work."""
-    status, margin, tol = _classify(s.values, _cone_blocks(s.basis, kind))
-    if status != EXTERIOR:
+    verdict = _classify(s.values, _cone_blocks(s.basis, kind))
+    if verdict.status != EXTERIOR:
         return None
-    reason = f"{_SUPPORT_NAME[kind]} Hankel margin {margin:.3e} below -{tol:.3e}"
-    return _failed(engine, f"exterior: {reason}")
+    return _failed(
+        engine,
+        f"exterior: {_SUPPORT_NAME[kind]} Hankel margin {verdict.margin:.3e} "
+        f"below -{verdict.tolerance:.3e}",
+    )
 
 
 @functools.cache
@@ -272,8 +278,7 @@ def prony_dirac(s: MomentVector, k: int) -> AtomicMeasure:
     moment vector; a rank-deficient Hankel slice lowers the atom count.  A
     reconstruction whose moment residual exceeds 1e-8 raises."""
     basis = s.basis
-    if not basis.is_full_degree():
-        raise UnsupportedBasisError("Prony recovery needs the basis {1, x, ..., x^d}")
+    _require_hankel_basis(basis, "dirac")
     d = basis.max_degree
     if k < 0 or 2 * k - 1 > d:
         raise ValueError(f"k={k} needs moments up to degree {2 * k - 1}, only {d} available")
@@ -388,9 +393,10 @@ _EXHAUSTED_REASON = {
 
 
 def _shared_scale_descent(
-    s: MomentVector, kind: str, k_cap: int, k: int | None, pull_back, sigma_schedule, rel_tol: float
+    s: MomentVector, kind: str, k: int | None, pull_back, sigma_schedule, rel_tol: float
 ) -> RecoveryReport:
-    """Recover a shared-scale mixture with at most ``k`` (or ``k_cap``) components.
+    """Recover a shared-scale mixture with at most ``k`` components, and at
+    most floor(m/2): a Prony solve for k atoms reads 2k of the m moments.
 
     ``k`` and every schedule scale are checked first; a vector that the
     cone test of ``kind`` certifies as exterior is refused next.  A Gaussian
@@ -413,6 +419,7 @@ def _shared_scale_descent(
     refusal = _exterior_refusal(s, kind, engine)
     if refusal is not None:
         return refusal
+    k_cap = s.basis.m // 2
     k_target = min(k, k_cap) if k is not None else k_cap
     if kind == "gaussian" and 0 < 2 * k_target <= s.basis.max_degree:
         fit = _largest_scale(s, k_target, rel_tol)
@@ -446,7 +453,7 @@ def recover_shared_sigma_gaussian(
 ) -> RecoveryReport:
     """Recover a Gaussian mixture whose components share one scale.
 
-    ``k`` is capped at ``ceil((d+1)/2)``, the cap when None, and picks the
+    ``k`` is capped at ``floor((d+1)/2)``, the cap when None, and picks the
     route; a vector that the real-line Hankel test certifies as exterior is
     refused at once.  With 2k <= d (every count at even d) the largest-scale
     step alone looks for a representation with at most k components at one
@@ -460,13 +467,9 @@ def recover_shared_sigma_gaussian(
     small enough.  A schedule entry that is not finite and positive raises
     ``ValueError`` before any step.
     """
-    basis = s.basis
-    if not basis.is_full_degree():
-        raise UnsupportedBasisError("shared-scale recovery needs the basis {1, x, ..., x^d}")
-    # largest atom count the moment span supports: 2k - 1 <= d
-    k_cap = (basis.max_degree + 1) // 2
+    _require_hankel_basis(s.basis, "gaussian")
     pull_back = functools.partial(_gaussian_pull_back, s)
-    return _shared_scale_descent(s, "gaussian", k_cap, k, pull_back, sigma_schedule, rel_tol)
+    return _shared_scale_descent(s, "gaussian", k, pull_back, sigma_schedule, rel_tol)
 
 
 def recover_shared_sigma_lognormal(
@@ -482,28 +485,19 @@ def recover_shared_sigma_lognormal(
     into ordinary moments of the atom locations (weights absorb the leading
     exponent), which Prony then recovers; only strictly positive atoms are
     accepted, and scales for which atoms come out nonpositive are skipped.
-    A vector with a nonpositive moment raises, and so does a schedule entry
-    that is not finite and positive; a vector that the half-line Hankel
-    test certifies as exterior is refused at once.
+    ``k`` is capped at ``floor(m/2)`` for m moments, the cap when None.  A
+    schedule entry that is not finite and positive raises; a vector that the
+    half-line Hankel test certifies as exterior, such as one with a negative
+    moment, is refused at once, and one with a moment inside the tolerance
+    band walks the schedule and fails.
     """
-    basis = s.basis
-    if basis.n != 1:
-        raise UnsupportedBasisError("log-normal recovery is univariate")
-    degs = basis.univariate_degrees()
-    m = len(degs)
-    if degs != tuple(range(degs[0], degs[0] + m)):
-        raise UnsupportedBasisError("log-normal recovery needs consecutive exponents")
-    # the zero vector is the empty mixture; any other needs positive moments
-    if np.any(s.values) and np.any(s.values <= 0):
-        raise InfeasibleMomentsError(
-            "moments of a measure on the positive axis must be strictly positive"
-        )
-    dd = np.array(degs, dtype=float)
+    _require_hankel_basis(s.basis, "lognormal")
+    dd = np.array(s.basis.univariate_degrees(), dtype=float)
 
     def pull_back(sigma: float) -> np.ndarray:
         return s.values * np.exp(-0.5 * dd * dd * sigma * sigma)
 
-    return _shared_scale_descent(s, "lognormal", m // 2, k, pull_back, sigma_schedule, rel_tol)
+    return _shared_scale_descent(s, "lognormal", k, pull_back, sigma_schedule, rel_tol)
 
 
 def _data_scale(s: MomentVector) -> float:
@@ -630,8 +624,6 @@ def _damped_least_squares(point, values, theta: np.ndarray, goal: float, max_ite
 def _completion_gaps(basis: MonomialBasis, k: int) -> list[int]:
     """The degrees below d that a univariate basis holding degree 0 and
     topped by d = 2k misses; empty when the completion step does not apply."""
-    if basis.n != 1:
-        return []
     degrees = basis.univariate_degrees()
     if degrees[0] != 0 or degrees[-1] != 2 * k:
         return []
@@ -666,12 +658,12 @@ def _completed_dirac(s: MomentVector, k: int) -> tuple[np.ndarray, np.ndarray] |
     runs off with a vanishing weight.  ``_prony`` reads the measure off the
     completed sequence; the pair is empty when Prony raises, and holds fewer
     than k atoms when H has lower rank.  None when the step does not apply
-    or finds no positive-definite completion, as for a vector with a
-    non-finite moment or with every moment 0.
+    or finds no positive-definite completion, as for a vector with every
+    moment 0.
     """
     gaps = _completion_gaps(s.basis, k)
     size = float(np.abs(s.values).max())
-    if not (gaps and math.isfinite(size) and size > 0):
+    if not (gaps and size > 0):
         return None
     u = np.zeros(2 * k + 1)
     u[list(s.basis.univariate_degrees())] = s.values / size

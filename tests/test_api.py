@@ -45,7 +45,7 @@ DELETED = {
               "_MIN_STEP", "_CORRECTOR_CONTRACTION"],
     jacobian: ["_DENOMINATOR_NOTE"],
     conegeo: ["_cone_support"],
-    errors: ["NonrealAtomsError"],
+    errors: ["NonrealAtomsError", "InfeasibleMomentsError"],
 }
 
 

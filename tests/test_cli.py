@@ -285,6 +285,7 @@ def test_bad_config_exits_one(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: "), config
 
 
+BASIS_2 = {"n": 1, "exponents": [[0], [1], [2]]}
 BASIS_3 = {"n": 1, "exponents": [[0], [1], [2], [3]]}
 
 
@@ -301,9 +302,15 @@ BASIS_3 = {"n": 1, "exponents": [[0], [1], [2], [3]]}
         (["moments", "--basis", "{basis}", "--model"], {"kind": "lognormal", "components": 3}),
         (["moments", "--basis", "{basis}", "--model"], [{"kind": "gaussian"}]),
         (["reduce", "--basis", "{basis}", "--model"], {"components": []}),
+        # json writes these as NaN and Infinity, which Python's json reads back
+        (["classify", "--moments"], {"basis": BASIS_3, "values": [1.0, 0.0, math.nan, 0.0]}),
+        (["classify", "--moments"], {"basis": BASIS_3, "values": [1.0, 0.0, math.inf, 0.0]}),
+        (["recover", "--moments"], {"basis": BASIS_2, "values": [1.0, math.nan, 1.0]}),
+        (["recover", "--moments"], {"basis": BASIS_3, "values": [1.0, -math.inf, 1.0, 0.0]}),
     ],
     ids=["no-values", "dict-values", "moments-list", "moments-empty-list", "no-sigma", "no-x",
-         "components-not-a-list", "model-list", "model-without-kind"],
+         "components-not-a-list", "model-list", "model-without-kind", "classify-nan",
+         "classify-infinity", "recover-nan", "recover-infinity"],
 )
 def test_malformed_input_file_exits_one_without_traceback(workspace, capsys, command, data):
     path = workspace["dir"] / "input.json"

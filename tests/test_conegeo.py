@@ -20,7 +20,6 @@ from mixcara.conegeo import (
     strip_mass,
 )
 from mixcara.errors import (
-    InfeasibleMomentsError,
     NotRepresentableError,
     PrescriptionError,
     UnboundedStripError,
@@ -78,9 +77,10 @@ def test_classify_real_line_and_half_line(values, real, positive):
     # log-normal ones the half-line test, on {1, x, ..., x^d} and one shift up
     values = np.asarray(values, dtype=float)
     d = len(values) - 1
-    assert _classify(values, _cone_blocks(MonomialBasis.full_degree(d), "gaussian"))[0] == real
+    verdict = _classify(values, _cone_blocks(MonomialBasis.full_degree(d), "gaussian"))
+    assert verdict.status == real
     for basis in (MonomialBasis.full_degree(d), MonomialBasis.univariate(range(1, d + 2))):
-        assert _classify(values, _cone_blocks(basis, "lognormal"))[0] == positive
+        assert _classify(values, _cone_blocks(basis, "lognormal")).status == positive
 
 
 def test_hankel_classify_is_the_real_line_test():
@@ -89,21 +89,17 @@ def test_hankel_classify_is_the_real_line_test():
         s = mv(rng.normal(size=d + 1) + np.eye(d + 1)[0] * 3, MonomialBasis.full_degree(d))
         cls = hankel_classify(s)
         hankel = s.values[np.add.outer(np.arange(d // 2 + 1), np.arange(d // 2 + 1))]
-        assert (cls.status, cls.margin, cls.tolerance) == _classify(
-            s.values, _cone_blocks(s.basis, "gaussian")
-        )
+        assert cls == _classify(s.values, _cone_blocks(s.basis, "gaussian"))
         assert cls.margin == np.linalg.eigvalsh(hankel)[0]
 
 
 def test_half_line_margin_covers_both_blocks():
     # the shifted block [[s1, s2], [s2, s3]] of atoms at -0.5 and 2 is indefinite
     values = np.array([1.1, 1.95, 4.025, 7.9875])
-    status, margin, tol = _classify(
-        values, _cone_blocks(MonomialBasis.full_degree(3), "lognormal")
-    )
+    verdict = _classify(values, _cone_blocks(MonomialBasis.full_degree(3), "lognormal"))
     shifted = np.linalg.eigvalsh(np.array([[1.95, 4.025], [4.025, 7.9875]]))[0]
-    assert status == EXTERIOR and margin == pytest.approx(shifted)
-    assert tol == pytest.approx(1e-10 * (1 + 7.9875))
+    assert verdict.status == EXTERIOR and verdict.margin == pytest.approx(shifted)
+    assert verdict.tolerance == pytest.approx(1e-10 * (1 + 7.9875))
 
 
 def _hankel(rows, shift=0):
@@ -384,6 +380,21 @@ def test_prescribe_sigma_validation():
         represent_with_prescribed_component(basis, "gaussian", mv([1, 0, 1]), 1.0, -0.5)
 
 
+@pytest.mark.parametrize("x0, sigma0, name", [
+    (1.0, math.nan, "sigma0"),
+    (1.0, math.inf, "sigma0"),
+    (math.inf, 0.5, "x0"),
+    (math.nan, 0.5, "x0"),
+    ([-math.inf], 0.5, "x0"),
+])
+def test_prescribe_rejects_non_finite_arguments(monkeypatch, x0, sigma0, name):
+    # they used to reach the moment kernel and end in a MomentOverflowError
+    statuses = engine_spy(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        represent_with_prescribed_component(B2, "gaussian", mv([1, 0, 1]), x0, sigma0)
+    assert statuses == []
+
+
 def test_prescribe_rejects_mismatched_basis():
     mix = sample_random_mixture("gaussian", 2, rng=0, sigma_range=(0.1, 0.3))
     s = mixture_moments(MonomialBasis.full_degree(4), mix)
@@ -477,12 +488,12 @@ def test_prescribe_refuses_a_basis_without_a_cone_test(monkeypatch):
                                 min_separation=0.5, shared_sigma=True)
     s = mixture_moments(basis, mix)
     statuses = engine_spy(monkeypatch)
-    with pytest.raises(UnsupportedBasisError, match="no cone test"):
+    with pytest.raises(UnsupportedBasisError, match="gaussian moments needs the basis"):
         represent_with_prescribed_component(basis, "gaussian", s, 1.0, 0.5)
     assert statuses == []
     # one block spans {x^2, ..., x^6}, but the Gaussian engine needs {1, x, ..., x^d}
     shifted = MonomialBasis.univariate(range(2, 7))
-    with pytest.raises(UnsupportedBasisError, match="no cone test"):
+    with pytest.raises(UnsupportedBasisError, match="gaussian moments needs the basis"):
         represent_with_prescribed_component(
             shifted, "gaussian", mixture_moments(shifted, mix), 1.0, 0.5
         )
@@ -505,19 +516,6 @@ def test_prescription_error_names_the_last_eps_tried(monkeypatch):
                        match=rf"down to eps={1.1 * 2.0 ** -39:.3e}: stub failure$"):
         represent_with_prescribed_component(basis, "gaussian", s, 0.5, 0.5)
     assert tried
-
-
-def test_prescription_error_names_a_refused_remainder(monkeypatch):
-    basis = MonomialBasis.full_degree(3)
-    s = mixture_moments(basis, MixtureMeasure(kind="gaussian", weights=[1.0], means=[[0.0]],
-                                              sigmas=[1.0]))
-
-    def refusing_engine(remainder):
-        raise InfeasibleMomentsError("stub refusal")
-
-    monkeypatch.setattr(recover, "recover_shared_sigma_gaussian", refusing_engine)
-    with pytest.raises(PrescriptionError, match=r"remainder refused: stub refusal$"):
-        represent_with_prescribed_component(basis, "gaussian", s, 0.5, 0.5)
 
 
 def test_prescription_error_names_a_combined_residual_above_tolerance(monkeypatch):

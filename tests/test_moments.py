@@ -354,6 +354,14 @@ def test_moment_vector_validation_and_json():
     # files written with the deleted kind tag still load
     old = MomentVector.from_json({**s.to_json(), "kind_tag": "dirac"})
     np.testing.assert_array_equal(old.values, s.values)
+    # no engine, cone test or command ever sees a non-finite moment
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            MomentVector(values=[1.0, bad, 1.0], basis=basis)
+        with pytest.raises(ValueError, match="must be finite"):
+            MomentVector.from_json({"basis": basis.to_json(), "values": [1.0, 0.0, bad]})
+        with pytest.raises(ValueError, match="must be finite"):
+            s.with_values([bad, 0.0, 1.0])
 
 
 def _eval_table(poly: dict, x, sigma: float) -> float:

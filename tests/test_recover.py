@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from mixcara import recover
 from mixcara.basis import MonomialBasis
-from mixcara.conegeo import EXTERIOR, hankel_classify
+from mixcara.conegeo import EXTERIOR, hankel_classify, represent_with_prescribed_component
 from mixcara.errors import (
     ConditioningError,
-    InfeasibleMomentsError,
     InfeasibleWeightsError,
     MixcaraError,
     MomentOverflowError,
@@ -398,9 +397,13 @@ def test_shared_sigma_lognormal_three_components():
 
 
 def test_shared_sigma_lognormal_negative_moment_rejected():
-    basis = MonomialBasis.full_degree(3)
-    with pytest.raises(InfeasibleMomentsError):
-        recover_shared_sigma_lognormal(mv([1, 2, -1, 3], basis))
+    # the half-line cone test refuses it, with the report lm_fit gives
+    s = mv([1, 2, -1, 3], MonomialBasis.full_degree(3))
+    report = recover_shared_sigma_lognormal(s)
+    assert not report.success and report.model is None
+    assert report.sigma_steps == 0 and report.residual == math.inf
+    assert report.failure_reason == "exterior: half-line Hankel margin -2.236e+00 below -4.000e-10"
+    assert report.failure_reason == lm_fit(s.basis, "lognormal", s, k=1).failure_reason
 
 
 def test_shared_sigma_lognormal_shifted_exponents():
@@ -1273,6 +1276,15 @@ def test_shared_sigma_gaussian_even_cap_represents_one_more_free_scale_component
         assert report.sigma_steps == 0
 
 
+def test_shared_sigma_gaussian_caps_k_at_half_the_moment_count():
+    # floor((d+1)/2): a request for 4 components on {1, ..., x^6} gets 3
+    basis = MonomialBasis.full_degree(6)
+    truth = sample_random_mixture("gaussian", 3, rng=4, mean_range=(-2.0, 2.0),
+                                  sigma_range=(0.1, 0.3), min_separation=0.4, shared_sigma=True)
+    report = recover_shared_sigma_gaussian(mixture_moments(basis, truth), k=4)
+    assert report.success and report.k_used == 3
+
+
 def test_shared_sigma_gaussian_single_component_at_even_degree():
     basis = MonomialBasis.full_degree(4)
     truth = MixtureMeasure(kind="gaussian", weights=[1.3], means=[[0.4]], sigmas=[0.7])
@@ -1536,6 +1548,37 @@ def test_refusal_never_fires_on_mixture_moments(
                                 sigma_range=(sigma_floor, 1.0), shared_sigma=shared)
     s = mixture_moments(basis, mix)
     assert recover._exterior_refusal(s, kind, "probe") is None
+
+
+def test_finite_vectors_get_a_report_or_a_typed_error():
+    # entries over 1e-8 .. 1e12 with mixed signs, mostly outside the cone:
+    # every call returns or raises a MixcaraError, never a raw numpy error
+    rng = np.random.default_rng(30)
+    bases = [MonomialBasis.full_degree(d) for d in (3, 4, 5, 6)] + [
+        GAP, MonomialBasis.univariate([0, 1, 3, 4, 6]),
+        MonomialBasis.univariate(range(1, 7)), MonomialBasis.univariate(range(2, 6)),
+    ]
+    for i in range(60):
+        basis = bases[i % len(bases)]
+        kind = ("gaussian", "lognormal")[i // len(bases) % 2]
+        signs = np.where(rng.random(basis.m) < 0.25, -1.0, 1.0)
+        s = mv(signs * 10.0 ** rng.uniform(-8, 12, basis.m), basis)
+        x0 = rng.uniform(0.5, 3.0) if kind == "lognormal" else rng.uniform(-3.0, 3.0)
+        sigma0 = rng.uniform(0.1, 0.5)
+        calls = [
+            lambda: prony_dirac(s, (basis.max_degree + 1) // 2),
+            lambda: recover_shared_sigma_gaussian(s),
+            lambda: recover_shared_sigma_lognormal(s),
+            lambda: homotopy_gap_recovery(basis, s, (basis.m + 1) // 2),
+            lambda: lm_fit(basis, kind, s, (basis.m - 1) // 2, False, n_starts=2),
+            lambda: hankel_classify(s),
+            lambda: represent_with_prescribed_component(basis, kind, s, x0, sigma0),
+        ]
+        for call in calls:
+            try:
+                call()
+            except MixcaraError:
+                pass
 
 
 def test_default_schedule_shape():
