@@ -26,6 +26,7 @@ import numpy as np
 
 from .basis import MonomialBasis
 from .errors import (
+    MomentOverflowError,
     NotRepresentableError,
     PrescriptionError,
     UnboundedStripError,
@@ -281,10 +282,12 @@ def represent_with_prescribed_component(
     on any univariate basis of consecutive exponents.  Any other basis
     raises ``UnsupportedBasisError`` before any engine call.  The mass
     starts at half the total and halves, down to ``1e-12`` of the total,
-    until the remainder is recoverable.  A remainder that the cone test
-    certifies as exterior is skipped without an engine call, because no
-    mixture has its moments; the engine's failed report on any other
-    counts as not recoverable.
+    until the remainder is recoverable; a first mass whose remainder leaves
+    the float range raises ``MomentOverflowError``, naming ``x0`` and
+    ``sigma0``, before any cone test of a remainder.  A remainder that the
+    cone test certifies as exterior is skipped without an engine call,
+    because no mixture has its moments; the engine's failed report on any
+    other counts as not recoverable.
     """
     if s.basis != basis:
         raise ValueError("moment vector basis does not match")
@@ -313,6 +316,14 @@ def represent_with_prescribed_component(
 
     t0 = component_moments(basis, kind, np.reshape(x0, (1, -1)), [sigma0])[0]
     mass = float(s.values[0]) if basis.exponents[0] == (0,) * basis.n else 1.0
+    # each |s - eps t0| is convex in eps, so over the masses tried it is
+    # largest at 0 or at the first, mass / 2
+    with np.errstate(over="ignore"):
+        if not np.isfinite(s.values - 0.5 * mass * t0).all():
+            raise MomentOverflowError(
+                f"the component at x0={x0}, sigma0={sigma0} with mass {0.5 * mass:.3e} has "
+                "moments beyond the float range"
+            )
     eps = mass
     last_reason = "no attempt made"
     while (eps := eps / 2.0) >= _MIN_EPS_FACTOR * mass:

@@ -17,23 +17,23 @@ Five routes from a moment vector back to a measure:
   closed-form factor, Prony the resulting ordinary moments, keep only
   positive atoms.  Both schedule descents run one loop and differ only in
   this pull-back to ordinary moments.
-* ``homotopy_gap_recovery`` -- for bases with exponent gaps: find a Dirac
-  representation by running the damped least-squares solver at scale 0,
-  first from the measure of a Hankel completion (``_completed_dirac``) when
-  the top degree is 2k, then from random starts, check the Jacobian has
-  full rank, then run the same solver as corrector from that solution at
-  the scales 0.1, 0.05, ... down to 1e-4; the first that converges wins.
-* ``lm_fit`` -- generic moment matching by the same solver with
-  log-parameterized positive parameters; the classical method-of-moments
-  fallback when nothing structural applies.  A Gaussian fit on
-  {1, x, ..., x^d} with 2k <= d, shared or free scales, tries the
+* ``lm_fit`` -- generic moment matching by the damped least-squares solver
+  with log-parameterized positive parameters; the classical
+  method-of-moments fallback when nothing structural applies.  A Gaussian
+  fit on {1, x, ..., x^d} with 2k <= d, shared or free scales, tries the
   largest-scale step first; a miss with k components is the first start.
+  On a univariate basis that holds degree 0, has top degree 2k and misses
+  a degree, the first start is the k-atom measure of a singular positive
+  semidefinite Hankel completion (``_completed_dirac``) at scale 0.1.
+* ``homotopy_gap_recovery`` -- for bases with exponent gaps: a shared-scale
+  ``lm_fit``, whose scale moves with the weights and means from that
+  completion start, judged at the caller's tolerance.
 
-Both nonlinear engines run ``_damped_least_squares``, a Levenberg descent
-that factors the Jacobian once per iteration by SVD and tries the
-minimum-norm Gauss-Newton step first.  An engine hands it two maps: a point
-to its residual and Jacobian (one kernel call with derivatives), and a stack
-of points to their residuals (one values-only kernel call), which evaluates
+``lm_fit`` runs ``_damped_least_squares``, a Levenberg descent that factors
+the Jacobian once per iteration by SVD and tries the minimum-norm
+Gauss-Newton step first.  The fit hands it two maps: a point to its
+residual and Jacobian (one kernel call with derivatives), and a stack of
+points to their residuals (one values-only kernel call), which evaluates
 every damped step of a rejected iteration at once.  Besides the goal, a run
 stops when no damped step lowers the residual, at a step that lowers the
 squared residual by less than a relative 1e-8, and when its last 50
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -74,7 +73,6 @@ from .errors import (
     NotRepresentableError,
     UnsupportedBasisError,
 )
-from .jacobian import numeric_rank
 from .measures import AtomicMeasure, MixtureMeasure
 from .moments import (
     MomentVector,
@@ -82,7 +80,6 @@ from .moments import (
     _relative_residual,
     component_moments,
     dirac_moments,
-    mixture_moments,
 )
 
 __all__ = [
@@ -107,17 +104,8 @@ _SCHEDULE_STEPS = 40
 # scale bracket relative to the standard deviation, 34 halvings of [0, sd]
 _SCALE_FLOOR = 1e-10
 _SCALE_REL_WIDTH = 1e-10
-# homotopy: starts, the first and the smallest scale of the halving walk,
-# corrector goal relative to the vector, the solver's iteration cap along the
-# walk and from a Dirac start, the Dirac start's goal and weight floor
-# relative to the vector, and the singular-value cutoff of its rank check
-_HOMOTOPY_STARTS = 32
+# gap bases: the scale of the Hankel completion's measure as lm_fit's first start
 _SIGMA_TARGET = 0.1
-_SIGMA_MIN = 1e-4
-_NEWTON_REL_TOL = 1e-9
-_CORRECTOR_ITERS = 15
-_START_REL_TOL = 1e-12
-_START_RANK_TOL = 1e-4
 # Hankel completion step: Newton steps of the ascent on the smallest
 # eigenvalue, the longest step relative to the largest moment, and halvings
 # of one step before the ascent gives up
@@ -158,12 +146,12 @@ class RecoveryReport:
     engine tolerance, with a reason only when it fails.  The models of all
     engines have strictly positive weights (and scales, and log-normal
     locations).  ``iterations`` counts the iterations of the damped
-    least-squares solver in the two nonlinear engines, summed over all starts
-    and corrector calls; it is 0 for the shared-scale engines, and for an
-    ``lm_fit`` that the largest-scale step settles without the solver.
-    ``sigma_steps`` counts the scales tried by a schedule descent or the
-    homotopy's halving walk, the accepted one included; it is 0 for the
-    largest-scale step and ``lm_fit``.
+    least-squares solver in ``lm_fit`` and the gap route, summed over all
+    starts; it is 0 for the shared-scale engines, and for an ``lm_fit`` that
+    the largest-scale step settles without the solver.  ``sigma_steps``
+    counts the scales tried by a schedule descent, the accepted one
+    included; it is 0 for the largest-scale step, ``lm_fit`` and the gap
+    route, whose ``sigma_used`` is the fitted shared scale.
     """
 
     success: bool
@@ -512,15 +500,6 @@ def _data_scale(s: MomentVector) -> float:
     return scale
 
 
-def _interleaved_theta(weights: np.ndarray, points: np.ndarray) -> np.ndarray:
-    return np.column_stack((weights, points)).ravel()
-
-
-def _split_theta(theta: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    blocks = theta.reshape(k, n + 1)
-    return blocks[:, 0], blocks[:, 1:]
-
-
 def _stack_costs(values, thetas: np.ndarray) -> np.ndarray:
     """Squared residual norm at each point of a stack, inf where a point does
     not evaluate: one ``values`` call, and one per point only when a point's
@@ -621,15 +600,6 @@ def _damped_least_squares(point, values, theta: np.ndarray, goal: float, max_ite
     return _Run(theta, r, J, bool(np.abs(r).max() <= goal), max_iters)
 
 
-def _completion_gaps(basis: MonomialBasis, k: int) -> list[int]:
-    """The degrees below d that a univariate basis holding degree 0 and
-    topped by d = 2k misses; empty when the completion step does not apply."""
-    degrees = basis.univariate_degrees()
-    if degrees[0] != 0 or degrees[-1] != 2 * k:
-        return []
-    return sorted(set(range(2 * k)) - set(degrees))
-
-
 def _completed_dirac(s: MomentVector, k: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Atoms and weights of a Dirac measure with the moments of ``s``, read
     off a completion of the missing moments, when the basis is univariate,
@@ -661,12 +631,13 @@ def _completed_dirac(s: MomentVector, k: int) -> tuple[np.ndarray, np.ndarray] |
     or finds no positive-definite completion, as for a vector with every
     moment 0.
     """
-    gaps = _completion_gaps(s.basis, k)
+    degrees = s.basis.univariate_degrees()
+    gaps = sorted(set(range(2 * k)) - set(degrees))
     size = float(np.abs(s.values).max())
-    if not (gaps and size > 0):
+    if not (degrees[0] == 0 and degrees[-1] == 2 * k and gaps and size > 0):
         return None
     u = np.zeros(2 * k + 1)
-    u[list(s.basis.univariate_degrees())] = s.values / size
+    u[list(degrees)] = s.values / size
     given_even = [g for g in range(0, 2 * k + 1, 2) if g not in gaps]
     for g in (g for g in gaps if g % 2 == 0):
         a = max(e for e in given_even if e < g)
@@ -726,143 +697,29 @@ def homotopy_gap_recovery(
     seed: int = 0,
     rel_tol: float = 1e-8,
 ) -> RecoveryReport:
-    """Gaussian recovery over a basis with exponent gaps, by scale continuation.
+    """Shared-scale Gaussian recovery over a univariate basis with exponent
+    gaps: ``lm_fit`` with one scale for every component, judged at ``rel_tol``.
 
-    Stage 1 finds a k-atom Dirac representation of s: from each start the
-    damped least-squares solver runs at scale 0 for at most 15 iterations,
-    and a start that does not converge or ends with a negative weight gives
-    way to the next.  When the basis holds degree 0 and has top degree
-    d = 2k, the first start is the Dirac measure that ``_completed_dirac``
-    reads off a positive semidefinite, singular completion of the Hankel
-    matrix, if it has k atoms; the 32 random starts follow, drawn as they
-    would be without it.  A failure with no converged start says so when
-    that step found no positive-definite completion.  Stage 2 requires
-    every weight to exceed the corrector goal and the Jacobian to have full
-    row rank; the set of vectors whose representations are all singular has
-    measure zero and is reported, not repaired.  Stage 3 is a halving
-    walk: the same solver, as corrector, runs from the Dirac solution on the
-    smoothed moment equations at the shared scales 0.1, 0.05, ..., down to
-    the last one at or above 1e-4, ten in all, for at most 15 iterations
-    each, and the first run that converges with nonnegative weights gives
-    the model at that scale.  The moment system is underdetermined by one,
-    so the solver's undamped minimum-norm step follows the solution
-    manifold.  ``sigma_steps`` counts the scales tried; an exhausted walk is
-    a failure with ``sigma_steps`` 10 and no model.  ``iterations`` counts
-    the solver iterations of stages 1 and 3.  A vector that the real-line
-    cone test certifies as exterior on some principal block of its moment
-    matrix is refused before stage 1.
+    ``k`` must give at least one parameter per moment, 2k >= m.  When the
+    basis holds degree 0 and has top degree 2k, the fit's first start is the
+    k-atom measure of a singular positive semidefinite Hankel completion
+    (``_completed_dirac``) at scale 0.1; the scale then moves with the
+    weights and means, so no Dirac representation needs to exist.  A vector
+    that the real-line cone test certifies as exterior is refused before any
+    start.  ``sigma_used`` is the fitted scale, ``iterations`` the solver
+    iterations over all starts, and ``sigma_steps`` 0.
     """
     if basis.n != 1:
         raise UnsupportedBasisError("gap recovery is implemented for univariate bases")
-    if s.basis != basis:
-        raise ValueError("moment vector basis does not match")
-    m, n = basis.m, basis.n
-    if k * (n + 1) < m:
-        raise ValueError(f"k={k} gives {k * (n + 1)} parameters, fewer than m={m}")
+    if 2 * k < basis.m:
+        raise ValueError(f"k={k} gives {2 * k} parameters, fewer than m={basis.m}")
     engine = "homotopy-gap"
-    refusal = _exterior_refusal(s, "gaussian", engine)
-    if refusal is not None:
-        return refusal
-    rng = np.random.default_rng(seed)
-    target = s.values
-    scale = 1.0 + float(np.max(np.abs(target)))
-    box = 1.5 * _data_scale(s)
-
-    def system(sigma: float):
-        """The solver's residual maps at one shared scale."""
-        # scales of one point and of the largest stack the solver evaluates
-        sigmas = np.full(k, sigma)
-        stack_sigmas = np.full(len(_LADDER) * k, sigma)
-
-        def point(theta: np.ndarray):
-            w, pts = _split_theta(theta, k, n)
-            B, dmean, _ = component_moments(basis, "gaussian", pts, sigmas, True)
-            J = np.concatenate([B[:, None, :], w[:, None, None] * dmean], axis=1).reshape(-1, m).T
-            return w @ B - target, J
-
-        def values(thetas: np.ndarray) -> np.ndarray:
-            w, pts = _split_theta(thetas, len(thetas) * k, n)
-            B = component_moments(basis, "gaussian", pts, stack_sigmas[: w.shape[0]])
-            return np.einsum("ck,ckm->cm", w.reshape(-1, k), B.reshape(-1, k, m)) - target
-
-        return point, values
-
-    # stage 1: search for a Dirac representation by the solver at sigma = 0,
-    # converged to machine precision so coalescing atoms show up in the rank
-    # check, first from the Hankel completion step, then from random starts
-    completion = _completed_dirac(s, k)
-
-    def starts():
-        """The completion's measure when it has k atoms, then the random
-        starts, each drawn only when reached."""
-        if completion is not None and len(completion[1]) == k:
-            atoms, weights = completion
-            yield _interleaved_theta(weights, atoms.reshape(k, n))
-        for _ in range(_HOMOTOPY_STARTS):
-            pts0 = rng.uniform(-box, box, size=(k, n))
-            w0 = np.full(k, max(target[0], scale * 1e-3) / k)
-            yield _interleaved_theta(w0, pts0)
-
-    solution = None
-    saw_residual_fit = False
-    iterations = 0
-    floor, goal = _START_REL_TOL * scale, _NEWTON_REL_TOL * scale
-    dirac_point, dirac_values = system(0.0)
-    for theta0 in starts():
-        run = _damped_least_squares(dirac_point, dirac_values, theta0, floor, _CORRECTOR_ITERS)
-        iterations += run.iterations
-        w, _ = _split_theta(run.theta, k, n)
-        if not run.converged or np.any(w < -floor):
-            continue
-        saw_residual_fit = True
-        # stage 2: the continuation argument needs a regular starting point.
-        # An atom with weight within the corrector goal is one the corrector
-        # cannot tell from no atom: its position columns are zero, yet its
-        # s(x) column still adds rank.  Nearly coalesced atoms leave a
-        # singular value of order sqrt(residual)
-        if np.any(w <= goal):
-            continue
-        if numeric_rank(run.J, rel_tol=_START_RANK_TOL).full_rank:
-            solution = run.theta
-            break
-    if solution is None:
-        if saw_residual_fit:
-            reason = (
-                "singular-start: every Dirac representation found has a zero weight "
-                "or a rank-deficient Jacobian"
-            )
-        else:
-            reason = "no-dirac-representation: all starts stalled"
-            if completion is None and _completion_gaps(basis, k):
-                reason += "; no positive-definite Hankel completion"
-        return _failed(engine, reason, iterations=iterations)
-
-    # stage 3: a halving walk down from the target scale; each corrector run
-    # starts from the Dirac solution, with no predictor step, and the first
-    # that converges with nonnegative weights gives the model
-    sigma = _SIGMA_TARGET
-    sigma_steps = 0
-    while sigma >= _SIGMA_MIN:
-        sigma_steps += 1
-        run = _damped_least_squares(*system(sigma), solution, goal, _CORRECTOR_ITERS)
-        iterations += run.iterations
-        w, pts = _split_theta(run.theta, k, n)
-        if run.converged and np.all(w >= 0):
-            break
-        sigma *= _SCHEDULE_RATIO
-    else:
-        return _failed(
-            engine, f"continuation: no corrector run converged at a scale down to {_SIGMA_MIN:.1e}",
-            iterations=iterations, sigma_steps=sigma_steps,
-        )
-    keep = w > 1e-12 * max(1.0, float(np.sum(w)))
-    model = MixtureMeasure(
-        kind="gaussian", weights=w[keep], means=pts[keep], sigmas=np.full(int(keep.sum()), sigma)
-    )
-    residual = _relative_residual(mixture_moments(basis, model).values, target)
+    fit = lm_fit(basis, "gaussian", s, k, free_sigma_per_component=False, seed=seed)
+    if fit.model is None:
+        return _failed(engine, fit.failure_reason, fit.residual, iterations=fit.iterations)
     return _judged(
-        engine, model, residual, rel_tol, "final residual above tolerance",
-        sigma_used=sigma, iterations=iterations, sigma_steps=sigma_steps,
+        engine, fit.model, fit.residual, rel_tol, "final residual above tolerance",
+        sigma_used=float(fit.model.sigmas[0]), iterations=fit.iterations,
     )
 
 
@@ -877,7 +734,7 @@ def lm_fit(
     n_starts: int = 16,
 ) -> RecoveryReport:
     """Generic method-of-moments fit by multistart damped least squares, with
-    a direct step for Gaussian fits on {1, x, ..., x^d}.
+    a structural first start for univariate Gaussian fits.
 
     A Gaussian fit on {1, x, ..., x^d} with 2k <= d, with one shared
     scale or free ones, first tries the largest-scale step: ITP brackets on
@@ -886,7 +743,11 @@ def lm_fit(
     residual at or below 1e-8 is the fit, with ``iterations`` 0 and no
     random draw.  Otherwise the step's best try, when it has k components,
     is one extra start before the ``n_starts`` random ones, every scale at
-    its common one; the random starts are drawn as they would be without it.
+    its common one.  A Gaussian fit on a univariate basis that holds degree
+    0, has top degree 2k and misses a degree takes as that extra start the
+    measure ``_completed_dirac`` reads off a Hankel completion, every scale
+    at 0.1, when it has k atoms.  Either way the random starts are drawn as
+    they would be without it.
 
     Weights and scales (and log-normal locations) are optimized in log space
     so positivity needs no constraints; the Jacobian is the analytic one of
@@ -913,18 +774,22 @@ def lm_fit(
     refusal = _exterior_refusal(s, kind, engine)
     if refusal is not None:
         return refusal
-    step = None
+    # a structural first start: weights, (k, 1) locations and one common scale
+    first = None
     if kind == "gaussian" and basis.is_full_degree() and 2 * k <= basis.max_degree:
         step = _largest_scale(s, k, _REL_TOL)
         if step is not None and step.residual <= _REL_TOL:
             return _judged(engine, step.model(kind), step.residual, _REL_TOL, None)
+        if step is not None and len(step.weights) == k:
+            first = (step.weights, step.means, step.sigma)
+    elif kind == "gaussian" and basis.n == 1:
+        completion = _completed_dirac(s, k)
+        # _prony keeps positive weights alone, so k of them are all positive
+        if completion is not None and len(completion[1]) == k:
+            atoms, weights = completion
+            first = (weights, atoms.reshape(k, 1), _SIGMA_TARGET)
     m, n = basis.m, basis.n
     n_params = k * (1 + n) + (k if free_sigma_per_component else 1)
-    if n_params > m:
-        warnings.warn(
-            f"{n_params} parameters against {m} moments; the fit is underdetermined",
-            stacklevel=2,
-        )
     rng = np.random.default_rng(seed)
     target = s.values
     scale = 1.0 + float(np.max(np.abs(target)))
@@ -971,13 +836,11 @@ def lm_fit(
     tau_n = k if free_sigma_per_component else 1
 
     def starts():
-        """The step's best try when it has k components, every scale at its
-        common one, then the ``n_starts`` random starts, each drawn only
-        when reached."""
-        if step is not None and len(step.weights) == k:
-            yield np.concatenate(
-                [np.log(step.weights), step.means.ravel(), np.full(tau_n, math.log(step.sigma))]
-            )
+        """The structural first start, every scale at its common one, then
+        the ``n_starts`` random starts, each drawn only when reached."""
+        if first is not None:
+            weights, means, sigma = first
+            yield np.concatenate([np.log(weights), means.ravel(), np.full(tau_n, math.log(sigma))])
         for _ in range(n_starts):
             g0 = np.log(np.full(k, max(target[0], 1e-3) / k if target[0] > 0 else 1.0 / k))
             if kind == "lognormal":

@@ -8,6 +8,8 @@ import mixcara
 from mixcara import basis, conegeo, errors, jacobian, measures, moments, recover
 
 EXPECTED_PARAMETERS = {
+    # the gap route stays a named engine, a shared-scale lm_fit judged at
+    # rel_tol, because the CLI's --engine homotopy and gap-homotopy call it
     mixcara.homotopy_gap_recovery: ["basis", "s", "k", "seed", "rel_tol"],
     mixcara.lm_fit: [
         "basis", "kind", "s", "k", "free_sigma_per_component", "seed", "n_starts",
@@ -42,7 +44,9 @@ DELETED = {
     basis: ["eval_point", "eval_jacobian", "_as_point"],
     moments: ["lognormal_moment", "component_moment_vector", "_MAX_EXP_ARG"],
     recover: ["match_components", "_hankel_slice", "_companion_roots", "_IMAG_TOL",
-              "_MIN_STEP", "_CORRECTOR_CONTRACTION"],
+              "_MIN_STEP", "_CORRECTOR_CONTRACTION", "_HOMOTOPY_STARTS", "_SIGMA_MIN",
+              "_START_REL_TOL", "_START_RANK_TOL", "_CORRECTOR_ITERS", "_NEWTON_REL_TOL",
+              "_interleaved_theta", "_split_theta"],
     jacobian: ["_DENOMINATOR_NOTE"],
     conegeo: ["_cone_support"],
     errors: ["NonrealAtomsError", "InfeasibleMomentsError"],

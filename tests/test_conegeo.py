@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixcara import recover
+from mixcara import conegeo, recover
 from mixcara.basis import MonomialBasis
 from mixcara.conegeo import (
     BOUNDARY,
@@ -20,6 +20,7 @@ from mixcara.conegeo import (
     strip_mass,
 )
 from mixcara.errors import (
+    MomentOverflowError,
     NotRepresentableError,
     PrescriptionError,
     UnboundedStripError,
@@ -393,6 +394,26 @@ def test_prescribe_rejects_non_finite_arguments(monkeypatch, x0, sigma0, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         represent_with_prescribed_component(B2, "gaussian", mv([1, 0, 1]), x0, sigma0)
     assert statuses == []
+
+
+def test_prescribe_rejects_a_component_whose_scaled_moments_overflow(monkeypatch):
+    # half the mass 2e12 times x0^5 = 1e305 leaves the float range; the
+    # remainder used to reach MomentVector, whose ValueError named no argument
+    basis = MonomialBasis.full_degree(5)
+    s = mixture_moments(basis, MixtureMeasure(kind="gaussian", weights=[1e12, 1e12],
+                                              means=[[-1.0], [1.0]], sigmas=[0.3, 0.3]))
+    statuses = engine_spy(monkeypatch)
+    classified = []
+    real = conegeo._classify
+
+    def spy(values, blocks):
+        classified.append(np.all(np.isfinite(values)))
+        return real(values, blocks)
+
+    monkeypatch.setattr(conegeo, "_classify", spy)
+    with pytest.raises(MomentOverflowError, match=r"x0=1e\+61, sigma0=0\.3 "):
+        represent_with_prescribed_component(basis, "gaussian", s, 1e61, 0.3)
+    assert classified == [True] and statuses == []
 
 
 def test_prescribe_rejects_mismatched_basis():
