@@ -55,7 +55,6 @@ from .moments import (
 )
 from .recover import (
     RecoveryReport,
-    default_sigma_schedule,
     homotopy_gap_recovery,
     lm_fit,
     prony_dirac,

@@ -13,7 +13,7 @@ resolved exactly.  ``_require_hankel_basis`` is the one rule for the bases
 where the blocks are the whole Hankel test and a Prony solve reads
 consecutive moments.  ``_itp_bracket`` is the one root-bracketing loop, an
 ITP search that ends in at most one step more than bisection, also for the
-largest-scale step of the Gaussian recovery engines.
+largest-scale step of the shared-scale recovery engines.
 """
 from __future__ import annotations
 

@@ -301,14 +301,19 @@ def _transfer_parts(
     basis: MonomialBasis, sigma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The plain and the signed coefficient table of ``basis``, and
-    ``sigma^(a-j)`` at every entry of its transfer matrix."""
+    ``sigma^(a-j)`` at every entry of its transfer matrix.  A power beyond
+    the float range raises ``MomentOverflowError``."""
     if basis.n != 1:
         raise UnsupportedBasisError("the transfer matrix is defined for univariate bases")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     coef, signed, power, top = _transfer_tables(basis)
     # scalar pow per power, not an array pow: numpy's differs in the last bit
-    return coef, signed, np.array([sigma**p for p in range(top + 1)])[power]
+    try:
+        powers = np.array([sigma**p for p in range(top + 1)])
+    except OverflowError as exc:
+        raise MomentOverflowError(f"sigma={sigma!r} to the power {top} overflows") from exc
+    return coef, signed, powers[power]
 
 
 def transfer_matrix_gaussian(basis: MonomialBasis, sigma: float) -> np.ndarray:

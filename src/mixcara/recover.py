@@ -5,18 +5,16 @@ Five routes from a moment vector back to a measure:
 * ``prony_dirac`` -- atoms as the eigenvalues of the symmetric Jacobi
   matrix of the Hankel blocks (Golub-Welsch), weights from a Vandermonde
   solve.
-* ``recover_shared_sigma_gaussian`` -- with 2k <= d, the largest-scale
-  step ``_largest_scale``: the common scale is where the pulled-back Hankel
-  block of the sought count turns singular (Lindsay 1989), bracketed by
-  ITP steps on its smallest eigenvalue (``conegeo._itp_bracket``), and one
-  Prony solve there gives the mixture.  At the cap of an
-  odd d, descend a scale schedule, deconvolve through the closed-form
-  inverse of the triangular transfer matrix, and Prony the result; small
-  enough scales always succeed for interior vectors.
-* ``recover_shared_sigma_lognormal`` -- descale each moment by the
-  closed-form factor, Prony the resulting ordinary moments, keep only
-  positive atoms.  Both schedule descents run one loop and differ only in
-  this pull-back to ordinary moments.
+* ``recover_shared_sigma_gaussian`` and ``recover_shared_sigma_lognormal``
+  -- one route rule for both kinds.  ``_pull_back`` maps a vector at a
+  trial scale to moments of the atom locations: the closed-form inverse of
+  the triangular transfer matrix for Gaussian vectors, each moment over its
+  growth factor for log-normal ones.  With 2k < m, the largest-scale step
+  ``_largest_scale``: the common scale is where the pulled-back Hankel
+  block of the sought count turns singular (Lindsay 1989), bracketed by ITP
+  steps on its smallest eigenvalue (``conegeo._itp_bracket``), and one
+  Prony solve there gives the mixture.  At 2k = m, where Prony reads every
+  moment, descend a scale schedule and Prony the pull-back at each scale.
 * ``lm_fit`` -- generic moment matching by the damped least-squares solver
   with log-parameterized positive parameters; the classical
   method-of-moments fallback when nothing structural applies.  A Gaussian
@@ -77,6 +75,7 @@ from .measures import AtomicMeasure, MixtureMeasure
 from .moments import (
     MomentVector,
     _inverse_transfer_matrix,
+    _kernel_plan,
     _relative_residual,
     component_moments,
     dirac_moments,
@@ -89,19 +88,16 @@ __all__ = [
     "recover_shared_sigma_lognormal",
     "homotopy_gap_recovery",
     "lm_fit",
-    "default_sigma_schedule",
 ]
 
 # goal of prony_dirac and lm_fit: the moment residual max|moments - s| / (1 + max|s|)
 _REL_TOL = 1e-8
 _WEIGHT_TOL = 1e-10
 _RANK_TOL = 1e-10
-# default scale schedule of the shared-scale engines: 1, 1/2, 1/4, ...
-_SCHEDULE_START = 1.0
-_SCHEDULE_RATIO = 0.5
-_SCHEDULE_STEPS = 40
-# largest-scale step: floor of the standard deviation, and width of the final
-# scale bracket relative to the standard deviation, 34 halvings of [0, sd]
+# scale schedule of the shared-scale descent: 40 halvings from 1
+_SCHEDULE = tuple(0.5**j for j in range(40))
+# largest-scale step: floor of the first scale, and width of the final scale
+# bracket relative to the first scale, 34 halvings of [0, sd]
 _SCALE_FLOOR = 1e-10
 _SCALE_REL_WIDTH = 1e-10
 # gap bases: the scale of the Hankel completion's measure as lm_fit's first start
@@ -149,9 +145,9 @@ class RecoveryReport:
     least-squares solver in ``lm_fit`` and the gap route, summed over all
     starts; it is 0 for the shared-scale engines, and for an ``lm_fit`` that
     the largest-scale step settles without the solver.  ``sigma_steps``
-    counts the scales tried by a schedule descent, the accepted one
-    included; it is 0 for the largest-scale step, ``lm_fit`` and the gap
-    route, whose ``sigma_used`` is the fitted shared scale.
+    counts the scales the schedule descent at 2k = m tried, the accepted one
+    included; it is 0 for the largest-scale step (2k < m), ``lm_fit`` and the
+    gap route, whose ``sigma_used`` is the fitted shared scale.
     """
 
     success: bool
@@ -191,11 +187,6 @@ def _judged(
     )
 
 
-def default_sigma_schedule():
-    """Geometrically descending scale schedule: 40 halvings from 1."""
-    return [_SCHEDULE_START * _SCHEDULE_RATIO**j for j in range(_SCHEDULE_STEPS)]
-
-
 def _exterior_refusal(s: MomentVector, kind: str, engine: str) -> RecoveryReport | None:
     """A failed report when ``conegeo._classify`` on the blocks of ``kind``
     certifies ``s`` as exterior, None otherwise: no mixture has moments
@@ -232,8 +223,9 @@ def _prony(u: np.ndarray, k_target: int) -> tuple[np.ndarray, np.ndarray]:
     come from the Vandermonde least-squares solve over all supplied moments.
     Raises ``NotRepresentableError`` when ``H0`` is not positive definite
     (the vector is not strictly inside the cone), and the typed errors on
-    negative weights or a failed solve; infeasibility at the full-rank count
-    means the whole vector is infeasible.
+    negative weights, a Vandermonde matrix beyond the float range or a
+    failed solve; infeasibility at the full-rank count means the whole
+    vector is infeasible.
     """
     for k in range(k_target, 0, -1):
         _, sv, _ = np.linalg.svd(u[_hankel_index(k, k + 1)])
@@ -249,6 +241,8 @@ def _prony(u: np.ndarray, k_target: int) -> tuple[np.ndarray, np.ndarray]:
     # eigvalsh reads one triangle of the Jacobi matrix and sorts its eigenvalues
     atoms = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, u[1:][index]).T))
     V = np.vander(atoms, N=len(u), increasing=True).T
+    if not np.isfinite(V).all():  # LAPACK prints a complaint to stdout on inf
+        raise ConditioningError("Vandermonde matrix beyond the float range")
     try:
         w, *_ = np.linalg.lstsq(V, u, rcond=None)
     except np.linalg.LinAlgError as exc:
@@ -261,6 +255,7 @@ def _prony(u: np.ndarray, k_target: int) -> tuple[np.ndarray, np.ndarray]:
     return atoms[keep], w[keep]
 
 
+@np.errstate(all="ignore")
 def prony_dirac(s: MomentVector, k: int) -> AtomicMeasure:
     """Recover a measure with at most k atoms from a full-degree univariate
     moment vector; a rank-deficient Hankel slice lowers the atom count.  A
@@ -282,9 +277,15 @@ def prony_dirac(s: MomentVector, k: int) -> AtomicMeasure:
     return measure
 
 
-def _gaussian_pull_back(s: MomentVector, sigma: float) -> np.ndarray:
-    """Moments of the component means of a Gaussian vector at scale ``sigma``."""
-    return _inverse_transfer_matrix(s.basis, sigma) @ s.values
+def _pull_back(s: MomentVector, kind: str, sigma: float) -> np.ndarray:
+    """Moments of the component locations of a shared-scale vector of ``kind``
+    at scale ``sigma``: the inverse transfer matrix for Gaussian vectors, each
+    moment over its growth factor for log-normal ones.  For a larger common
+    scale c, either gives the same mixture's moments at sqrt(c^2 - sigma^2)."""
+    if kind == "gaussian":
+        return _inverse_transfer_matrix(s.basis, sigma) @ s.values
+    dd = _kernel_plan(s.basis).exponents[:, 0]
+    return s.values * np.exp(-0.5 * dd * dd * sigma * sigma)
 
 
 @dataclass(slots=True)
@@ -302,56 +303,64 @@ class _ScaleFit:
         return MixtureMeasure(kind=kind, weights=self.weights, means=self.means, sigmas=sigmas)
 
 
-def _fit_at_scale(
-    s: MomentVector, kind: str, u: np.ndarray, sigma: float, k: int
-) -> _ScaleFit | None:
+def _fit_at_scale(s: MomentVector, kind: str, sigma: float, k: int) -> _ScaleFit | None:
     """The mixture of ``kind`` at scale ``sigma`` whose at most ``k`` atoms
-    ``_prony`` finds in ``u``, the pull-back of ``s`` at that scale, and its
-    residual; None when Prony raises or a log-normal atom is not positive.
-    The residual comes straight from the moment kernel, so a try that no
-    caller returns builds no ``MixtureMeasure``."""
+    ``_prony`` finds in the pull-back of ``s`` at that scale, and its
+    residual; None when Prony raises, a log-normal atom is not positive or
+    a weight leaves (0, inf) once divided by its atom's power d1.  The
+    residual comes straight from the moment kernel, so a try that no caller
+    returns builds no ``MixtureMeasure``."""
     try:
-        atoms, w = _prony(u, k)
+        atoms, w = _prony(_pull_back(s, kind, sigma), k)
     except (NotRepresentableError, InfeasibleWeightsError, ConditioningError):
         return None
     if kind == "lognormal" and np.any(atoms <= 0):
         return None  # atoms must land in (0, inf)
-    # pulled-back moments start at degree d1, so their weights carry atoms**d1
+    # pulled-back moments start at degree d1, so their weights carry atoms**d1;
+    # _prony's weights are positive, but dividing it out can leave the float range
     d1 = s.basis.exponents[0][0]
-    weights = w / atoms**d1 if d1 else w
+    if d1:
+        w = w / atoms**d1
+        if not (np.isfinite(w).all() and (w > 0).all()):
+            return None
     means = atoms.reshape(-1, 1)
-    values = weights @ component_moments(s.basis, kind, means, np.full(len(weights), sigma))
-    return _ScaleFit(sigma, weights, means, _relative_residual(values, s.values))
+    values = w @ component_moments(s.basis, kind, means, np.full(len(w), sigma))
+    return _ScaleFit(sigma, w, means, _relative_residual(values, s.values))
 
 
-def _largest_scale(s: MomentVector, k: int, tol: float) -> _ScaleFit | None:
-    """The best shared-scale Gaussian fit with at most ``k`` components
-    that the common scales of ``s`` on {1, x, ..., x^d} give, 1 <= k and
-    2k <= d, with no descent and no random start.
+def _largest_scale(s: MomentVector, kind: str, k: int, tol: float) -> _ScaleFit | None:
+    """The best shared-scale fit of ``kind`` with at most ``k`` components
+    that the common scales of ``s`` give, 1 <= k and 2k < m, with no
+    descent and no random start.
 
     A vector with a j-component shared-scale representation has a pull-back
     whose (j+1)-by-(j+1) Hankel block H_j is positive definite below the
-    common scale and singular at it (Lindsay 1989, Ann. Statist. 17).  Each
-    block is a leading block of the next, so the scale where H_j leaves the
-    definite side falls with j, and the orders are tried from 1 up: H_1 is
-    singular at the standard deviation ``sqrt(s2/s0 - (s1/s0)^2)`` itself,
-    floored at 1e-10 so that a one-atom vector, whose variance is 0, still
-    gets its one-component fit, and each higher order brackets the sign
-    change of the smallest eigenvalue of its block with ``_itp_bracket``,
-    from 0 to the last order's upper end, down to ``1e-10 * sd``.
-    ``_prony`` with at most j atoms runs at both positive ends.  The first
-    order whose better end meets ``tol`` gives the fit; when none does, the
-    try with the smallest residual over all orders is returned, for the
-    caller to judge.  None only when no try ran: ``s0 <= 0``, or Prony
-    raised at every end.  The order of the bracketed block must not exceed
-    the count sought: a larger block has several eigenvalues that vanish
-    at the common scale, and the smallest of them loses its sign to
-    rounding well before it.
+    common scale and singular at it (Lindsay 1989, Ann. Statist. 17); for
+    both kinds the pull-back at t holds the mixture's moments at scale
+    sqrt(sigma^2 - t^2).  Each block leads the next, so the scale where H_j
+    leaves the definite side falls with j, and orders are tried from 1 up.
+    H_1 is singular at ``sqrt(s2/s0 - (s1/s0)^2)`` for Gaussian vectors and
+    ``sqrt(log s0 + log s2 - 2 log s1)`` for log-normal ones, floored at
+    1e-10 so that a one-atom vector still gets its fit; each higher order
+    brackets the sign change of its block's smallest eigenvalue with
+    ``_itp_bracket``, from 0 to the last order's upper end, down to 1e-10
+    of the first scale.  ``_prony`` with at most j atoms runs at both
+    positive ends.  The first order whose better end meets ``tol`` gives
+    the fit; otherwise the try with the smallest residual is returned, for
+    the caller to judge.  None when no try ran: ``s0 <= 0`` (for log-normal
+    vectors also ``s1`` or ``s2 <= 0``) or no end gave a fit.  The bracketed
+    block's order must not exceed the count sought: a larger block has
+    several eigenvalues that vanish at the common scale, and the smallest
+    loses its sign to rounding well before it.
     """
     s0, s1, s2 = s.values[:3]
-    if not s0 > 0:
+    if kind == "gaussian" and s0 > 0:
+        variance = s2 / s0 - (s1 / s0) ** 2
+    elif kind == "lognormal" and s0 > 0 and s1 > 0 and s2 > 0:
+        variance = math.log(s0) + math.log(s2) - 2.0 * math.log(s1)
+    else:
         return None
-    sd = max(math.sqrt(max(s2 / s0 - (s1 / s0) ** 2, 0.0)), _SCALE_FLOOR)
+    sd = max(math.sqrt(max(variance, 0.0)), _SCALE_FLOOR)
     lo = hi = sd
     best = None
     for order in range(1, k + 1):
@@ -359,13 +368,13 @@ def _largest_scale(s: MomentVector, k: int, tol: float) -> _ScaleFit | None:
             index = _hankel_index(order + 1, order + 1)
 
             def smallest_eigenvalue(sigma: float) -> float:
-                return np.linalg.eigvalsh(_gaussian_pull_back(s, sigma)[index])[0]
+                return np.linalg.eigvalsh(_pull_back(s, kind, sigma)[index])[0]
 
             lo, hi = _itp_bracket(smallest_eigenvalue, 0.0, hi, _SCALE_REL_WIDTH * sd)
         for sigma in (lo,) if lo == hi else (lo, hi):
             if not sigma > 0:
                 continue
-            fit = _fit_at_scale(s, "gaussian", _gaussian_pull_back(s, sigma), sigma, order)
+            fit = _fit_at_scale(s, kind, sigma, order)
             if fit is not None and (best is None or fit.residual < best.residual):
                 best = fit
         if best is not None and best.residual <= tol:
@@ -373,35 +382,31 @@ def _largest_scale(s: MomentVector, k: int, tol: float) -> _ScaleFit | None:
     return best
 
 
-_SHARED_SCALE_ENGINE = {"gaussian": "shared-sigma-gaussian", "lognormal": "shared-sigma-lognormal"}
 _EXHAUSTED_REASON = {
     "gaussian": "schedule exhausted without a feasible recovery",
     "lognormal": "schedule exhausted without positive atoms and matching moments",
 }
 
 
+@np.errstate(all="ignore")
 def _shared_scale_descent(
-    s: MomentVector, kind: str, k: int | None, pull_back, sigma_schedule, rel_tol: float
+    s: MomentVector, kind: str, k: int | None, rel_tol: float
 ) -> RecoveryReport:
-    """Recover a shared-scale mixture with at most ``k`` components, and at
-    most floor(m/2): a Prony solve for k atoms reads 2k of the m moments.
+    """Recover a shared-scale mixture of ``kind`` with at most ``k``
+    components, and at most floor(m/2): a Prony solve for k atoms reads 2k
+    of the m moments.
 
-    ``k`` and every schedule scale are checked first; a vector that the
-    cone test of ``kind`` certifies as exterior is refused next.  A Gaussian
-    count with 1 <= k and 2k <= d takes the largest-scale step alone; a miss
-    reports the best residual the step reached, with no model.  Otherwise
-    the schedule is descended: ``pull_back(sigma)`` maps the vector to
-    ordinary moments of the atom locations at that scale, and the first
-    scale whose recovered mixture matches ``s`` to ``rel_tol`` wins.
+    ``k`` is checked first, and a vector that the cone test of ``kind``
+    certifies as exterior is refused.  The count alone picks the route: with
+    2k < m the largest-scale step alone, whose miss reports its best residual
+    with no model; at 2k = m the first scale of ``_SCHEDULE`` whose
+    ``_fit_at_scale`` matches ``s`` to ``rel_tol``.  Overflow raises no
+    warning; a model's moments or a Gaussian pull-back's scale powers beyond
+    the float range raise ``MomentOverflowError``.
     """
     if k is not None and k < 1:
         raise ValueError(f"k={k}: a recovery needs at least one component")
-    if sigma_schedule is not None:
-        sigma_schedule = list(sigma_schedule)
-        bad = [sigma for sigma in sigma_schedule if not (math.isfinite(sigma) and sigma > 0)]
-        if bad:
-            raise ValueError(f"sigma_schedule entries must be finite and strictly positive: {bad}")
-    engine = _SHARED_SCALE_ENGINE[kind]
+    engine = f"shared-sigma-{kind}"
     if not np.any(s.values):  # the empty mixture matches exactly, whatever rel_tol is
         return _judged(engine, MixtureMeasure.empty(kind), 0.0, 0.0, None)
     refusal = _exterior_refusal(s, kind, engine)
@@ -409,18 +414,17 @@ def _shared_scale_descent(
         return refusal
     k_cap = s.basis.m // 2
     k_target = min(k, k_cap) if k is not None else k_cap
-    if kind == "gaussian" and 0 < 2 * k_target <= s.basis.max_degree:
-        fit = _largest_scale(s, k_target, rel_tol)
+    if 0 < 2 * k_target < s.basis.m:
+        fit = _largest_scale(s, kind, k_target, rel_tol)
         if fit is None or not fit.residual <= rel_tol:
             return _failed(
                 engine, f"no shared-scale fit with at most {k_target} components",
                 math.inf if fit is None else fit.residual,
             )
         return _judged(engine, fit.model(kind), fit.residual, rel_tol, None, sigma_used=fit.sigma)
-    schedule = sigma_schedule if sigma_schedule is not None else default_sigma_schedule()
     best_residual = math.inf
-    for step, sigma in enumerate(schedule, start=1):
-        fit = _fit_at_scale(s, kind, pull_back(sigma), sigma, k_target)
+    for step, sigma in enumerate(_SCHEDULE, start=1):
+        fit = _fit_at_scale(s, kind, sigma, k_target)
         if fit is None:
             continue
         best_residual = min(best_residual, fit.residual)
@@ -429,15 +433,11 @@ def _shared_scale_descent(
                 engine, fit.model(kind), fit.residual, rel_tol, None,
                 sigma_used=sigma, sigma_steps=step,
             )
-    return _failed(engine, _EXHAUSTED_REASON[kind], best_residual, sigma_steps=len(schedule))
+    return _failed(engine, _EXHAUSTED_REASON[kind], best_residual, sigma_steps=len(_SCHEDULE))
 
 
 def recover_shared_sigma_gaussian(
-    s: MomentVector,
-    sigma_schedule=None,
-    *,
-    k: int | None = None,
-    rel_tol: float = 1e-8,
+    s: MomentVector, *, k: int | None = None, rel_tol: float = 1e-8
 ) -> RecoveryReport:
     """Recover a Gaussian mixture whose components share one scale.
 
@@ -445,47 +445,35 @@ def recover_shared_sigma_gaussian(
     route; a vector that the real-line Hankel test certifies as exterior is
     refused at once.  With 2k <= d (every count at even d) the largest-scale
     step alone looks for a representation with at most k components at one
-    common scale and ``sigma_schedule`` is only checked; the report has
-    ``sigma_steps`` 0 and, on success, the scale as ``sigma_used``, and a
-    miss reports the best residual the step reached, with no model.  At the
-    cap of an odd d (2k = d + 1) the vector is pulled back through the
-    unit-triangular transfer matrix at each scale of the descending
-    schedule, and the first successful Prony recovery of the pulled-back
-    vector gives the mixture; interior vectors succeed once the scale is
-    small enough.  A schedule entry that is not finite and positive raises
-    ``ValueError`` before any step.
+    common scale; the report has ``sigma_steps`` 0 and, on success, the
+    scale as ``sigma_used``, and a miss reports the best residual the step
+    reached, with no model.  At the cap of an odd d (2k = d + 1) the vector
+    is pulled back through the unit-triangular transfer matrix at each scale
+    of the descending schedule, and the first successful Prony recovery
+    gives the mixture; interior vectors succeed once the scale is small
+    enough.
     """
     _require_hankel_basis(s.basis, "gaussian")
-    pull_back = functools.partial(_gaussian_pull_back, s)
-    return _shared_scale_descent(s, "gaussian", k, pull_back, sigma_schedule, rel_tol)
+    return _shared_scale_descent(s, "gaussian", k, rel_tol)
 
 
 def recover_shared_sigma_lognormal(
-    s: MomentVector,
-    sigma_schedule=None,
-    *,
-    k: int | None = None,
-    rel_tol: float = 1e-8,
+    s: MomentVector, *, k: int | None = None, rel_tol: float = 1e-8
 ) -> RecoveryReport:
-    """Recover a log-normal mixture with one shared scale.
+    """Recover a log-normal mixture with one shared scale on consecutive
+    exponents {x^a, ..., x^(a+d)}.
 
     Dividing each moment by the closed-form growth factor turns the vector
     into ordinary moments of the atom locations (weights absorb the leading
     exponent), which Prony then recovers; only strictly positive atoms are
-    accepted, and scales for which atoms come out nonpositive are skipped.
-    ``k`` is capped at ``floor(m/2)`` for m moments, the cap when None.  A
-    schedule entry that is not finite and positive raises; a vector that the
-    half-line Hankel test certifies as exterior, such as one with a negative
-    moment, is refused at once, and one with a moment inside the tolerance
-    band walks the schedule and fails.
+    accepted.  ``k`` is capped at ``floor(m/2)`` for m moments, the cap when
+    None, and picks the route as in the Gaussian engine: with 2k < m (every
+    count at odd m) the largest-scale step alone, at 2k = m the schedule.  A
+    vector that the half-line Hankel test certifies as exterior, such as
+    one with a negative moment, is refused at once.
     """
     _require_hankel_basis(s.basis, "lognormal")
-    dd = np.array(s.basis.univariate_degrees(), dtype=float)
-
-    def pull_back(sigma: float) -> np.ndarray:
-        return s.values * np.exp(-0.5 * dd * dd * sigma * sigma)
-
-    return _shared_scale_descent(s, "lognormal", k, pull_back, sigma_schedule, rel_tol)
+    return _shared_scale_descent(s, "lognormal", k, rel_tol)
 
 
 def _data_scale(s: MomentVector) -> float:
@@ -777,7 +765,7 @@ def lm_fit(
     # a structural first start: weights, (k, 1) locations and one common scale
     first = None
     if kind == "gaussian" and basis.is_full_degree() and 2 * k <= basis.max_degree:
-        step = _largest_scale(s, k, _REL_TOL)
+        step = _largest_scale(s, "gaussian", k, _REL_TOL)
         if step is not None and step.residual <= _REL_TOL:
             return _judged(engine, step.model(kind), step.residual, _REL_TOL, None)
         if step is not None and len(step.weights) == k:

@@ -15,7 +15,9 @@ EXPECTED_PARAMETERS = {
         "basis", "kind", "s", "k", "free_sigma_per_component", "seed", "n_starts",
     ],
     mixcara.prony_dirac: ["s", "k"],
-    mixcara.default_sigma_schedule: [],
+    # both shared-scale engines descend one fixed schedule, only at 2k = m
+    mixcara.recover_shared_sigma_gaussian: ["s", "k", "rel_tol"],
+    mixcara.recover_shared_sigma_lognormal: ["s", "k", "rel_tol"],
     mixcara.hankel_classify: ["s"],
     mixcara.strip_mass: ["s", "v"],
     mixcara.represent_with_prescribed_component: [
@@ -46,7 +48,9 @@ DELETED = {
     recover: ["match_components", "_hankel_slice", "_companion_roots", "_IMAG_TOL",
               "_MIN_STEP", "_CORRECTOR_CONTRACTION", "_HOMOTOPY_STARTS", "_SIGMA_MIN",
               "_START_REL_TOL", "_START_RANK_TOL", "_CORRECTOR_ITERS", "_NEWTON_REL_TOL",
-              "_interleaved_theta", "_split_theta"],
+              "_interleaved_theta", "_split_theta", "default_sigma_schedule",
+              "_SCHEDULE_START", "_SCHEDULE_RATIO", "_SCHEDULE_STEPS", "_gaussian_pull_back",
+              "_SHARED_SCALE_ENGINE"],
     jacobian: ["_DENOMINATOR_NOTE"],
     conegeo: ["_cone_support"],
     errors: ["NonrealAtomsError", "InfeasibleMomentsError"],

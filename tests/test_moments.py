@@ -20,7 +20,7 @@ from mixcara.moments import (
     mixture_moments,
     transfer_matrix_gaussian,
 )
-from mixcara.recover import default_sigma_schedule
+from mixcara.recover import _SCHEDULE
 
 GAP = MonomialBasis.univariate([0, 2, 3, 5, 6])
 
@@ -291,7 +291,7 @@ def test_transfer_matrix_multivariate_unsupported():
 def test_inverse_transfer_matrix_is_the_inverse(d):
     # M(sigma)^-1 = M(i sigma), over the default schedule
     basis = MonomialBasis.full_degree(d)
-    for sigma in default_sigma_schedule():
+    for sigma in _SCHEDULE:
         product = transfer_matrix_gaussian(basis, sigma) @ _inverse_transfer_matrix(basis, sigma)
         np.testing.assert_allclose(product, np.eye(d + 1), rtol=0, atol=1e-12)
 
@@ -302,7 +302,7 @@ def test_inverse_transfer_matrix_is_the_negated_forward_matrix_bit_for_bit(d):
     basis = MonomialBasis.full_degree(d)
     a, j = np.indices((d + 1, d + 1))
     power = np.where((a >= j) & ((a - j) % 2 == 0), a - j, 0)
-    for sigma in [0.0, *default_sigma_schedule()]:
+    for sigma in [0.0, *_SCHEDULE]:
         M = transfer_matrix_gaussian(basis, sigma)
         reference = np.where(power % 4 == 2, -M, M)
         inverse = _inverse_transfer_matrix(basis, sigma)
@@ -313,7 +313,7 @@ def test_inverse_transfer_matrix_is_the_negated_forward_matrix_bit_for_bit(d):
 def test_inverse_pull_back_matches_triangular_solve(d):
     basis = MonomialBasis.full_degree(d)
     weights, means = np.array([0.6, 1.1, 0.8]), np.array([[-1.3], [0.2], [1.6]])
-    for sigma in default_sigma_schedule():
+    for sigma in _SCHEDULE:
         mix = MixtureMeasure(kind="gaussian", weights=weights, means=means,
                              sigmas=np.full(3, sigma))
         s = mixture_moments(basis, mix).values

@@ -30,7 +30,6 @@ from mixcara.moments import (
     mixture_moments,
 )
 from mixcara.recover import (
-    default_sigma_schedule,
     homotopy_gap_recovery,
     lm_fit,
     prony_dirac,
@@ -248,7 +247,7 @@ def test_prony_random_vectors_agree_with_the_reference():
         u = dirac_moments(basis, mu).values
         assert_prony_agrees(u, k)
         assert_prony_agrees(u + rng.normal(scale=1e-3, size=u.size), k)
-        for sigma in default_sigma_schedule()[::8]:
+        for sigma in recover._SCHEDULE[::8]:
             assert_prony_agrees(_inverse_transfer_matrix(basis, sigma) @ u, k)
 
 
@@ -303,7 +302,7 @@ def test_shared_sigma_gaussian_roundtrip_pair():
 
 
 def test_shared_sigma_gaussian_exact_scale_in_schedule():
-    """With the true scale reachable, parameters match after permutation."""
+    """With the true scale on the schedule, parameters match after permutation."""
     basis = MonomialBasis.full_degree(5)
     rng = np.random.default_rng(6)
     mix = sample_random_mixture(
@@ -311,9 +310,8 @@ def test_shared_sigma_gaussian_exact_scale_in_schedule():
         shared_sigma=True,
     )
     s = mixture_moments(basis, mix)
-    schedule = [1.0, 0.5, 0.25, 0.125]
-    report = recover_shared_sigma_gaussian(s, sigma_schedule=schedule)
-    assert report.success and report.sigma_used == 0.25
+    report = recover_shared_sigma_gaussian(s)
+    assert report.success and report.sigma_used == 0.25 and report.sigma_steps == 3
     # the sampler sorts components by location; align the recovered ones the same way
     perm = np.argsort(report.model.means[:, 0])
     np.testing.assert_allclose(report.model.means[perm], mix.means, rtol=1e-5)
@@ -321,14 +319,15 @@ def test_shared_sigma_gaussian_exact_scale_in_schedule():
 
 
 def test_shared_sigma_gaussian_single_component_like_dirac():
+    # at the cap the descent reaches the scale 0.25, where the pulled-back
+    # Hankel slice is rank-deficient and Prony lowers the count to 1
     basis = MonomialBasis.full_degree(3)
-    mix = MixtureMeasure(kind="gaussian", weights=[1.0], means=[[0.7]], sigmas=[0.2])
+    mix = MixtureMeasure(kind="gaussian", weights=[1.0], means=[[0.7]], sigmas=[0.25])
     s = mixture_moments(basis, mix)
-    schedule = [0.8, 0.4, 0.2, 0.1]
-    report = recover_shared_sigma_gaussian(s, sigma_schedule=schedule)
+    report = recover_shared_sigma_gaussian(s)
     assert report.success
     assert report.k_used == 1
-    assert report.sigma_used == pytest.approx(0.2)
+    assert report.sigma_used == 0.25
     assert report.model.means[0, 0] == pytest.approx(0.7, rel=1e-8)
 
 
@@ -368,13 +367,12 @@ def test_shared_sigma_gaussian_exterior_fails_honestly():
 
 def test_shared_sigma_lognormal_single_component():
     basis = MonomialBasis.full_degree(5)
-    mix = MixtureMeasure(kind="lognormal", weights=[1.0], means=[[2.0]], sigmas=[0.4])
+    mix = MixtureMeasure(kind="lognormal", weights=[1.0], means=[[2.0]], sigmas=[0.5])
     s = mixture_moments(basis, mix)
-    schedule = [0.8, 0.4, 0.2]
-    report = recover_shared_sigma_lognormal(s, sigma_schedule=schedule)
+    report = recover_shared_sigma_lognormal(s)
     assert report.success
     assert report.k_used == 1
-    assert report.sigma_used == pytest.approx(0.4)
+    assert report.sigma_used == 0.5 and report.sigma_steps == 2
     assert report.model.means[0, 0] == pytest.approx(2.0, rel=1e-7)
 
 
@@ -408,14 +406,50 @@ def test_shared_sigma_lognormal_negative_moment_rejected():
 
 
 def test_shared_sigma_lognormal_shifted_exponents():
-    """Consecutive exponents starting above zero factor through the locations."""
+    """Consecutive exponents starting above zero factor through the locations;
+    with 2k < m the scale is the closed-form one of the first three moments."""
     basis = MonomialBasis.univariate([2, 3, 4, 5])
     mix = MixtureMeasure(kind="lognormal", weights=[1.5], means=[[1.3]], sigmas=[0.3])
     s = mixture_moments(basis, mix)
-    report = recover_shared_sigma_lognormal(s, sigma_schedule=[0.6, 0.3, 0.15])
-    assert report.success
+    report = recover_shared_sigma_lognormal(s, k=1)
+    assert report.success and report.sigma_steps == 0
+    assert report.sigma_used == pytest.approx(0.3, rel=1e-7)
     assert report.model.means[0, 0] == pytest.approx(1.3, rel=1e-7)
     assert report.model.weights[0] == pytest.approx(1.5, rel=1e-7)
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_shared_sigma_lognormal_recovers_the_default_count_at_odd_m(d):
+    # m = d + 1 is odd, so the cap k = d/2 has 2k < m: the largest-scale
+    # step finds the common scale, which the schedule meets only by chance
+    basis = MonomialBasis.full_degree(d)
+    successes = 0
+    for seed in range(40):
+        truth = sample_random_mixture(
+            "lognormal", d // 2, rng=np.random.default_rng([9, d, seed]),
+            mean_range=(0.5, 2.5), sigma_range=(0.1, 0.35), min_separation=0.2,
+            shared_sigma=True,
+        )
+        report = recover_shared_sigma_lognormal(mixture_moments(basis, truth))
+        if report.success:
+            successes += 1
+            assert report.residual <= 1e-8 and report.sigma_steps == 0
+            assert report.sigma_used == pytest.approx(truth.sigmas[0], rel=1e-6)
+    assert successes >= 39
+
+
+@pytest.mark.parametrize("low, top", [(1, 6), (2, 8), (1, 7), (3, 7)])
+def test_shared_sigma_lognormal_recovers_every_count_below_the_cap_on_shifted_bases(low, top):
+    basis = MonomialBasis.univariate(list(range(low, top + 1)))
+    for k in range(1, (basis.m + 1) // 2):
+        for seed in range(10):
+            truth = sample_random_mixture(
+                "lognormal", k, rng=np.random.default_rng([3, low, top, seed]),
+                mean_range=(0.5, 2.5), sigma_range=(0.1, 0.35), min_separation=0.2,
+                shared_sigma=True,
+            )
+            report = recover_shared_sigma_lognormal(mixture_moments(basis, truth), k=k)
+            assert report.success and report.k_used == k and report.sigma_steps == 0
 
 
 def test_shared_sigma_lognormal_nonconsecutive_rejected():
@@ -699,10 +733,10 @@ def test_lm_fit_analytic_jacobian_matches_central_differences(
         # 2k <= d: the first start is the largest-scale step's best try, one
         # common scale for every component; the random start comes after it
         # or, without the step, first
-        step = recover._largest_scale(s, 2, 1e-8)
+        step = recover._largest_scale(s, "gaussian", 2, 1e-8)
         assert step.residual > 1e-8
         np.testing.assert_array_equal(solver_runs[0][2][4:], math.log(step.sigma))
-        monkeypatch.setattr(recover, "_largest_scale", lambda s, k, tol: None)
+        monkeypatch.setattr(recover, "_largest_scale", lambda s, kind, k, tol: None)
         lm_fit(basis, kind, s, k=2, free_sigma_per_component=free, n_starts=1)
         assert len(solver_runs) >= 2
     h = 1e-6
@@ -889,10 +923,18 @@ def test_lm_fit_underdetermined_fit_matches_without_a_warning():
 # ------------------------------------------------ largest-scale step
 
 
-def _shared_truth(k, seed):
+def _shared_truth(k, seed, kind="gaussian"):
+    if kind == "lognormal":
+        return sample_random_mixture("lognormal", k, rng=seed, mean_range=(0.5, 2.5),
+                                     sigma_range=(0.1, 0.35), min_separation=0.2,
+                                     shared_sigma=True)
     span = 2.5 if k >= 4 else 1.5
     return sample_random_mixture("gaussian", k, rng=seed, mean_range=(-span, span),
                                  sigma_range=(0.2, 0.6), min_separation=0.6, shared_sigma=True)
+
+
+SHARED_ENGINES = {"gaussian": recover_shared_sigma_gaussian,
+                  "lognormal": recover_shared_sigma_lognormal}
 
 
 def _shared_fits(s, k):
@@ -909,9 +951,9 @@ def step_calls(monkeypatch):
     calls = []
     real = recover._largest_scale
 
-    def spy(s, k, tol):
+    def spy(s, kind, k, tol):
         calls.append(k)
-        return real(s, k, tol)
+        return real(s, kind, k, tol)
 
     monkeypatch.setattr(recover, "_largest_scale", spy)
     return calls
@@ -952,16 +994,17 @@ def test_lm_fit_shared_recovers_inputs_where_every_start_stalled(values, seed):
     assert report.residual <= 1e-10
 
 
-def _three_at_one_scale():
+def _three_at_one_scale(kind="gaussian"):
     # three components at one scale have no two-component shared-scale fit
-    truth = MixtureMeasure(kind="gaussian", weights=[0.8, 1.1, 0.6],
-                           means=[[-1.2], [0.1], [1.3]], sigmas=[0.35, 0.35, 0.35])
+    means = [[-1.2], [0.1], [1.3]] if kind == "gaussian" else [[0.6], [1.2], [2.0]]
+    truth = MixtureMeasure(kind=kind, weights=[0.8, 1.1, 0.6], means=means,
+                           sigmas=[0.35, 0.35, 0.35])
     return mixture_moments(MonomialBasis.full_degree(6), truth)
 
 
 def test_largest_scale_miss_is_the_first_start_of_the_descent(monkeypatch, solver_runs):
     s = _three_at_one_scale()
-    step = recover._largest_scale(s, 2, 1e-8)
+    step = recover._largest_scale(s, "gaussian", 2, 1e-8)
     assert step.residual > 1e-8 and len(step.weights) == 2
     seeded = np.concatenate([np.log(step.weights), step.means[:, 0], [math.log(step.sigma)]])
     report = _shared_fits(s, 2)[0]
@@ -972,7 +1015,7 @@ def test_largest_scale_miss_is_the_first_start_of_the_descent(monkeypatch, solve
     seeded_starts = [theta for _, _, theta in solver_runs[1:]]
     # without a try, the random starts are drawn exactly as before
     solver_runs.clear()
-    monkeypatch.setattr(recover, "_largest_scale", lambda s, k, tol: None)
+    monkeypatch.setattr(recover, "_largest_scale", lambda s, kind, k, tol: None)
     _shared_fits(s, 2)
     random_starts = [theta for _, _, theta in solver_runs]
     assert len(random_starts) == len(seeded_starts) == 4
@@ -982,7 +1025,7 @@ def test_largest_scale_miss_is_the_first_start_of_the_descent(monkeypatch, solve
 
 def test_largest_scale_miss_reports_its_best_residual():
     s = _three_at_one_scale()
-    step = recover._largest_scale(s, 2, 1e-8)
+    step = recover._largest_scale(s, "gaussian", 2, 1e-8)
     report = recover_shared_sigma_gaussian(s, k=2)
     assert not report.success and report.model is None and report.k_used == 0
     assert report.residual == step.residual and math.isfinite(report.residual)
@@ -995,19 +1038,33 @@ def test_largest_scale_step_runs_for_gaussian_fits_on_full_bases_with_2k_at_most
     d5, d6 = MonomialBasis.full_degree(5), MonomialBasis.full_degree(6)
     s5, s6 = mixture_moments(d5, truth), mixture_moments(d6, truth)
     lm_fit(d5, "gaussian", s5, k=3, free_sigma_per_component=False, n_starts=1)  # 2k > d
-    recover_shared_sigma_gaussian(s5)  # k at the cap
-    recover_shared_sigma_gaussian(s5, k=3)
     logn = mixture_moments(d6, MixtureMeasure(kind="lognormal", weights=[1.0, 1.0],
                                               means=[[0.8], [1.6]], sigmas=[0.3, 0.3]))
     lm_fit(d6, "lognormal", logn, k=2, free_sigma_per_component=False, n_starts=1)
-    recover_shared_sigma_lognormal(logn, k=2)
     assert step_calls == []
     # free and shared scales alike
     for free in (True, False):
         report = lm_fit(d6, "gaussian", s6, k=2, free_sigma_per_component=free)
         assert report.success and report.iterations == 0
-    recover_shared_sigma_gaussian(s5, k=2)
-    assert step_calls == [2, 2, 2]
+    assert step_calls == [2, 2]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lognormal"])
+def test_shared_scale_engines_route_on_2k_below_m_alone(step_calls, kind):
+    # every count with 2k < m takes the largest-scale step, and 2k = m (the
+    # cap of an even m) the schedule descent, for both kinds
+    truth = _shared_truth(2, 3, kind)
+    routes = []
+    for d in (4, 5, 6):
+        s = mixture_moments(MonomialBasis.full_degree(d), truth)
+        for k in range(1, (d + 1) // 2 + 1):
+            del step_calls[:]
+            report = SHARED_ENGINES[kind](s, k=k)
+            assert report.success == (k >= 2)
+            routes.append((d, k, "step" if step_calls == [k] else "descent"))
+            assert (report.sigma_steps > 0) == (routes[-1][2] == "descent")
+    assert routes == [(4, 1, "step"), (4, 2, "step"), (5, 1, "step"), (5, 2, "step"),
+                      (5, 3, "descent"), (6, 1, "step"), (6, 2, "step"), (6, 3, "step")]
 
 
 @pytest.mark.parametrize("j", [1, 2])
@@ -1044,7 +1101,8 @@ def test_largest_scale_brackets_take_at_most_16_eigenvalue_calls_per_order(monke
     basis = MonomialBasis.full_degree(d)
     for seed in range(3):
         per_order.clear()
-        fit = recover._largest_scale(mixture_moments(basis, _shared_truth(k, seed)), k, 1e-8)
+        s = mixture_moments(basis, _shared_truth(k, seed))
+        fit = recover._largest_scale(s, "gaussian", k, 1e-8)
         assert fit.residual <= 1e-8 and len(fit.weights) == k
         assert len(per_order) == k - 1 and max(per_order) <= 16
 
@@ -1059,7 +1117,7 @@ def test_lm_fit_free_scales_start_from_the_largest_scale_try(monkeypatch, d, k):
     basis = MonomialBasis.full_degree(d)
     vectors = [mixture_moments(basis, _free_truth(k, seed)) for seed in range(30)]
     seeded = [lm_fit(basis, "gaussian", s, k, seed=1) for s in vectors]
-    monkeypatch.setattr(recover, "_largest_scale", lambda s, k, tol: None)
+    monkeypatch.setattr(recover, "_largest_scale", lambda s, kind, k, tol: None)
     unseeded = [lm_fit(basis, "gaussian", s, k, seed=1) for s in vectors]
     assert all(report.success for report in seeded)
     iterations = sum(report.iterations for report in seeded)
@@ -1104,24 +1162,8 @@ def test_shared_scale_tries_build_only_the_returned_model(constructions, d, k):
     assert not miss.success and not constructions
 
 
-@pytest.mark.parametrize("entry", [0.0, -0.1, math.nan, math.inf])
-def test_shared_scale_engines_refuse_degenerate_schedule_entries(prony_calls, entry):
-    basis = MonomialBasis.full_degree(5)
-    gauss = mixture_moments(basis, _shared_truth(3, 0))
-    logn = mixture_moments(basis, MixtureMeasure(kind="lognormal", weights=[1.0, 0.5],
-                                                 means=[[1.2], [2.0]], sigmas=[0.3, 0.3]))
-    for engine, s in [(recover_shared_sigma_gaussian, gauss),
-                      (recover_shared_sigma_lognormal, logn)]:
-        with pytest.raises(ValueError, match="sigma_schedule entries must be finite"):
-            engine(s, [0.5, entry])
-    # also where the largest-scale step would not read the schedule
-    with pytest.raises(ValueError, match="sigma_schedule"):
-        recover_shared_sigma_gaussian(gauss, [entry], k=2)
-    assert not prony_calls
-
-
 def test_exterior_ray_is_refused_before_the_largest_scale_step(monkeypatch):
-    def no_step(s, k, tol):
+    def no_step(s, kind, k, tol):
         raise AssertionError("the largest-scale step ran on an exterior vector")
 
     monkeypatch.setattr(recover, "_largest_scale", no_step)
@@ -1131,19 +1173,26 @@ def test_exterior_ray_is_refused_before_the_largest_scale_step(monkeypatch):
         assert report.failure_reason.startswith("exterior:")
 
 
-def test_shared_sigma_gaussian_below_the_cap_takes_the_largest_scale_step(prony_in_step):
+def _step_alone_below_the_cap(prony_in_step, kind, means):
     basis = MonomialBasis.full_degree(6)
-    truth = MixtureMeasure(kind="gaussian", weights=[0.5, 0.5], means=[[-1.0], [0.8]],
-                           sigmas=[0.3, 0.3])
+    truth = MixtureMeasure(kind=kind, weights=[0.5, 0.5], means=means, sigmas=[0.3, 0.3])
     s = mixture_moments(basis, truth)
-    report = recover_shared_sigma_gaussian(s, k=2)
+    report = SHARED_ENGINES[kind](s, k=2)
     assert report.success and report.k_used == 2 and report.sigma_steps == 0
     assert report.sigma_used == pytest.approx(0.3, rel=1e-8)
     # a miss of the step is the report: no Prony solve runs outside it
-    report = recover_shared_sigma_gaussian(_three_at_one_scale(), k=2)
+    report = SHARED_ENGINES[kind](_three_at_one_scale(kind), k=2)
     assert not report.success and report.sigma_steps == 0 and report.model is None
     assert "at most 2 components" in report.failure_reason
     assert prony_in_step and all(prony_in_step)
+
+
+def test_shared_sigma_gaussian_below_the_cap_takes_the_largest_scale_step(prony_in_step):
+    _step_alone_below_the_cap(prony_in_step, "gaussian", [[-1.0], [0.8]])
+
+
+def test_shared_sigma_lognormal_below_the_cap_takes_the_largest_scale_step(prony_in_step):
+    _step_alone_below_the_cap(prony_in_step, "lognormal", [[0.8], [1.6]])
 
 
 @pytest.fixture
@@ -1152,10 +1201,10 @@ def prony_in_step(monkeypatch):
     calls, depth = [], []
     real_step, real_prony = recover._largest_scale, recover._prony
 
-    def step(s, k, tol):
+    def step(s, kind, k, tol):
         depth.append(k)
         try:
-            return real_step(s, k, tol)
+            return real_step(s, kind, k, tol)
         finally:
             depth.pop()
 
@@ -1168,16 +1217,25 @@ def prony_in_step(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("d", range(2, 10))
-def test_shared_sigma_gaussian_with_2k_at_most_d_runs_prony_only_in_the_step(prony_in_step, d):
+def _prony_only_in_the_step(prony_in_step, kind, d):
     basis = MonomialBasis.full_degree(d)
     for k in range(1, d // 2 + 1):
         for j in (k, k + 1):  # a truth with k components, and one with k + 1
-            s = mixture_moments(basis, _shared_truth(j, d))
-            recover_shared_sigma_gaussian(s, k=k)
+            s = mixture_moments(basis, _shared_truth(j, d, kind))
+            SHARED_ENGINES[kind](s, k=k)
     if d % 2 == 0:
-        recover_shared_sigma_gaussian(s)  # k = None is the cap d/2
+        SHARED_ENGINES[kind](s)  # k = None is the cap d/2
     assert prony_in_step and all(prony_in_step)
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_shared_sigma_gaussian_with_2k_at_most_d_runs_prony_only_in_the_step(prony_in_step, d):
+    _prony_only_in_the_step(prony_in_step, "gaussian", d)
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_shared_sigma_lognormal_with_2k_at_most_d_runs_prony_only_in_the_step(prony_in_step, d):
+    _prony_only_in_the_step(prony_in_step, "lognormal", d)
 
 
 @pytest.mark.parametrize("d", [4, 6, 8])
@@ -1499,8 +1557,43 @@ def test_finite_vectors_get_a_report_or_a_typed_error():
                 pass
 
 
+@pytest.mark.parametrize("kind, exponents, values", [
+    # overflow in np.vander
+    ("gaussian", [0, 1, 2, 3], [8.21e-57, 1.02e+23, 3.21e+141, 2.51e+82]),
+    # weights that are not finite
+    ("lognormal", [2, 3, 4, 5], [3.16e-135, 1.4e-84, 1.4e-112, 8.56e-73]),
+    ("lognormal", [2, 3], [2.2e-91, 6.19e+110]),
+    ("lognormal", [2, 3, 4, 5, 6, 7],
+     [8.17e+148, 9000.0, 1.98e-128, 1.83e+74, 3.04e+44, 7.91e-106]),
+    # an infinite Vandermonde matrix, on which LAPACK prints to stdout
+    ("gaussian", [0, 1, 2, 3], [5.69e-86, 1.3e+40, 3.22e-12, 3.96e+143]),
+    ("lognormal", [1, 2, 3, 4], [1.05e-117, 1.9e+28, 4.08e+71, 5.2e+128]),
+])
+def test_shared_scale_descent_on_extreme_finite_vectors_fails_without_numpy_errors(
+    capfd, kind, exponents, values
+):
+    # a try that overflows is no fit: no floating-point warning, no untyped
+    # error, and no LAPACK complaint about an infinite matrix
+    s = mv(values, MonomialBasis.univariate(exponents))
+    report = SHARED_ENGINES[kind](s)
+    assert not report.success and report.sigma_steps == 40 and report.model is None
+    if kind == "gaussian":
+        with pytest.raises(ConditioningError, match="Vandermonde"):
+            prony_dirac(s, 2)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_largest_scale_step_beyond_the_float_range_raises_a_typed_error():
+    # the closed-form first scale is about 1e99, whose fourth power, an entry
+    # of the inverse transfer matrix, overflows
+    values = [1.67e-81, 1.0e-26, 1.62e+117, 1.32e-110, 6.48e+145]
+    s = mv(values, MonomialBasis.full_degree(4))
+    with pytest.raises(MomentOverflowError, match="to the power 4 overflows"):
+        recover_shared_sigma_gaussian(s)
+
+
 def test_default_schedule_shape():
-    sched = default_sigma_schedule()
+    sched = recover._SCHEDULE
     assert len(sched) == 40
     assert sched[0] == 1.0
     assert sched[1] == 0.5
