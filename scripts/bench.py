@@ -5,6 +5,8 @@ Usage, from the repository root:
 
     python scripts/bench.py --out BENCH_13.json --workload shared-scale \\
         --seeds 300 301 302 303 304 305 [--parent HEAD]
+    python scripts/bench.py --out BENCH_13.json --workload experiments \\
+        --seeds 7 7 7 7 7 7 [--parent HEAD]
 
 The parent commit is exported with ``git archive`` into a temporary
 directory, which is removed afterwards; the working tree of this checkout,
@@ -24,6 +26,14 @@ quartiles and range of each side.  ``change_better_pairs`` and
 side's per-kind medians under ``kinds``, which shows where a gain sits.  The
 script measures nothing itself.  Running it again with the same ``--out``
 adds or replaces that workload and keeps every other key of the file.
+
+``--workload experiments`` runs ``scripts/run_all_bounds.py --seed S`` in
+place of the benchmark, in the same alternating pairs, and writes into a
+temporary directory.  From each run's printed table it keeps every
+experiment's result, rate, ``time_ms`` and ``report_sha``; the file's
+``experiments`` section holds, per experiment and side, the spread of
+``time_ms``, the distinct report hashes and rates over the runs, and the
+change/parent ratio of the ``time_ms`` medians.
 """
 from __future__ import annotations
 
@@ -41,6 +51,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = Path("perfbench") / "run.py"
+BOUNDS = Path("scripts") / "run_all_bounds.py"
 
 
 def export(rev: str, directory: Path) -> str:
@@ -99,6 +110,52 @@ def summarize_kinds(runs: dict[str, list[dict]]) -> dict[str, dict]:
     return kinds
 
 
+def bounds_once(tree: Path, seed: int) -> dict[str, dict]:
+    """One ``run_all_bounds.py --seed S`` in a fresh process, its reports
+    written to a temporary directory; the rows of its table."""
+    with tempfile.TemporaryDirectory(prefix="mixcara-bounds-") as out:
+        argv = [sys.executable, str(BOUNDS), "--seed", str(seed), "--out", out]
+        proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    # exit status 2 reports a violated bound, and the table is still whole
+    if proc.returncode not in (0, 2):
+        raise RuntimeError(f"{' '.join(argv)} in {tree} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    return bounds_table(proc.stdout)
+
+
+def bounds_table(stdout: str) -> dict[str, dict]:
+    """Experiment -> result, rate, time_ms and report_sha, from the table
+    ``run_all_bounds.py`` prints: a header line, one row per experiment, and
+    a closing line that names the report directory."""
+    rows = {}
+    for line in stdout.splitlines()[1:]:
+        if line.startswith("reports written to"):
+            break
+        name, result, rate, time_ms, sha = line.split()
+        rows[name] = {"result": result, "rate": rate, "time_ms": float(time_ms),
+                      "report_sha": sha}
+    return rows
+
+
+def summarize_experiments(runs: dict[str, list[dict]]) -> dict[str, dict]:
+    """Per experiment and side: the spread of ``time_ms`` and the distinct
+    rates and report hashes over the runs; per experiment, the change/parent
+    ratio of the ``time_ms`` medians."""
+    experiments: dict[str, dict] = {}
+    for name in runs["parent"][0]:
+        sides = experiments[name] = {}
+        for side, side_runs in runs.items():
+            rows = [run[name] for run in side_runs]
+            sides[side] = {
+                "time_ms": spread([row["time_ms"] for row in rows]),
+                "rate": sorted({row["rate"] for row in rows}),
+                "report_sha": sorted({row["report_sha"] for row in rows}),
+            }
+        sides["time_ratio"] = (sides["change"]["time_ms"]["median"]
+                               / sides["parent"]["time_ms"]["median"])
+    return experiments
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
@@ -145,7 +202,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--workload", required=True,
-                        choices=("shared-scale", "nonlinear-fit", "reduce-rank"))
+                        choices=("shared-scale", "nonlinear-fit", "reduce-rank", "experiments"))
     parser.add_argument("--seeds", required=True, type=int, nargs="+")
     parser.add_argument("--parent", default="HEAD")
     args = parser.parse_args()
@@ -155,6 +212,7 @@ def main() -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     specs = {spec["name"]: spec for spec in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
+    experiments = args.workload == "experiments"
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     order = []
     with tempfile.TemporaryDirectory(prefix="mixcara-bench-") as tmp:
@@ -165,25 +223,42 @@ def main() -> int:
             sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             order.append(sides[0])
             for side in sides:
-                result = bench_once(trees[side], args.workload, seed, seconds)
-                runs[side].append(result)
-                print(f"{args.workload} seed {seed} {side}: "
-                      f"ops_per_s {result['metrics']['ops_per_s']['value']:.1f}, "
-                      f"correct {result['correct']}", flush=True)
+                if experiments:
+                    rows = bounds_once(trees[side], seed)
+                    runs[side].append(rows)
+                    summary = f"total_ms {sum(row['time_ms'] for row in rows.values()):.1f}"
+                else:
+                    result = bench_once(trees[side], args.workload, seed, seconds)
+                    runs[side].append(result)
+                    summary = (f"ops_per_s {result['metrics']['ops_per_s']['value']:.1f}, "
+                               f"correct {result['correct']}")
+                print(f"{args.workload} seed {seed} {side}: {summary}", flush=True)
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record["machine"] = machine()
-    record.setdefault("workloads", {})[args.workload] = {
-        "parent_commit": commit,
-        "command": f"{BENCH} --workload {args.workload} --seed S --seconds {seconds} --trace 0",
-        "seeds": args.seeds,
-        "first": order,
-        "all_runs_correct": all(run["correct"] for side in runs.values() for run in side),
-        "attempted_ops": {side: sum(run["attempted"] for run in rs) for side, rs in runs.items()},
-        "failed_ops": {side: sum(run["failed"] for run in rs) for side, rs in runs.items()},
-        "metrics": summarize(runs, specs),
-        "kinds": summarize_kinds(runs),
-    }
+    if experiments:
+        record["experiments"] = {
+            "parent_commit": commit,
+            "command": f"{BOUNDS} --seed S --out <temporary directory>",
+            "seeds": args.seeds,
+            "first": order,
+            "all_held": all(row["result"] == "held"
+                            for side in runs.values() for run in side for row in run.values()),
+            "rows": summarize_experiments(runs),
+        }
+    else:
+        record.setdefault("workloads", {})[args.workload] = {
+            "parent_commit": commit,
+            "command": f"{BENCH} --workload {args.workload} --seed S --seconds {seconds} --trace 0",
+            "seeds": args.seeds,
+            "first": order,
+            "all_runs_correct": all(run["correct"] for side in runs.values() for run in side),
+            "attempted_ops": {side: sum(run["attempted"] for run in rs)
+                              for side, rs in runs.items()},
+            "failed_ops": {side: sum(run["failed"] for run in rs) for side, rs in runs.items()},
+            "metrics": summarize(runs, specs),
+            "kinds": summarize_kinds(runs),
+        }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -21,11 +21,15 @@ Five routes from a moment vector back to a measure:
   fit on {1, x, ..., x^d} with 2k <= d, shared or free scales, tries the
   largest-scale step first; a miss with k components is the first start.
   On a univariate basis that holds degree 0, has top degree 2k and misses
-  a degree, the first start is the k-atom measure of a singular positive
-  semidefinite Hankel completion (``_completed_dirac``) at scale 0.1.
+  a degree, the same holds for the completion step (``_completed_dirac``):
+  the pull-back at scale 0.1 is affine in the missing moments, and a
+  singular positive semidefinite Hankel completion of it gives k atoms
+  whose mixture at 0.1 has the given moments, with no solver.  Where the
+  pull-back at 0.1 has no such completion, the k atoms of the completion at
+  scale 0, put at 0.1, are the first start.
 * ``homotopy_gap_recovery`` -- for bases with exponent gaps: a shared-scale
-  ``lm_fit``, whose scale moves with the weights and means from that
-  completion start, judged at the caller's tolerance.
+  ``lm_fit`` judged at the caller's tolerance; from the Dirac start its
+  scale moves with the weights and means.
 
 ``lm_fit`` runs ``_damped_least_squares``, a Levenberg descent that factors
 the Jacobian once per iteration by SVD and tries the minimum-norm
@@ -100,7 +104,8 @@ _SCHEDULE = tuple(0.5**j for j in range(40))
 # bracket relative to the first scale, 34 halvings of [0, sd]
 _SCALE_FLOOR = 1e-10
 _SCALE_REL_WIDTH = 1e-10
-# gap bases: the scale of the Hankel completion's measure as lm_fit's first start
+# gap bases: the scale at which lm_fit first completes the moments, and the
+# scale of its first start
 _SIGMA_TARGET = 0.1
 # Hankel completion step: Newton steps of the ascent on the smallest
 # eigenvalue, the longest step relative to the largest moment, and halvings
@@ -144,7 +149,8 @@ class RecoveryReport:
     locations).  ``iterations`` counts the iterations of the damped
     least-squares solver in ``lm_fit`` and the gap route, summed over all
     starts; it is 0 for the shared-scale engines, and for an ``lm_fit`` that
-    the largest-scale step settles without the solver.  ``sigma_steps``
+    the largest-scale step or the completion at scale 0.1 settles without
+    the solver.  ``sigma_steps``
     counts the scales the schedule descent at 2k = m tried, the accepted one
     included; it is 0 for the largest-scale step (2k < m), ``lm_fit`` and the
     gap route, whose ``sigma_used`` is the fitted shared scale.
@@ -303,6 +309,15 @@ class _ScaleFit:
         return MixtureMeasure(kind=kind, weights=self.weights, means=self.means, sigmas=sigmas)
 
 
+def _scale_fit(
+    s: MomentVector, kind: str, sigma: float, weights: np.ndarray, means: np.ndarray
+) -> _ScaleFit:
+    """The mixture of ``kind`` with these weights and (k, 1) locations at the
+    common scale ``sigma``, and its moment residual against ``s``."""
+    values = weights @ component_moments(s.basis, kind, means, np.full(len(weights), sigma))
+    return _ScaleFit(sigma, weights, means, _relative_residual(values, s.values))
+
+
 def _fit_at_scale(s: MomentVector, kind: str, sigma: float, k: int) -> _ScaleFit | None:
     """The mixture of ``kind`` at scale ``sigma`` whose at most ``k`` atoms
     ``_prony`` finds in the pull-back of ``s`` at that scale, and its
@@ -323,9 +338,7 @@ def _fit_at_scale(s: MomentVector, kind: str, sigma: float, k: int) -> _ScaleFit
         w = w / atoms**d1
         if not (np.isfinite(w).all() and (w > 0).all()):
             return None
-    means = atoms.reshape(-1, 1)
-    values = w @ component_moments(s.basis, kind, means, np.full(len(w), sigma))
-    return _ScaleFit(sigma, w, means, _relative_residual(values, s.values))
+    return _scale_fit(s, kind, sigma, w, atoms.reshape(-1, 1))
 
 
 def _largest_scale(s: MomentVector, kind: str, k: int, tol: float) -> _ScaleFit | None:
@@ -382,6 +395,8 @@ def _largest_scale(s: MomentVector, kind: str, k: int, tol: float) -> _ScaleFit 
     return best
 
 
+# one string per kind, shared by every report instead of built per call
+_ENGINE = {"gaussian": "shared-sigma-gaussian", "lognormal": "shared-sigma-lognormal"}
 _EXHAUSTED_REASON = {
     "gaussian": "schedule exhausted without a feasible recovery",
     "lognormal": "schedule exhausted without positive atoms and matching moments",
@@ -406,7 +421,7 @@ def _shared_scale_descent(
     """
     if k is not None and k < 1:
         raise ValueError(f"k={k}: a recovery needs at least one component")
-    engine = f"shared-sigma-{kind}"
+    engine = _ENGINE[kind]
     if not np.any(s.values):  # the empty mixture matches exactly, whatever rel_tol is
         return _judged(engine, MixtureMeasure.empty(kind), 0.0, 0.0, None)
     refusal = _exterior_refusal(s, kind, engine)
@@ -588,33 +603,56 @@ def _damped_least_squares(point, values, theta: np.ndarray, goal: float, max_ite
     return _Run(theta, r, J, bool(np.abs(r).max() <= goal), max_iters)
 
 
-def _completed_dirac(s: MomentVector, k: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Atoms and weights of a Dirac measure with the moments of ``s``, read
-    off a completion of the missing moments, when the basis is univariate,
-    holds degree 0, has top degree d = 2k and misses a degree below d.
+@functools.cache
+def _completion_tables(k: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse transfer matrix ``T_sigma^-1`` on {1, x, ..., x^2k} and,
+    stacked by degree g, the Hankel matrix ``P_g`` of its column g, so that
+    the (k+1)-by-(k+1) Hankel block of ``T_sigma^-1 y`` is ``sum_g y_g P_g``.
+    At sigma 0 they are the identity and the 0/1 patterns of each degree.
+    Read-only, because every call with one (k, sigma) shares them."""
+    inverse = _inverse_transfer_matrix(MonomialBasis.full_degree(2 * k), sigma)
+    hankels = inverse.T[:, _hankel_index(k + 1, k + 1)]
+    for table in (inverse, hankels):
+        table.setflags(write=False)
+    return inverse, hankels
 
-    A sequence u_0..u_2k whose (k+1)-by-(k+1) Hankel block H is positive
-    semidefinite and singular has a unique representing measure, with
-    rank(H) atoms (Curto & Fialkow 1991, Houston J. Math. 17).  The step is
-    homogeneous in the sequence, so it runs on s scaled to max|s| = 1 and
-    scales the weights back.  The missing moments start at 0 for odd degrees and at half the geometric
-    interpolation of the nearest given even moments for even ones.  Newton
-    steps raise the smallest eigenvalue of H, a concave function of the
-    missing moments: its gradient at degree g is ``v^T A_g v``, with v the
-    eigenvector and A_g the 0/1 pattern of degree g in H, and its Hessian
-    ``2 sum_l (v^T A_g v_l)(v_l^T A_h v) / (lam_0 - lam_l)`` over the other
+
+def _completed_dirac(
+    s: MomentVector, k: int, sigma: float = 0.0
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Atoms and weights of a measure whose shared-scale Gaussian mixture at
+    ``sigma`` has the moments of ``s``, read off a completion of the missing
+    moments, when the basis is univariate, holds degree 0, has top degree
+    d = 2k and misses a degree below d.  At sigma 0 the measure itself has
+    the moments of ``s``.
+
+    The smoothed sequence y = [s; z] on {1, x, ..., x^2k}, with z the
+    missing moments, pulls back to ``u(z) = T_sigma^-1 y``, affine in z;
+    smoothing at sigma maps the moments of a measure to y, and ``M(sigma)
+    M(i sigma) = I``.  A sequence u_0..u_2k whose (k+1)-by-(k+1) Hankel block
+    H is positive semidefinite and singular has a unique representing
+    measure, with rank(H) atoms (Curto & Fialkow 1991, Houston J. Math. 17),
+    so that measure smoothed at sigma has exactly the moments of ``s``.  The
+    step is homogeneous in the sequence, so it runs on s scaled to max|s| = 1
+    and scales the weights back.  The missing moments start at 0 for odd
+    degrees and at half the geometric interpolation of the nearest given even
+    moments for even ones.  Newton steps raise the smallest eigenvalue of H,
+    a concave function of z: its gradient at degree g is ``v^T P_g v``, with
+    v the eigenvector and P_g the Hankel matrix of column g of
+    ``T_sigma^-1`` (the 0/1 pattern of degree g at sigma 0), and its Hessian
+    ``2 sum_l (v^T P_g v_l)(v_l^T P_h v) / (lam_0 - lam_l)`` over the other
     eigenpairs.  A step reaches at most a quarter of the largest moment and
     is halved until the eigenvalue rises, at most 30 times; the ascent stops
     at the first positive eigenvalue, within 20 steps.  With H = L L^T
     there, the largest missing moment moves to the boundary in closed form:
-    H turns singular at both ends u_g - 1/mu of the interval where it stays
+    H turns singular at both ends z_g - 1/mu of the interval where it stays
     definite, mu the smallest and the largest eigenvalue of
-    ``L^-1 A_g L^-T`` (of both signs, because A_g is indefinite), with
+    ``L^-1 P_g L^-T`` (of both signs, because P_g is indefinite), with
     kernel ``q = L^-T y``, y the eigenvector.  q holds the coefficients of
     the polynomial that vanishes on the atoms, and the end with the smaller
     root bound ``max|q_i| / |q_k|`` is taken: at the other end an atom often
     runs off with a vanishing weight.  ``_prony`` reads the measure off the
-    completed sequence; the pair is empty when Prony raises, and holds fewer
+    completed pull-back; the pair is empty when Prony raises, and holds fewer
     than k atoms when H has lower rank.  None when the step does not apply
     or finds no positive-definite completion, as for a vector with every
     moment 0.
@@ -624,37 +662,39 @@ def _completed_dirac(s: MomentVector, k: int) -> tuple[np.ndarray, np.ndarray] |
     size = float(np.abs(s.values).max())
     if not (degrees[0] == 0 and degrees[-1] == 2 * k and gaps and size > 0):
         return None
-    u = np.zeros(2 * k + 1)
-    u[list(degrees)] = s.values / size
+    y = np.zeros(2 * k + 1)
+    y[list(degrees)] = s.values / size
     given_even = [g for g in range(0, 2 * k + 1, 2) if g not in gaps]
     for g in (g for g in gaps if g % 2 == 0):
         a = max(e for e in given_even if e < g)
         b = min(e for e in given_even if e > g)
-        if not (u[a] > 0 and u[b] > 0):
+        if not (y[a] > 0 and y[b] > 0):
             return None  # a diagonal entry of H is not positive
         t = (g - a) / (b - a)
-        u[g] = 0.5 * u[a] ** (1.0 - t) * u[b] ** t
+        y[g] = 0.5 * y[a] ** (1.0 - t) * y[b] ** t
+    inverse, hankels = _completion_tables(k, sigma)
+    patterns = hankels[gaps]
     index = _hankel_index(k + 1, k + 1)
-    # A_g for every missing degree g, stacked
-    patterns = (index == np.array(gaps)[:, None, None]).astype(float)
+    u = inverse @ y
     lam, V = np.linalg.eigh(u[index])
     for _ in range(_COMPLETION_STEPS):
         if lam[0] > 0:
             break
-        # C[l, g] = v_l^T A_g v, v = v_0 the eigenvector of the smallest eigenvalue
+        # C[l, g] = v_l^T P_g v, v = v_0 the eigenvector of the smallest eigenvalue
         C = V.T @ (patterns @ V[:, 0]).T
         spread = np.maximum(lam[1:] - lam[0], _SVD_CUTOFF * np.abs(lam).max())
         neg_hessian = 2.0 * (C[1:].T / spread) @ C[1:]
         step = np.linalg.lstsq(neg_hessian, C[0], rcond=None)[0]
-        reach, longest = _COMPLETION_REACH * np.abs(u).max(), np.abs(step).max()
+        reach, longest = _COMPLETION_REACH * np.abs(y).max(), np.abs(step).max()
         if longest > reach:
             step *= reach / longest
         for _ in range(_COMPLETION_HALVINGS):
-            trial = u.copy()
+            trial = y.copy()
             trial[gaps] += step
-            lam_t, V_t = np.linalg.eigh(trial[index])
+            u_trial = inverse @ trial
+            lam_t, V_t = np.linalg.eigh(u_trial[index])
             if lam_t[0] > lam[0]:
-                u, lam, V = trial, lam_t, V_t
+                y, u, lam, V = trial, u_trial, lam_t, V_t
                 break
             step *= 0.5
         else:
@@ -669,9 +709,9 @@ def _completed_dirac(s: MomentVector, k: int) -> tuple[np.ndarray, np.ndarray] |
     q = np.abs(L_inv.T @ Y[:, [0, -1]])
     lead, rest = q[-1], q[:-1].max(axis=0)
     end = 0 if lead[0] * rest[1] >= lead[1] * rest[0] else -1
-    u[gaps[-1]] -= 1.0 / mu[end]
+    y[gaps[-1]] -= 1.0 / mu[end]
     try:
-        atoms, weights = _prony(u, k)
+        atoms, weights = _prony(inverse @ y, k)
     except (NotRepresentableError, InfeasibleWeightsError, ConditioningError):
         return np.zeros(0), np.zeros(0)
     return atoms, weights * size
@@ -689,13 +729,15 @@ def homotopy_gap_recovery(
     gaps: ``lm_fit`` with one scale for every component, judged at ``rel_tol``.
 
     ``k`` must give at least one parameter per moment, 2k >= m.  When the
-    basis holds degree 0 and has top degree 2k, the fit's first start is the
-    k-atom measure of a singular positive semidefinite Hankel completion
-    (``_completed_dirac``) at scale 0.1; the scale then moves with the
-    weights and means, so no Dirac representation needs to exist.  A vector
-    that the real-line cone test certifies as exterior is refused before any
-    start.  ``sigma_used`` is the fitted scale, ``iterations`` the solver
-    iterations over all starts, and ``sigma_steps`` 0.
+    basis holds degree 0 and has top degree 2k, a singular positive
+    semidefinite Hankel completion of the moments pulled back to scale 0.1
+    (``_completed_dirac``) gives k components at 0.1 that match ``s``, with
+    ``iterations`` 0.  Where that pull-back has no completion, the k atoms of
+    the completion at scale 0 start the fit at 0.1, and the scale moves with
+    the weights and means, so no Dirac representation needs to exist.  A
+    vector that the real-line cone test certifies as exterior is refused
+    before any start.  ``sigma_used`` is the fitted scale, ``iterations`` the
+    solver iterations over all starts, and ``sigma_steps`` 0.
     """
     if basis.n != 1:
         raise UnsupportedBasisError("gap recovery is implemented for univariate bases")
@@ -732,10 +774,12 @@ def lm_fit(
     random draw.  Otherwise the step's best try, when it has k components,
     is one extra start before the ``n_starts`` random ones, every scale at
     its common one.  A Gaussian fit on a univariate basis that holds degree
-    0, has top degree 2k and misses a degree takes as that extra start the
-    measure ``_completed_dirac`` reads off a Hankel completion, every scale
-    at 0.1, when it has k atoms.  Either way the random starts are drawn as
-    they would be without it.
+    0, has top degree 2k and misses a degree does the same with
+    ``_completed_dirac``: it completes the moments pulled back to scale 0.1,
+    then, if that gives fewer than k atoms, the moments themselves at scale
+    0; the first with k atoms, every scale at 0.1, is judged as the step's
+    fit and is otherwise the extra start.  Either way the random starts are
+    drawn as they would be without it.
 
     Weights and scales (and log-normal locations) are optimized in log space
     so positivity needs no constraints; the Jacobian is the analytic one of
@@ -762,20 +806,22 @@ def lm_fit(
     refusal = _exterior_refusal(s, kind, engine)
     if refusal is not None:
         return refusal
-    # a structural first start: weights, (k, 1) locations and one common scale
-    first = None
+    step = None
     if kind == "gaussian" and basis.is_full_degree() and 2 * k <= basis.max_degree:
         step = _largest_scale(s, "gaussian", k, _REL_TOL)
-        if step is not None and step.residual <= _REL_TOL:
-            return _judged(engine, step.model(kind), step.residual, _REL_TOL, None)
-        if step is not None and len(step.weights) == k:
-            first = (step.weights, step.means, step.sigma)
     elif kind == "gaussian" and basis.n == 1:
-        completion = _completed_dirac(s, k)
-        # _prony keeps positive weights alone, so k of them are all positive
-        if completion is not None and len(completion[1]) == k:
-            atoms, weights = completion
-            first = (weights, atoms.reshape(k, 1), _SIGMA_TARGET)
+        # the first scale whose completion has k atoms, which _prony keeps
+        # positive; the atoms of the completion at 0 are put at 0.1 as well
+        for sigma in (_SIGMA_TARGET, 0.0):
+            completion = _completed_dirac(s, k, sigma)
+            if completion is not None and len(completion[1]) == k:
+                atoms, weights = completion
+                step = _scale_fit(s, kind, _SIGMA_TARGET, weights, atoms.reshape(k, 1))
+                break
+    if step is not None and step.residual <= _REL_TOL:
+        return _judged(engine, step.model(kind), step.residual, _REL_TOL, None)
+    # a structural first start: weights, (k, 1) locations and one common scale
+    first = step if step is not None and len(step.weights) == k else None
     m, n = basis.m, basis.n
     n_params = k * (1 + n) + (k if free_sigma_per_component else 1)
     rng = np.random.default_rng(seed)
@@ -827,8 +873,9 @@ def lm_fit(
         """The structural first start, every scale at its common one, then
         the ``n_starts`` random starts, each drawn only when reached."""
         if first is not None:
-            weights, means, sigma = first
-            yield np.concatenate([np.log(weights), means.ravel(), np.full(tau_n, math.log(sigma))])
+            yield np.concatenate([
+                np.log(first.weights), first.means.ravel(), np.full(tau_n, math.log(first.sigma))
+            ])
         for _ in range(n_starts):
             g0 = np.log(np.full(k, max(target[0], 1e-3) / k if target[0] > 0 else 1.0 / k))
             if kind == "lognormal":

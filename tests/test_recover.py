@@ -516,7 +516,7 @@ def test_gap_fit_starts_from_the_completion_then_random_starts_as_without_it(mon
     def fit_starts(completion):
         """The report and the start points of the fit, given a completion."""
         starts.clear()
-        monkeypatch.setattr(recover, "_completed_dirac", lambda s, k: completion)
+        monkeypatch.setattr(recover, "_completed_dirac", lambda s, k, sigma: completion)
         return lm_fit(GAP, "gaussian", s, 3, free_sigma_per_component=False, seed=40), starts[:]
 
     seeded, seeded_starts = fit_starts((atoms, weights))
@@ -541,12 +541,11 @@ def test_import_loads_no_scipy():
 
 
 def test_homotopy_kernel_call_count(kernel_calls):
-    # from the completion start every Gauss-Newton step is accepted: one
-    # kernel call per point, for its residual and Jacobian together, and no
-    # ladder
+    # the completion at scale 0.1 is the fit: one values-only kernel call for
+    # its residual, and no solver iteration
     report = homotopy_gap_recovery(GAP, gap_roundtrip_moments(), k=3, seed=40)
-    assert report.success and report.iterations == 3
-    assert len(kernel_calls) == report.iterations + 1
+    assert report.success and report.iterations == 0
+    assert len(kernel_calls) == report.iterations + 1 and not kernel_calls[0][1]
 
 
 def test_homotopy_rejected_full_step_makes_one_batched_call(kernel_calls):
@@ -694,6 +693,70 @@ def test_completed_dirac_finds_no_completion_of_an_exterior_vector():
     report = homotopy_gap_recovery(basis, hidden, k=3)
     assert not report.success and report.residual > 1e-3
     assert report.failure_reason == "final residual above tolerance"
+
+
+def shared_truth_moments(basis, seed):
+    """Moments of a 3-component shared-scale (0.05) truth, drawn as the
+    completion tests draw theirs."""
+    mix = sample_random_mixture(
+        "gaussian", 3, rng=np.random.default_rng(seed), sigma_range=(0.05, 0.05),
+        min_separation=0.5, shared_sigma=True,
+    )
+    return mixture_moments(basis, mix)
+
+
+@pytest.mark.parametrize(
+    "degrees, misses", [([0, 1, 3, 4, 6], []), ([0, 2, 3, 5, 6], [6])], ids=["01346", "02356"]
+)
+def test_completion_at_scale_0_1_is_an_exact_shared_scale_fit(degrees, misses):
+    # the pulled-back moments at 0.1 of truths at 0.05 have a singular
+    # positive semidefinite completion, whose measure smoothed at 0.1 has
+    # the given moments; seed 6 on {0,2,3,5,6} has none
+    basis = MonomialBasis.univariate(degrees)
+    missed = []
+    for seed in range(20):
+        s = shared_truth_moments(basis, seed)
+        completion = recover._completed_dirac(s, 3, 0.1)
+        if completion is None:
+            missed.append(seed)
+            continue
+        atoms, weights = completion
+        assert len(atoms) == 3 and np.all(weights > 0)
+        model = MixtureMeasure(
+            kind="gaussian", weights=weights, means=atoms.reshape(-1, 1), sigmas=np.full(3, 0.1)
+        )
+        assert _relative_residual(mixture_moments(basis, model).values, s.values) <= 1e-10
+    assert missed == misses
+
+
+@pytest.mark.parametrize("degrees", [[0, 1, 3, 4, 6], [0, 2, 3, 5, 6]], ids=["01346", "02356"])
+def test_gap_fit_is_the_completion_at_scale_0_1_with_no_iteration(degrees):
+    basis = MonomialBasis.univariate(degrees)
+    s = gap_roundtrip_moments(basis)
+    for free in (False, True):
+        fits = [lm_fit(basis, "gaussian", s, 3, free_sigma_per_component=free, seed=seed)
+                for seed in (0, 1)]
+        assert fits[0].success and fits[0].iterations == 0
+        np.testing.assert_array_equal(fits[0].model.sigmas, np.full(3, 0.1))
+        # nothing is drawn from the random generator, so the seed changes nothing
+        assert fits[0].to_json() == fits[1].to_json()
+    report = homotopy_gap_recovery(basis, s, k=3, seed=40)
+    assert report.success and report.iterations == 0 and report.sigma_used == 0.1
+
+
+def test_gap_fit_without_a_completion_at_scale_0_1_starts_from_the_dirac_one(kernel_calls):
+    s = shared_truth_moments(GAP, 6)
+    assert recover._completed_dirac(s, 3, 0.1) is None
+    atoms, _ = recover._completed_dirac(s, 3, 0.0)
+    report = homotopy_gap_recovery(GAP, s, k=3, seed=6)
+    assert report.success and report.iterations > 0 and report.sigma_used != 0.1
+    # the Dirac atoms at 0.1 take one values-only call for their residual;
+    # from there every Gauss-Newton step is accepted: one kernel call per
+    # point, for its residual and Jacobian together, and no ladder
+    np.testing.assert_array_equal(kernel_calls[0][0][:, 0], atoms)
+    assert [derivatives for _, derivatives in kernel_calls] == [False] + [True] * (
+        report.iterations + 1
+    )
 
 
 # ----------------------------------------------------------------- lm

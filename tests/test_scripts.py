@@ -120,3 +120,34 @@ def test_bench_kind_rows_come_from_each_run_record(tmp_path):
                                             "ok": 8, "unrecovered": 72}
     assert kinds["gauss-d15"]["change"]["p50_ms"] == 6.0
     assert kinds["gauss-d15"]["p50_ratio"] == 0.75 and kinds["gauss-d5"]["p50_ratio"] == 1.0
+
+
+def test_bench_experiment_rows_come_from_the_printed_table():
+    bench = load_bench()
+
+    def table(gap_ms, gap_sha):
+        # the shape scripts/run_all_bounds.py prints
+        return (
+            f"{'experiment':32s} {'result':10s} {'rate':>8s} {'time_ms':>8s} report_sha\n"
+            f"{'na-table':32s} {'held':10s} {9:>4d}/{9:<4d} {39.6:8.1f} 14704bff1104\n"
+            f"{'gap-homotopy':32s} {'held':10s} {50:>4d}/{50:<4d} {gap_ms:8.1f} {gap_sha}\n"
+            "reports written to /tmp/a dir with spaces\n"
+        )
+
+    parent = bench.bounds_table(table(80.0, "a1bba9650c86"))
+    assert parent == {
+        "na-table": {"result": "held", "rate": "9/9", "time_ms": 39.6,
+                     "report_sha": "14704bff1104"},
+        "gap-homotopy": {"result": "held", "rate": "50/50", "time_ms": 80.0,
+                         "report_sha": "a1bba9650c86"},
+    }
+    runs = {"parent": [parent, bench.bounds_table(table(90.0, "a1bba9650c86"))],
+            "change": [bench.bounds_table(table(60.0, "908b6376ce9f")),
+                       bench.bounds_table(table(70.0, "908b6376ce9f"))]}
+    rows = bench.summarize_experiments(runs)
+    assert list(rows) == ["na-table", "gap-homotopy"]
+    gap = rows["gap-homotopy"]
+    assert gap["parent"]["time_ms"]["median"] == 85.0 and gap["change"]["time_ms"]["min"] == 60.0
+    assert gap["parent"]["report_sha"] == ["a1bba9650c86"]
+    assert gap["change"] == {**gap["change"], "rate": ["50/50"], "report_sha": ["908b6376ce9f"]}
+    assert gap["time_ratio"] == 65.0 / 85.0 and rows["na-table"]["time_ratio"] == 1.0
