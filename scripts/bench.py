@@ -7,6 +7,8 @@ Usage, from the repository root:
         --seeds 300 301 302 303 304 305 [--parent HEAD]
     python scripts/bench.py --out BENCH_13.json --workload experiments \\
         --seeds 7 7 7 7 7 7 [--parent HEAD]
+    python scripts/bench.py --out BENCH_13.json --workload tier1 \\
+        --seeds 1 2 3 4 5 6 [--parent HEAD]
 
 The parent commit is exported with ``git archive`` into a temporary
 directory, which is removed afterwards; the working tree of this checkout,
@@ -34,6 +36,15 @@ experiment's result, rate, ``time_ms`` and ``report_sha``; the file's
 ``experiments`` section holds, per experiment and side, the spread of
 ``time_ms``, the distinct report hashes and rates over the runs, and the
 change/parent ratio of the ``time_ms`` medians.
+
+``--workload tier1`` runs the Tier-1 suite, ``python -m pytest -q
+--continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``, in the
+same alternating pairs; the suite takes no seed, so the seeds only count the
+pairs.  The script times each run's process with ``perf_counter`` and reads
+the outcome counts off pytest's closing summary line.  The file's ``tier1``
+section holds, per side, the spread of the wall time, the distinct passed
+and failed counts over the runs, and the change/parent ratio of the wall
+time medians.
 """
 from __future__ import annotations
 
@@ -41,10 +52,12 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +65,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = Path("perfbench") / "run.py"
 BOUNDS = Path("scripts") / "run_all_bounds.py"
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+# pytest's summary line says "1 error" but "2 errors"
+SINGULAR = {"errors": "error", "warnings": "warning"}
 
 
 def export(rev: str, directory: Path) -> str:
@@ -156,6 +172,45 @@ def summarize_experiments(runs: dict[str, list[dict]]) -> dict[str, dict]:
     return experiments
 
 
+def tier1_once(tree: Path) -> dict:
+    """One Tier-1 run in a fresh process: its wall time and outcome counts."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, capture_output=True, text=True,
+                          env=env)
+    wall_s = time.perf_counter() - start
+    # exit status 1 reports failed tests, and the summary is still whole
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"{' '.join(TIER1)} in {tree} exited {proc.returncode}: "
+                           f"{proc.stdout.strip()[-500:]}")
+    return {"wall_s": wall_s, **pytest_counts(proc.stdout)}
+
+
+def pytest_counts(stdout: str) -> dict[str, int]:
+    """Outcome -> count from the last line of a ``pytest -q`` run, such as
+    ``3 failed, 520 passed, 2 warnings in 13.29s``, with or without the
+    ``=`` rule around it; "errors" and "warnings" are kept as "error" and
+    "warning", and passed and failed are 0 when the line lacks them."""
+    line = next(line for line in reversed(stdout.splitlines()) if re.search(r" in [\d.]+s", line))
+    counts = {"passed": 0, "failed": 0}
+    for count, outcome in re.findall(r"(\d+) ([a-z]+)", line.split(" in ")[0]):
+        counts[SINGULAR.get(outcome, outcome)] = int(count)
+    return counts
+
+
+def summarize_tier1(runs: dict[str, list[dict]]) -> dict:
+    """Per side: the spread of the wall time and the distinct passed and
+    failed counts over the runs; the change/parent ratio of the wall time
+    medians."""
+    sides = {side: {"wall_s": spread([run["wall_s"] for run in side_runs]),
+                    "passed": sorted({run["passed"] for run in side_runs}),
+                    "failed": sorted({run["failed"] for run in side_runs})}
+             for side, side_runs in runs.items()}
+    sides["wall_ratio"] = sides["change"]["wall_s"]["median"] / sides["parent"]["wall_s"]["median"]
+    return sides
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
@@ -202,7 +257,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--workload", required=True,
-                        choices=("shared-scale", "nonlinear-fit", "reduce-rank", "experiments"))
+                        choices=("shared-scale", "nonlinear-fit", "reduce-rank", "experiments",
+                                 "tier1"))
     parser.add_argument("--seeds", required=True, type=int, nargs="+")
     parser.add_argument("--parent", default="HEAD")
     args = parser.parse_args()
@@ -223,7 +279,12 @@ def main() -> int:
             sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             order.append(sides[0])
             for side in sides:
-                if experiments:
+                if args.workload == "tier1":
+                    result = tier1_once(trees[side])
+                    runs[side].append(result)
+                    summary = (f"wall_s {result['wall_s']:.1f}, passed {result['passed']}, "
+                               f"failed {result['failed']}")
+                elif experiments:
                     rows = bounds_once(trees[side], seed)
                     runs[side].append(rows)
                     summary = f"total_ms {sum(row['time_ms'] for row in rows.values()):.1f}"
@@ -236,7 +297,15 @@ def main() -> int:
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record["machine"] = machine()
-    if experiments:
+    if args.workload == "tier1":
+        record["tier1"] = {
+            "parent_commit": commit,
+            "command": f"PYTHONPATH=src python {' '.join(TIER1)}",
+            "pairs": len(args.seeds),
+            "first": order,
+            "sides": summarize_tier1(runs),
+        }
+    elif experiments:
         record["experiments"] = {
             "parent_commit": commit,
             "command": f"{BOUNDS} --seed S --out <temporary directory>",

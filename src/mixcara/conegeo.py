@@ -9,11 +9,12 @@ the smallest eigenvalue over them: on {1, x, ..., x^d} the Hankel matrix
 (Hamburger), for log-normals on consecutive exponents also its shift
 (Stieltjes).  The eigenvalue threshold is a proxy: points within the
 tolerance band of the boundary are classified "boundary" rather than
-resolved exactly.  ``_require_hankel_basis`` is the one rule for the bases
+resolved exactly.  ``_is_hankel_basis`` is the one rule for the bases
 where the blocks are the whole Hankel test and a Prony solve reads
-consecutive moments.  ``_itp_bracket`` is the one root-bracketing loop, an
-ITP search that ends in at most one step more than bisection, also for the
-largest-scale step of the shared-scale recovery engines.
+consecutive moments, and ``_require_hankel_basis`` raises on the others.
+``_itp_bracket`` is the one root-bracketing loop, an ITP search that ends in
+at most one step more than bisection, also for the largest-scale step of
+the shared-scale recovery engines.
 """
 from __future__ import annotations
 
@@ -187,15 +188,19 @@ def _classify(values: np.ndarray, blocks: tuple[np.ndarray, ...]) -> ConeClassif
     return ConeClassification(status=status, margin=margin, tolerance=tol)
 
 
-def _require_hankel_basis(basis: MonomialBasis, kind: str) -> None:
-    """Raise ``UnsupportedBasisError`` unless ``basis`` is one the Hankel
-    machinery takes for ``kind``: any univariate run of consecutive
-    exponents {x^a, ..., x^(a+d)} for log-normal moments, {1, x, ..., x^d}
-    for every other kind.  There the blocks of ``_cone_blocks`` are the
-    whole Hankel test, and the moments are the consecutive ones a Prony
-    solve reads."""
+def _is_hankel_basis(basis: MonomialBasis, kind: str) -> bool:
+    """Whether ``basis`` is one the Hankel machinery takes for ``kind``: any
+    univariate run of consecutive exponents {x^a, ..., x^(a+d)} for
+    log-normal moments, {1, x, ..., x^d} for every other kind.  There the
+    blocks of ``_cone_blocks`` are the whole Hankel test, and the moments
+    are the consecutive ones a Prony solve reads."""
     low = basis.exponents[0][0] if kind == "lognormal" else 0
-    if basis.n != 1 or basis.max_degree - low != basis.m - 1:
+    return basis.n == 1 and basis.max_degree - low == basis.m - 1
+
+
+def _require_hankel_basis(basis: MonomialBasis, kind: str) -> None:
+    """Raise ``UnsupportedBasisError`` unless ``_is_hankel_basis`` holds."""
+    if not _is_hankel_basis(basis, kind):
         need = ("consecutive univariate exponents {x^a, ..., x^(a+d)}" if kind == "lognormal"
                 else "the basis {1, x, ..., x^d}")
         raise UnsupportedBasisError(f"the Hankel test of {kind} moments needs {need}")

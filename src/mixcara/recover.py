@@ -6,30 +6,30 @@ Five routes from a moment vector back to a measure:
   matrix of the Hankel blocks (Golub-Welsch), weights from a Vandermonde
   solve.
 * ``recover_shared_sigma_gaussian`` and ``recover_shared_sigma_lognormal``
-  -- one route rule for both kinds.  ``_pull_back`` maps a vector at a
-  trial scale to moments of the atom locations: the closed-form inverse of
-  the triangular transfer matrix for Gaussian vectors, each moment over its
-  growth factor for log-normal ones.  With 2k < m, the largest-scale step
-  ``_largest_scale``: the common scale is where the pulled-back Hankel
-  block of the sought count turns singular (Lindsay 1989), bracketed by ITP
-  steps on its smallest eigenvalue (``conegeo._itp_bracket``), and one
-  Prony solve there gives the mixture.  At 2k = m, where Prony reads every
-  moment, descend a scale schedule and Prony the pull-back at each scale.
+  -- the structural step alone, judged at the caller's tolerance.
 * ``lm_fit`` -- generic moment matching by the damped least-squares solver
   with log-parameterized positive parameters; the classical
-  method-of-moments fallback when nothing structural applies.  A Gaussian
-  fit on {1, x, ..., x^d} with 2k <= d, shared or free scales, tries the
-  largest-scale step first; a miss with k components is the first start.
-  On a univariate basis that holds degree 0, has top degree 2k and misses
-  a degree, the same holds for the completion step (``_completed_dirac``):
-  the pull-back at scale 0.1 is affine in the missing moments, and a
-  singular positive semidefinite Hankel completion of it gives k atoms
-  whose mixture at 0.1 has the given moments, with no solver.  Where the
-  pull-back at 0.1 has no such completion, the k atoms of the completion at
-  scale 0, put at 0.1, are the first start.
+  method-of-moments fallback when nothing structural applies.  The
+  structural step comes first: a try that meets 1e-8 is the fit, and a
+  miss with k components is the first start.
 * ``homotopy_gap_recovery`` -- for bases with exponent gaps: a shared-scale
   ``lm_fit`` judged at the caller's tolerance; from the Dirac start its
   scale moves with the weights and means.
+
+``_structural_fit`` is the structural step of every engine, and the one
+place that picks it for a basis, kind and count.  Each of its three steps
+fits one shared scale with no solver.  ``_pull_back`` maps a vector at a
+trial scale to moments of the atom locations: the closed-form inverse of
+the triangular transfer matrix for Gaussian vectors, each moment over its
+growth factor for log-normal ones.  The largest-scale step
+``_largest_scale`` finds the common scale where the pulled-back Hankel
+block of the sought count turns singular (Lindsay 1989), bracketed by ITP
+steps on its smallest eigenvalue (``conegeo._itp_bracket``), and one Prony
+solve there gives the mixture.  The schedule descent Prony-solves the
+pull-back at each scale of ``_SCHEDULE``.  The completion step
+(``_completed_dirac``) serves bases with gaps: the pull-back at scale 0.1 is
+affine in the missing moments, and a singular positive semidefinite Hankel
+completion of it gives k atoms whose mixture at 0.1 has the given moments.
 
 ``lm_fit`` runs ``_damped_least_squares``, a Levenberg descent that factors
 the Jacobian once per iteration by SVD and tries the minimum-norm
@@ -49,8 +49,8 @@ eigenvalue over every principal block of the moment matrix (s_{a+b}) whose
 entries the basis holds, and for log-normal vectors of its shifts
 (s_{a+b+e}) too (``conegeo._cone_blocks``).  That test is the only refusal
 of a vector; ``MomentVector`` admits finite values alone, and
-``conegeo._require_hankel_basis`` is the one basis rule of the Prony-based
-engines.
+``conegeo._is_hankel_basis`` is the one basis rule of the Prony-based
+engines and of the structural step.
 """
 from __future__ import annotations
 
@@ -66,6 +66,7 @@ from .conegeo import (
     EXTERIOR,
     _classify,
     _cone_blocks,
+    _is_hankel_basis,
     _itp_bracket,
     _require_hankel_basis,
 )
@@ -104,8 +105,8 @@ _SCHEDULE = tuple(0.5**j for j in range(40))
 # bracket relative to the first scale, 34 halvings of [0, sd]
 _SCALE_FLOOR = 1e-10
 _SCALE_REL_WIDTH = 1e-10
-# gap bases: the scale at which lm_fit first completes the moments, and the
-# scale of its first start
+# gap bases: the scale at which the completion step first completes the
+# pulled-back moments, and the scale of its try
 _SIGMA_TARGET = 0.1
 # Hankel completion step: Newton steps of the ascent on the smallest
 # eigenvalue, the longest step relative to the largest moment, and halvings
@@ -149,11 +150,11 @@ class RecoveryReport:
     locations).  ``iterations`` counts the iterations of the damped
     least-squares solver in ``lm_fit`` and the gap route, summed over all
     starts; it is 0 for the shared-scale engines, and for an ``lm_fit`` that
-    the largest-scale step or the completion at scale 0.1 settles without
-    the solver.  ``sigma_steps``
-    counts the scales the schedule descent at 2k = m tried, the accepted one
-    included; it is 0 for the largest-scale step (2k < m), ``lm_fit`` and the
-    gap route, whose ``sigma_used`` is the fitted shared scale.
+    ``_structural_fit`` settles without the solver.  ``sigma_steps`` counts
+    the scales the schedule descent of a shared-scale engine at 2k = m
+    tried, the accepted one included; it is 0 for the largest-scale step
+    (2k < m), ``lm_fit`` and the gap route, whose ``sigma_used`` is the
+    fitted shared scale.
     """
 
     success: bool
@@ -395,6 +396,46 @@ def _largest_scale(s: MomentVector, kind: str, k: int, tol: float) -> _ScaleFit 
     return best
 
 
+def _structural_fit(s: MomentVector, kind: str, k: int, tol: float) -> _ScaleFit | None:
+    """The structural step of every engine, the one route rule: a fit of
+    ``kind`` with at most ``k`` components to ``s`` with no solver and no
+    random draw, for the caller to judge.
+
+    On a basis that ``conegeo._is_hankel_basis`` takes for ``kind``, with m
+    moments: 0 < 2k < m takes the largest-scale step (``_largest_scale``);
+    2k = m, where Prony reads every moment, descends ``_SCHEDULE`` and
+    returns the first ``_fit_at_scale`` that meets ``tol``, else the try
+    with the smallest residual.  On any other univariate basis a Gaussian
+    fit takes the completion step (``_completed_dirac``): the moments pulled
+    back to scale 0.1, then, if that gives fewer than k atoms, the moments
+    themselves at scale 0; the first with k atoms, every scale at 0.1, is
+    the try.  None when no step applies or no try gave a fit.
+    """
+    basis = s.basis
+    if _is_hankel_basis(basis, kind):
+        if 0 < 2 * k < basis.m:
+            return _largest_scale(s, kind, k, tol)
+        if 2 * k != basis.m:
+            return None
+        best = None
+        for sigma in _SCHEDULE:
+            fit = _fit_at_scale(s, kind, sigma, k)
+            # an infinite or undefined residual is never the best
+            if fit is not None and fit.residual < (math.inf if best is None else best.residual):
+                best = fit
+                if best.residual <= tol:
+                    break
+        return best
+    if kind == "gaussian" and basis.n == 1:
+        # the atoms of the completion at 0 are put at 0.1 as well
+        for sigma in (_SIGMA_TARGET, 0.0):
+            completion = _completed_dirac(s, k, sigma)
+            if completion is not None and len(completion[1]) == k:
+                atoms, weights = completion
+                return _scale_fit(s, kind, _SIGMA_TARGET, weights, atoms.reshape(k, 1))
+    return None
+
+
 # one string per kind, shared by every report instead of built per call
 _ENGINE = {"gaussian": "shared-sigma-gaussian", "lognormal": "shared-sigma-lognormal"}
 _EXHAUSTED_REASON = {
@@ -411,14 +452,15 @@ def _shared_scale_descent(
     components, and at most floor(m/2): a Prony solve for k atoms reads 2k
     of the m moments.
 
-    ``k`` is checked first, and a vector that the cone test of ``kind``
-    certifies as exterior is refused.  The count alone picks the route: with
-    2k < m the largest-scale step alone, whose miss reports its best residual
-    with no model; at 2k = m the first scale of ``_SCHEDULE`` whose
-    ``_fit_at_scale`` matches ``s`` to ``rel_tol``.  Overflow raises no
+    The basis and ``k`` are checked first, and a vector that the cone test
+    of ``kind`` certifies as exterior is refused.  Then ``_structural_fit``
+    alone, judged at ``rel_tol``: on success ``sigma_steps`` is the scale's
+    place in ``_SCHEDULE`` when the count took the schedule (2k = m), else 0.
+    A miss reports the best residual with no model.  Overflow raises no
     warning; a model's moments or a Gaussian pull-back's scale powers beyond
     the float range raise ``MomentOverflowError``.
     """
+    _require_hankel_basis(s.basis, kind)
     if k is not None and k < 1:
         raise ValueError(f"k={k}: a recovery needs at least one component")
     engine = _ENGINE[kind]
@@ -427,28 +469,17 @@ def _shared_scale_descent(
     refusal = _exterior_refusal(s, kind, engine)
     if refusal is not None:
         return refusal
-    k_cap = s.basis.m // 2
-    k_target = min(k, k_cap) if k is not None else k_cap
-    if 0 < 2 * k_target < s.basis.m:
-        fit = _largest_scale(s, kind, k_target, rel_tol)
-        if fit is None or not fit.residual <= rel_tol:
-            return _failed(
-                engine, f"no shared-scale fit with at most {k_target} components",
-                math.inf if fit is None else fit.residual,
-            )
-        return _judged(engine, fit.model(kind), fit.residual, rel_tol, None, sigma_used=fit.sigma)
-    best_residual = math.inf
-    for step, sigma in enumerate(_SCHEDULE, start=1):
-        fit = _fit_at_scale(s, kind, sigma, k_target)
-        if fit is None:
-            continue
-        best_residual = min(best_residual, fit.residual)
-        if fit.residual <= rel_tol:
-            return _judged(
-                engine, fit.model(kind), fit.residual, rel_tol, None,
-                sigma_used=sigma, sigma_steps=step,
-            )
-    return _failed(engine, _EXHAUSTED_REASON[kind], best_residual, sigma_steps=len(_SCHEDULE))
+    k_target = s.basis.m // 2 if k is None else min(k, s.basis.m // 2)
+    on_schedule = 2 * k_target == s.basis.m
+    fit = _structural_fit(s, kind, k_target, rel_tol)
+    if fit is not None and fit.residual <= rel_tol:
+        steps = _SCHEDULE.index(fit.sigma) + 1 if on_schedule else 0
+        return _judged(engine, fit.model(kind), fit.residual, rel_tol, None,
+                       sigma_used=fit.sigma, sigma_steps=steps)
+    residual = math.inf if fit is None else fit.residual
+    if on_schedule:
+        return _failed(engine, _EXHAUSTED_REASON[kind], residual, sigma_steps=len(_SCHEDULE))
+    return _failed(engine, f"no shared-scale fit with at most {k_target} components", residual)
 
 
 def recover_shared_sigma_gaussian(
@@ -468,7 +499,6 @@ def recover_shared_sigma_gaussian(
     gives the mixture; interior vectors succeed once the scale is small
     enough.
     """
-    _require_hankel_basis(s.basis, "gaussian")
     return _shared_scale_descent(s, "gaussian", k, rel_tol)
 
 
@@ -487,7 +517,6 @@ def recover_shared_sigma_lognormal(
     vector that the half-line Hankel test certifies as exterior, such as
     one with a negative moment, is refused at once.
     """
-    _require_hankel_basis(s.basis, "lognormal")
     return _shared_scale_descent(s, "lognormal", k, rel_tol)
 
 
@@ -728,16 +757,15 @@ def homotopy_gap_recovery(
     """Shared-scale Gaussian recovery over a univariate basis with exponent
     gaps: ``lm_fit`` with one scale for every component, judged at ``rel_tol``.
 
-    ``k`` must give at least one parameter per moment, 2k >= m.  When the
-    basis holds degree 0 and has top degree 2k, a singular positive
-    semidefinite Hankel completion of the moments pulled back to scale 0.1
-    (``_completed_dirac``) gives k components at 0.1 that match ``s``, with
-    ``iterations`` 0.  Where that pull-back has no completion, the k atoms of
-    the completion at scale 0 start the fit at 0.1, and the scale moves with
-    the weights and means, so no Dirac representation needs to exist.  A
-    vector that the real-line cone test certifies as exterior is refused
-    before any start.  ``sigma_used`` is the fitted scale, ``iterations`` the
-    solver iterations over all starts, and ``sigma_steps`` 0.
+    ``k`` must give at least one parameter per moment, 2k >= m.  The fit
+    tries ``_structural_fit`` first, on a basis with gaps the completion
+    step: where it matches ``s`` the report has ``iterations`` 0, and
+    otherwise its k atoms start the solver at scale 0.1, from where the
+    scale moves with the weights and means, so no Dirac representation
+    needs to exist.  A vector that the real-line cone test certifies as
+    exterior is refused before any start.  ``sigma_used`` is the fitted
+    scale, ``iterations`` the solver iterations over all starts, and
+    ``sigma_steps`` 0.
     """
     if basis.n != 1:
         raise UnsupportedBasisError("gap recovery is implemented for univariate bases")
@@ -753,6 +781,7 @@ def homotopy_gap_recovery(
     )
 
 
+@np.errstate(all="ignore")
 def lm_fit(
     basis: MonomialBasis,
     kind: str,
@@ -763,23 +792,15 @@ def lm_fit(
     seed: int = 0,
     n_starts: int = 16,
 ) -> RecoveryReport:
-    """Generic method-of-moments fit by multistart damped least squares, with
-    a structural first start for univariate Gaussian fits.
+    """Generic method-of-moments fit by multistart damped least squares,
+    after the structural step.
 
-    A Gaussian fit on {1, x, ..., x^d} with 2k <= d, with one shared
-    scale or free ones, first tries the largest-scale step: ITP brackets on
-    the pulled-back Hankel blocks find the common scale of a representation
-    with at most k components, and one Prony solve there gives it.  A
-    residual at or below 1e-8 is the fit, with ``iterations`` 0 and no
-    random draw.  Otherwise the step's best try, when it has k components,
-    is one extra start before the ``n_starts`` random ones, every scale at
-    its common one.  A Gaussian fit on a univariate basis that holds degree
-    0, has top degree 2k and misses a degree does the same with
-    ``_completed_dirac``: it completes the moments pulled back to scale 0.1,
-    then, if that gives fewer than k atoms, the moments themselves at scale
-    0; the first with k atoms, every scale at 0.1, is judged as the step's
-    fit and is otherwise the extra start.  Either way the random starts are
-    drawn as they would be without it.
+    ``_structural_fit`` tries first, for both kinds and with one shared
+    scale or free ones.  A try at or below 1e-8 is the fit, with
+    ``iterations`` 0 and no random draw.  Otherwise the try, when it has k
+    components, is one extra start before the ``n_starts`` random ones,
+    every scale at its common one, and runs like any start; the random
+    starts are drawn as they would be without it.
 
     Weights and scales (and log-normal locations) are optimized in log space
     so positivity needs no constraints; the Jacobian is the analytic one of
@@ -790,7 +811,8 @@ def lm_fit(
     moment residual wins, and success is a residual at or below 1e-8.
     ``k`` and ``n_starts`` must be positive.  A vector that the cone test of
     ``kind`` certifies as exterior on some principal block of its moment
-    matrices is refused before any start.
+    matrices is refused before any start.  Floating-point overflow raises no
+    warning: a point whose moments leave the float range is a rejected step.
     """
     if kind not in ("gaussian", "lognormal"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -806,18 +828,7 @@ def lm_fit(
     refusal = _exterior_refusal(s, kind, engine)
     if refusal is not None:
         return refusal
-    step = None
-    if kind == "gaussian" and basis.is_full_degree() and 2 * k <= basis.max_degree:
-        step = _largest_scale(s, "gaussian", k, _REL_TOL)
-    elif kind == "gaussian" and basis.n == 1:
-        # the first scale whose completion has k atoms, which _prony keeps
-        # positive; the atoms of the completion at 0 are put at 0.1 as well
-        for sigma in (_SIGMA_TARGET, 0.0):
-            completion = _completed_dirac(s, k, sigma)
-            if completion is not None and len(completion[1]) == k:
-                atoms, weights = completion
-                step = _scale_fit(s, kind, _SIGMA_TARGET, weights, atoms.reshape(k, 1))
-                break
+    step = _structural_fit(s, kind, k, _REL_TOL)
     if step is not None and step.residual <= _REL_TOL:
         return _judged(engine, step.model(kind), step.residual, _REL_TOL, None)
     # a structural first start: weights, (k, 1) locations and one common scale
@@ -835,13 +846,11 @@ def lm_fit(
 
     def unpack(thetas: np.ndarray):
         """Weights, locations and scales of a stack of parameter points."""
-        with np.errstate(over="ignore"):
-            params = np.where(logged, np.exp(thetas), thetas)
+        params = np.where(logged, np.exp(thetas), thetas)
         if not (np.isfinite(params).all() and (params[:, logged] > 0).all()):
             raise ValueError("parameters left the finite positive range")
-        c = len(params)
         weights = params[:, :k]
-        means = params[:, k : k + k * n].reshape(c * k, n)
+        means = params[:, k : k + k * n].reshape(len(params) * k, n)
         sigmas = params[:, k + k * n :]
         if not free_sigma_per_component:
             sigmas = np.repeat(sigmas, k, axis=1)
@@ -853,19 +862,17 @@ def lm_fit(
         weights, means, sigmas, params = unpack(theta[None])
         weights = weights[0]
         B, dmean, dsigma = component_moments(basis, kind, means, sigmas, derivatives=True)
-        with np.errstate(over="ignore"):
-            dsigma = weights[:, None] * dsigma
-            if not free_sigma_per_component:
-                dsigma = dsigma.sum(axis=0, keepdims=True)
-            J = np.concatenate([B, (weights[:, None, None] * dmean).reshape(k * n, m), dsigma]).T
-            # chain rule through the log parameters: d exp(t) / dt = exp(t)
-            return weights @ B - target, J * np.where(logged, params[0], 1.0)
+        dsigma = weights[:, None] * dsigma
+        if not free_sigma_per_component:
+            dsigma = dsigma.sum(axis=0, keepdims=True)
+        J = np.concatenate([B, (weights[:, None, None] * dmean).reshape(k * n, m), dsigma]).T
+        # chain rule through the log parameters: d exp(t) / dt = exp(t)
+        return weights @ B - target, J * np.where(logged, params[0], 1.0)
 
     def values(thetas: np.ndarray) -> np.ndarray:
         weights, means, sigmas, _ = unpack(thetas)
         B = component_moments(basis, kind, means, sigmas).reshape(-1, k, m)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.einsum("ck,ckm->cm", weights, B) - target
+        return np.einsum("ck,ckm->cm", weights, B) - target
 
     tau_n = k if free_sigma_per_component else 1
 
@@ -873,9 +880,8 @@ def lm_fit(
         """The structural first start, every scale at its common one, then
         the ``n_starts`` random starts, each drawn only when reached."""
         if first is not None:
-            yield np.concatenate([
-                np.log(first.weights), first.means.ravel(), np.full(tau_n, math.log(first.sigma))
-            ])
+            params = np.concatenate([first.weights, first.means.ravel(), [first.sigma] * tau_n])
+            yield np.where(logged, np.log(params), params)
         for _ in range(n_starts):
             g0 = np.log(np.full(k, max(target[0], 1e-3) / k if target[0] > 0 else 1.0 / k))
             if kind == "lognormal":

@@ -893,6 +893,8 @@ def test_lm_fit_rejects_a_step_whose_derivative_overflows(monkeypatch):
         return real(redirected, values, theta, goal, max_iters)
 
     monkeypatch.setattr(recover, "_damped_least_squares", spy)
+    # the structural step fits this vector with no solver run; without it, the solver runs
+    monkeypatch.setattr(recover, "_structural_fit", lambda s, kind, k, tol: None)
     report = lm_fit(basis, "lognormal", s, k=1, n_starts=1)
     assert len(raised) == 1
     assert report.success
@@ -1100,16 +1102,20 @@ def test_largest_scale_step_runs_for_gaussian_fits_on_full_bases_with_2k_at_most
                            sigmas=[0.3, 0.3])
     d5, d6 = MonomialBasis.full_degree(5), MonomialBasis.full_degree(6)
     s5, s6 = mixture_moments(d5, truth), mixture_moments(d6, truth)
-    lm_fit(d5, "gaussian", s5, k=3, free_sigma_per_component=False, n_starts=1)  # 2k > d
+    # 2k = m takes the schedule, not the step
+    lm_fit(d5, "gaussian", s5, k=3, free_sigma_per_component=False, n_starts=1)
+    assert step_calls == []
+    # log-normal fits take it as well
     logn = mixture_moments(d6, MixtureMeasure(kind="lognormal", weights=[1.0, 1.0],
                                               means=[[0.8], [1.6]], sigmas=[0.3, 0.3]))
-    lm_fit(d6, "lognormal", logn, k=2, free_sigma_per_component=False, n_starts=1)
-    assert step_calls == []
+    report = lm_fit(d6, "lognormal", logn, k=2, free_sigma_per_component=False, n_starts=1)
+    assert report.success and report.iterations == 0
+    assert step_calls == [2]
     # free and shared scales alike
     for free in (True, False):
         report = lm_fit(d6, "gaussian", s6, k=2, free_sigma_per_component=free)
         assert report.success and report.iterations == 0
-    assert step_calls == [2, 2]
+    assert step_calls == [2, 2, 2]
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "lognormal"])
@@ -1128,6 +1134,94 @@ def test_shared_scale_engines_route_on_2k_below_m_alone(step_calls, kind):
             assert (report.sigma_steps > 0) == (routes[-1][2] == "descent")
     assert routes == [(4, 1, "step"), (4, 2, "step"), (5, 1, "step"), (5, 2, "step"),
                       (5, 3, "descent"), (6, 1, "step"), (6, 2, "step"), (6, 3, "step")]
+
+
+def _lognormal_truth(components, rng, shared):
+    return sample_random_mixture("lognormal", components, rng=rng, mean_range=(0.5, 2.5),
+                                 sigma_range=(0.1, 0.35), min_separation=0.2,
+                                 shared_sigma=shared)
+
+
+@pytest.mark.parametrize("d, k, components, shared", [
+    (6, 3, 3, True), (5, 2, 2, True), (5, 3, 3, True), (6, 3, 3, False),
+], ids=["d6k3-shared", "d5k2-shared", "d5k3-shared-2k-is-m", "d6k3-free"])
+def test_lm_fit_lognormal_takes_the_structural_step(d, k, components, shared):
+    # the solver crawled for up to 2 s on some of these vectors when only
+    # Gaussian fits had a structural step
+    basis = MonomialBasis.full_degree(d)
+    settled = 0
+    for i in range(20):
+        truth = _lognormal_truth(components, np.random.default_rng([9, d, i]), shared)
+        report = lm_fit(basis, "lognormal", mixture_moments(basis, truth), k,
+                        free_sigma_per_component=not shared, seed=i)
+        assert report.success
+        settled += report.iterations == 0
+    # free-scale truths have a shared-scale 3-component fit on 18 of 20
+    assert settled == (20 if shared else 18)
+
+
+def test_lm_fit_lognormal_takes_the_structural_step_on_a_shifted_basis(solver_runs):
+    basis = MonomialBasis.univariate(range(1, 7))
+    for k in (1, 2, 3):
+        for i in range(5):
+            truth = _lognormal_truth(k, np.random.default_rng([5, k, i]), shared=True)
+            report = lm_fit(basis, "lognormal", mixture_moments(basis, truth), k,
+                            free_sigma_per_component=False)
+            assert report.success and report.iterations == 0 and report.k_used == k
+            if 2 * k < basis.m:  # the largest-scale step finds the truth's scale
+                assert report.model.sigmas[0] == pytest.approx(truth.sigmas[0], rel=1e-6)
+            else:  # every scale below it has a fit, and the schedule takes one
+                assert report.model.sigmas[0] in recover._SCHEDULE
+    assert not solver_runs
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_lm_fit_at_2k_equal_to_m_takes_the_schedule(solver_runs, free):
+    basis = MonomialBasis.full_degree(5)
+    for seed in range(5):
+        truth = _shared_truth(3, seed)
+        report = lm_fit(basis, "gaussian", mixture_moments(basis, truth), 3,
+                        free_sigma_per_component=free)
+        assert report.success and report.iterations == 0 and report.k_used == 3
+        assert report.model.sigmas[0] in recover._SCHEDULE
+    assert not solver_runs
+
+
+def test_lognormal_structural_miss_is_the_first_start_in_log_space(monkeypatch, solver_runs):
+    # a two-component free-scale truth has no shared-scale fit; the step's
+    # try is the first start, its positive locations taken to log space
+    basis = MonomialBasis.full_degree(6)
+    s = mixture_moments(basis, _lognormal_truth(2, np.random.default_rng([9, 6, 1]), False))
+    tries = []
+    real = recover._structural_fit
+
+    def spy(s, kind, k, tol):
+        tries.append(real(s, kind, k, tol))
+        return tries[-1]
+
+    monkeypatch.setattr(recover, "_structural_fit", spy)
+    report = lm_fit(basis, "lognormal", s, 2, n_starts=1)
+    (step,) = tries
+    assert step.residual > 1e-8 and len(step.weights) == 2
+    assert report.success and report.iterations > 0
+    theta = solver_runs[0][2]
+    np.testing.assert_allclose(np.exp(theta[:2]), step.weights, rtol=1e-14)
+    np.testing.assert_allclose(np.exp(theta[2:4]), step.means[:, 0], rtol=1e-14)
+    np.testing.assert_allclose(np.exp(theta[4:]), [step.sigma] * 2, rtol=1e-14)
+
+
+@pytest.mark.parametrize("k, values", [
+    (1, [9.01e-81, 2.16e+32, 2.81e+121, 4.03e-148, 5.78e-13, 5.88e+93, 3.44e+138]),
+    (2, [9.11e-123, 1.47e+93, 4.31e+82, 3.71e-11, 0.000115, 0.0477, 9.97e+120]),
+    (2, [2.24e-92, 4.12e-91, 5.79e+16, 3.28e-85, 3.37e+84]),
+], ids=["d6k1", "d6k2", "d4k2"])
+def test_lm_fit_on_extreme_finite_vectors_reports_without_numpy_errors(k, values):
+    # the overflows of the largest-scale step and the kernel raise no
+    # RuntimeWarning, which the test configuration turns into an error
+    basis = MonomialBasis.full_degree(len(values) - 1)
+    for free in (False, True):
+        report = lm_fit(basis, "gaussian", mv(values, basis), k, free_sigma_per_component=free)
+        assert not report.success
 
 
 @pytest.mark.parametrize("j", [1, 2])
@@ -1348,12 +1442,13 @@ def test_shared_sigma_gaussian_one_atom_at_even_degree(d):
 
 
 def test_shared_sigma_gaussian_below_degree_two_walks_the_schedule():
-    # d = 0 has cap 0 and d = 1 has 2k = d + 1: neither takes the step
+    # d = 0 has cap 0, so nothing is tried; d = 1 has 2k = d + 1 and walks
+    # the schedule
     report = recover_shared_sigma_gaussian(mv([1.0], MonomialBasis.full_degree(0)))
     assert report.to_json() == {
-        "success": False, "model": None, "residual": 0.5, "engine": "shared-sigma-gaussian",
-        "sigma_used": None, "k_used": 0, "iterations": 0, "sigma_steps": 40,
-        "failure_reason": "schedule exhausted without a feasible recovery",
+        "success": False, "model": None, "residual": math.inf, "engine": "shared-sigma-gaussian",
+        "sigma_used": None, "k_used": 0, "iterations": 0, "sigma_steps": 0,
+        "failure_reason": "no shared-scale fit with at most 0 components",
     }
     report = recover_shared_sigma_gaussian(mv([1.0, 0.3], MonomialBasis.full_degree(1)))
     assert report.to_json() == {

@@ -151,3 +151,24 @@ def test_bench_experiment_rows_come_from_the_printed_table():
     assert gap["parent"]["report_sha"] == ["a1bba9650c86"]
     assert gap["change"] == {**gap["change"], "rate": ["50/50"], "report_sha": ["908b6376ce9f"]}
     assert gap["time_ratio"] == 65.0 / 85.0 and rows["na-table"]["time_ratio"] == 1.0
+
+
+def test_bench_tier1_counts_come_from_the_pytest_summary_line():
+    bench = load_bench()
+    passed = ("........................................................................ [ 96%]\n"
+              "...................                                                      [100%]\n"
+              "523 passed in 14.72s\n")
+    assert bench.pytest_counts(passed) == {"passed": 523, "failed": 0}
+    failed = ("FAILED tests/test_recover.py::test_a - AssertionError: 1 passed in 2.00s\n"
+              "=========== 3 failed, 520 passed, 1 error, 2 warnings in 75.23s (0:01:15) ====\n")
+    assert bench.pytest_counts(failed) == {"passed": 520, "failed": 3, "error": 1, "warning": 2}
+    assert bench.pytest_counts("2 errors in 0.50s\n") == {"passed": 0, "failed": 0, "error": 2}
+
+    runs = {"parent": [{"wall_s": 10.0, "passed": 523, "failed": 0},
+                       {"wall_s": 12.0, "passed": 523, "failed": 0}],
+            "change": [{"wall_s": 9.0, "passed": 530, "failed": 0},
+                       {"wall_s": 13.0, "passed": 529, "failed": 1}]}
+    sides = bench.summarize_tier1(runs)
+    assert sides["parent"]["wall_s"]["median"] == 11.0 and sides["change"]["wall_s"]["min"] == 9.0
+    assert sides["change"]["passed"] == [529, 530] and sides["change"]["failed"] == [0, 1]
+    assert sides["parent"]["passed"] == [523] and sides["wall_ratio"] == 1.0
