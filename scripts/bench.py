@@ -35,7 +35,9 @@ temporary directory.  From each run's printed table it keeps every
 experiment's result, rate, ``time_ms`` and ``report_sha``; the file's
 ``experiments`` section holds, per experiment and side, the spread of
 ``time_ms``, the distinct report hashes and rates over the runs, and the
-change/parent ratio of the ``time_ms`` medians.
+change/parent ratio of the ``time_ms`` minima: each run times an experiment
+once, and the fastest run of each side is the one least disturbed by the
+machine.
 
 ``--workload tier1`` runs the Tier-1 suite, ``python -m pytest -q
 --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``, in the
@@ -156,7 +158,7 @@ def bounds_table(stdout: str) -> dict[str, dict]:
 def summarize_experiments(runs: dict[str, list[dict]]) -> dict[str, dict]:
     """Per experiment and side: the spread of ``time_ms`` and the distinct
     rates and report hashes over the runs; per experiment, the change/parent
-    ratio of the ``time_ms`` medians."""
+    ratio of the ``time_ms`` minima."""
     experiments: dict[str, dict] = {}
     for name in runs["parent"][0]:
         sides = experiments[name] = {}
@@ -167,8 +169,7 @@ def summarize_experiments(runs: dict[str, list[dict]]) -> dict[str, dict]:
                 "rate": sorted({row["rate"] for row in rows}),
                 "report_sha": sorted({row["report_sha"] for row in rows}),
             }
-        sides["time_ratio"] = (sides["change"]["time_ms"]["median"]
-                               / sides["parent"]["time_ms"]["median"])
+        sides["time_ratio"] = sides["change"]["time_ms"]["min"] / sides["parent"]["time_ms"]["min"]
     return experiments
 
 

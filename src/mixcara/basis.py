@@ -72,8 +72,9 @@ class MonomialBasis:
         return tuple(alpha[0] for alpha in self.exponents)
 
     def is_full_degree(self) -> bool:
-        """True when the basis is the gap-free univariate system {1, x, ..., x^d}."""
-        return self.n == 1 and self.univariate_degrees() == tuple(range(self.max_degree + 1))
+        """True when the basis is the gap-free univariate system {1, x, ..., x^d}:
+        m distinct degrees up to d are all of 0..d exactly when m = d + 1."""
+        return self.n == 1 and self.max_degree == self.m - 1
 
     @classmethod
     def univariate(cls, degrees) -> "MonomialBasis":

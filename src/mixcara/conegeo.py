@@ -191,11 +191,13 @@ def _classify(values: np.ndarray, blocks: tuple[np.ndarray, ...]) -> ConeClassif
 def _is_hankel_basis(basis: MonomialBasis, kind: str) -> bool:
     """Whether ``basis`` is one the Hankel machinery takes for ``kind``: any
     univariate run of consecutive exponents {x^a, ..., x^(a+d)} for
-    log-normal moments, {1, x, ..., x^d} for every other kind.  There the
-    blocks of ``_cone_blocks`` are the whole Hankel test, and the moments
-    are the consecutive ones a Prony solve reads."""
-    low = basis.exponents[0][0] if kind == "lognormal" else 0
-    return basis.n == 1 and basis.max_degree - low == basis.m - 1
+    log-normal moments, {1, x, ..., x^d} (``MonomialBasis.is_full_degree``)
+    for every other kind.  There the blocks of ``_cone_blocks`` are the
+    whole Hankel test, and the moments are the consecutive ones a Prony
+    solve reads."""
+    if kind != "lognormal":
+        return basis.is_full_degree()
+    return basis.n == 1 and basis.max_degree - basis.exponents[0][0] == basis.m - 1
 
 
 def _require_hankel_basis(basis: MonomialBasis, kind: str) -> None:

@@ -12,15 +12,18 @@ Five routes from a moment vector back to a measure:
   method-of-moments fallback when nothing structural applies.  The
   structural step comes first: a try that meets 1e-8 is the fit, and a
   miss with k components is the first start.
-* ``homotopy_gap_recovery`` -- for bases with exponent gaps: a shared-scale
-  ``lm_fit`` judged at the caller's tolerance; from the Dirac start its
-  scale moves with the weights and means.
+* ``homotopy_gap_recovery`` -- made for bases with exponent gaps: a
+  shared-scale ``lm_fit`` judged at the caller's tolerance; from the Dirac
+  start its scale moves with the weights and means.
 
 ``_structural_fit`` is the structural step of every engine, and the one
-place that picks it for a basis, kind and count.  Each of its three steps
-fits one shared scale with no solver.  ``_pull_back`` maps a vector at a
-trial scale to moments of the atom locations: the closed-form inverse of
-the triangular transfer matrix for Gaussian vectors, each moment over its
+place that picks it for a basis, kind and count.  It first caps the count
+at what the basis determines (``_structural_count``): m // 2 for m moments
+on a Hankel basis, D // 2 for top degree D on any other, so a count above
+the cap gets the try with the capped count.  Each of its three steps fits
+one shared scale with no solver.  ``_pull_back`` maps a vector at a trial
+scale to moments of the atom locations: the closed-form inverse of the
+triangular transfer matrix for Gaussian vectors, each moment over its
 growth factor for log-normal ones.  The largest-scale step
 ``_largest_scale`` finds the common scale where the pulled-back Hankel
 block of the sought count turns singular (Lindsay 1989), bracketed by ITP
@@ -153,8 +156,11 @@ class RecoveryReport:
     ``_structural_fit`` settles without the solver.  ``sigma_steps`` counts
     the scales the schedule descent of a shared-scale engine at 2k = m
     tried, the accepted one included; it is 0 for the largest-scale step
-    (2k < m), ``lm_fit`` and the gap route, whose ``sigma_used`` is the
-    fitted shared scale.
+    (2k < m), ``lm_fit`` and the gap route.  ``sigma_used`` is the common
+    scale of every model that has one shared scale by construction: a
+    shared-scale engine's, a structural fit's, and an ``lm_fit`` solver fit
+    with ``free_sigma_per_component=False``, the gap route's included.  It
+    is None for a free-scale solver fit and for a report with no model.
     """
 
     success: bool
@@ -396,27 +402,41 @@ def _largest_scale(s: MomentVector, kind: str, k: int, tol: float) -> _ScaleFit 
     return best
 
 
+def _structural_count(basis: MonomialBasis, kind: str, k: int) -> int:
+    """The most components the structural step fits to a vector on
+    ``basis`` when ``k`` are asked for: at most m // 2 on a basis that
+    ``conegeo._is_hankel_basis`` takes for ``kind``, where a Prony solve for
+    j atoms reads 2j of the m moments, and at most D // 2 on any other, D
+    the top degree, where the completion step reads a Hankel block of order
+    D/2 + 1."""
+    if _is_hankel_basis(basis, kind):
+        return min(k, basis.m // 2)
+    return min(k, basis.max_degree // 2)
+
+
 def _structural_fit(s: MomentVector, kind: str, k: int, tol: float) -> _ScaleFit | None:
     """The structural step of every engine, the one route rule: a fit of
     ``kind`` with at most ``k`` components to ``s`` with no solver and no
     random draw, for the caller to judge.
 
-    On a basis that ``conegeo._is_hankel_basis`` takes for ``kind``, with m
-    moments: 0 < 2k < m takes the largest-scale step (``_largest_scale``);
+    The count is first capped by ``_structural_count``, so every k gets a
+    try.  On a basis that ``conegeo._is_hankel_basis`` takes for ``kind``,
+    with m moments: 2k < m takes the largest-scale step (``_largest_scale``);
     2k = m, where Prony reads every moment, descends ``_SCHEDULE`` and
     returns the first ``_fit_at_scale`` that meets ``tol``, else the try
     with the smallest residual.  On any other univariate basis a Gaussian
-    fit takes the completion step (``_completed_dirac``): the moments pulled
-    back to scale 0.1, then, if that gives fewer than k atoms, the moments
-    themselves at scale 0; the first with k atoms, every scale at 0.1, is
-    the try.  None when no step applies or no try gave a fit.
+    fit takes the completion step (``_completed_dirac``), which serves the
+    capped count D/2 at an even top degree D: the moments pulled back to
+    scale 0.1, then, if that gives fewer than D/2 atoms, the moments
+    themselves at scale 0; the first with D/2 atoms, every scale at 0.1, is
+    the try.  None when the capped count is 0, no step applies or no try
+    gave a fit.
     """
     basis = s.basis
+    k = _structural_count(basis, kind, k)
     if _is_hankel_basis(basis, kind):
-        if 0 < 2 * k < basis.m:
-            return _largest_scale(s, kind, k, tol)
-        if 2 * k != basis.m:
-            return None
+        if 2 * k < basis.m:
+            return _largest_scale(s, kind, k, tol) if k else None
         best = None
         for sigma in _SCHEDULE:
             fit = _fit_at_scale(s, kind, sigma, k)
@@ -469,7 +489,7 @@ def _shared_scale_descent(
     refusal = _exterior_refusal(s, kind, engine)
     if refusal is not None:
         return refusal
-    k_target = s.basis.m // 2 if k is None else min(k, s.basis.m // 2)
+    k_target = _structural_count(s.basis, kind, s.basis.m if k is None else k)
     on_schedule = 2 * k_target == s.basis.m
     fit = _structural_fit(s, kind, k_target, rel_tol)
     if fit is not None and fit.residual <= rel_tol:
@@ -754,31 +774,25 @@ def homotopy_gap_recovery(
     seed: int = 0,
     rel_tol: float = 1e-8,
 ) -> RecoveryReport:
-    """Shared-scale Gaussian recovery over a univariate basis with exponent
-    gaps: ``lm_fit`` with one scale for every component, judged at ``rel_tol``.
+    """Shared-scale Gaussian recovery, made for bases with exponent gaps:
+    ``lm_fit`` with one scale for every component, judged at ``rel_tol``.
 
-    ``k`` must give at least one parameter per moment, 2k >= m.  The fit
-    tries ``_structural_fit`` first, on a basis with gaps the completion
-    step: where it matches ``s`` the report has ``iterations`` 0, and
-    otherwise its k atoms start the solver at scale 0.1, from where the
-    scale moves with the weights and means, so no Dirac representation
-    needs to exist.  A vector that the real-line cone test certifies as
-    exterior is refused before any start.  ``sigma_used`` is the fitted
-    scale, ``iterations`` the solver iterations over all starts, and
-    ``sigma_steps`` 0.
+    The fit tries ``_structural_fit`` first, on a univariate basis with gaps
+    the completion step: where it matches ``s`` the report has
+    ``iterations`` 0, and otherwise, when it has k atoms, they start the
+    solver at scale 0.1, from where the scale moves with the weights and
+    means, so no Dirac representation needs to exist.  Every basis and
+    count that ``lm_fit`` takes is taken.  A vector that the real-line cone
+    test certifies as exterior is refused before any start.
+    ``sigma_used`` is ``lm_fit``'s, the fitted scale, ``iterations`` the
+    solver iterations over all starts, and ``sigma_steps`` 0.
     """
-    if basis.n != 1:
-        raise UnsupportedBasisError("gap recovery is implemented for univariate bases")
-    if 2 * k < basis.m:
-        raise ValueError(f"k={k} gives {2 * k} parameters, fewer than m={basis.m}")
     engine = "homotopy-gap"
     fit = lm_fit(basis, "gaussian", s, k, free_sigma_per_component=False, seed=seed)
     if fit.model is None:
         return _failed(engine, fit.failure_reason, fit.residual, iterations=fit.iterations)
-    return _judged(
-        engine, fit.model, fit.residual, rel_tol, "final residual above tolerance",
-        sigma_used=float(fit.model.sigmas[0]), iterations=fit.iterations,
-    )
+    return _judged(engine, fit.model, fit.residual, rel_tol, "final residual above tolerance",
+                   sigma_used=fit.sigma_used, iterations=fit.iterations)
 
 
 @np.errstate(all="ignore")
@@ -795,12 +809,15 @@ def lm_fit(
     """Generic method-of-moments fit by multistart damped least squares,
     after the structural step.
 
-    ``_structural_fit`` tries first, for both kinds and with one shared
-    scale or free ones.  A try at or below 1e-8 is the fit, with
-    ``iterations`` 0 and no random draw.  Otherwise the try, when it has k
-    components, is one extra start before the ``n_starts`` random ones,
-    every scale at its common one, and runs like any start; the random
-    starts are drawn as they would be without it.
+    ``_structural_fit`` tries first, for both kinds, with one shared scale
+    or free ones and at every k; it fits at most the count the basis
+    determines.  A try at or below 1e-8 is the fit, with ``iterations`` 0,
+    no random draw and possibly fewer than k components.  Otherwise the
+    try, when it has exactly k components, is one extra start before the
+    ``n_starts`` random ones, every scale at its common one, and runs like
+    any start; the random starts are drawn as they would be without it.
+    ``sigma_used`` is the common scale of a structural fit and of a solver
+    fit with one shared scale, None for a free-scale solver fit.
 
     Weights and scales (and log-normal locations) are optimized in log space
     so positivity needs no constraints; the Jacobian is the analytic one of
@@ -830,7 +847,8 @@ def lm_fit(
         return refusal
     step = _structural_fit(s, kind, k, _REL_TOL)
     if step is not None and step.residual <= _REL_TOL:
-        return _judged(engine, step.model(kind), step.residual, _REL_TOL, None)
+        return _judged(engine, step.model(kind), step.residual, _REL_TOL, None,
+                       sigma_used=step.sigma)
     # a structural first start: weights, (k, 1) locations and one common scale
     first = step if step is not None and len(step.weights) == k else None
     m, n = basis.m, basis.n
@@ -909,6 +927,6 @@ def lm_fit(
     r, theta = best
     weights, means, sigmas, _ = unpack(theta[None])
     model = MixtureMeasure(kind=kind, weights=weights[0], means=means, sigmas=sigmas)
-    return _judged(
-        engine, model, r, _REL_TOL, "best start stalled above tolerance", iterations=iterations
-    )
+    sigma_used = None if free_sigma_per_component else float(sigmas[0])
+    return _judged(engine, model, r, _REL_TOL, "best start stalled above tolerance",
+                   iterations=iterations, sigma_used=sigma_used)

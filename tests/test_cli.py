@@ -106,6 +106,18 @@ def test_recover_homotopy_command(workspace, capsys, tmp_path):
     assert "Gaussian mixtures only" in captured.err
 
 
+def test_recover_homotopy_command_fits_a_bivariate_basis(capsys, tmp_path):
+    basis = MonomialBasis.full_degree(3, n=2)
+    mix = sample_random_mixture("gaussian", 4, n=2, rng=0, sigma_range=(0.2, 0.5),
+                                shared_sigma=True)
+    path = tmp_path / "plane_moments.json"
+    path.write_text(json.dumps(mixture_moments(basis, mix).to_json()))
+    rc = main(["recover", "--moments", str(path), "--engine", "homotopy", "--k", "4"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0 and report["success"] is True and report["k_used"] == 4
+    assert report["engine"] == "homotopy-gap" and report["residual"] <= 1e-8
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 @pytest.mark.parametrize("engine", [[], ["--engine", "lm"], ["--kind", "lognormal"]],
                          ids=["shared-sigma", "lm", "shared-sigma-lognormal"])

@@ -14,6 +14,7 @@ from mixcara.conegeo import (
     INTERIOR,
     _classify,
     _cone_blocks,
+    _is_hankel_basis,
     _itp_bracket,
     hankel_classify,
     represent_with_prescribed_component,
@@ -552,3 +553,15 @@ def test_prescription_error_names_a_combined_residual_above_tolerance(monkeypatc
     monkeypatch.setattr(recover, "recover_shared_sigma_gaussian", wrong_engine)
     with pytest.raises(PrescriptionError, match=r"combined residual \S+ above 1\.0e-08$"):
         represent_with_prescribed_component(basis, "gaussian", s, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("basis, hankel", [
+    (MonomialBasis.full_degree(0), True),
+    (MonomialBasis.full_degree(6), True),
+    (MonomialBasis.univariate([0, 1, 3, 4, 6]), False),
+    (MonomialBasis.univariate([0, 2, 3, 5, 6]), False),
+    (MonomialBasis.univariate(range(1, 7)), False),
+    (MonomialBasis.full_degree(3, n=2), False),
+], ids=["1", "1..x6", "01346", "02356", "x..x6", "bivariate-d3"])
+def test_the_gaussian_hankel_rule_is_the_full_degree_rule(basis, hankel):
+    assert _is_hankel_basis(basis, "gaussian") == basis.is_full_degree() == hankel

@@ -629,9 +629,76 @@ def test_solver_stops_after_a_window_of_slow_progress():
     assert all(b < a * (1.0 - recover._MIN_PROGRESS) for a, b in zip(costs, costs[1:]))
 
 
-def test_homotopy_parameter_count_validated():
-    with pytest.raises(ValueError):
-        homotopy_gap_recovery(GAP, mv(np.ones(5), GAP), k=2)
+@pytest.mark.parametrize("values", [(1.0, 0.3, 0.09), (1.0, 0.0, 0.0)], ids=["at-0.3", "at-0"])
+def test_counts_above_the_cap_take_the_structural_step(solver_runs, values):
+    # {1, x, x^2} determines one component: k = 2 is capped at m // 2 = 1,
+    # and the one-atom vector on the cone boundary is that component, so no
+    # solver start runs
+    basis = MonomialBasis.full_degree(2)
+    s = mv(values, basis)
+    for report in (lm_fit(basis, "gaussian", s, 2, free_sigma_per_component=False),
+                   lm_fit(basis, "gaussian", s, 2),
+                   homotopy_gap_recovery(basis, s, 2)):
+        assert report.success and report.k_used == 1 and report.iterations == 0
+        assert report.model.means[0, 0] == pytest.approx(values[1], abs=1e-12)
+        assert report.sigma_used == report.model.sigmas[0]
+    assert solver_runs == []
+
+
+def test_gap_route_reports_the_empty_fit_of_the_zero_vector():
+    # the empty model has no component to read a scale from: the report
+    # takes lm_fit's sigma_used instead
+    basis = MonomialBasis.full_degree(1)
+    report = homotopy_gap_recovery(basis, mv([0.0, 0.0], basis), 1)
+    assert report.success and report.k_used == 0 and report.residual == 0.0
+    assert report.sigma_used == lm_fit(basis, "gaussian", mv([0.0, 0.0], basis), 1).sigma_used
+
+
+def test_gap_route_fits_fewer_components_than_half_the_moments():
+    # k = 2 on {1, x^2, x^3, x^5, x^6} gives 5 parameters for 5 moments: the
+    # completion step needs top degree 2k, so the random starts fit it
+    mix = sample_random_mixture("gaussian", 3, rng=np.random.default_rng(9),
+                                sigma_range=(0.05, 0.3), min_separation=0.5)
+    report = homotopy_gap_recovery(GAP, mixture_moments(GAP, mix), k=2)
+    assert report.success and report.k_used == 2 and report.iterations > 0
+    assert report.residual <= 1e-8 and np.all(report.model.sigmas == report.sigma_used)
+
+
+def test_gap_route_fits_a_bivariate_basis():
+    basis = MonomialBasis.full_degree(3, n=2)
+    mix = sample_random_mixture("gaussian", 4, n=2, rng=0, sigma_range=(0.2, 0.5),
+                                shared_sigma=True)
+    report = homotopy_gap_recovery(basis, mixture_moments(basis, mix), k=4)
+    assert report.success and report.k_used == 4 and report.residual <= 1e-8
+    assert report.engine == "homotopy-gap" and np.all(report.model.sigmas == report.sigma_used)
+
+
+@pytest.mark.parametrize("degrees", [[0, 1, 3, 4, 6], [0, 2, 3, 5, 6]], ids=["01346", "02356"])
+def test_gap_route_above_half_the_top_degree_takes_the_completion(solver_runs, degrees):
+    # k = 4 is capped at D // 2 = 3, the count the completion step reads
+    basis = MonomialBasis.univariate(degrees)
+    report = homotopy_gap_recovery(basis, gap_roundtrip_moments(basis), k=4, seed=40)
+    assert report.success and report.iterations == 0 and report.k_used == 3
+    assert report.sigma_used == 0.1 and solver_runs == []
+
+
+def test_lm_fit_reports_the_scale_of_every_model_with_one_shared_scale():
+    # the structural step fits one shared scale, with free scales too
+    basis = MonomialBasis.full_degree(5)
+    s = mixture_moments(basis, sample_random_mixture(
+        "gaussian", 2, rng=3, sigma_range=(0.2, 0.5), min_separation=0.5, shared_sigma=True))
+    step = lm_fit(basis, "gaussian", s, 2)
+    assert step.success and step.iterations == 0
+    assert step.sigma_used == step.model.sigmas[0]
+    # a bivariate basis has no structural step: the solver fits it
+    plane = MonomialBasis.full_degree(2, n=2)
+    s = mixture_moments(plane, sample_random_mixture(
+        "gaussian", 1, n=2, rng=3, sigma_range=(0.2, 0.5)))
+    shared = lm_fit(plane, "gaussian", s, 1, free_sigma_per_component=False)
+    free = lm_fit(plane, "gaussian", s, 2)
+    assert shared.success and shared.iterations > 0
+    assert shared.sigma_used == shared.model.sigmas[0]
+    assert free.success and free.iterations > 0 and free.sigma_used is None
 
 
 # ------------------------------------------------- Hankel completion step
